@@ -32,6 +32,14 @@ INF = math.inf
 KINDS = ("free", "polynomial", "laurent", "plane_curve")
 
 
+def exponent_vectors(nvars: int, bound: int) -> list:
+    """Exponent tuples of length nvars with sum <= bound, in lex order."""
+    if nvars == 0:
+        return [()]
+    return [(e,) + rest for e in range(bound + 1)
+            for rest in exponent_vectors(nvars - 1, bound - e)]
+
+
 @dataclass(frozen=True)
 class Monomial:
     """A normal-form basis monomial.
@@ -245,17 +253,8 @@ class AlgebraPresentation:
         elif self.kind == "laurent":
             out = [Monomial((k,)) for k in range(-bound, bound + 1)]
         elif self.kind == "polynomial":
-            n = len(self.generators)
-
-            def rec(prefix, left):
-                if len(prefix) == n - 1:
-                    for e in range(left + 1):
-                        out.append(Monomial(prefix + (e,)))
-                    return
-                for e in range(left + 1):
-                    rec(prefix + (e,), left - e)
-
-            rec((), bound)
+            out = [Monomial(e) for e in
+                   exponent_vectors(len(self.generators), bound)]
         else:
             i = 0
             while self._wt_x(i) <= bound:

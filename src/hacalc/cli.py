@@ -63,6 +63,13 @@ def _load_json(path):
         return json.load(fh)
 
 
+def _load_object(path) -> dict:
+    data = _load_json(path)
+    if not isinstance(data, dict):
+        raise ValueError(f"payload {path} must be a JSON object")
+    return data
+
+
 def _build_parser():
     # global flags are accepted both before and after the subcommand
     common = argparse.ArgumentParser(add_help=False)
@@ -152,12 +159,12 @@ def run(argv) -> int:
 
 def _dispatch(args, cfg) -> int:
     if args.command == "graph":
-        g = DirectedGraph.from_json(_load_json(args.payload))
+        g = DirectedGraph.from_json(_load_object(args.payload))
         res = ha_cohn(g, cfg) if args.cohn else ha_leavitt(g, cfg)
         return _report(args, "graph", res.as_dict())
 
     if args.command == "xcomplex":
-        A = AlgebraPresentation.from_json(_load_json(args.payload))
+        A = AlgebraPresentation.from_json(_load_object(args.payload))
         rep = xcomplex_homology(A, cfg, args.truncate)
         return _report(args, "xcomplex", {
             "h0": rep.h0, "h1": rep.h1, "reps": list(rep.reps1),
@@ -172,13 +179,13 @@ def _dispatch(args, cfg) -> int:
             only = None
             if args.payload:
                 only = AlgebraPresentation.from_json(
-                    _load_json(args.payload))
+                    _load_object(args.payload))
             res = checks.suite_tube_closure(cfg, args.samples, args.seed,
                                             max_level=args.level, only=only)
         return _report(args, "tube", res.as_dict(), res.passed)
 
     if args.command == "lift":
-        A = AlgebraPresentation.from_json(_load_json(args.payload))
+        A = AlgebraPresentation.from_json(_load_object(args.payload))
         tower = phi_psi_recursion(Connection(A), args.order, args.cap)
         rep = section_curvature_check(tower, args.order, args.cap)
         return _report(args, "lift", {
@@ -194,7 +201,7 @@ def _dispatch(args, cfg) -> int:
         return _report(args, "idem", {"lift": hat})
 
     if args.command == "groebner":
-        data = _load_json(args.payload)
+        data = _load_object(args.payload)
         nvars = len(data["vars"])
         gens = [IntPoly.from_json(nvars, g) for g in data["gens"]]
         gb = strong_gb(gens)
@@ -211,7 +218,7 @@ def _dispatch(args, cfg) -> int:
         return _report(args, "groebner", out, passed)
 
     if args.command == "derham":
-        A = AlgebraPresentation.from_json(_load_json(args.payload))
+        A = AlgebraPresentation.from_json(_load_object(args.payload))
         rep = h_dr(A, cfg, args.truncate)
         out = rep.as_dict()
         if A.kind == "laurent":

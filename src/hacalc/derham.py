@@ -13,10 +13,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import AlgebraPresentation
-from .errors import BadReduction, Mismatch, Unstable
+from .errors import BadReduction, Mismatch
 from .graphs import DirectedGraph, ha_leavitt
 from .linalg import IntEchelon, _clear_denominators, kernel_basis
-from .scalars import PrimeConfig, val
+from .ncforms import stable_read
+from .scalars import PrimeConfig, _int_val, val
+
+#: Degrees added to every read window.
+PAD = 3
 
 
 def _log_floor(p: int, x: int) -> int:
@@ -88,18 +92,10 @@ def integrate_series(a: OverconvergentSeries, cfg: PrimeConfig):
     loss = 0
     for l, c in a.coeffs:
         out[l + 1] = Fraction(c, l + 1)
-        loss = max(loss, _int_valuation(l + 1, cfg.p))
+        loss = max(loss, _int_val(l + 1, cfg.p))
     primitive = OverconvergentSeries.with_min_certificate(
         out, a.window + 1, a.m, cfg)
     return primitive, loss
-
-
-def _int_valuation(n: int, p: int) -> int:
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
 
 
 @dataclass(frozen=True)
@@ -158,7 +154,7 @@ def reduce_laurent_form(g, D: int, cfg: PrimeConfig):
         if abs(n) > D + 1:
             raise ValueError(f"exponent {n} outside window {D + 1}")
         primitive[n] = Fraction(c, n)
-        loss = max(loss, _int_valuation(abs(n), cfg.p))
+        loss = max(loss, _int_val(abs(n), cfg.p))
     return residue, primitive, loss
 
 
@@ -187,7 +183,7 @@ def cubic_discriminant(f_coeffs) -> int:
             - 27 * a3 ** 2 * a0 ** 2)
 
 
-def _rank_one_window(D: int, pad: int, cfg: PrimeConfig, laurent: bool):
+def _rank_one_window(D: int, cfg: PrimeConfig, laurent: bool):
     """Windowed kernel/cokernel of g dt <- d(t^m) = m t^{m-1} dt.
 
     The map is diagonal on the monomial basis over a field of
@@ -195,43 +191,34 @@ def _rank_one_window(D: int, pad: int, cfg: PrimeConfig, laurent: bool):
     class t^k dt is exact iff k + 1 is a nonzero exponent of the padded
     domain window.
     """
-    lo = -(D + pad) if laurent else 0
-    domain = range(lo, D + pad + 1)
+    lo = -(D + PAD) if laurent else 0
+    domain = range(lo, D + PAD + 1)
     # d(t^m) = m t^{m-1} dt vanishes only at m = 0 in characteristic zero
     kernel = [m for m in range(-D if laurent else 0, D + 1) if m == 0]
     read_lo = -D if laurent else 0
     missed = [k for k in range(read_lo, D) if k + 1 == 0
               or k + 1 not in domain]
-    loss = max((_int_valuation(abs(m), cfg.p) for m in domain if m),
+    loss = max((_int_val(abs(m), cfg.p) for m in domain if m),
                default=0)
     reps1 = tuple("dt/t" if k == -1 else f"t^{k} dt" for k in missed)
     return len(kernel), len(missed), reps1, loss
 
 
-def _h_polynomial(D: int, cfg: PrimeConfig, pad: int, stab: int):
-    h0, h1, reps1, loss = _rank_one_window(D, pad, cfg, laurent=False)
-    h0b, h1b, _, _ = _rank_one_window(D + stab, pad, cfg, laurent=False)
-    if (h0, h1) != (h0b, h1b):
-        raise Unstable(f"dims {(h0, h1)} vs {(h0b, h1b)}")
+def _h_rank_one(D: int, cfg: PrimeConfig, laurent: bool):
+    h0, h1, reps1, loss = stable_read(
+        lambda reads: {R: _rank_one_window(R, cfg, laurent)
+                       for R in reads}, D)
     return CohomologyReport(h0, h1, ("1",), reps1, D, True, loss)
 
 
-def _h_laurent(D: int, cfg: PrimeConfig, pad: int, stab: int):
-    h0, h1, reps1, loss = _rank_one_window(D, pad, cfg, laurent=True)
-    h0b, h1b, _, _ = _rank_one_window(D + stab, pad, cfg, laurent=True)
-    if (h0, h1) != (h0b, h1b):
-        raise Unstable(f"dims {(h0, h1)} vs {(h0b, h1b)}")
-    return CohomologyReport(h0, h1, ("1",), reps1, D, True, loss)
-
-
-def _curve_window(f_coeffs, D: int, pad: int):
+def _curve_window(f_coeffs, D: int):
     """Kahler complex of y^2 = f(x) on a padded degree window.
 
     Columns are x^i dx, x^i y dx, x^i dy, x^i y dy with weights i+1, i+2,
     i+1, i+2; the relation submodule is generated by x^i (2y dy - f' dx)
     and x^i y (2y dy - f' dx); images are d(x^m) and d(x^m y).
     """
-    big = D + pad
+    big = D + PAD
     f = list(f_coeffs)
     fprime = [k * c for k, c in enumerate(f)][1:]
     fams = {"dx": 1, "ydx": 2, "dy": 1, "ydy": 2}
@@ -297,7 +284,7 @@ def _curve_window(f_coeffs, D: int, pad: int):
             v = vec(ent)
         imgs.append(ech_rel.reduce(v))
     h0 = len(kernel_basis(imgs))
-    return h1, h0, ech_u, col_of, read_start
+    return h0, h1, ech_u, col_of
 
 
 def _curve_reps(f_coeffs, ech_u, col_of, cfg):
@@ -313,7 +300,7 @@ def _curve_reps(f_coeffs, ech_u, col_of, cfg):
     loss = 0
     for c in u + v:
         d = Fraction(c).denominator
-        loss = max(loss, _int_valuation(d, cfg.p))
+        loss = max(loss, _int_val(d, cfg.p))
     reps = []
     check = IntEchelon()
     for j in (0, 1):
@@ -383,22 +370,20 @@ def _poly_bezout(f, g):
     return [x / c for x in s0], [x / c for x in t0]
 
 
-def h_dr(A: AlgebraPresentation, cfg: PrimeConfig, D: int, *,
-         pad: int = 3, stab_step: int = 5,
-         check_stability: bool = True) -> CohomologyReport:
+def h_dr(A: AlgebraPresentation, cfg: PrimeConfig,
+         D: int) -> CohomologyReport:
     """De Rham cohomology (h0, h1) of the dagger model at truncation D.
 
     Plane curves require y^2 = f(x) with deg f = 3, p >= 5, and p not
-    dividing disc(f) (else :class:`BadReduction`); the dimensions must
-    agree between windows D and D + stab_step or :class:`Unstable` is
-    raised.
+    dividing disc(f) (else :class:`BadReduction`); the dimensions are
+    certified by :func:`stable_read` on windows padded by PAD.
     """
     if A.kind == "polynomial":
         if len(A.generators) != 1:
             raise ValueError("one-variable polynomial rings only")
-        return _h_polynomial(D, cfg, pad, stab_step)
+        return _h_rank_one(D, cfg, laurent=False)
     if A.kind == "laurent":
-        return _h_laurent(D, cfg, pad, stab_step)
+        return _h_rank_one(D, cfg, laurent=True)
     if A.kind != "plane_curve":
         raise ValueError("unsupported presentation for de Rham reduction")
     if A.curve_fdeg != 3:
@@ -408,16 +393,11 @@ def h_dr(A: AlgebraPresentation, cfg: PrimeConfig, D: int, *,
     disc = cubic_discriminant(A.f_coeffs)
     if disc % cfg.p == 0:
         raise BadReduction(f"p = {cfg.p} divides disc(f) = {disc}")
-    h1, h0, ech_u, col_of, read_start = _curve_window(A.f_coeffs, D, pad)
-    stable = False
-    if check_stability:
-        h1b, h0b, *_ = _curve_window(A.f_coeffs, D + stab_step, pad)
-        if (h0, h1) != (h0b, h1b):
-            raise Unstable(f"dims {(h0, h1)} at D={D} vs {(h0b, h1b)}")
-        stable = True
+    h0, h1, ech_u, col_of = stable_read(
+        lambda reads: {R: _curve_window(A.f_coeffs, R) for R in reads}, D)
     reps1, bezout_loss = _curve_reps(A.f_coeffs, ech_u, col_of, cfg)
     # fraction-free elimination introduces no denominators at all
-    return CohomologyReport(h0, h1, ("1",), reps1, D, stable, bezout_loss)
+    return CohomologyReport(h0, h1, ("1",), reps1, D, True, bezout_loss)
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .scalars import PrimeConfig
 
 
@@ -69,78 +67,87 @@ def incidence_NE(g: DirectedGraph) -> IncidenceNE:
     return IncidenceNE(rows, tuple(g.vertices), reg)
 
 
+def _smallest_entry(D, k):
+    """(i, j) of the first entry of least nonzero size in the block
+    i, j >= k, in row-major order; None if the block is zero."""
+    best = None
+    for i in range(k, len(D)):
+        for j, x in enumerate(D[i][k:], k):
+            if x and (best is None or abs(x) < best[0]):
+                if abs(x) == 1:
+                    return i, j
+                best = (abs(x), i, j)
+    return None if best is None else best[1:]
+
+
 def smith_normal_form(M) -> tuple:
     """U, D, W with U M W = D, U and W unimodular, d1 | d2 | ... >= 0.
 
-    Deterministic: the pivot is the entry of smallest absolute value in
-    the remaining block, ties broken by position.
+    Matrices are lists of integer rows.  Deterministic: the pivot is the
+    entry of smallest absolute value in the remaining block, ties broken
+    by position.  Rows and columns before k are zero off the diagonal
+    once step k starts, so the updates of D skip them.
     """
-    M = np.array(M, dtype=object)
-    if M.ndim != 2:
-        M = M.reshape(len(M), -1)
-    m, n = M.shape
-    D = M.copy()
-    U = np.eye(m, dtype=object)
-    W = np.eye(n, dtype=object)
+    D = [list(row) for row in M]
+    m = len(D)
+    n = len(D[0]) if m else 0
+    U = [[int(i == j) for j in range(m)] for i in range(m)]
+    W = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(min(m, n)):
         while True:
-            best = None
-            for i in range(k, m):
-                for j in range(k, n):
-                    v = abs(D[i, j])
-                    if v and (best is None or v < best[0]):
-                        best = (v, i, j)
-            if best is None:
-                break
-            _, bi, bj = best
+            pos = _smallest_entry(D, k)
+            if pos is None:
+                # the remaining block is zero, and so is every later one
+                return U, D, W
+            bi, bj = pos
             if bi != k:
-                D[[k, bi]] = D[[bi, k]]
-                U[[k, bi]] = U[[bi, k]]
+                D[k], D[bi] = D[bi], D[k]
+                U[k], U[bi] = U[bi], U[k]
             if bj != k:
-                D[:, [k, bj]] = D[:, [bj, k]]
-                W[:, [k, bj]] = W[:, [bj, k]]
-            pivot = D[k, k]
+                for row in D[k:]:
+                    row[k], row[bj] = row[bj], row[k]
+                for row in W:
+                    row[k], row[bj] = row[bj], row[k]
+            Dk, Uk = D[k], U[k]
+            pivot = Dk[k]
             done = True
             for i in range(k + 1, m):
-                if D[i, k]:
-                    q = D[i, k] // pivot
-                    D[i] -= q * D[k]
-                    U[i] -= q * U[k]
-                    if D[i, k]:
+                Di = D[i]
+                if Di[k]:
+                    q = Di[k] // pivot
+                    Di[k:] = [a - q * b for a, b in zip(Di[k:], Dk[k:])]
+                    U[i] = [a - q * b for a, b in zip(U[i], Uk)]
+                    if Di[k]:
                         done = False
             for j in range(k + 1, n):
-                if D[k, j]:
-                    q = D[k, j] // pivot
-                    D[:, j] -= q * D[:, k]
-                    W[:, j] -= q * W[:, k]
-                    if D[k, j]:
+                if Dk[j]:
+                    q = Dk[j] // pivot
+                    for row in D[k:]:
+                        row[j] -= q * row[k]
+                    for row in W:
+                        row[j] -= q * row[k]
+                    if Dk[j]:
                         done = False
             if done:
                 # enforce divisibility of the remaining block
                 bad = None
-                for i in range(k + 1, m):
-                    for j in range(k + 1, n):
-                        if D[i, j] % pivot:
-                            bad = i
-                            break
-                    if bad is not None:
-                        break
+                if abs(pivot) != 1:
+                    bad = next((i for i in range(k + 1, m)
+                                if any(x % pivot for x in D[i][k + 1:])),
+                               None)
                 if bad is None:
                     break
-                D[k] += D[bad]
-                U[k] += U[bad]
-        if D[k, k] < 0:
-            D[k] = -D[k]
-            U[k] = -U[k]
+                D[k] = [a + b for a, b in zip(Dk, D[bad])]
+                U[k] = [a + b for a, b in zip(Uk, U[bad])]
+        if D[k][k] < 0:
+            D[k] = [-a for a in D[k]]
+            U[k] = [-a for a in U[k]]
     return U, D, W
 
 
 def snf_diagonal(M) -> tuple:
-    M = np.array(M, dtype=object)
-    if 0 in M.shape:
-        return ()
     _, D, _ = smith_normal_form(M)
-    return tuple(int(D[i, i]) for i in range(min(D.shape)))
+    return tuple(row[i] for i, row in enumerate(D) if i < len(row))
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .algebra import exponent_vectors
 from .graphs import smith_normal_form
 
 
@@ -340,21 +341,6 @@ def _random_poly(nvars, max_deg, rng) -> IntPoly:
 # ---------------------------------------------------------------------------
 
 
-def _monomials_up_to(nvars, bound):
-    out = []
-
-    def rec(prefix, left):
-        if len(prefix) == nvars - 1:
-            for e in range(left + 1):
-                out.append(prefix + (e,))
-            return
-        for e in range(left + 1):
-            rec(prefix + (e,), left - e)
-
-    rec((), bound)
-    return out
-
-
 def membership_oracle(g: IntPoly, gens, headroom: int = 8) -> bool:
     """Decide membership by solving integer linear systems.
 
@@ -374,13 +360,13 @@ def membership_oracle(g: IntPoly, gens, headroom: int = 8) -> bool:
 
 def _membership_at_bound(g: IntPoly, gens, bound: int) -> bool:
     rows_index = {e: i for i, e in
-                  enumerate(_monomials_up_to(g.nvars, bound))}
+                  enumerate(exponent_vectors(g.nvars, bound))}
     cols = []
     for gen in gens:
         budget = bound - gen.total_degree()
         if budget < 0:
             continue
-        for m in _monomials_up_to(g.nvars, budget):
+        for m in exponent_vectors(g.nvars, budget):
             cols.append(gen.term_mul(1, m))
     if not cols:
         return False
@@ -394,11 +380,10 @@ def _membership_at_bound(g: IntPoly, gens, bound: int) -> bool:
             return False
         target[rows_index[e]] = c
     U, D, _ = smith_normal_form(A)
-    rhs = [sum(int(U[i, k]) * target[k] for k in range(len(target)))
-           for i in range(U.shape[0])]
-    r = min(D.shape)
+    rhs = [sum(u * t for u, t in zip(row, target)) for row in U]
+    r = min(len(D), len(D[0]))
     for i in range(len(rhs)):
-        d = int(D[i, i]) if i < r else 0
+        d = D[i][i] if i < r else 0
         if d == 0:
             if rhs[i] != 0:
                 return False

@@ -305,11 +305,6 @@ class LiftingTower:
         return Cochain.from_function(self.presentation, 1,
                                      lambda m: self.phi(k, m), domain_bound)
 
-    def cochains(self, n_max: int, domain_bound: int) -> list:
-        """The 1-cochains phi_0, phi_2, ..., phi_{2 n_max}."""
-        return [self.phi_cochain(k, domain_bound)
-                for k in range(n_max + 1)]
-
     def psi_cochain(self, k: int, domain_bound: int) -> Cochain:
         return Cochain.from_function(self.presentation, 2,
                                      lambda x, y: self.psi(k, x, y),

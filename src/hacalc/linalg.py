@@ -1,9 +1,10 @@
 """Sparse exact linear algebra over the rationals.
 
 Vectors are dicts mapping integer column ids to nonzero Fractions; the
-column order (smaller id eliminated first) is fixed by the caller.  The
-echelon accumulator supports rank counting, membership tests, and a fully
-reduced mode that yields canonical coset representatives.
+column order (smaller id eliminated first) is fixed by the caller.
+``SparseEchelon`` keeps a reduced row echelon form over Q and yields
+canonical coset representatives; ``IntEchelon`` is its fraction-free
+counterpart over Z for ranks and span membership.
 """
 
 from __future__ import annotations
@@ -14,16 +15,15 @@ from fractions import Fraction
 
 
 class SparseEchelon:
-    """Incremental row echelon form with a fixed column order.
+    """Incremental reduced row echelon form with a fixed column order.
 
-    In ``rref`` mode each stored row is fully reduced against every other
-    pivot, so :meth:`reduce` returns the canonical representative of a
-    vector modulo the row space.
+    Each stored row is monic at its pivot and zero at every other pivot,
+    so :meth:`reduce` returns the canonical representative of a vector
+    modulo the row space.
     """
 
-    def __init__(self, rref: bool = False):
+    def __init__(self):
         self.rows = {}  # pivot column -> row dict (monic at pivot)
-        self.rref = rref
 
     def rank(self) -> int:
         return len(self.rows)
@@ -31,48 +31,30 @@ class SparseEchelon:
     def pivots(self):
         return self.rows.keys()
 
-    def _eliminate_leading(self, vec: dict) -> dict:
-        """Subtract pivot rows while the leading column is pivotal."""
-        while vec:
-            p = min(vec)
-            row = self.rows.get(p)
-            if row is None:
-                return vec
-            c = vec[p]
-            for col, rc in row.items():
-                v = vec.get(col, 0) - c * rc
-                if v:
-                    vec[col] = v
-                else:
-                    vec.pop(col, None)
-        return vec
-
     def add(self, vec: dict):
         """Insert a vector; returns its new pivot column or None."""
-        vec = {c: Fraction(v) for c, v in vec.items() if v}
-        vec = self._eliminate_leading(vec)
+        vec = self.reduce(vec)
         if not vec:
             return None
         p = min(vec)
         inv = 1 / vec[p]
         row = {c: v * inv for c, v in vec.items()}
-        if self.rref:
-            row = self._reduce_tail(row, skip=p)
-            for other in self.rows.values():
-                c = other.get(p)
-                if c:
-                    for col, rc in row.items():
-                        v = other.get(col, 0) - c * rc
-                        if v:
-                            other[col] = v
-                        else:
-                            other.pop(col, None)
+        for other in self.rows.values():
+            c = other.get(p)
+            if c:
+                for col, rc in row.items():
+                    v = other.get(col, 0) - c * rc
+                    if v:
+                        other[col] = v
+                    else:
+                        other.pop(col, None)
         self.rows[p] = row
         return p
 
-    def _reduce_tail(self, vec: dict, skip) -> dict:
-        """Clear every pivotal column except ``skip`` (rref rows only)."""
-        heap = [c for c in vec if c != skip and c in self.rows]
+    def reduce(self, vec: dict) -> dict:
+        """Canonical residual of ``vec``: zero at every pivot column."""
+        vec = {c: Fraction(v) for c, v in vec.items() if v}
+        heap = [c for c in vec if c in self.rows]
         heapq.heapify(heap)
         seen = set(heap)
         while heap:
@@ -80,41 +62,19 @@ class SparseEchelon:
             c = vec.get(col)
             if not c:
                 continue
-            row = self.rows[col]
-            for rc_col, rc in row.items():
+            for rc_col, rc in self.rows[col].items():
                 v = vec.get(rc_col, 0) - c * rc
                 if v:
                     vec[rc_col] = v
-                    if (rc_col != skip and rc_col not in seen
-                            and rc_col in self.rows):
+                    if rc_col not in seen and rc_col in self.rows:
                         seen.add(rc_col)
                         heapq.heappush(heap, rc_col)
                 else:
                     vec.pop(rc_col, None)
         return vec
 
-    def reduce(self, vec: dict) -> dict:
-        """Residual of ``vec`` modulo the row space (canonical in rref)."""
-        vec = {c: Fraction(v) for c, v in vec.items() if v}
-        if not self.rref:
-            return self._eliminate_leading(vec)
-        return self._reduce_tail(vec, skip=None)
-
     def contains(self, vec: dict) -> bool:
         return not self.reduce(vec)
-
-    def max_denominator_valuation(self, p: int) -> int:
-        """Largest p-valuation among denominators of stored coefficients."""
-        worst = 0
-        for row in self.rows.values():
-            for c in row.values():
-                d = c.denominator
-                v = 0
-                while d % p == 0:
-                    d //= p
-                    v += 1
-                worst = max(worst, v)
-        return worst
 
 
 class IntEchelon:
@@ -249,25 +209,3 @@ def int_matrix_rank(rows: list[list[int]]) -> int:
         if r == nrows:
             break
     return rank
-
-
-def bareiss_det(rows: list[list[int]]) -> int:
-    """Exact determinant of a square integer matrix (Bareiss)."""
-    m = [[int(x) for x in row] for row in rows]
-    n = len(m)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]

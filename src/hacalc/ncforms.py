@@ -359,7 +359,7 @@ class CommutatorQuotient:
         tuples.sort(key=lambda t: _tuple_sort_key(A, t))
         self.col_of = {t: i for i, t in enumerate(tuples)}
         self.tuples = tuples
-        self.ech = SparseEchelon(rref=True)
+        self.ech = SparseEchelon()
         for vec in commutator_vectors(A, bound):
             self.ech.add({self.col_of[k]: c for k, c in vec.items()})
 
@@ -400,15 +400,38 @@ class XComplexReport:
     stable: bool
 
 
-def _xcomplex_windows(A: AlgebraPresentation, reads: list, pad: int):
+#: Degrees added to the largest read bound of an X-complex window.
+PAD = 2
+#: A truncation D is certified by recomputing at D + STAB_STEP.
+STAB_STEP = 5
+
+
+def stable_read(compute, D: int):
+    """``compute([D, D + STAB_STEP])[D]``, certified stable.
+
+    ``compute`` maps a list of read bounds to {bound: result}, each
+    result starting with the dimensions (h0, h1).  Both bounds must give
+    the same dimensions, else :class:`Unstable` is raised.
+    """
+    if D < 0:
+        raise ValueError(f"truncation must be >= 0, got {D}")
+    big = D + STAB_STEP
+    res = compute([D, big])
+    dims, dims_big = res[D][:2], res[big][:2]
+    if dims != dims_big:
+        raise Unstable(f"dims {dims} at D={D} vs {dims_big} at D={big}")
+    return res[D]
+
+
+def _xcomplex_windows(A: AlgebraPresentation, reads: list) -> dict:
     """Homology dims of S <-> Omega^1/[,] read on several degree slices.
 
-    One elimination happens inside the window max(reads) + pad with
+    One elimination happens inside the window max(reads) + PAD with
     columns in descending total degree, so the degree-<=R columns form a
     suffix for each requested read bound R; missing edge witnesses shrink
     with the pad and are caught by comparing the read bounds.
     """
-    big = max(reads) + pad
+    big = max(reads) + PAD
     tuples = one_form_tuples(A, big)
     tuples.sort(key=lambda t: _window_sort_key(A, t))
     col_of = {t: i for i, t in enumerate(tuples)}
@@ -448,34 +471,22 @@ def _xcomplex_windows(A: AlgebraPresentation, reads: list, pad: int):
     return results
 
 
-def xcomplex_homology(A: AlgebraPresentation, cfg, D: int, *, pad: int = 2,
-                      stab_step: int = 5,
-                      check_stability: bool = True) -> XComplexReport:
+def xcomplex_homology(A: AlgebraPresentation, cfg, D: int) -> XComplexReport:
     """Truncated homology of the two-term complex S <-> Omega^1(S)/[,].
 
     Only commutative presentations are supported: there the map from
     1-form classes back to S vanishes, so h0 = ker(d) and h1 = coker(d)
-    on the truncated slices.  Dimensions are recomputed at D + stab_step
-    and must agree, else :class:`Unstable` is raised.
+    on the truncated slices.  The dimensions are certified by
+    :func:`stable_read`.
     """
     if not A.is_commutative:
         raise NotCommutative("homology is computed for commutative "
                              "presentations only")
-    stable = False
-    if check_stability:
-        res = _xcomplex_windows(A, [D, D + stab_step], pad)
-        h0, h1, reps0, reps1 = res[D]
-        h0b, h1b, _, _ = res[D + stab_step]
-        if (h0, h1) != (h0b, h1b):
-            raise Unstable(f"dims {(h0, h1)} at D={D} vs {(h0b, h1b)} "
-                           f"at D={D + stab_step}")
-        stable = True
-    else:
-        h0, h1, reps0, reps1 = _xcomplex_windows(A, [D], pad)[D]
-    A_ = A
-    reps1_str = tuple(str(Form(A_, 1, {t: Fraction(1)})) for t in reps1)
+    h0, h1, reps0, reps1 = stable_read(
+        lambda reads: _xcomplex_windows(A, reads), D)
+    reps1_str = tuple(str(Form(A, 1, {t: Fraction(1)})) for t in reps1)
     reps0_str = tuple(str(x) for x in reps0)
-    return XComplexReport(h0, h1, reps0_str, reps1_str, D, stable)
+    return XComplexReport(h0, h1, reps0_str, reps1_str, D, True)
 
 
 def xcomplex_boundary_checks(A: AlgebraPresentation, monomials,

@@ -12,8 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from operator import add, sub
 
 from .algebra import GrowthProfile
 from .ncforms import Form, MixedForm, fedosov_mixed
@@ -143,20 +142,23 @@ def floor_estimates(N: int) -> FloorReport:
     For all 1 <= m <= N and 0 <= j < n <= N:
         floor(n/2m) <= floor(j/m) + floor((n-j-1)/m),
     and superadditivity floor(a/m) + floor(b/m) <= floor((a+b)/m).
+    Both sides are symmetric (j <-> n-1-j, a <-> b), so scanning j and
+    b from the low end of each range up to the middle meets every value,
+    and the first failure of the full scan lies in that half.
     """
     for m in range(1, N + 1):
-        F = np.arange(N + 1) // m
+        F = [x // m for x in range(N + 1)]
         for n in range(1, N + 1):
-            lhs = n // (2 * m)
-            rhs = F[:n] + F[n - 1::-1][:n]
-            if int(rhs.min()) < lhs:
-                j = int(rhs.argmin())
-                return FloorReport(False, N, (m, n, j))
-        for a in range(N + 1):
-            rhs = F[a] + F[: N + 1 - a]
-            total = np.arange(a, N + 1) // m
-            if np.any(rhs > total):
-                b = int(np.argmax(rhs > total))
+            half = (n + 1) // 2
+            rhs = list(map(add, F[:half], F[n - half:n][::-1]))
+            low = min(rhs)
+            if low < n // (2 * m):
+                return FloorReport(False, N, (m, n, rhs.index(low)))
+        for a in range(N // 2 + 1):
+            # floor((a+b)/m) - floor(b/m) for b = a, ..., N - a
+            gaps = list(map(sub, F[2 * a:], F[a:]))
+            if min(gaps) < F[a]:
+                b = next(b for b, g in enumerate(gaps, a) if g < F[a])
                 return FloorReport(False, N, (m, a, b))
     return FloorReport(True, N)
 

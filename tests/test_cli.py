@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hacalc
 from hacalc.cli import run
 
 
@@ -32,6 +37,38 @@ def test_missing_file_is_input_error(capsys):
     code = run(["--prime", "5", "graph", "/nonexistent/missing.json"])
     capsys.readouterr()
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["xcomplex", "derham"])
+def test_negative_truncation_is_input_error(command, laurent_file, capsys):
+    code = run(["--prime", "7", command, "--algebra", laurent_file,
+                "--truncate", "-3"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert out == {"schema": "ha/1",
+                   "error": "truncation must be >= 0, got -3"}
+
+
+def test_non_object_payload_is_input_error(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    for argv in (["xcomplex", "--algebra", str(path)],
+                 ["derham", "--algebra", str(path)],
+                 ["graph", str(path)]):
+        code = run(["--prime", "7"] + argv)
+        out = json.loads(capsys.readouterr().out)
+        assert code == 2
+        assert out == {"schema": "ha/1",
+                       "error": f"payload {path} must be a JSON object"}
+
+
+def test_cli_import_does_not_load_numpy():
+    src = Path(hacalc.__file__).resolve().parents[1]
+    probe = "import sys, hacalc.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(src))).stdout
+    assert out.strip() == "False"
 
 
 def test_usage_error_is_exit_2(capsys):

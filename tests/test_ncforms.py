@@ -8,9 +8,9 @@ from hacalc.algebra import AlgebraPresentation
 from hacalc.checks import presentations, random_form
 from hacalc.errors import NotCommutative, WrongDegree
 from hacalc.ncforms import (CommutatorQuotient, Form, MixedForm,
-                            commutator_quotient_rep, commutator_vectors,
-                            differential, fedosov, form_multiply,
-                            hochschild_b1, one_form_tuples,
+                            _xcomplex_windows, commutator_quotient_rep,
+                            commutator_vectors, differential, fedosov,
+                            form_multiply, hochschild_b1, one_form_tuples,
                             xcomplex_homology)
 from hacalc.scalars import PrimeConfig
 
@@ -166,8 +166,7 @@ def _dense_xcomplex_dims(A, D, pad):
 ], ids=["polynomial", "laurent", "curve"])
 def test_xcomplex_against_dense_oracle(A, D, expected):
     assert _dense_xcomplex_dims(A, D, 2) == expected
-    rep = xcomplex_homology(A, CFG, D, check_stability=False)
-    assert (rep.h0, rep.h1) == expected
+    assert _xcomplex_windows(A, [D])[D][:2] == expected
 
 
 def test_xcomplex_polynomial():
