@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import DegreeOverflow, ZeroElement
+from .errors import ZeroElement
 
 INF = math.inf
 
@@ -40,35 +40,16 @@ def exponent_vectors(nvars: int, bound: int) -> list:
             for rest in exponent_vectors(nvars - 1, bound - e)]
 
 
-@dataclass(frozen=True)
-class Monomial:
-    """A normal-form basis monomial.
-
-    ``data`` is a word (tuple of generator indices) for free presentations,
-    an exponent vector for the commutative kinds, and ``None`` for the unit
-    adjoined to a non-unital presentation.
-    """
-
-    data: tuple | None
-
-    @property
-    def is_adjoined_unit(self) -> bool:
-        return self.data is None
-
-
-ADJOINED_UNIT = Monomial(None)
+#: The unit adjoined to a non-unital presentation.  Every other basis
+#: monomial is a tuple: a word of generator indices (free), an exponent
+#: vector (polynomial, laurent) or a pair (i, j) for x^i y^j (plane_curve).
+ADJOINED_UNIT = None
 
 
 class AlgebraPresentation:
-    """A presented algebra with monomial basis and length filtration.
+    """A presented algebra with monomial basis and length filtration."""
 
-    ``degree_cap`` is an optional hard cap: any product whose result would
-    contain a monomial of larger filtration degree raises
-    :class:`DegreeOverflow` instead of silently truncating.
-    """
-
-    def __init__(self, kind, generators, f_coeffs=None, unital=None,
-                 degree_cap=None):
+    def __init__(self, kind, generators, f_coeffs=None, unital=None):
         if kind not in KINDS:
             raise ValueError(f"unknown presentation kind {kind!r}")
         generators = tuple(generators)
@@ -96,27 +77,31 @@ class AlgebraPresentation:
         self.generators = generators
         self.f_coeffs = f_coeffs
         self.unital = unital
-        self.degree_cap = degree_cap
+        if not unital:
+            self._one = ADJOINED_UNIT
+        elif kind == "free":
+            self._one = ()
+        else:
+            self._one = (0,) * len(generators)
         self._wt_cache = {}
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def free(cls, generators, unital=False, degree_cap=None):
-        return cls("free", generators, unital=unital, degree_cap=degree_cap)
+    def free(cls, generators, unital=False):
+        return cls("free", generators, unital=unital)
 
     @classmethod
-    def polynomial(cls, generators=("t",), degree_cap=None):
-        return cls("polynomial", generators, degree_cap=degree_cap)
+    def polynomial(cls, generators=("t",)):
+        return cls("polynomial", generators)
 
     @classmethod
-    def laurent(cls, generator="t", degree_cap=None):
-        return cls("laurent", (generator,), degree_cap=degree_cap)
+    def laurent(cls, generator="t"):
+        return cls("laurent", (generator,))
 
     @classmethod
-    def plane_curve(cls, f_coeffs, degree_cap=None):
-        return cls("plane_curve", ("x", "y"), f_coeffs=f_coeffs,
-                   degree_cap=degree_cap)
+    def plane_curve(cls, f_coeffs):
+        return cls("plane_curve", ("x", "y"), f_coeffs=f_coeffs)
 
     @classmethod
     def from_json(cls, data: dict):
@@ -127,7 +112,10 @@ class AlgebraPresentation:
             return cls.laurent(data.get("generators", ["t"])[0])
         if kind == "polynomial":
             return cls.polynomial(data["generators"])
-        return cls.free(data["generators"], unital=data.get("unital", False))
+        if kind == "free":
+            return cls.free(data["generators"],
+                            unital=data.get("unital", False))
+        raise ValueError(f"unknown presentation kind {kind!r}")
 
     def __repr__(self):
         if self.kind == "plane_curve":
@@ -144,18 +132,14 @@ class AlgebraPresentation:
     def curve_fdeg(self) -> int:
         return len(self.f_coeffs) - 1
 
-    def one(self) -> Monomial:
+    def one(self) -> tuple | None:
         """The unit monomial (internal for unital kinds, adjoined else)."""
-        if not self.unital:
-            return ADJOINED_UNIT
-        if self.kind == "free":
-            return Monomial(())
-        return Monomial((0,) * len(self.generators))
+        return self._one
 
-    def is_unit_monomial(self, m: Monomial) -> bool:
-        return m == self.one() or m.is_adjoined_unit
+    def is_unit_monomial(self, m: tuple | None) -> bool:
+        return m is None or m == self._one
 
-    def monomial(self, data) -> Monomial:
+    def monomial(self, data) -> tuple:
         data = tuple(data)
         if self.kind == "free":
             if not all(0 <= g < len(self.generators) for g in data):
@@ -169,15 +153,15 @@ class AlgebraPresentation:
         else:
             if len(data) != 2 or data[0] < 0 or data[1] not in (0, 1):
                 raise ValueError("plane_curve monomials are x^i y^j, j <= 1")
-        return Monomial(data)
+        return data
 
-    def generator_monomial(self, name: str) -> Monomial:
+    def generator_monomial(self, name: str) -> tuple:
         i = self.generators.index(name)
         if self.kind == "free":
-            return Monomial((i,))
+            return (i,)
         e = [0] * len(self.generators)
         e[i] = 1
-        return Monomial(tuple(e))
+        return tuple(e)
 
     def _wt_x(self, i: int) -> int:
         """Filtration weight of x^i on the curve y^2 = f(x)."""
@@ -192,53 +176,52 @@ class AlgebraPresentation:
         self._wt_cache[i] = best
         return best
 
-    def degree(self, m: Monomial) -> int:
+    def degree(self, m: tuple) -> int:
         """Filtration degree: least n with m in F_n."""
-        if m.is_adjoined_unit:
+        if m is None:
             return 0
         if self.kind == "free":
-            return len(m.data)
+            return len(m)
         if self.kind == "laurent":
-            return abs(m.data[0])
+            return abs(m[0])
         if self.kind == "polynomial":
-            return sum(m.data)
-        i, j = m.data
+            return sum(m)
+        i, j = m
         return j + self._wt_x(i)
 
-    def sort_key(self, m: Monomial):
-        if m.is_adjoined_unit:
+    def sort_key(self, m: tuple):
+        if m is None:
             return (-1,)
-        return (self.degree(m), m.data)
+        return (self.degree(m), m)
 
-    def monomial_str(self, m: Monomial) -> str:
+    def monomial_str(self, m: tuple) -> str:
         if self.is_unit_monomial(m):
             return "1"
         if self.kind == "free":
-            return "*".join(self.generators[i] for i in m.data)
+            return "*".join(self.generators[i] for i in m)
         parts = []
-        for name, e in zip(self.generators, m.data):
+        for name, e in zip(self.generators, m):
             if e == 0:
                 continue
             parts.append(name if e == 1 else f"{name}^{e}")
         return "*".join(parts)
 
-    def mul_monomials(self, a: Monomial, b: Monomial) -> dict:
+    def mul_monomials(self, a: tuple, b: tuple) -> dict:
         """Normal form of a*b as a sparse monomial combination."""
-        if a.is_adjoined_unit:
+        if a is None:
             return {b: Fraction(1)}
-        if b.is_adjoined_unit:
+        if b is None:
             return {a: Fraction(1)}
         if self.kind == "free":
-            return {Monomial(a.data + b.data): Fraction(1)}
+            return {a + b: Fraction(1)}
         if self.kind in ("polynomial", "laurent"):
-            return {Monomial(tuple(x + y for x, y in zip(a.data, b.data))):
-                    Fraction(1)}
-        i = a.data[0] + b.data[0]
-        j = a.data[1] + b.data[1]
+            return {tuple(x + y for x, y in zip(a, b)): Fraction(1)}
+        i = a[0] + b[0]
+        j = a[1] + b[1]
         if j <= 1:
-            return {Monomial((i, j)): Fraction(1)}
+            return {(i, j): Fraction(1)}
         # y^2 -> f(x)
-        return {Monomial((i + k, 0)): Fraction(c)
+        return {(i + k, 0): Fraction(c)
                 for k, c in enumerate(self.f_coeffs) if c}
 
     def monomials_up_to(self, bound: int) -> list:
@@ -249,25 +232,24 @@ class AlgebraPresentation:
             lo = 1 if not self.unital else 0
             for length in range(lo, bound + 1):
                 for word in itertools.product(range(n), repeat=length):
-                    out.append(Monomial(word))
+                    out.append(word)
         elif self.kind == "laurent":
-            out = [Monomial((k,)) for k in range(-bound, bound + 1)]
+            out = [(k,) for k in range(-bound, bound + 1)]
         elif self.kind == "polynomial":
-            out = [Monomial(e) for e in
-                   exponent_vectors(len(self.generators), bound)]
+            out = exponent_vectors(len(self.generators), bound)
         else:
             i = 0
             while self._wt_x(i) <= bound:
-                out.append(Monomial((i, 0)))
+                out.append((i, 0))
                 i += 1
             i = 0
             while 1 + self._wt_x(i) <= bound:
-                out.append(Monomial((i, 1)))
+                out.append((i, 1))
                 i += 1
         out.sort(key=self.sort_key)
         return out
 
-    def word_of(self, m: Monomial) -> list:
+    def word_of(self, m: tuple) -> list:
         """A canonical factorization of m into alphabet monomials.
 
         The alphabet is the generators plus, for laurent, the formal
@@ -276,16 +258,16 @@ class AlgebraPresentation:
         if self.is_unit_monomial(m):
             return []
         if self.kind == "free":
-            return [Monomial((i,)) for i in m.data]
+            return [(i,) for i in m]
         if self.kind == "laurent":
-            k = m.data[0]
-            step = Monomial((1,)) if k > 0 else Monomial((-1,))
+            k = m[0]
+            step = (1,) if k > 0 else (-1,)
             return [step] * abs(k)
         letters = []
-        for pos, e in enumerate(m.data):
+        for pos, e in enumerate(m):
             g = [0] * len(self.generators)
             g[pos] = 1
-            letters.extend([Monomial(tuple(g))] * e)
+            letters.extend([tuple(g)] * e)
         return letters
 
     def element(self, terms) -> "AlgebraElement":
@@ -315,7 +297,7 @@ class AlgebraElement:
         key = self.presentation.sort_key
         return sorted(self.terms.items(), key=lambda kv: key(kv[0]))
 
-    def coeff(self, m: Monomial) -> Fraction:
+    def coeff(self, m: tuple) -> Fraction:
         return self.terms.get(m, Fraction(0))
 
     def __eq__(self, other):
@@ -355,14 +337,7 @@ class AlgebraElement:
             for m2, c2 in other.terms.items():
                 for m, c in A.mul_monomials(m1, m2).items():
                     out[m] = out.get(m, 0) + c1 * c2 * c
-        result = AlgebraElement(A, out)
-        cap = A.degree_cap
-        if cap is not None:
-            for m in result.terms:
-                if A.degree(m) > cap:
-                    raise DegreeOverflow(
-                        f"degree {A.degree(m)} exceeds cap {cap}")
-        return result
+        return AlgebraElement(A, out)
 
     __rmul__ = scale
 
@@ -393,7 +368,7 @@ def normalize(word, A: AlgebraPresentation) -> AlgebraElement:
     result = A.unit_element() if A.unital else None
     for sym in word:
         if A.kind == "laurent" and sym == f"{A.generators[0]}^-1":
-            m = Monomial((-1,))
+            m = (-1,)
         else:
             m = A.generator_monomial(sym)
         e = AlgebraElement(A, {m: Fraction(1)})

@@ -10,7 +10,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (AlgebraPresentation, GrowthProfile, Monomial,
+from .algebra import (AlgebraPresentation, GrowthProfile,
                       profile_check_diam_laws)
 from .ncforms import (Form, MixedForm, differential, fedosov,
                       fedosov_mixed, form_multiply,
@@ -51,12 +51,12 @@ def _offset(name: str) -> int:
 
 
 def random_monomial(A: AlgebraPresentation, max_deg: int,
-                    rng: random.Random) -> Monomial:
+                    rng: random.Random) -> tuple:
     monos = A.monomials_up_to(max_deg)
     return monos[rng.randrange(len(monos))]
 
 
-def random_nonunit_monomial(A, max_deg, rng) -> Monomial:
+def random_nonunit_monomial(A, max_deg, rng) -> tuple:
     while True:
         m = random_monomial(A, max_deg, rng)
         if not A.is_unit_monomial(m):
@@ -219,6 +219,8 @@ def suite_tube_closure(cfg: PrimeConfig, samples: int, seed: int,
                        max_level: int = 5, only=None) -> CheckResult:
     """Fedosov closure of tube membership, level monotonicity, D_m
     inclusion, and the level-(m+1) structure map simulation."""
+    if max_level < 1:
+        raise ValueError(f"tube level must be >= 1, got {max_level}")
     total = 0
     kinds = presentations()
     if only is not None:

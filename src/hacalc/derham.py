@@ -23,15 +23,6 @@ from .scalars import PrimeConfig, _int_val, val
 PAD = 3
 
 
-def _log_floor(p: int, x: int) -> int:
-    out = 0
-    q = p
-    while q <= x:
-        out += 1
-        q *= p
-    return out
-
-
 @dataclass(frozen=True)
 class OverconvergentSeries:
     """Window-truncated series whose coefficient valuations grow linearly.

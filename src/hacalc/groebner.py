@@ -341,7 +341,11 @@ def _random_poly(nvars, max_deg, rng) -> IntPoly:
 # ---------------------------------------------------------------------------
 
 
-def membership_oracle(g: IntPoly, gens, headroom: int = 8) -> bool:
+#: Degrees the membership oracle searches beyond deg(g).
+ORACLE_HEADROOM = 8
+
+
+def membership_oracle(g: IntPoly, gens) -> bool:
     """Decide membership by solving integer linear systems.
 
     Columns are m * gen_i over monomials m with deg(m * gen_i) <= bound;
@@ -355,7 +359,7 @@ def membership_oracle(g: IntPoly, gens, headroom: int = 8) -> bool:
         return True
     base = g.total_degree()
     return any(_membership_at_bound(g, gens, base + extra)
-               for extra in range(headroom + 1))
+               for extra in range(ORACLE_HEADROOM + 1))
 
 
 def _membership_at_bound(g: IntPoly, gens, bound: int) -> bool:

@@ -17,22 +17,22 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import AlgebraElement, AlgebraPresentation, Monomial
+from .algebra import AlgebraElement, AlgebraPresentation
 from .errors import InvalidConnection, NotApproxIdempotent, WrongDegree
 from .ncforms import (Form, MixedForm, fedosov_mixed, form_multiply,
                       mixed_differential, mixed_multiply)
 from .scalars import PrimeConfig
 
 
-def _mono_form(A, m: Monomial) -> Form:
+def _mono_form(A, m: tuple) -> Form:
     return Form(A, 0, {(m,): Fraction(1)})
 
 
-def _left_mul(m: Monomial, x: MixedForm) -> MixedForm:
+def _left_mul(m: tuple, x: MixedForm) -> MixedForm:
     return mixed_multiply(MixedForm.of(_mono_form(x.presentation, m)), x)
 
 
-def _right_mul(x: MixedForm, m: Monomial) -> MixedForm:
+def _right_mul(x: MixedForm, m: tuple) -> MixedForm:
     return mixed_multiply(x, MixedForm.of(_mono_form(x.presentation, m)))
 
 
@@ -159,7 +159,7 @@ def hochschild_delta(psi: Cochain) -> Cochain:
     return Cochain(A, 3, values, bound)
 
 
-def curvature(f: Cochain, x: Monomial, y: Monomial) -> MixedForm:
+def curvature(f: Cochain, x: tuple, y: tuple) -> MixedForm:
     """f(xy) - f(x) (.) f(y), the obstruction to multiplicativity.
 
     The target carries the Fedosov product, under which degree-0 forms
@@ -191,7 +191,7 @@ class Connection:
             vals[g] = v if v is not None else Form(A, 2)
         if A.kind == "laurent":
             t = A.generator_monomial(A.generators[0])
-            tinv = Monomial((-1,))
+            tinv = (-1,)
             dt = Form.d_of_monomial(A, t)
             dtinv = Form.d_of_monomial(A, tinv)
             inner = (form_multiply(vals[t], _mono_form(A, tinv))
@@ -200,7 +200,7 @@ class Connection:
         self.values = vals
         self._cache = {}
 
-    def nabla_d(self, m: Monomial) -> Form:
+    def nabla_d(self, m: tuple) -> Form:
         """nabla(dm) via the canonical word of m."""
         try:
             return self._cache[m]
@@ -263,7 +263,7 @@ class LiftingTower:
         self._phi = {}
         self._psi = {}
 
-    def phi(self, k: int, m: Monomial) -> MixedForm:
+    def phi(self, k: int, m: tuple) -> MixedForm:
         A = self.presentation
         key = (k, m)
         try:
@@ -282,7 +282,7 @@ class LiftingTower:
         self._phi[key] = out
         return out
 
-    def psi(self, k: int, x: Monomial, y: Monomial) -> MixedForm:
+    def psi(self, k: int, x: tuple, y: tuple) -> MixedForm:
         """psi_{2k} for k >= 2 (k = n+1 in the recursion)."""
         key = (k, x, y)
         try:
@@ -310,7 +310,7 @@ class LiftingTower:
                                      lambda x, y: self.psi(k, x, y),
                                      domain_bound)
 
-    def section(self, n: int, m: Monomial) -> MixedForm:
+    def section(self, n: int, m: tuple) -> MixedForm:
         """sigma = phi_0 + phi_2 + ... + phi_{2n} at a monomial."""
         out = MixedForm(self.presentation)
         for k in range(n + 1):
@@ -324,7 +324,7 @@ class LiftingTower:
         return out
 
 
-def _dcupd(A: AlgebraPresentation, x: Monomial, y: Monomial) -> MixedForm:
+def _dcupd(A: AlgebraPresentation, x: tuple, y: tuple) -> MixedForm:
     return MixedForm.of(form_multiply(Form.d_of_monomial(A, x),
                                       Form.d_of_monomial(A, y)))
 
@@ -351,6 +351,8 @@ def phi_psi_recursion(nabla: Connection, n_max: int,
     then validated on every monomial pair of total degree <= cap;
     failure raises :class:`InvalidConnection`.
     """
+    if n_max < 0 or cap < 0:
+        raise ValueError(f"order and cap must be >= 0, got {n_max}, {cap}")
     A = nabla.presentation
     alphabet = list(nabla.values)
     gen_pairs = [(a, b) for a in alphabet for b in alphabet]

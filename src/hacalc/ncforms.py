@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import ADJOINED_UNIT, AlgebraElement, AlgebraPresentation, Monomial
+from .algebra import ADJOINED_UNIT, AlgebraElement, AlgebraPresentation
 from .errors import DegreeOverflow, NotCommutative, Unstable, WrongDegree
 from .linalg import IntEchelon, SparseEchelon, kernel_basis
 
@@ -47,7 +47,7 @@ class Form:
                    {(m,): c for m, c in x.terms.items()})
 
     @classmethod
-    def d_of_monomial(cls, A, m: Monomial) -> "Form":
+    def d_of_monomial(cls, A, m: tuple) -> "Form":
         """The 1-form dm (zero for the unit monomial)."""
         if A.is_unit_monomial(m):
             return cls(A, 1)
@@ -103,11 +103,9 @@ class Form:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-def differential(omega: Form, cap: int | None = None) -> Form:
+def differential(omega: Form) -> Form:
     """d(m0 dm1 ... dmn) = 1 dm0 dm1 ... dmn; zero when m0 is the unit."""
     A = omega.presentation
-    if cap is not None and omega.degree + 1 > cap:
-        raise DegreeOverflow(f"form degree {omega.degree + 1} exceeds {cap}")
     out = {}
     one = A.one()
     for key, c in omega.terms.items():
@@ -117,7 +115,7 @@ def differential(omega: Form, cap: int | None = None) -> Form:
     return Form(A, omega.degree + 1, out)
 
 
-def form_multiply(omega: Form, eta: Form, cap: int | None = None) -> Form:
+def form_multiply(omega: Form, eta: Form) -> Form:
     """Graded product dictated by the Leibniz rule.
 
     (x0 dx1...dxn)(y0 dy1...dym) expands as the alternating sum over j of
@@ -126,8 +124,6 @@ def form_multiply(omega: Form, eta: Form, cap: int | None = None) -> Form:
     """
     A = omega.presentation
     n, m = omega.degree, eta.degree
-    if cap is not None and n + m > cap:
-        raise DegreeOverflow(f"form degree {n + m} exceeds {cap}")
     out = {}
     for xs, c1 in omega.terms.items():
         for ys, c2 in eta.terms.items():
@@ -205,7 +201,7 @@ class MixedForm:
         return joined.replace("+ -", "- ")
 
 
-def fedosov(omega: Form, eta: Form, cap: int | None = None) -> MixedForm:
+def fedosov(omega: Form, eta: Form) -> MixedForm:
     """Fedosov product of homogeneous forms.
 
     xi (.) eta = xi eta - (-1)^{ij} d(xi) d(eta); the two components live
@@ -213,36 +209,33 @@ def fedosov(omega: Form, eta: Form, cap: int | None = None) -> MixedForm:
     """
     i, j = omega.degree, eta.degree
     sign = -1 if (i * j) % 2 else 1
-    low = form_multiply(omega, eta, cap=cap)
-    high = form_multiply(differential(omega, cap=cap),
-                         differential(eta, cap=cap), cap=cap)
+    low = form_multiply(omega, eta)
+    high = form_multiply(differential(omega), differential(eta))
     return MixedForm(omega.presentation,
                      {i + j: low, i + j + 2: high.scale(-sign)})
 
 
-def fedosov_mixed(a: MixedForm, b: MixedForm,
-                  cap: int | None = None) -> MixedForm:
+def fedosov_mixed(a: MixedForm, b: MixedForm) -> MixedForm:
     out = MixedForm(a.presentation)
     for fa in a.parts.values():
         for fb in b.parts.values():
-            out = out + fedosov(fa, fb, cap=cap)
+            out = out + fedosov(fa, fb)
     return out
 
 
-def mixed_multiply(a: MixedForm, b: MixedForm,
-                   cap: int | None = None) -> MixedForm:
+def mixed_multiply(a: MixedForm, b: MixedForm) -> MixedForm:
     """Ordinary (graded) product extended to mixed forms."""
     out = MixedForm(a.presentation)
     for fa in a.parts.values():
         for fb in b.parts.values():
-            out = out + MixedForm.of(form_multiply(fa, fb, cap=cap))
+            out = out + MixedForm.of(form_multiply(fa, fb))
     return out
 
 
-def mixed_differential(a: MixedForm, cap: int | None = None) -> MixedForm:
+def mixed_differential(a: MixedForm) -> MixedForm:
     out = MixedForm(a.presentation)
     for f in a.parts.values():
-        out = out + MixedForm.of(differential(f, cap=cap))
+        out = out + MixedForm.of(differential(f))
     return out
 
 

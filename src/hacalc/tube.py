@@ -123,10 +123,9 @@ def dm_member(x: EvenForm, P: TubeParams, cfg: PrimeConfig) -> bool:
     return True
 
 
-def fedosov_even(x: EvenForm, y: EvenForm,
-                 cap: int | None = None) -> EvenForm:
+def fedosov_even(x: EvenForm, y: EvenForm) -> EvenForm:
     """Fedosov product of even forms; j-degrees add (or better)."""
-    return EvenForm.from_mixed(fedosov_mixed(x, y, cap=cap))
+    return EvenForm.from_mixed(fedosov_mixed(x, y))
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ from hacalc.algebra import (INF, AlgebraPresentation, GrowthProfile,
                             filtration_degree, normalize,
                             profile_check_diam_laws, profile_diamond,
                             profile_product)
-from hacalc.errors import DegreeOverflow, ZeroElement
+from hacalc.errors import ZeroElement
 
 POLY = AlgebraPresentation.polynomial()
 LAURENT = AlgebraPresentation.laurent()
@@ -39,13 +39,6 @@ def test_filtration_degree_examples():
     assert filtration_degree(ab_ba) == 2
     with pytest.raises(ZeroElement):
         filtration_degree(POLY.zero())
-
-
-def test_degree_cap_errors():
-    A = AlgebraPresentation.polynomial(degree_cap=3)
-    x = normalize(["t", "t"], A)
-    with pytest.raises(DegreeOverflow):
-        _ = x * x
 
 
 def test_curve_monomial_weights():

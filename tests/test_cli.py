@@ -62,6 +62,33 @@ def test_non_object_payload_is_input_error(tmp_path, capsys):
                        "error": f"payload {path} must be a JSON object"}
 
 
+def test_unknown_presentation_kind_is_input_error(tmp_path, capsys):
+    path = tmp_path / "bogus.json"
+    path.write_text(json.dumps({"kind": "bogus", "generators": ["a"]}))
+    for argv in (["lift", "--algebra", str(path)],
+                 ["xcomplex", "--algebra", str(path)]):
+        code = run(["--prime", "5"] + argv)
+        out = capsys.readouterr().out
+        assert code == 2
+        assert out.count("\n") == 1
+        assert json.loads(out) == {
+            "schema": "ha/1", "error": "unknown presentation kind 'bogus'"}
+
+
+@pytest.mark.parametrize("command, flag, value, error", [
+    ("lift", "--order", "-1", "order and cap must be >= 0, got -1, 4"),
+    ("lift", "--cap", "-2", "order and cap must be >= 0, got 2, -2"),
+    ("tube", "--level", "0", "tube level must be >= 1, got 0"),
+], ids=["order", "cap", "level"])
+def test_out_of_range_lift_and_tube_flags_are_input_errors(
+        command, flag, value, error, laurent_file, capsys):
+    code = run(["--prime", "5", command, "--algebra", laurent_file,
+                flag, value])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert json.loads(out) == {"schema": "ha/1", "error": error}
+
+
 def test_cli_import_does_not_load_numpy():
     src = Path(hacalc.__file__).resolve().parents[1]
     probe = "import sys, hacalc.cli; print('numpy' in sys.modules)"

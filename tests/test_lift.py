@@ -24,7 +24,7 @@ def test_curvature_examples():
     # a multiplicative evaluation-style cochain has zero curvature
     ev = Cochain.from_function(
         POLY, 1,
-        lambda m: MixedForm.of(Form(POLY, 0, {(ONE,): 2 ** m.data[0]})), 4)
+        lambda m: MixedForm.of(Form(POLY, 0, {(ONE,): 2 ** m[0]})), 4)
     assert curvature(ev, T, T).is_zero()
     # the degree-0 truncation sigma = id has curvature dt dt at (t, t)
     assert curvature(idc, T, T).component(2) == DTDT

@@ -95,6 +95,17 @@ def test_commutator_quotient_free_consistency():
     assert quo.rep(adb) == quo.rep(dba)  # [a, db] = 0 in the quotient
 
 
+def test_commutator_quotient_free_rep_string():
+    # the adjoined unit heads the d(b) term and prints first
+    quo = CommutatorQuotient(FREE, 4)
+    ab, b = FREE.monomial((0, 1)), FREE.monomial((1,))
+    one = FREE.one()
+    assert one is None
+    rep = quo.rep(Form(FREE, 1, {(one, ab): 1, (one, b): -2}))
+    assert str(rep) == "-2 d(b) + a d(b) + b d(a)"
+    assert (one, b) in rep.terms
+
+
 def _dense_rref_basis(vectors, ncols):
     """Plain dense Gaussian elimination oracle over Fraction."""
     rows = [[Fraction(v.get(c, 0)) for c in range(ncols)] for v in vectors]
@@ -189,6 +200,11 @@ def test_xcomplex_curve():
     assert rep.stable
 
 
+def test_xcomplex_curve_reps_golden():
+    rep = xcomplex_homology(CURVE, CFG, 10)
+    assert rep.reps1 == ("x*y d(x)", "y d(x)")
+
+
 def test_xcomplex_curve_expected_classes():
     """dx/y = u y dx + 2 v dy with u f + v f' = 1 and its x-multiple are
     independent nonzero classes in the computed quotient."""
@@ -265,17 +281,6 @@ def test_curvature_of_inclusion_identity():
             dd = form_multiply(Form.d_of_monomial(A, x),
                                Form.d_of_monomial(A, y))
             assert curv == MixedForm.of(dd), name
-
-
-def test_degree_cap_on_form_operations():
-    from hacalc.errors import DegreeOverflow
-    tdt = Form(POLY, 1, {(T, T): 1})
-    with pytest.raises(DegreeOverflow):
-        differential(tdt, cap=1)
-    with pytest.raises(DegreeOverflow):
-        form_multiply(tdt, tdt, cap=1)
-    with pytest.raises(DegreeOverflow):
-        fedosov(tdt, tdt, cap=3)  # the d xi d eta component needs degree 4
 
 
 def test_commutator_window_overflow():
