@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Every subcommand prints one JSON report (schema ``ha/1``, keys sorted) and
-exits 0 on success, 1 when a check fails, 2 on input errors.  All
-randomness is seeded, so reports are byte-identical across reruns with the
-same inputs, seed, and version.
+exits 0 on success, 1 when a check fails, 2 on input errors, including
+input outside a routine's domain.  All randomness is seeded, so reports
+are byte-identical across reruns with the same inputs, seed, and version.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 from . import __version__, checks
 from .algebra import AlgebraPresentation
 from .derham import crosscheck_loop_graph, h_dr
-from .errors import HacalcError
+from .errors import DomainError, HacalcError
 from .graphs import DirectedGraph, ha_cohn, ha_leavitt
 from .groebner import IntPoly, filtered_noetherian_witness, strong_gb
 from .lift import (Connection, lift_idempotent, phi_psi_recursion,
@@ -154,7 +154,7 @@ def run(argv) -> int:
     except HacalcError as exc:
         print(json.dumps({"schema": "ha/1", "error": str(exc),
                           "kind": type(exc).__name__}, sort_keys=True))
-        return 1
+        return 2 if isinstance(exc, DomainError) else 1
 
 
 def _dispatch(args, cfg) -> int:

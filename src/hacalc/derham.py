@@ -15,11 +15,13 @@ from fractions import Fraction
 from .algebra import AlgebraPresentation
 from .errors import BadReduction, Mismatch
 from .graphs import DirectedGraph, ha_leavitt
-from .linalg import IntEchelon, _clear_denominators, kernel_basis
-from .ncforms import stable_read
+from .linalg import IntEchelon
+from .ncforms import kahler_window, stable_read
 from .scalars import PrimeConfig, _int_val, val
 
-#: Degrees added to every read window.
+#: Degrees added to the read window of the rank-one (polynomial, Laurent)
+#: route, whose valuation loss is read over that padded domain; curves
+#: read the Kahler window of :mod:`hacalc.ncforms`, padded by its PAD.
 PAD = 3
 
 
@@ -89,52 +91,13 @@ def integrate_series(a: OverconvergentSeries, cfg: PrimeConfig):
     return primitive, loss
 
 
-@dataclass(frozen=True)
-class KahlerOneForm:
-    """A 1-form over a commutative presentation in reduced coordinates.
-
-    For polynomial and laurent presentations the form is g(t) dt with
-    ``parts = {"dt": {n: c}}``.  On a plane curve the coordinates are
-    A dx + B y dx + C dy with y dy already rewritten to f'(x)/2 dx, so
-    ``parts`` uses the keys "dx", "ydx", "dy" mapping x-degree to
-    coefficient.
-    """
-
-    presentation: AlgebraPresentation
-    parts: dict
-
-    def __post_init__(self):
-        keys = ({"dx", "ydx", "dy"} if self.presentation.kind ==
-                "plane_curve" else {"dt"})
-        if not set(self.parts) <= keys:
-            raise ValueError(f"unknown coordinate families "
-                             f"{set(self.parts) - keys}")
-
-    @classmethod
-    def on_curve(cls, A, dx=(), ydx=(), dy=(), ydy=()):
-        """Assemble a curve form, rewriting y dy = f'(x)/2 dx."""
-        parts = {"dx": dict(dx), "ydx": dict(ydx), "dy": dict(dy)}
-        fprime = [k * c for k, c in enumerate(A.f_coeffs)][1:]
-        for i, c in dict(ydy).items():
-            for k, fc in enumerate(fprime):
-                parts["dx"][i + k] = (parts["dx"].get(i + k, 0)
-                                      + Fraction(c) * fc / 2)
-        return cls(A, {k: {n: Fraction(v) for n, v in d.items() if v}
-                       for k, d in parts.items()})
-
-    def dt_coefficients(self) -> dict:
-        return dict(self.parts.get("dt", {}))
-
-
 def reduce_laurent_form(g, D: int, cfg: PrimeConfig):
     """Split g dt = c_{-1} dt/t + d(primitive), exactly.
 
-    ``g`` is a coefficient mapping or a :class:`KahlerOneForm`; the
-    primitive's t^n coefficient is g_{n-1}/n and the reported losses are
-    the valuations of the divisors n.
+    ``g`` maps exponents to coefficients; the primitive's t^n coefficient
+    is g_{n-1}/n and the reported losses are the valuations of the
+    divisors n.
     """
-    if isinstance(g, KahlerOneForm):
-        g = g.dt_coefficients()
     residue = Fraction(g.get(-1, 0))
     primitive = {}
     loss = 0
@@ -202,106 +165,27 @@ def _h_rank_one(D: int, cfg: PrimeConfig, laurent: bool):
     return CohomologyReport(h0, h1, ("1",), reps1, D, True, loss)
 
 
-def _curve_window(f_coeffs, D: int):
-    """Kahler complex of y^2 = f(x) on a padded degree window.
-
-    Columns are x^i dx, x^i y dx, x^i dy, x^i y dy with weights i+1, i+2,
-    i+1, i+2; the relation submodule is generated by x^i (2y dy - f' dx)
-    and x^i y (2y dy - f' dx); images are d(x^m) and d(x^m y).
-    """
-    big = D + PAD
-    f = list(f_coeffs)
-    fprime = [k * c for k, c in enumerate(f)][1:]
-    fams = {"dx": 1, "ydx": 2, "dy": 1, "ydy": 2}
-    cols = []
-    for fam, off in fams.items():
-        for i in range(big - off + 1):
-            cols.append((fam, i))
-    # big-window-only columns first, inside each block higher degree first
-    cols.sort(key=lambda c: (0 if fams[c[0]] + c[1] > D else 1,
-                             -(fams[c[0]] + c[1]), c[0], -c[1]))
-    col_of = {c: k for k, c in enumerate(cols)}
-    read_cols = {col_of[c] for c in cols if fams[c[0]] + c[1] <= D}
-    read_start = min(read_cols) if read_cols else len(cols)
-
-    def vec(entries):
-        out = {}
-        for fam, i, c in entries:
-            if c and (fam, i) in col_of:
-                out[col_of[(fam, i)]] = out.get(col_of[(fam, i)], 0) + c
-        return out
-
-    relations = []
-    for i in range(big + 1):
-        ent = [("ydy", i, Fraction(2))]
-        ent += [("dx", i + k, Fraction(-c)) for k, c in enumerate(fprime)]
-        if all((fam, j) in col_of for fam, j, _ in ent):
-            relations.append(vec(ent))
-        ent = [("dy", i + k, Fraction(2 * c)) for k, c in enumerate(f)]
-        ent += [("ydx", i + k, Fraction(-c)) for k, c in enumerate(fprime)]
-        if all((fam, j) in col_of for fam, j, _ in ent):
-            relations.append(vec(ent))
-    images = []
-    for m_ in range(1, big + 1):
-        if ("dx", m_ - 1) in col_of:
-            images.append(vec([("dx", m_ - 1, Fraction(m_))]))
-    for m_ in range(0, big + 1):
-        ent = [("dy", m_, Fraction(1))]
-        if m_ >= 1:
-            ent.append(("ydx", m_ - 1, Fraction(m_)))
-        if all((fam, j) in col_of for fam, j, _ in ent):
-            images.append(vec(ent))
-
-    ech_rel = IntEchelon()
-    for v in relations:
-        ech_rel.add(_clear_denominators(v))
-    ech_u = ech_rel.clone()
-    for v in images:
-        ech_u.add(_clear_denominators(v))
-    pivots_read = sum(1 for p_ in ech_u.pivots() if p_ >= read_start)
-    h1 = len(read_cols) - pivots_read
-
-    # kernel of d on monomials x^m, x^m y within the read window
-    domain = [("", m_) for m_ in range(D + 1)] + \
-             [("y", m_) for m_ in range(D - 1 + 1)]
-    imgs = []
-    for fam, m_ in domain:
-        if fam == "":
-            v = vec([("dx", m_ - 1, Fraction(m_))]) if m_ >= 1 else {}
-        else:
-            ent = [("dy", m_, Fraction(1))]
-            if m_ >= 1:
-                ent.append(("ydx", m_ - 1, Fraction(m_)))
-            v = vec(ent)
-        imgs.append(ech_rel.reduce(v))
-    h0 = len(kernel_basis(imgs))
-    return h0, h1, ech_u, col_of
-
-
-def _curve_reps(f_coeffs, ech_u, col_of, cfg):
+def _curve_reps(A: AlgebraPresentation, reduce, cfg):
     """The classes x^j dx/y = x^j (u y dx + 2 v dy), j = 0, 1.
 
     u, v solve u f + v f' = 1 over Q (possible: f squarefree); each rep
-    is verified nonzero and jointly independent modulo the computed
-    boundaries.
+    is verified nonzero and jointly independent modulo the boundaries of
+    the Kahler window, whose ``reduce`` takes the residual.
     """
-    f = list(f_coeffs)
+    f = list(A.f_coeffs)
     fprime = [k * c for k, c in enumerate(f)][1:]
     u, v = _poly_bezout(f, fprime)
     loss = 0
     for c in u + v:
         d = Fraction(c).denominator
         loss = max(loss, _int_val(d, cfg.p))
+    x, y = A.generator_monomial("x"), A.generator_monomial("y")
     reps = []
     check = IntEchelon()
     for j in (0, 1):
-        ent = [("ydx", j + k, Fraction(c)) for k, c in enumerate(u)]
-        ent += [("dy", j + k, 2 * Fraction(c)) for k, c in enumerate(v)]
-        vecd = {}
-        for fam, i, c in ent:
-            if c:
-                vecd[col_of[(fam, i)]] = vecd.get(col_of[(fam, i)], 0) + c
-        residual = ech_u.reduce(_clear_denominators(vecd))
+        form = {((j + k, 1), x): c for k, c in enumerate(u)}
+        form.update({((j + k, 0), y): 2 * c for k, c in enumerate(v)})
+        residual = reduce(form)
         if not residual:
             raise Mismatch("expected curve class is a boundary")
         if check.add(residual) is None:
@@ -367,7 +251,8 @@ def h_dr(A: AlgebraPresentation, cfg: PrimeConfig,
 
     Plane curves require y^2 = f(x) with deg f = 3, p >= 5, and p not
     dividing disc(f) (else :class:`BadReduction`); the dimensions are
-    certified by :func:`stable_read` on windows padded by PAD.
+    certified by :func:`stable_read`: the rank-one rings on windows
+    padded by PAD, curves on :func:`~hacalc.ncforms.kahler_window`.
     """
     if A.kind == "polynomial":
         if len(A.generators) != 1:
@@ -384,9 +269,9 @@ def h_dr(A: AlgebraPresentation, cfg: PrimeConfig,
     disc = cubic_discriminant(A.f_coeffs)
     if disc % cfg.p == 0:
         raise BadReduction(f"p = {cfg.p} divides disc(f) = {disc}")
-    h0, h1, ech_u, col_of = stable_read(
-        lambda reads: {R: _curve_window(A.f_coeffs, R) for R in reads}, D)
-    reps1, bezout_loss = _curve_reps(A.f_coeffs, ech_u, col_of, cfg)
+    h0, h1, _, _, reduce = stable_read(
+        lambda reads: kahler_window(A, reads), D)
+    reps1, bezout_loss = _curve_reps(A, reduce, cfg)
     # fraction-free elimination introduces no denominators at all
     return CohomologyReport(h0, h1, ("1",), reps1, D, True, bezout_loss)
 

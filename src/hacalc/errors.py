@@ -21,7 +21,11 @@ class WrongDegree(HacalcError):
     """A form of unexpected degree was passed."""
 
 
-class NotCommutative(HacalcError):
+class DomainError(HacalcError):
+    """The input lies outside the domain of the requested routine."""
+
+
+class NotCommutative(DomainError):
     """A commutative presentation was required."""
 
 
@@ -29,11 +33,11 @@ class Unstable(HacalcError):
     """Truncated homology dimensions did not agree across windows."""
 
 
-class BadReduction(HacalcError):
+class BadReduction(DomainError):
     """The plane curve is not smooth modulo the chosen prime."""
 
 
-class InvalidConnection(HacalcError):
+class InvalidConnection(DomainError):
     """The given connection data is inconsistent with the relations."""
 
 

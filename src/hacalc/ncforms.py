@@ -9,6 +9,13 @@ The module provides the differential, the graded multiplication, the
 Fedosov product, the Hochschild map b on 1-forms, canonical
 representatives modulo commutators, and truncated homology of the
 two-term complex  S <-> Omega^1(S)/[,]  for commutative presentations.
+
+For commutative S the commutator quotient Omega^1 S/[S, Omega^1 S] is
+the module of Kahler differentials, because [x, y dz] expands to the
+Leibniz rule (Cuntz-Quillen 1995; Loday, Cyclic Homology 1.3).  The
+homology is therefore read on a Kahler window (:func:`kahler_window`):
+1-forms h dw with w a letter, modulo the Leibniz defects of the
+presentation.  The de Rham route for curves reads the same window.
 """
 
 from __future__ import annotations
@@ -18,7 +25,8 @@ from fractions import Fraction
 
 from .algebra import ADJOINED_UNIT, AlgebraElement, AlgebraPresentation
 from .errors import DegreeOverflow, NotCommutative, Unstable, WrongDegree
-from .linalg import IntEchelon, SparseEchelon, kernel_basis
+from .linalg import (IntEchelon, SparseEchelon, _clear_denominators,
+                     kernel_basis)
 
 
 class Form:
@@ -393,7 +401,7 @@ class XComplexReport:
     stable: bool
 
 
-#: Degrees added to the largest read bound of an X-complex window.
+#: Degrees added to the largest read bound of a Kahler window.
 PAD = 2
 #: A truncation D is certified by recomputing at D + STAB_STEP.
 STAB_STEP = 5
@@ -416,51 +424,117 @@ def stable_read(compute, D: int):
     return res[D]
 
 
-def _xcomplex_windows(A: AlgebraPresentation, reads: list) -> dict:
-    """Homology dims of S <-> Omega^1/[,] read on several degree slices.
+def _letter_product(A: AlgebraPresentation, word: tuple,
+                    products: dict) -> dict:
+    """Normal form of a product of letters; ``products`` memoizes prefixes."""
+    start = len(word)
+    while word[:start] not in products:
+        start -= 1
+    out = products[word[:start]]
+    for i in range(start, len(word)):
+        nxt = {}
+        for m, c in out.items():
+            for mm, mc in A.mul_monomials(m, word[i]).items():
+                nxt[mm] = nxt.get(mm, 0) + c * mc
+        out = products[word[:i + 1]] = nxt
+    return out
 
-    One elimination happens inside the window max(reads) + PAD with
-    columns in descending total degree, so the degree-<=R columns form a
-    suffix for each requested read bound R; missing edge witnesses shrink
-    with the pad and are caught by comparing the read bounds.
+
+def _kahler_d(A: AlgebraPresentation, s: tuple, products: dict) -> dict:
+    """d(s) = sum_i (prod_{j != i} w_j) dw_i over s = w_1 ... w_n.
+
+    ``s`` is factored by ``A.word_of``; the result maps 1-form tuples
+    (head, letter) to coefficients.  A is commutative, so the k equal
+    letters w of a word share one cofactor, taken k times.
+    """
+    word = tuple(A.word_of(s))
+    out = {}
+    for w in dict.fromkeys(word):
+        i, k = word.index(w), word.count(w)
+        rest = _letter_product(A, word[:i] + word[i + 1:], products)
+        for h, c in rest.items():
+            out[(h, w)] = out.get((h, w), 0) + k * c
+    return out
+
+
+def _leibniz_defects(A: AlgebraPresentation, letters,
+                     products: dict) -> list:
+    """The nonzero rho(a, b) = d(ab) - a db - b da over letter pairs."""
+    out = []
+    for i, a in enumerate(letters):
+        for b in letters[i:]:
+            rho = {}
+            for m, c in A.mul_monomials(a, b).items():
+                for key, v in _kahler_d(A, m, products).items():
+                    rho[key] = rho.get(key, 0) + c * v
+            for key in ((a, b), (b, a)):
+                rho[key] = rho.get(key, 0) - 1
+            rho = {k: v for k, v in rho.items() if v}
+            if rho:
+                out.append(rho)
+    return out
+
+
+def kahler_window(A: AlgebraPresentation, reads: list) -> dict:
+    """Homology of d: S -> Omega^1_S (Kahler) read on several degree slices.
+
+    The columns are the 1-forms h dw, w a letter of ``word_of``'s
+    alphabet, of total degree <= max(reads) + PAD, in descending total
+    degree, so the degree-<=R columns form a suffix for each read bound R.
+    The rows are h rho(a, b) and d(s) for every monomial h, s of the
+    window; a column a row reaches beyond the window is placed ahead of
+    all others, so it never becomes a read pivot.  Each read bound R maps
+    to (h0, h1, reps0, reps1, reduce): the kernel of d on S_{<=R} and its
+    basis, the cokernel dimension and its non-pivot columns, and the
+    residual of a {(head, letter): c} vector modulo all rows.
     """
     big = max(reads) + PAD
-    tuples = one_form_tuples(A, big)
+    monos = A.monomials_up_to(big)
+    letters = sorted({w for s in A.monomials_up_to(1) for w in A.word_of(s)},
+                     key=A.sort_key)
+    tuples = [(h, w) for h in monos for w in letters
+              if A.degree(h) + A.degree(w) <= big]
     tuples.sort(key=lambda t: _window_sort_key(A, t))
     col_of = {t: i for i, t in enumerate(tuples)}
     totdeg = [-_window_sort_key(A, t)[0] for t in tuples]
 
+    def vec(terms):
+        out = {}
+        for key, c in terms.items():
+            col = col_of.get(key)
+            if col is None:  # beyond the window: ahead of every column
+                col = col_of[key] = len(tuples) - len(col_of) - 1
+            out[col] = out.get(col, 0) + c
+        return out
+
+    products = {(): {A.one(): 1}}
     ech_c = IntEchelon()
-    for vec in commutator_vectors(A, big):
-        ech_c.add({col_of[k]: int(c) for k, c in vec.items()})
-
-    one = A.one()
-    domain_big = [m for m in A.monomials_up_to(big)
-                  if not A.is_unit_monomial(m)]
+    for rho in _leibniz_defects(A, letters, products):
+        for h in monos:
+            row = {}
+            for (m, w), c in rho.items():
+                for hm, hc in A.mul_monomials(h, m).items():
+                    row[(hm, w)] = row.get((hm, w), 0) + c * hc
+            ech_c.add(vec(row))
+    d_of = {s: vec(_kahler_d(A, s, products)) for s in monos}
     ech_u = ech_c.clone()
-    for s in domain_big:
-        ech_u.add({col_of[(one, s)]: 1})
+    for s in monos:
+        ech_u.add(d_of[s])
 
+    def reduce(terms):
+        return ech_u.reduce(_clear_denominators(vec(terms)))
+
+    pivots = ech_u.pivots()
     results = {}
     for R in reads:
-        read_cols = [i for i, d in enumerate(totdeg) if d <= R]
-        pivots_read = sum(1 for p in ech_u.pivots() if totdeg[p] <= R)
-        h1 = len(read_cols) - pivots_read
-        reps1 = tuple(tuples[c] for c in read_cols
-                      if c not in ech_u.pivots())
-
-        domain = A.monomials_up_to(R)  # includes the unit: d(1) = 0
-        imgs = []
-        for s in domain:
-            if A.is_unit_monomial(s):
-                imgs.append({})
-            else:
-                imgs.append(ech_c.reduce({col_of[(one, s)]: 1}))
-        kernel = kernel_basis(imgs)
+        reps1 = tuple(tuples[c] for c, d in enumerate(totdeg)
+                      if d <= R and c not in pivots)
+        domain = A.monomials_up_to(R)
+        kernel = kernel_basis([ech_c.reduce(d_of[s]) for s in domain])
         reps0 = tuple(
             AlgebraElement(A, {domain[i]: c for i, c in combo.items()})
             for combo in kernel)
-        results[R] = (len(kernel), h1, reps0, reps1)
+        results[R] = (len(kernel), len(reps1), reps0, reps1, reduce)
     return results
 
 
@@ -475,8 +549,8 @@ def xcomplex_homology(A: AlgebraPresentation, cfg, D: int) -> XComplexReport:
     if not A.is_commutative:
         raise NotCommutative("homology is computed for commutative "
                              "presentations only")
-    h0, h1, reps0, reps1 = stable_read(
-        lambda reads: _xcomplex_windows(A, reads), D)
+    h0, h1, reps0, reps1, _ = stable_read(
+        lambda reads: kahler_window(A, reads), D)
     reps1_str = tuple(str(Form(A, 1, {t: Fraction(1)})) for t in reps1)
     reps0_str = tuple(str(x) for x in reps0)
     return XComplexReport(h0, h1, reps0_str, reps1_str, D, True)

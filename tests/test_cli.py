@@ -89,6 +89,63 @@ def test_out_of_range_lift_and_tube_flags_are_input_errors(
     assert json.loads(out) == {"schema": "ha/1", "error": error}
 
 
+CURVE = {"kind": "plane_curve", "f_coeffs": [0, -1, 0, 1]}
+
+
+@pytest.mark.parametrize("argv, payload, error, kind", [
+    (["--prime", "7", "xcomplex"], {"kind": "free", "generators": ["a", "b"]},
+     "homology is computed for commutative presentations only",
+     "NotCommutative"),
+    (["--prime", "23", "derham"],
+     {"kind": "plane_curve", "f_coeffs": [1, -1, 0, 1]},
+     "p = 23 divides disc(f) = -23", "BadReduction"),
+    (["--prime", "5", "lift", "--order", "2", "--cap", "4"], CURVE,
+     "delta(phi_2) != d u d on generator pairs for either sign",
+     "InvalidConnection"),
+    (["--prime", "5", "lift", "--order", "2", "--cap", "4"],
+     {"kind": "polynomial", "generators": ["x", "y"]},
+     "delta(phi_2) != d u d on generator pairs for either sign",
+     "InvalidConnection"),
+], ids=["xcomplex-free", "derham-bad-prime", "lift-curve", "lift-poly2"])
+def test_domain_errors_are_input_errors(argv, payload, error, kind,
+                                        tmp_path, capsys):
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(payload))
+    code = run(argv + ["--algebra", str(path)])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert out.count("\n") == 1
+    assert json.loads(out) == {"schema": "ha/1", "error": error,
+                               "kind": kind}
+
+
+GOLDEN = {
+    "xcomplex": '{"inputs": {"payload": "curve.json", "precision": 16, '
+                '"prime": 7, "seed": 0, "truncate": 14}, "passed": true, '
+                '"results": {"h0": 1, "h1": 2, "reps": ["x*y d(x)", '
+                '"y d(x)"], "stable": true}, "schema": "ha/1", '
+                '"subcommand": "xcomplex", "version": "0.1.0"}\n',
+    "derham": '{"inputs": {"payload": "curve.json", "precision": 16, '
+              '"prime": 7, "seed": 0, "truncate": 20}, "passed": true, '
+              '"results": {"h0": 1, "h1": 2, "reps0": ["1"], "reps1": '
+              '["dx/y", "x dx/y"], "stable": true, "truncation": 20, '
+              '"valuation_loss": 0}, "schema": "ha/1", "subcommand": '
+              '"derham", "version": "0.1.0"}\n',
+}
+
+
+@pytest.mark.parametrize("command, truncate", [("xcomplex", "14"),
+                                               ("derham", "20")])
+def test_readme_curve_report_bytes(command, truncate, tmp_path,
+                                   monkeypatch, capsys):
+    (tmp_path / "curve.json").write_text(json.dumps(CURVE))
+    monkeypatch.chdir(tmp_path)
+    code = run([command, "--algebra", "curve.json", "--truncate", truncate,
+                "--prime", "7"])
+    assert code == 0
+    assert capsys.readouterr().out == GOLDEN[command]
+
+
 def test_cli_import_does_not_load_numpy():
     src = Path(hacalc.__file__).resolve().parents[1]
     probe = "import sys, hacalc.cli; print('numpy' in sys.modules)"

@@ -9,6 +9,7 @@ from hacalc.derham import (OverconvergentSeries,
                            crosscheck_loop_graph, cubic_discriminant, h_dr,
                            integrate_series, reduce_laurent_form)
 from hacalc.errors import BadReduction
+from hacalc.ncforms import PAD, xcomplex_homology
 from hacalc.scalars import PrimeConfig
 
 CFG5 = PrimeConfig(5)
@@ -186,19 +187,6 @@ def test_crosscheck_loop_graph(p):
     assert rep.ok and rep.dims_graph == (1, 1)
 
 
-def test_kahler_one_form():
-    from hacalc.derham import KahlerOneForm
-    L = AlgebraPresentation.laurent()
-    form = KahlerOneForm(L, {"dt": {-1: Fraction(1), 2: Fraction(3)}})
-    residue, prim, _ = reduce_laurent_form(form, 10, CFG5)
-    assert residue == 1 and prim == {3: Fraction(1)}
-    # y dy is rewritten to f'(x)/2 dx on the curve
-    form = KahlerOneForm.on_curve(CURVE, ydy={0: 2})
-    assert form.parts["dx"] == {0: -1, 2: 3}
-    with pytest.raises(ValueError):
-        KahlerOneForm(L, {"dx": {}})
-
-
 def test_second_curve_both_routes():
     # y^2 = x^3 - x + 1 has discriminant -23: good reduction away from 23
     curve = AlgebraPresentation.plane_curve([1, -1, 0, 1])
@@ -208,5 +196,15 @@ def test_second_curve_both_routes():
         assert (rep.h0, rep.h1) == (1, 2)
     with pytest.raises(BadReduction):
         h_dr(curve, PrimeConfig(23), 20)
-    from hacalc.ncforms import _xcomplex_windows
-    assert _xcomplex_windows(curve, [10])[10][:2] == (1, 2)
+    # the raw commutator span, independent of the Kahler window
+    from test_ncforms import _dense_xcomplex_dims
+    assert _dense_xcomplex_dims(curve, 3, PAD) == (1, 2)
+
+
+def test_readme_curve_both_routes_at_d60():
+    x = xcomplex_homology(CURVE, CFG7, 60)
+    assert (x.h0, x.h1) == (1, 2)
+    assert x.reps1 == ("x*y d(x)", "y d(x)")
+    dr = h_dr(CURVE, CFG7, 60)
+    assert (dr.h0, dr.h1) == (1, 2)
+    assert dr.reps1 == ("dx/y", "x dx/y")

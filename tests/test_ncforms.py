@@ -7,10 +7,10 @@ import pytest
 from hacalc.algebra import AlgebraPresentation
 from hacalc.checks import presentations, random_form
 from hacalc.errors import NotCommutative, WrongDegree
-from hacalc.ncforms import (CommutatorQuotient, Form, MixedForm,
-                            _xcomplex_windows, commutator_quotient_rep,
-                            commutator_vectors, differential, fedosov,
-                            form_multiply, hochschild_b1, one_form_tuples,
+from hacalc.ncforms import (PAD, CommutatorQuotient, Form, MixedForm,
+                            commutator_quotient_rep, commutator_vectors,
+                            differential, fedosov, form_multiply,
+                            hochschild_b1, kahler_window, one_form_tuples,
                             xcomplex_homology)
 from hacalc.scalars import PrimeConfig
 
@@ -172,12 +172,18 @@ def _dense_xcomplex_dims(A, D, pad):
 
 @pytest.mark.parametrize("A,D,expected", [
     (POLY, 6, (1, 0)),
+    (AlgebraPresentation.polynomial(["x", "y"]), 4, (1, 6)),
     (LAURENT, 6, (1, 1)),
     (CURVE, 5, (1, 2)),
-], ids=["polynomial", "laurent", "curve"])
+    (AlgebraPresentation.plane_curve([1, -1, 0, 1]), 4, (1, 2)),
+], ids=["polynomial", "polynomial2", "laurent", "curve", "curve2"])
 def test_xcomplex_against_dense_oracle(A, D, expected):
-    assert _dense_xcomplex_dims(A, D, 2) == expected
-    assert _xcomplex_windows(A, [D])[D][:2] == expected
+    # the Kahler window and the raw commutator span agree on every
+    # truncated slice, unstable ones included
+    for R in range(D + 1):
+        dims = kahler_window(A, [R])[R][:2]
+        assert dims == _dense_xcomplex_dims(A, R, PAD), R
+    assert dims == expected
 
 
 def test_xcomplex_polynomial():
