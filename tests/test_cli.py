@@ -120,30 +120,52 @@ def test_domain_errors_are_input_errors(argv, payload, error, kind,
 
 
 GOLDEN = {
-    "xcomplex": '{"inputs": {"payload": "curve.json", "precision": 16, '
-                '"prime": 7, "seed": 0, "truncate": 14}, "passed": true, '
-                '"results": {"h0": 1, "h1": 2, "reps": ["x*y d(x)", '
-                '"y d(x)"], "stable": true}, "schema": "ha/1", '
-                '"subcommand": "xcomplex", "version": "0.1.0"}\n',
-    "derham": '{"inputs": {"payload": "curve.json", "precision": 16, '
-              '"prime": 7, "seed": 0, "truncate": 20}, "passed": true, '
-              '"results": {"h0": 1, "h1": 2, "reps0": ["1"], "reps1": '
-              '["dx/y", "x dx/y"], "stable": true, "truncation": 20, '
-              '"valuation_loss": 0}, "schema": "ha/1", "subcommand": '
-              '"derham", "version": "0.1.0"}\n',
+    "xcomplex-14": '{"inputs": {"payload": "curve.json", "precision": 16, '
+                   '"prime": 7, "seed": 0, "truncate": 14}, "passed": true, '
+                   '"results": {"h0": 1, "h1": 2, "reps": ["x*y d(x)", '
+                   '"y d(x)"], "stable": true}, "schema": "ha/1", '
+                   '"subcommand": "xcomplex", "version": "0.1.0"}\n',
+    "derham-20": '{"inputs": {"payload": "curve.json", "precision": 16, '
+                 '"prime": 7, "seed": 0, "truncate": 20}, "passed": true, '
+                 '"results": {"h0": 1, "h1": 2, "reps0": ["1"], "reps1": '
+                 '["dx/y", "x dx/y"], "stable": true, "truncation": 20, '
+                 '"valuation_loss": 0}, "schema": "ha/1", "subcommand": '
+                 '"derham", "version": "0.1.0"}\n',
+    "lift-poly": '{"inputs": {"payload": "poly.json", "precision": 16, '
+                 '"prime": 5, "seed": 0, "truncate": null}, "passed": true, '
+                 '"results": {"degree_constant": 0, "max_bad_degree": null, '
+                 '"ok": true, "order": 3, "pairs": 28}, "schema": "ha/1", '
+                 '"subcommand": "lift", "version": "0.1.0"}\n',
+    "lift-laurent": '{"inputs": {"payload": "laurent.json", "precision": 16, '
+                    '"prime": 5, "seed": 0, "truncate": null}, '
+                    '"passed": true, "results": {"degree_constant": 2, '
+                    '"max_bad_degree": null, "ok": true, "order": 3, '
+                    '"pairs": 85}, "schema": "ha/1", "subcommand": "lift", '
+                    '"version": "0.1.0"}\n',
 }
 
 
-@pytest.mark.parametrize("command, truncate", [("xcomplex", "14"),
-                                               ("derham", "20")])
-def test_readme_curve_report_bytes(command, truncate, tmp_path,
-                                   monkeypatch, capsys):
-    (tmp_path / "curve.json").write_text(json.dumps(CURVE))
+README_RUNS = {
+    "xcomplex-14": ("curve.json", CURVE,
+                    ["xcomplex", "--truncate", "14", "--prime", "7"]),
+    "derham-20": ("curve.json", CURVE,
+                  ["derham", "--truncate", "20", "--prime", "7"]),
+    "lift-poly": ("poly.json", {"kind": "polynomial", "generators": ["t"]},
+                  ["lift", "--order", "3", "--cap", "6", "--prime", "5"]),
+    "lift-laurent": ("laurent.json", {"kind": "laurent", "generators": ["t"]},
+                     ["lift", "--order", "3", "--cap", "6", "--prime", "5"]),
+}
+
+
+@pytest.mark.parametrize("key", list(GOLDEN))
+def test_readme_curve_report_bytes(key, tmp_path, monkeypatch, capsys):
+    """The exact stdout of the README's curve and lift commands."""
+    name, payload, argv = README_RUNS[key]
+    (tmp_path / name).write_text(json.dumps(payload))
     monkeypatch.chdir(tmp_path)
-    code = run([command, "--algebra", "curve.json", "--truncate", truncate,
-                "--prime", "7"])
+    code = run(argv[:1] + ["--algebra", name] + argv[1:])
     assert code == 0
-    assert capsys.readouterr().out == GOLDEN[command]
+    assert capsys.readouterr().out == GOLDEN[key]
 
 
 def test_cli_import_does_not_load_numpy():
