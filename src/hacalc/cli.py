@@ -63,11 +63,22 @@ def _load_json(path):
         return json.load(fh)
 
 
+class _Payload(dict):
+    """A JSON object payload; a missing key is an input error naming it."""
+
+    def __init__(self, path, data):
+        super().__init__(data)
+        self.path = path
+
+    def __missing__(self, key):
+        raise ValueError(f"payload {self.path} is missing key {key!r}")
+
+
 def _load_object(path) -> dict:
     data = _load_json(path)
     if not isinstance(data, dict):
         raise ValueError(f"payload {path} must be a JSON object")
-    return data
+    return _Payload(path, data)
 
 
 def _build_parser():

@@ -10,7 +10,7 @@ class NegativeValuation(HacalcError):
 
 
 class DegreeOverflow(HacalcError):
-    """A computation exceeded the configured hard degree cap."""
+    """A 1-form tuple lies beyond the window of a CommutatorQuotient."""
 
 
 class ZeroElement(HacalcError):

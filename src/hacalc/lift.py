@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .algebra import AlgebraElement, AlgebraPresentation
 from .errors import InvalidConnection, NotApproxIdempotent, WrongDegree
@@ -36,6 +37,24 @@ def _right_mul(x: MixedForm, m: tuple) -> MixedForm:
     return mixed_multiply(x, MixedForm.of(_mono_form(x.presentation, m)))
 
 
+def _pairs(A: AlgebraPresentation, bound: int) -> list:
+    """Monomial pairs (x, y) with deg x + deg y <= bound."""
+    monos = A.monomials_up_to(bound)
+    return [(x, y) for x in monos for y in monos
+            if A.degree(x) + A.degree(y) <= bound]
+
+
+def _extend(A: AlgebraPresentation, f, terms: dict) -> MixedForm:
+    """Linear extension of f (monomial -> mixed form) to {monomial: c}."""
+    return MixedForm.sum(A, (f(m).scale(c) for m, c in terms.items()))
+
+
+def _delta1(A: AlgebraPresentation, f, x: tuple, y: tuple) -> MixedForm:
+    """The Hochschild coboundary x f(y) - f(xy) + f(x) y of f at (x, y)."""
+    return (_left_mul(x, f(y)) - _extend(A, f, A.mul_monomials(x, y))
+            + _right_mul(f(x), y))
+
+
 class Cochain:
     """A cochain of arity 1 or 2 with values in mixed differential forms.
 
@@ -54,17 +73,10 @@ class Cochain:
 
     @classmethod
     def from_function(cls, A, arity, func, domain_bound):
-        monos = A.monomials_up_to(domain_bound)
-        values = {}
         if arity == 1:
-            for m in monos:
-                values[(m,)] = func(m)
+            values = {(m,): func(m) for m in A.monomials_up_to(domain_bound)}
         else:
-            for x in monos:
-                dx = A.degree(x)
-                for y in monos:
-                    if dx + A.degree(y) <= domain_bound:
-                        values[(x, y)] = func(x, y)
+            values = {p: func(*p) for p in _pairs(A, domain_bound)}
         return cls(A, arity, values, domain_bound)
 
     def __call__(self, *args) -> MixedForm:
@@ -72,10 +84,7 @@ class Cochain:
 
     def eval_element(self, x: AlgebraElement) -> MixedForm:
         """Linear extension along the first (only) argument; arity 1."""
-        out = MixedForm(self.presentation)
-        for m, c in x.terms.items():
-            out = out + self.values[(m,)].scale(c)
-        return out
+        return _extend(self.presentation, self, x.terms)
 
 
 def identity_cochain(A: AlgebraPresentation, domain_bound: int) -> Cochain:
@@ -96,13 +105,8 @@ def cup(psi: Cochain, xi: Cochain) -> Cochain:
         raise WrongDegree("cup is implemented for pairs of 1-cochains")
     A = psi.presentation
     bound = min(psi.domain_bound, xi.domain_bound)
-    values = {}
-    for (x,) in psi.values:
-        dx = A.degree(x)
-        for (y,) in xi.values:
-            if dx + A.degree(y) <= bound:
-                values[(x, y)] = mixed_multiply(psi(x), xi(y))
-    return Cochain(A, 2, values, bound)
+    return Cochain(A, 2, {(x, y): mixed_multiply(psi(x), xi(y))
+                          for x, y in _pairs(A, bound)}, bound)
 
 
 def hochschild_delta(psi: Cochain) -> Cochain:
@@ -118,45 +122,18 @@ def hochschild_delta(psi: Cochain) -> Cochain:
         raise WrongDegree("the coboundary is implemented up to 2-cochains")
     A = psi.presentation
     bound = psi.domain_bound
-    monos = A.monomials_up_to(bound)
-
+    pairs = _pairs(A, bound)
     if psi.arity == 1:
-        values = {}
-        for x in monos:
-            dx = A.degree(x)
-            for y in monos:
-                if dx + A.degree(y) > bound:
-                    continue
-                prod = AlgebraElement(A, {x: 1}) * AlgebraElement(A, {y: 1})
-                mid = MixedForm(A)
-                for m, c in prod.terms.items():
-                    mid = mid + psi(m).scale(c)
-                values[(x, y)] = (_left_mul(x, psi(y)) - mid
-                                  + _right_mul(psi(x), y))
-        return Cochain(A, 2, values, bound)
+        return Cochain(A, 2, {(x, y): _delta1(A, psi, x, y)
+                              for x, y in pairs}, bound)
 
-    values = {}
-    for x in monos:
-        dx = A.degree(x)
-        for y in monos:
-            dy = A.degree(y)
-            if dx + dy > bound:
-                continue
-            for z in monos:
-                if dx + dy + A.degree(z) > bound:
-                    continue
-                xy = AlgebraElement(A, {x: 1}) * AlgebraElement(A, {y: 1})
-                yz = AlgebraElement(A, {y: 1}) * AlgebraElement(A, {z: 1})
-                t1 = _left_mul(x, psi(y, z))
-                t2 = MixedForm(A)
-                for m, c in xy.terms.items():
-                    t2 = t2 + psi(m, z).scale(c)
-                t3 = MixedForm(A)
-                for m, c in yz.terms.items():
-                    t3 = t3 + psi(x, m).scale(c)
-                t4 = _right_mul(psi(x, y), z)
-                values[(x, y, z)] = t1 - t2 + t3 - t4
-    return Cochain(A, 3, values, bound)
+    return Cochain(A, 3, {
+        (x, y, z): (_left_mul(x, psi(y, z))
+                    - _extend(A, lambda m: psi(m, z), A.mul_monomials(x, y))
+                    + _extend(A, lambda m: psi(x, m), A.mul_monomials(y, z))
+                    - _right_mul(psi(x, y), z))
+        for x, y in pairs
+        for z in A.monomials_up_to(bound - A.degree(x) - A.degree(y))}, bound)
 
 
 def curvature(f: Cochain, x: tuple, y: tuple) -> MixedForm:
@@ -166,8 +143,7 @@ def curvature(f: Cochain, x: tuple, y: tuple) -> MixedForm:
     multiply as in the algebra.
     """
     A = f.presentation
-    prod = AlgebraElement(A, {x: 1}) * AlgebraElement(A, {y: 1})
-    return f.eval_element(prod) - fedosov_mixed(f(x), f(y))
+    return _extend(A, f, A.mul_monomials(x, y)) - fedosov_mixed(f(x), f(y))
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +197,7 @@ class Connection:
                           + form_multiply(du, dv)
                           + form_multiply(_mono_form(A, acc),
                                           self.values[letter]))
-                (acc,) = list((AlgebraElement(A, {acc: 1})
-                               * AlgebraElement(A, {letter: 1})).terms)
+                (acc,) = A.mul_monomials(acc, letter)
         self._cache[m] = result
         return result
 
@@ -232,11 +207,9 @@ def connection_extend(nabla: Connection, omega: Form) -> Form:
     if omega.degree != 1:
         raise WrongDegree("connections act on 1-forms")
     A = omega.presentation
-    out = Form(A, 2)
-    for (head, slot), c in omega.terms.items():
-        out = out + form_multiply(_mono_form(A, head),
-                                  nabla.nabla_d(slot)).scale(c)
-    return out
+    return MixedForm.sum(A, (
+        form_multiply(_mono_form(A, head), nabla.nabla_d(slot)).scale(c)
+        for (head, slot), c in omega.terms.items())).component(2)
 
 
 # ---------------------------------------------------------------------------
@@ -275,10 +248,10 @@ class LiftingTower:
         elif k == 1:
             out = MixedForm.of(self.nabla.nabla_d(m).scale(self.sign))
         else:
-            out = MixedForm(A)
-            for (x0, x1, x2), c in self.phi(1, m).component(2).terms.items():
-                val = self.psi(k, x1, x2).scale(c)
-                out = out + _left_mul(x0, val)
+            out = MixedForm.sum(A, (
+                _left_mul(x0, self.psi(k, x1, x2).scale(c))
+                for (x0, x1, x2), c
+                in self.phi(1, m).component(2).terms.items()))
         self._phi[key] = out
         return out
 
@@ -290,38 +263,27 @@ class LiftingTower:
         except KeyError:
             pass
         n = k - 1
-        out = MixedForm(self.presentation)
-        for j in range(0, n + 1):
-            out = out + mixed_multiply(
-                mixed_differential(self.phi(j, x)),
-                mixed_differential(self.phi(n - j, y)))
-        for j in range(1, n + 1):
-            out = out - mixed_multiply(self.phi(j, x),
-                                       self.phi(n + 1 - j, y))
+        out = MixedForm.sum(self.presentation, [
+            mixed_multiply(mixed_differential(self.phi(j, x)),
+                           mixed_differential(self.phi(n - j, y)))
+            for j in range(0, n + 1)] + [
+            mixed_multiply(self.phi(j, x), self.phi(n + 1 - j, y)).scale(-1)
+            for j in range(1, n + 1)])
         self._psi[key] = out
         return out
 
     def phi_cochain(self, k: int, domain_bound: int) -> Cochain:
         return Cochain.from_function(self.presentation, 1,
-                                     lambda m: self.phi(k, m), domain_bound)
+                                     partial(self.phi, k), domain_bound)
 
     def psi_cochain(self, k: int, domain_bound: int) -> Cochain:
         return Cochain.from_function(self.presentation, 2,
-                                     lambda x, y: self.psi(k, x, y),
-                                     domain_bound)
+                                     partial(self.psi, k), domain_bound)
 
     def section(self, n: int, m: tuple) -> MixedForm:
         """sigma = phi_0 + phi_2 + ... + phi_{2n} at a monomial."""
-        out = MixedForm(self.presentation)
-        for k in range(n + 1):
-            out = out + self.phi(k, m)
-        return out
-
-    def section_element(self, n: int, x: AlgebraElement) -> MixedForm:
-        out = MixedForm(self.presentation)
-        for m, c in x.terms.items():
-            out = out + self.section(n, m).scale(c)
-        return out
+        return MixedForm.sum(self.presentation,
+                             (self.phi(k, m) for k in range(n + 1)))
 
 
 def _dcupd(A: AlgebraPresentation, x: tuple, y: tuple) -> MixedForm:
@@ -331,16 +293,8 @@ def _dcupd(A: AlgebraPresentation, x: tuple, y: tuple) -> MixedForm:
 
 def _check_phi2(tower: LiftingTower, pairs) -> bool:
     A = tower.presentation
-    for x, y in pairs:
-        prod = AlgebraElement(A, {x: 1}) * AlgebraElement(A, {y: 1})
-        mid = MixedForm(A)
-        for m, c in prod.terms.items():
-            mid = mid + tower.phi(1, m).scale(c)
-        lhs = (_left_mul(x, tower.phi(1, y)) - mid
-               + _right_mul(tower.phi(1, x), y))
-        if lhs != _dcupd(A, x, y):
-            return False
-    return True
+    phi2 = partial(tower.phi, 1)
+    return all(_delta1(A, phi2, x, y) == _dcupd(A, x, y) for x, y in pairs)
 
 
 def phi_psi_recursion(nabla: Connection, n_max: int,
@@ -354,24 +308,16 @@ def phi_psi_recursion(nabla: Connection, n_max: int,
     if n_max < 0 or cap < 0:
         raise ValueError(f"order and cap must be >= 0, got {n_max}, {cap}")
     A = nabla.presentation
-    alphabet = list(nabla.values)
-    gen_pairs = [(a, b) for a in alphabet for b in alphabet]
-    tower = None
-    for sign in (-1, 1):
-        cand = LiftingTower(nabla, sign)
-        if _check_phi2(cand, gen_pairs):
-            tower = cand
-            break
+    gen_pairs = [(a, b) for a in nabla.values for b in nabla.values]
+    towers = (LiftingTower(nabla, sign) for sign in (-1, 1))
+    tower = next((t for t in towers if _check_phi2(t, gen_pairs)), None)
     if tower is None:
         raise InvalidConnection("delta(phi_2) != d u d on generator pairs "
                                 "for either sign")
-    monos = A.monomials_up_to(cap)
-    pairs = [(x, y) for x in monos for y in monos
-             if A.degree(x) + A.degree(y) <= cap]
-    if not _check_phi2(tower, pairs):
+    if not _check_phi2(tower, _pairs(A, cap)):
         raise InvalidConnection("delta(phi_2) != d u d within the cap")
     for k in range(2, n_max + 1):
-        for m in monos:
+        for m in A.monomials_up_to(cap):
             tower.phi(k, m)
     return tower
 
@@ -382,11 +328,8 @@ def phi_psi_recursion(nabla: Connection, n_max: int,
 
 
 def _form_weight(A, mixed: MixedForm):
-    worst = 0
-    for f in mixed.parts.values():
-        for key in f.terms:
-            worst = max(worst, sum(A.degree(m) for m in key))
-    return worst
+    return max((sum(A.degree(m) for m in key)
+                for f in mixed.parts.values() for key in f.terms), default=0)
 
 
 @dataclass(frozen=True)
@@ -407,32 +350,21 @@ def section_curvature_check(tower: LiftingTower, n: int,
     phi_{2k}(F_i) <= F_{i+(2k-1)a} of the even forms.
     """
     A = tower.presentation
-    monos = A.monomials_up_to(cap)
-    bad = None
-    checked = 0
-    for x in monos:
-        dx = A.degree(x)
-        for y in monos:
-            if dx + A.degree(y) > cap:
-                continue
-            checked += 1
-            prod = AlgebraElement(A, {x: 1}) * AlgebraElement(A, {y: 1})
-            curv = (tower.section_element(n, prod)
-                    - fedosov_mixed(tower.section(n, x),
-                                    tower.section(n, y)))
-            for deg in curv.degrees():
-                if deg < 2 * (n + 1):
-                    bad = deg if bad is None else max(bad, deg)
+    sigma = Cochain.from_function(A, 1, partial(tower.section, n), cap)
+    pairs = _pairs(A, cap)
+    bad = max((deg for x, y in pairs
+               for deg in curvature(sigma, x, y).degrees()
+               if deg < 2 * (n + 1)), default=None)
     a = 0
     for k in range(1, n + 1):
-        for m in monos:
+        for m in A.monomials_up_to(cap):
             i = A.degree(m)
             if i == 0:
                 continue
             w = _form_weight(A, tower.phi(k, m))
             if w > i:
                 a = max(a, -((i - w) // (2 * k - 1)))
-    return CurvatureReport(n, bad is None, bad, a, checked)
+    return CurvatureReport(n, bad is None, bad, a, len(pairs))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Sparse exact linear algebra over the rationals.
 
-Vectors are dicts mapping integer column ids to nonzero Fractions; the
-column order (smaller id eliminated first) is fixed by the caller.
+Vectors are dicts mapping integer column ids to nonzero coefficients
+(Fractions for ``SparseEchelon``, ints for ``IntEchelon``); the column
+order (smaller id eliminated first) is fixed by the caller.
 ``SparseEchelon`` keeps a reduced row echelon form over Q and yields
 canonical coset representatives; ``IntEchelon`` is its fraction-free
 counterpart over Z for ranks and span membership.

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import ADJOINED_UNIT, AlgebraElement, AlgebraPresentation
-from .errors import DegreeOverflow, NotCommutative, Unstable, WrongDegree
+from .errors import (DegreeOverflow, DomainError, NotCommutative, Unstable,
+                     WrongDegree)
 from .linalg import (IntEchelon, SparseEchelon, _clear_denominators,
                      kernel_basis)
 
@@ -167,11 +168,30 @@ class MixedForm:
                 self.parts[n] = f
 
     @classmethod
-    def of(cls, *forms):
-        out = cls(forms[0].presentation)
+    def sum(cls, presentation, forms):
+        """The sum of an iterable of Forms and MixedForms.
+
+        A degree that only one input carries keeps that Form object; every
+        other degree is merged in one dict and built once.
+        """
+        parts = {}  # degree -> the only Form so far, or the merged terms
         for f in forms:
-            out = out + cls(f.presentation, {f.degree: f})
-        return out
+            for g in (f.parts.values() if isinstance(f, MixedForm) else (f,)):
+                acc = parts.get(g.degree)
+                if acc is None:
+                    parts[g.degree] = g
+                    continue
+                if isinstance(acc, Form):
+                    acc = parts[g.degree] = dict(acc.terms)
+                for k, c in g.terms.items():
+                    acc[k] = acc.get(k, 0) + c
+        return cls(presentation, {
+            n: f if isinstance(f, Form) else Form(presentation, n, f)
+            for n, f in parts.items()})
+
+    @classmethod
+    def of(cls, *forms):
+        return cls.sum(forms[0].presentation, forms)
 
     @classmethod
     def from_element(cls, x: AlgebraElement) -> "MixedForm":
@@ -187,13 +207,10 @@ class MixedForm:
         return not self.parts
 
     def __add__(self, other):
-        out = dict(self.parts)
-        for n, f in other.parts.items():
-            out[n] = out[n] + f if n in out else f
-        return MixedForm(self.presentation, out)
+        return MixedForm.sum(self.presentation, (self, other))
 
     def __sub__(self, other):
-        return self + other.scale(-1)
+        return MixedForm.sum(self.presentation, (self, other.scale(-1)))
 
     def scale(self, c) -> "MixedForm":
         return MixedForm(self.presentation,
@@ -224,27 +241,20 @@ def fedosov(omega: Form, eta: Form) -> MixedForm:
 
 
 def fedosov_mixed(a: MixedForm, b: MixedForm) -> MixedForm:
-    out = MixedForm(a.presentation)
-    for fa in a.parts.values():
-        for fb in b.parts.values():
-            out = out + fedosov(fa, fb)
-    return out
+    return MixedForm.sum(a.presentation, (
+        fedosov(fa, fb) for fa in a.parts.values() for fb in b.parts.values()))
 
 
 def mixed_multiply(a: MixedForm, b: MixedForm) -> MixedForm:
     """Ordinary (graded) product extended to mixed forms."""
-    out = MixedForm(a.presentation)
-    for fa in a.parts.values():
-        for fb in b.parts.values():
-            out = out + MixedForm.of(form_multiply(fa, fb))
-    return out
+    return MixedForm.sum(a.presentation, (
+        form_multiply(fa, fb)
+        for fa in a.parts.values() for fb in b.parts.values()))
 
 
 def mixed_differential(a: MixedForm) -> MixedForm:
-    out = MixedForm(a.presentation)
-    for f in a.parts.values():
-        out = out + MixedForm.of(differential(f))
-    return out
+    return MixedForm.sum(a.presentation,
+                         (differential(f) for f in a.parts.values()))
 
 
 def hochschild_b1(omega: Form) -> AlgebraElement:
@@ -544,11 +554,15 @@ def xcomplex_homology(A: AlgebraPresentation, cfg, D: int) -> XComplexReport:
     Only commutative presentations are supported: there the map from
     1-form classes back to S vanishes, so h0 = ker(d) and h1 = coker(d)
     on the truncated slices.  The dimensions are certified by
-    :func:`stable_read`.
+    :func:`stable_read`.  A polynomial ring in two or more variables is
+    refused: Omega^1 S/dS is infinite-dimensional there, so no window is
+    ever stable.
     """
     if not A.is_commutative:
         raise NotCommutative("homology is computed for commutative "
                              "presentations only")
+    if A.kind == "polynomial" and len(A.generators) > 1:
+        raise DomainError("one-variable polynomial rings only")
     h0, h1, reps0, reps1, _ = stable_read(
         lambda reads: kahler_window(A, reads), D)
     reps1_str = tuple(str(Form(A, 1, {t: Fraction(1)})) for t in reps1)
@@ -561,9 +575,11 @@ def xcomplex_boundary_checks(A: AlgebraPresentation, monomials,
     """Verify the two composites of the truncated two-term complex vanish.
 
     b(d(x)) = 0 holds on the nose; d(b(omega)) must land in the
-    commutator span, which is checked inside the given window.
+    commutator span, which is checked inside the given window.  The
+    window is built at the first nonzero d(b(omega)); on commutative
+    presentations b(omega) is always zero and no window is built.
     """
-    quo = CommutatorQuotient(A, window)
+    quo = None
     for m in monomials:
         f = Form.d_of_monomial(A, m)
         if not hochschild_b1(f).is_zero():
@@ -572,6 +588,9 @@ def xcomplex_boundary_checks(A: AlgebraPresentation, monomials,
         x = hochschild_b1(omega)
         dx = Form(A, 1, {(A.one(), m): c for m, c in x.terms.items()
                          if not A.is_unit_monomial(m)})
+        if dx.is_zero():
+            continue
+        quo = quo or CommutatorQuotient(A, window)
         if not quo.contains(dx):
             return False, f"d(b(omega)) not a commutator for {omega}"
     return True, ""

@@ -75,6 +75,22 @@ def test_unknown_presentation_kind_is_input_error(tmp_path, capsys):
             "schema": "ha/1", "error": "unknown presentation kind 'bogus'"}
 
 
+@pytest.mark.parametrize("argv, payload, key", [
+    (["xcomplex", "--algebra"], {"kind": "polynomial"}, "generators"),
+    (["graph"], {"vertices": ["v"]}, "edges"),
+    (["groebner"], {"vars": ["x"]}, "gens"),
+], ids=["xcomplex", "graph", "groebner"])
+def test_missing_payload_key_is_input_error(argv, payload, key, tmp_path,
+                                            capsys):
+    path = tmp_path / "payload.json"
+    path.write_text(json.dumps(payload))
+    code = run(["--prime", "5"] + argv + [str(path)])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert json.loads(out) == {
+        "schema": "ha/1", "error": f"payload {path} is missing key '{key}'"}
+
+
 @pytest.mark.parametrize("command, flag, value, error", [
     ("lift", "--order", "-1", "order and cap must be >= 0, got -1, 4"),
     ("lift", "--cap", "-2", "order and cap must be >= 0, got 2, -2"),
@@ -106,7 +122,11 @@ CURVE = {"kind": "plane_curve", "f_coeffs": [0, -1, 0, 1]}
      {"kind": "polynomial", "generators": ["x", "y"]},
      "delta(phi_2) != d u d on generator pairs for either sign",
      "InvalidConnection"),
-], ids=["xcomplex-free", "derham-bad-prime", "lift-curve", "lift-poly2"])
+    (["--prime", "7", "xcomplex"],
+     {"kind": "polynomial", "generators": ["x", "y"]},
+     "one-variable polynomial rings only", "DomainError"),
+], ids=["xcomplex-free", "derham-bad-prime", "lift-curve", "lift-poly2",
+        "xcomplex-poly2"])
 def test_domain_errors_are_input_errors(argv, payload, error, kind,
                                         tmp_path, capsys):
     path = tmp_path / "algebra.json"

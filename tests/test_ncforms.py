@@ -5,13 +5,14 @@ from fractions import Fraction
 import pytest
 
 from hacalc.algebra import AlgebraPresentation
-from hacalc.checks import presentations, random_form
+from hacalc import ncforms
+from hacalc.checks import presentations, random_form, random_monomial
 from hacalc.errors import NotCommutative, WrongDegree
 from hacalc.ncforms import (PAD, CommutatorQuotient, Form, MixedForm,
                             commutator_quotient_rep, commutator_vectors,
                             differential, fedosov, form_multiply,
                             hochschild_b1, kahler_window, one_form_tuples,
-                            xcomplex_homology)
+                            xcomplex_boundary_checks, xcomplex_homology)
 from hacalc.scalars import PrimeConfig
 
 POLY = AlgebraPresentation.polynomial()
@@ -251,6 +252,23 @@ def test_xcomplex_curve_expected_classes():
 def test_xcomplex_rejects_noncommutative():
     with pytest.raises(NotCommutative):
         xcomplex_homology(FREE, CFG, 4)
+
+
+def test_boundary_checks_build_no_window_on_commutative(monkeypatch):
+    """b(omega) = 0 on commutative presentations, so checking that
+    d(b(omega)) is a commutator needs no commutator window."""
+    def refuse(*args):
+        raise AssertionError("commutator window built")
+
+    monkeypatch.setattr(ncforms, "CommutatorQuotient", refuse)
+    rng = random.Random(5)
+    for A in (POLY, LAURENT, CURVE):
+        monos = [random_monomial(A, 2, rng) for _ in range(16)]
+        forms = [random_form(A, 1, 2, rng) for _ in range(16)]
+        assert xcomplex_boundary_checks(A, monos, forms, 8) == (True, "")
+    forms = [random_form(FREE, 1, 2, rng) for _ in range(16)]
+    with pytest.raises(AssertionError, match="window built"):
+        xcomplex_boundary_checks(FREE, [], forms, 5)
 
 
 def test_multiply_associative_random():
