@@ -169,6 +169,10 @@ def run(argv) -> int:
 
 
 def _dispatch(args, cfg) -> int:
+    for flag in ("samples", "witness"):
+        if getattr(args, flag, 0) < 0:
+            raise ValueError(
+                f"--{flag} must be >= 0, got {getattr(args, flag)}")
     if args.command == "graph":
         g = DirectedGraph.from_json(_load_object(args.payload))
         res = ha_cohn(g, cfg) if args.cohn else ha_leavitt(g, cfg)

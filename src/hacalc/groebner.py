@@ -11,11 +11,14 @@ constant l = 0 of the total-degree filtration.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
 from .algebra import exponent_vectors
-from .graphs import smith_normal_form
+# Not called here: perfbench/layers.py traces this binding as oracle_snf.
+from .graphs import smith_normal_form  # noqa: F401
+from .linalg import ZLattice, bezout
 
 
 class IntPoly:
@@ -36,7 +39,22 @@ class IntPoly:
 
     @classmethod
     def from_json(cls, nvars, data) -> "IntPoly":
-        return cls(nvars, {tuple(t["e"]): t["c"] for t in data})
+        """Terms ``[{"e": [exponents], "c": coefficient}, ...]``.
+
+        Every exponent and coefficient must be a JSON integer: a float,
+        bool or string is refused rather than rounded into Z.
+        """
+        terms = {}
+        for t in data:
+            e, c = ((t.get("e"), t.get("c")) if isinstance(t, dict)
+                    else (None, None))
+            if not (isinstance(e, list)
+                    and all(type(x) is int for x in [c, *e])):
+                raise ValueError(
+                    f"term {json.dumps(t)} needs integer exponents "
+                    "and coefficient")
+            terms[tuple(e)] = c
+        return cls(nvars, terms)
 
     @classmethod
     def constant(cls, nvars, c) -> "IntPoly":
@@ -197,25 +215,9 @@ def _g_poly(f: IntPoly, g: IntPoly) -> IntPoly:
     fe, fc = f.leading()
     ge, gc = g.leading()
     lcm_e = tuple(max(a, b) for a, b in zip(fe, ge))
-    d = math.gcd(fc, gc)
-    # Bezout: a fc + b gc = d, deterministic via ext. Euclid on (fc, gc)
-    a, b = _bezout(fc, gc)
+    a, b = bezout(fc, gc)  # a fc + b gc = gcd(fc, gc)
     return (f.term_mul(a, _expo_sub(lcm_e, fe))
             + g.term_mul(b, _expo_sub(lcm_e, ge)))
-
-
-def _bezout(a, b):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_s, old_t = -old_s, -old_t
-    return old_s, old_t
 
 
 def strong_gb(gens) -> StrongGB:
@@ -346,51 +348,28 @@ ORACLE_HEADROOM = 8
 
 
 def membership_oracle(g: IntPoly, gens) -> bool:
-    """Decide membership by solving integer linear systems.
+    """Decide membership by integer linear algebra on one Z-lattice.
 
-    Columns are m * gen_i over monomials m with deg(m * gen_i) <= bound;
-    solvability over Z is read off the Smith normal form.  The degree
-    bound escalates from deg(g): a member can need products of the raw
-    generators beyond its own degree (the degree control of strong-basis
-    division speaks about the completed basis, not the generators), e.g.
-    5y = y(x^2+5) - x(xy).
+    At degree bound b the columns are the products m * gen_i with
+    deg(m * gen_i) <= b, and g is a member at b iff it lies in their
+    Z-span, which a ``ZLattice`` decides.  The bound escalates from
+    deg(g): a member can need products of the raw generators beyond its
+    own degree (the degree control of strong-basis division speaks about
+    the completed basis, not the generators), e.g. 5y = y(x^2+5) - x(xy).
+    The columns at b are among those at b + 1, so one lattice serves
+    every bound and each later bound adds only the products whose
+    multiplier has the new degree.
     """
     if g.is_zero():
         return True
+    lattice = ZLattice(_deglex_key)
     base = g.total_degree()
-    return any(_membership_at_bound(g, gens, base + extra)
-               for extra in range(ORACLE_HEADROOM + 1))
-
-
-def _membership_at_bound(g: IntPoly, gens, bound: int) -> bool:
-    rows_index = {e: i for i, e in
-                  enumerate(exponent_vectors(g.nvars, bound))}
-    cols = []
-    for gen in gens:
-        budget = bound - gen.total_degree()
-        if budget < 0:
-            continue
-        for m in exponent_vectors(g.nvars, budget):
-            cols.append(gen.term_mul(1, m))
-    if not cols:
-        return False
-    A = [[0] * len(cols) for _ in rows_index]
-    for j, poly in enumerate(cols):
-        for e, c in poly.terms.items():
-            A[rows_index[e]][j] = c
-    target = [0] * len(rows_index)
-    for e, c in g.terms.items():
-        if e not in rows_index:
-            return False
-        target[rows_index[e]] = c
-    U, D, _ = smith_normal_form(A)
-    rhs = [sum(u * t for u, t in zip(row, target)) for row in U]
-    r = min(len(D), len(D[0]))
-    for i in range(len(rhs)):
-        d = D[i][i] if i < r else 0
-        if d == 0:
-            if rhs[i] != 0:
-                return False
-        elif rhs[i] % d:
-            return False
-    return True
+    for bound in range(base, base + ORACLE_HEADROOM + 1):
+        for gen in gens:
+            budget = bound - gen.total_degree()
+            for m in exponent_vectors(g.nvars, budget):
+                if bound == base or sum(m) == budget:
+                    lattice.add(gen.term_mul(1, m).terms)
+        if lattice.contains(g.terms):
+            return True
+    return False

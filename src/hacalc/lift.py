@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-from .algebra import AlgebraElement, AlgebraPresentation
+from .algebra import AlgebraPresentation
 from .errors import InvalidConnection, NotApproxIdempotent, WrongDegree
 from .ncforms import (Form, MixedForm, fedosov_mixed, form_multiply,
                       mixed_differential, mixed_multiply)
@@ -81,10 +81,6 @@ class Cochain:
 
     def __call__(self, *args) -> MixedForm:
         return self.values[args]
-
-    def eval_element(self, x: AlgebraElement) -> MixedForm:
-        """Linear extension along the first (only) argument; arity 1."""
-        return _extend(self.presentation, self, x.terms)
 
 
 def identity_cochain(A: AlgebraPresentation, domain_bound: int) -> Cochain:

@@ -5,7 +5,9 @@ Vectors are dicts mapping integer column ids to nonzero coefficients
 order (smaller id eliminated first) is fixed by the caller.
 ``SparseEchelon`` keeps a reduced row echelon form over Q and yields
 canonical coset representatives; ``IntEchelon`` is its fraction-free
-counterpart over Z for ranks and span membership.
+counterpart for ranks and span membership over Q.  ``ZLattice`` decides
+exact membership over Z: an echelon basis of the Z-span, kept with
+extended-gcd pivoting.
 """
 
 from __future__ import annotations
@@ -156,6 +158,73 @@ class IntEchelon:
         out = IntEchelon()
         out.rows = {p: dict(r) for p, r in self.rows.items()}
         return out
+
+
+def bezout(a: int, b: int) -> tuple:
+    """(s, t) with s*a + t*b = gcd(a, b) >= 0, by extended Euclid."""
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    if old_r < 0:
+        old_s, old_t = -old_s, -old_t
+    return old_s, old_t
+
+
+def _combine(a: int, u: dict, b: int, w: dict) -> dict:
+    """a*u + b*w for sparse int vectors, zeros dropped."""
+    out = {c: a * x for c, x in u.items()}
+    for c, x in w.items():
+        out[c] = out.get(c, 0) + b * x
+    return {c: x for c, x in out.items() if x}
+
+
+class ZLattice:
+    """Incremental echelon basis of a Z-lattice: exact membership over Z.
+
+    Vectors are sparse int dicts; a row's pivot is its largest column
+    under ``key``, and each pivot has one row.  When an incoming entry
+    is not a multiple of the pivot entry, the row becomes the Bezout
+    combination (pivot entry gcd) and the unimodular complement, zero at
+    that pivot, carries on; the rows therefore always span exactly the
+    lattice of the added vectors.
+    """
+
+    def __init__(self, key=None):
+        self.key = key
+        self.rows = {}  # pivot column -> row dict
+
+    def add(self, vec: dict):
+        vec = {c: v for c, v in vec.items() if v}
+        while vec:
+            p = max(vec, key=self.key)
+            row = self.rows.get(p)
+            if row is None:
+                self.rows[p] = vec
+                return
+            a, b = row[p], vec[p]
+            if b % a == 0:
+                vec = _combine(1, vec, -(b // a), row)
+                continue
+            s, t = bezout(a, b)
+            g = s * a + t * b
+            self.rows[p] = _combine(s, row, t, vec)
+            vec = _combine(a // g, vec, -(b // g), row)
+
+    def contains(self, vec: dict) -> bool:
+        """True iff vec is an integer combination of the added vectors."""
+        vec = {c: v for c, v in vec.items() if v}
+        while vec:
+            p = max(vec, key=self.key)
+            row = self.rows.get(p)
+            if row is None or vec[p] % row[p]:
+                return False
+            vec = _combine(1, vec, -(vec[p] // row[p]), row)
+        return True
 
 
 def kernel_basis(vectors: list[dict]):

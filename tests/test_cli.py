@@ -105,6 +105,51 @@ def test_out_of_range_lift_and_tube_flags_are_input_errors(
     assert json.loads(out) == {"schema": "ha/1", "error": error}
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["check", "--samples", "-5"], "--samples must be >= 0, got -5"),
+    (["tube", "--samples", "-1"], "--samples must be >= 0, got -1"),
+    (["tube", "--check", "growth", "--samples", "-2"],
+     "--samples must be >= 0, got -2"),
+    (["groebner", "@ideal", "--witness", "-5"],
+     "--witness must be >= 0, got -5"),
+], ids=["check-samples", "tube-samples", "growth-samples", "witness"])
+def test_negative_counts_are_input_errors(argv, error, tmp_path, capsys):
+    path = tmp_path / "ideal.json"
+    path.write_text(json.dumps({"vars": ["x"],
+                                "gens": [[{"e": [1], "c": 2}]]}))
+    argv = [str(path) if a == "@ideal" else a for a in argv]
+    code = run(["--prime", "5"] + argv)
+    out = capsys.readouterr().out
+    assert code == 2
+    assert json.loads(out) == {"schema": "ha/1", "error": error}
+
+
+@pytest.mark.parametrize("term", [
+    {"e": [1, 0], "c": 2.5},
+    {"e": [1, 0], "c": 2.0},
+    {"e": [1, 0], "c": True},
+    {"e": [1, 0], "c": "2"},
+    {"e": [1.0, 0], "c": 2},
+    {"e": [False, 1], "c": 2},
+    {"e": "10", "c": 2},
+    {"e": [1, 0]},
+    5,
+], ids=["float", "integral-float", "bool", "string", "float-exponent",
+        "bool-exponent", "string-exponents", "no-coefficient", "not-a-term"])
+def test_non_integer_ideal_terms_are_input_errors(term, tmp_path, capsys):
+    path = tmp_path / "ideal.json"
+    path.write_text(json.dumps({"vars": ["x", "y"],
+                                "gens": [[{"e": [0, 1], "c": 3}, term]]}))
+    code = run(["--prime", "5", "groebner", str(path)])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert len(out.splitlines()) == 1
+    assert json.loads(out) == {
+        "schema": "ha/1",
+        "error": f"term {json.dumps(term)} needs integer exponents "
+                 "and coefficient"}
+
+
 CURVE = {"kind": "plane_curve", "f_coeffs": [0, -1, 0, 1]}
 
 

@@ -1,9 +1,12 @@
 import random
 
+from hacalc.algebra import exponent_vectors
 from hacalc.checks import groebner_corpus
-from hacalc.groebner import (IntPoly, deglex_compare,
-                             filtered_noetherian_witness, membership_oracle,
-                             strong_divide, strong_gb)
+from hacalc.graphs import smith_normal_form
+from hacalc.groebner import (ORACLE_HEADROOM, IntPoly, _deglex_key,
+                             deglex_compare, filtered_noetherian_witness,
+                             membership_oracle, strong_divide, strong_gb)
+from hacalc.linalg import SparseEchelon, ZLattice
 
 
 def P(terms):
@@ -104,6 +107,130 @@ def test_membership_agrees_with_integer_oracle():
             assert strong_divide(g, gb).remainder.is_zero() == \
                 membership_oracle(g, list(gens))
     assert checked > 100
+
+
+def snf_solvable(columns, target) -> bool:
+    """Dense oracle: is target an integer combination of the columns?
+
+    Columns and target are sparse int dicts; solvability of A x = t over
+    Z is read off the Smith normal form U A W = D as d_i | (U t)_i.
+    """
+    keys = sorted(set(target).union(*columns))
+    if not keys:
+        return True
+    A = [[col.get(k, 0) for col in columns] or [0] for k in keys]
+    U, D, _ = smith_normal_form(A)
+    r = min(len(D), len(D[0]))
+    for i, row in enumerate(U):
+        rhs = sum(u * target.get(k, 0) for u, k in zip(row, keys))
+        d = D[i][i] if i < r else 0
+        if (rhs % d if d else rhs):
+            return False
+    return True
+
+
+def snf_member_at_bound(g, gens, bound) -> bool:
+    """Is g in the Z-span of the products m * gen with degree <= bound?"""
+    cols = [gen.term_mul(1, m).terms for gen in gens
+            for m in exponent_vectors(g.nvars, bound - gen.total_degree())]
+    return snf_solvable(cols, g.terms)
+
+
+def snf_membership_oracle(g, gens) -> bool:
+    """The dense oracle: one Smith normal form per degree bound."""
+    base = g.total_degree()
+    return g.is_zero() or any(
+        snf_member_at_bound(g, gens, base + extra)
+        for extra in range(ORACLE_HEADROOM + 1))
+
+
+def _random_system(rng):
+    """Small integer columns over exponent keys: gcd > 1 columns,
+    duplicates and zero columns included."""
+    keys = exponent_vectors(2, 2)
+    cols = []
+    for _ in range(rng.randint(0, 5)):
+        kind = rng.random()
+        if cols and kind < 0.15:
+            cols.append(dict(rng.choice(cols)))
+        elif kind < 0.25:
+            cols.append({})
+        else:
+            scale = rng.choice((1, 1, 2, 3, 6))
+            cols.append({k: scale * rng.randint(-4, 4)
+                         for k in rng.sample(keys, rng.randint(1, 4))})
+    return keys, cols
+
+
+def _random_target(rng, keys, cols):
+    """A lattice member, a Q-span vector divided down, or anything."""
+    comb = {}
+    for col in cols:
+        c = rng.randint(-3, 3)
+        for k, v in col.items():
+            comb[k] = comb.get(k, 0) + c * v
+    kind = rng.random()
+    if kind < 0.35:
+        return comb
+    if kind < 0.8:
+        d = rng.choice((2, 3))
+        if all(v % d == 0 for v in comb.values()):
+            return {k: v // d for k, v in comb.items()}
+        return comb
+    return {k: rng.randint(-3, 3) for k in rng.sample(keys, 2)}
+
+
+def test_zlattice_agrees_with_snf_solvability():
+    rng = random.Random(11)
+    seen = {"member": 0, "off_q_span": 0, "q_span_only": 0}
+    for _ in range(400):
+        keys, cols = _random_system(rng)
+        lattice, over_q = ZLattice(_deglex_key), SparseEchelon()
+        index = {k: i for i, k in enumerate(keys)}
+        for col in cols:
+            lattice.add(col)
+            over_q.add({index[k]: v for k, v in col.items()})
+        for _ in range(3):
+            target = _random_target(rng, keys, cols)
+            expected = snf_solvable(cols, target)
+            assert lattice.contains(target) == expected, (cols, target)
+            in_q = over_q.contains({index[k]: v for k, v in target.items()})
+            seen["member" if expected else
+                 "q_span_only" if in_q else "off_q_span"] += 1
+        # the rows are an echelon basis: one pivot each, at their maximum
+        for p, row in lattice.rows.items():
+            assert max(row, key=_deglex_key) == p
+    assert min(seen.values()) > 50, seen
+
+
+def test_membership_oracle_agrees_with_snf_oracle():
+    rng = random.Random(12)
+    checked = 0
+    for gens in groebner_corpus():
+        gb = strong_gb(list(gens))
+        for _ in range(6):
+            g = IntPoly(2)
+            for base in gens:
+                e = (rng.randint(0, 1), rng.randint(0, 1))
+                g = g + base.term_mul(rng.randint(-2, 2), e)
+            if rng.random() < 0.5:
+                g = g + P({(0, 0): rng.randint(-2, 2)})
+            if g.total_degree() > 3:
+                continue
+            checked += 1
+            member = membership_oracle(g, list(gens))
+            assert member == snf_membership_oracle(g, list(gens)), g
+            assert member == strong_divide(g, gb).remainder.is_zero(), g
+    assert checked > 30
+    # 5y = y(x^2+5) - x(xy) needs products above deg(5y) = 1
+    gens, g = [P({(2, 0): 1, (0, 0): 5}), P({(1, 1): 1})], P({(0, 1): 5})
+    assert not snf_member_at_bound(g, gens, 1)
+    assert membership_oracle(g, gens) and snf_membership_oracle(g, gens)
+    # (6, 10) = (2), so x^2y^2 + 1 is not a member at any bound
+    gens = [IntPoly.constant(2, 6), IntPoly.constant(2, 10)]
+    g = P({(2, 2): 1, (0, 0): 1})
+    assert not membership_oracle(g, gens)
+    assert not snf_membership_oracle(g, gens)
 
 
 def test_witness_examples():
