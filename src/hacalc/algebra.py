@@ -21,6 +21,7 @@ diamond operations mirror M*N and the linear-growth hull sum_i p^i M^{i+1}.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -30,6 +31,22 @@ from .errors import ZeroElement
 INF = math.inf
 
 KINDS = ("free", "polynomial", "laurent", "plane_curve")
+
+
+_JSON_KINDS = {int: "integers", str: "strings", list: "lists",
+               dict: "objects"}
+
+
+def json_list(value, kind: type, what: str) -> list:
+    """``value`` if it is a JSON list of ``kind`` entries, else ValueError.
+
+    Entries are matched by exact type, so no float or bool passes as an
+    integer and no string passes as a list.
+    """
+    if not (isinstance(value, list) and all(type(x) is kind for x in value)):
+        raise ValueError(f"{what} must be a list of {_JSON_KINDS[kind]}, "
+                         f"got {json.dumps(value)}")
+    return value
 
 
 def exponent_vectors(nvars: int, bound: int) -> list:
@@ -105,17 +122,23 @@ class AlgebraPresentation:
 
     @classmethod
     def from_json(cls, data: dict):
+        """A presentation from its JSON payload: generator names are a
+        list of strings, ``f_coeffs`` a list of integers and ``unital``
+        a bool."""
         kind = data["kind"]
         if kind == "plane_curve":
-            return cls.plane_curve(data["f_coeffs"])
-        if kind == "laurent":
-            return cls.laurent(data.get("generators", ["t"])[0])
-        if kind == "polynomial":
-            return cls.polynomial(data["generators"])
-        if kind == "free":
-            return cls.free(data["generators"],
-                            unital=data.get("unital", False))
-        raise ValueError(f"unknown presentation kind {kind!r}")
+            return cls.plane_curve(json_list(data["f_coeffs"], int,
+                                             "f_coeffs"))
+        if kind not in ("laurent", "polynomial", "free"):
+            raise ValueError(f"unknown presentation kind {kind!r}")
+        gens = json_list(data["generators"] if kind != "laurent"
+                         else data.get("generators", ["t"]),
+                         str, "generators")
+        unital = data.get("unital", kind != "free")
+        if type(unital) is not bool:
+            raise ValueError(f"unital must be true or false, "
+                             f"got {json.dumps(unital)}")
+        return cls(kind, gens, unital=unital)
 
     def __repr__(self):
         if self.kind == "plane_curve":

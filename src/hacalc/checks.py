@@ -204,10 +204,9 @@ def suite_xcomplex_boundary(samples_per_kind: int, seed: int) -> CheckResult:
     total = 0
     for name, A in presentations().items():
         rng = random.Random(seed + _offset(name))
-        window = 5 if name == "free" else 8
         monos = [random_monomial(A, 2, rng) for _ in range(samples_per_kind)]
         forms = [random_form(A, 1, 2, rng) for _ in range(samples_per_kind)]
-        ok, msg = xcomplex_boundary_checks(A, monos, forms, window)
+        ok, msg = xcomplex_boundary_checks(A, monos, forms)
         total += 2 * samples_per_kind
         if not ok:
             return CheckResult("xcomplex-boundary", False, total,

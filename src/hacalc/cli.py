@@ -14,7 +14,7 @@ import sys
 from dataclasses import asdict, dataclass
 
 from . import __version__, checks
-from .algebra import AlgebraPresentation
+from .algebra import AlgebraPresentation, json_list
 from .derham import crosscheck_loop_graph, h_dr
 from .errors import DomainError, HacalcError
 from .graphs import DirectedGraph, ha_cohn, ha_leavitt
@@ -211,14 +211,18 @@ def _dispatch(args, cfg) -> int:
 
     if args.command == "idem":
         data = _load_json(args.payload)
-        e = data["matrix"] if isinstance(data, dict) else data
+        if isinstance(data, dict):
+            data = _Payload(args.payload, data)["matrix"]
+        e = [json_list(row, int, "matrix row")
+             for row in json_list(data, list, "matrix")]
         hat = lift_idempotent(e, cfg, args.precision)
         return _report(args, "idem", {"lift": hat})
 
     if args.command == "groebner":
         data = _load_object(args.payload)
-        nvars = len(data["vars"])
-        gens = [IntPoly.from_json(nvars, g) for g in data["gens"]]
+        nvars = len(json_list(data["vars"], str, "vars"))
+        gens = [IntPoly.from_json(nvars, g)
+                for g in json_list(data["gens"], list, "gens")]
         gb = strong_gb(gens)
         out = {"basis": [str(p) for p in gb.polys]}
         passed = True

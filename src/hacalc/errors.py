@@ -9,10 +9,6 @@ class NegativeValuation(HacalcError):
     """A rational with negative p-adic valuation was reduced modulo p^N."""
 
 
-class DegreeOverflow(HacalcError):
-    """A 1-form tuple lies beyond the window of a CommutatorQuotient."""
-
-
 class ZeroElement(HacalcError):
     """An operation that needs a nonzero element received zero."""
 

@@ -12,8 +12,10 @@ auxiliary integral data.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 
+from .algebra import json_list
 from .scalars import PrimeConfig
 
 
@@ -34,8 +36,19 @@ class DirectedGraph:
 
     @classmethod
     def from_json(cls, data: dict) -> "DirectedGraph":
-        return cls(tuple(data["vertices"]),
-                   tuple((e["s"], e["r"]) for e in data["edges"]))
+        """Vertices are a list of names, edges a list of {"s", "r"}."""
+        edges = []
+        for e in json_list(data["edges"], dict, "edges"):
+            for key in ("s", "r"):
+                if key not in e:
+                    raise ValueError(
+                        f"edge {json.dumps(e)} is missing key {key!r}")
+                if type(e[key]) is not str:
+                    raise ValueError(
+                        f"edge {json.dumps(e)} needs a vertex name at {key!r}")
+            edges.append((e["s"], e["r"]))
+        return cls(tuple(json_list(data["vertices"], str, "vertices")),
+                   tuple(edges))
 
     @classmethod
     def loop(cls, loops: int = 1) -> "DirectedGraph":

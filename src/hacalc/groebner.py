@@ -44,6 +44,9 @@ class IntPoly:
         Every exponent and coefficient must be a JSON integer: a float,
         bool or string is refused rather than rounded into Z.
         """
+        if not isinstance(data, list):
+            raise ValueError(
+                f"generator {json.dumps(data)} must be a list of terms")
         terms = {}
         for t in data:
             e, c = ((t.get("e"), t.get("c")) if isinstance(t, dict)

@@ -4,7 +4,9 @@ Vectors are dicts mapping integer column ids to nonzero coefficients
 (Fractions for ``SparseEchelon``, ints for ``IntEchelon``); the column
 order (smaller id eliminated first) is fixed by the caller.
 ``SparseEchelon`` keeps a reduced row echelon form over Q and yields
-canonical coset representatives; ``IntEchelon`` is its fraction-free
+canonical coset representatives; the library no longer eliminates with
+it, and the tests use it as the rational reference (the raw commutator
+window, the Z-lattice oracle).  ``IntEchelon`` is its fraction-free
 counterpart for ranks and span membership over Q.  ``ZLattice`` decides
 exact membership over Z: an echelon basis of the Z-span, kept with
 extended-gcd pivoting.

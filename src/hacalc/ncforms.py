@@ -24,10 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import ADJOINED_UNIT, AlgebraElement, AlgebraPresentation
-from .errors import (DegreeOverflow, DomainError, NotCommutative, Unstable,
-                     WrongDegree)
-from .linalg import (IntEchelon, SparseEchelon, _clear_denominators,
-                     kernel_basis)
+from .errors import DomainError, NotCommutative, Unstable, WrongDegree
+from .linalg import IntEchelon, _clear_denominators, kernel_basis
 
 
 class Form:
@@ -49,11 +47,6 @@ class Form:
         self.terms = clean
 
     # -- construction helpers -------------------------------------------
-
-    @classmethod
-    def from_element(cls, x: AlgebraElement) -> "Form":
-        return cls(x.presentation, 0,
-                   {(m,): c for m, c in x.terms.items()})
 
     @classmethod
     def d_of_monomial(cls, A, m: tuple) -> "Form":
@@ -193,10 +186,6 @@ class MixedForm:
     def of(cls, *forms):
         return cls.sum(forms[0].presentation, forms)
 
-    @classmethod
-    def from_element(cls, x: AlgebraElement) -> "MixedForm":
-        return cls.of(Form.from_element(x))
-
     def component(self, n: int) -> Form:
         return self.parts.get(n) or Form(self.presentation, n)
 
@@ -284,7 +273,11 @@ def _heads(A: AlgebraPresentation, bound: int):
 
 
 def one_form_tuples(A: AlgebraPresentation, bound: int):
-    """All 1-form tuples (head, slot) of total filtration degree <= bound."""
+    """All 1-form tuples (head, slot) of total filtration degree <= bound.
+
+    With :func:`commutator_vectors` this spans the raw commutator window,
+    the dense reference the tests check the closed forms against.
+    """
     out = []
     slots = [m for m in A.monomials_up_to(bound)
              if not A.is_unit_monomial(m)]
@@ -333,15 +326,6 @@ def commutator_vectors(A: AlgebraPresentation, bound: int):
                     yield vec
 
 
-def _tuple_sort_key(A, key_tuple):
-    """Order for canonical-representative pivoting: large d-slots first."""
-    head, *slots = key_tuple
-    total = A.degree(head) + sum(A.degree(s) for s in slots)
-    slotdeg = sum(A.degree(s) for s in slots)
-    return (-slotdeg, -total,
-            tuple(A.sort_key(s) for s in slots), A.sort_key(head))
-
-
 def _window_sort_key(A, key_tuple):
     """Order for windowed rank counting: total degree strictly descending.
 
@@ -358,47 +342,37 @@ def _window_sort_key(A, key_tuple):
 class CommutatorQuotient:
     """Canonical representatives in Omega^1 modulo the commutator span.
 
-    Relations are generated from all monomial triples within ``bound``;
-    pivots eliminate tuples with large d-slot degree first, so canonical
-    representatives concentrate on generator d-slots.
+    Omega^1 T(V)/[,] is T(V) (x) V (Cuntz-Quillen 1995): modulo
+    commutators x d(v_1 ... v_k) = sum_i (v_{i+1} ... v_k x v_1 ...
+    v_{i-1}) dv_i over the letters of ``A.word_of``, an empty head being
+    the unit.  This holds on free algebras, unital or not, and on
+    polynomial rings, where it is the Kahler expansion.  Laurent and
+    curve presentations are refused: :func:`kahler_window` reads theirs.
     """
 
-    def __init__(self, A: AlgebraPresentation, bound: int):
+    def __init__(self, A: AlgebraPresentation):
+        if A.kind not in ("free", "polynomial"):
+            raise DomainError(f"no closed-form commutator quotient for "
+                              f"{A.kind} presentations")
         self.presentation = A
-        self.bound = bound
-        tuples = one_form_tuples(A, bound)
-        tuples.sort(key=lambda t: _tuple_sort_key(A, t))
-        self.col_of = {t: i for i, t in enumerate(tuples)}
-        self.tuples = tuples
-        self.ech = SparseEchelon()
-        for vec in commutator_vectors(A, bound):
-            self.ech.add({self.col_of[k]: c for k, c in vec.items()})
-
-    def _to_vec(self, omega: Form) -> dict:
-        vec = {}
-        for key, c in omega.terms.items():
-            col = self.col_of.get(key)
-            if col is None:
-                raise DegreeOverflow(
-                    f"tuple of degree beyond window {self.bound}")
-            vec[col] = c
-        return vec
 
     def rep(self, omega: Form) -> Form:
         """Canonical coset representative of a 1-form."""
         if omega.degree != 1:
             raise WrongDegree("commutator quotient lives on 1-forms")
-        res = self.ech.reduce(self._to_vec(omega))
-        return Form(self.presentation, 1,
-                    {self.tuples[c]: v for c, v in res.items()})
+        A = self.presentation
+        out = {}
+        for (x, s), c in omega.terms.items():
+            word = A.word_of(s)
+            for i, v in enumerate(word):
+                head = A.one()
+                for m in word[i + 1:] + [x] + word[:i]:
+                    (head,) = A.mul_monomials(head, m)  # one monomial here
+                out[(head, v)] = out.get((head, v), 0) + c
+        return Form(A, 1, out)
 
     def contains(self, omega: Form) -> bool:
         return self.rep(omega).is_zero()
-
-
-def commutator_quotient_rep(omega: Form, truncation: int) -> Form:
-    """One-shot canonical representative modulo commutators."""
-    return CommutatorQuotient(omega.presentation, truncation).rep(omega)
 
 
 @dataclass(frozen=True)
@@ -571,13 +545,13 @@ def xcomplex_homology(A: AlgebraPresentation, cfg, D: int) -> XComplexReport:
 
 
 def xcomplex_boundary_checks(A: AlgebraPresentation, monomials,
-                             one_forms, window: int):
+                             one_forms):
     """Verify the two composites of the truncated two-term complex vanish.
 
     b(d(x)) = 0 holds on the nose; d(b(omega)) must land in the
-    commutator span, which is checked inside the given window.  The
-    window is built at the first nonzero d(b(omega)); on commutative
-    presentations b(omega) is always zero and no window is built.
+    commutator span, which :class:`CommutatorQuotient` decides.  The
+    quotient is built at the first nonzero d(b(omega)); on commutative
+    presentations b(omega) is always zero and none is built.
     """
     quo = None
     for m in monomials:
@@ -590,7 +564,7 @@ def xcomplex_boundary_checks(A: AlgebraPresentation, monomials,
                          if not A.is_unit_monomial(m)})
         if dx.is_zero():
             continue
-        quo = quo or CommutatorQuotient(A, window)
+        quo = quo or CommutatorQuotient(A)
         if not quo.contains(dx):
             return False, f"d(b(omega)) not a commutator for {omega}"
     return True, ""

@@ -150,6 +150,77 @@ def test_non_integer_ideal_terms_are_input_errors(term, tmp_path, capsys):
                  "and coefficient"}
 
 
+IDEAL = ["groebner"]
+ALGEBRA = ["lift", "--algebra"]
+MATRIX = ["idem", "--matrix"]
+MALFORMED = {
+    "gens-number": (IDEAL, {"vars": ["x"], "gens": 5},
+                    "gens must be a list of lists, got 5"),
+    "gens-of-numbers": (IDEAL, {"vars": ["x"], "gens": [5]},
+                        "gens must be a list of lists, got [5]"),
+    "vars-number": (IDEAL, {"vars": 5, "gens": []},
+                    "vars must be a list of strings, got 5"),
+    "vars-string": (IDEAL, {"vars": "xy", "gens": []},
+                    'vars must be a list of strings, got "xy"'),
+    "f-float": (["xcomplex", "--algebra"],
+                {"kind": "plane_curve", "f_coeffs": [0, -1.5, 0, 1]},
+                "f_coeffs must be a list of integers, got [0, -1.5, 0, 1]"),
+    "f-bool": (ALGEBRA, {"kind": "plane_curve", "f_coeffs": [0, True, 1]},
+               "f_coeffs must be a list of integers, got [0, true, 1]"),
+    "f-number": (ALGEBRA, {"kind": "plane_curve", "f_coeffs": 5},
+                 "f_coeffs must be a list of integers, got 5"),
+    "matrix-float": (MATRIX, {"matrix": [[1.5, 1], [0, 5]]},
+                     "matrix row must be a list of integers, got [1.5, 1]"),
+    "matrix-string": (MATRIX, [[1, 0], [0, "1"]],
+                      'matrix row must be a list of integers, got [0, "1"]'),
+    "matrix-number": (MATRIX, {"matrix": 5},
+                      "matrix must be a list of lists, got 5"),
+    "matrix-missing": (MATRIX, {"rows": []},
+                       "payload @ is missing key 'matrix'"),
+    "generators-string": (ALGEBRA, {"kind": "free", "generators": "ab"},
+                          'generators must be a list of strings, got "ab"'),
+    "generators-nested": (ALGEBRA, {"kind": "free", "generators": [["a"]]},
+                          'generators must be a list of strings, '
+                          'got [["a"]]'),
+    "unital-string": (ALGEBRA, {"kind": "free", "generators": ["a"],
+                                "unital": "yes"},
+                      'unital must be true or false, got "yes"'),
+    "laurent-empty": (ALGEBRA, {"kind": "laurent", "generators": []},
+                      "generators must be nonempty and distinct"),
+    "vertices-string": (["graph"], {"vertices": "v", "edges": []},
+                        'vertices must be a list of strings, got "v"'),
+    "edges-number": (["graph"], {"vertices": ["v"], "edges": 5},
+                     "edges must be a list of objects, got 5"),
+    "edge-list": (["graph"], {"vertices": ["v"], "edges": [["v", "v"]]},
+                  'edges must be a list of objects, got [["v", "v"]]'),
+    "edge-without-r": (["graph"], {"vertices": ["v"], "edges": [{"s": "v"}]},
+                       'edge {"s": "v"} is missing key \'r\''),
+    "edge-end-list": (["graph"], {"vertices": ["v"],
+                                  "edges": [{"s": ["v"], "r": "v"}]},
+                      'edge {"s": ["v"], "r": "v"} needs a vertex name '
+                      "at 's'"),
+}
+
+
+@pytest.mark.parametrize("argv, payload, error", list(MALFORMED.values()),
+                         ids=list(MALFORMED))
+def test_malformed_payloads_are_input_errors(argv, payload, error, tmp_path,
+                                             capsys):
+    path = tmp_path / "payload.json"
+    path.write_text(json.dumps(payload))
+    outs = []
+    for _ in range(2):
+        code = run(["--prime", "5"] + argv + [str(path)])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert len(out.splitlines()) == 1
+        assert "Traceback" not in out + err
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0]) == {
+        "schema": "ha/1", "error": error.replace("@", str(path))}
+
+
 CURVE = {"kind": "plane_curve", "f_coeffs": [0, -1, 0, 1]}
 
 

@@ -7,12 +7,13 @@ import pytest
 from hacalc.algebra import AlgebraPresentation
 from hacalc import ncforms
 from hacalc.checks import presentations, random_form, random_monomial
-from hacalc.errors import NotCommutative, WrongDegree
+from hacalc.errors import DomainError, NotCommutative, WrongDegree
+from hacalc.linalg import SparseEchelon
 from hacalc.ncforms import (PAD, CommutatorQuotient, Form, MixedForm,
-                            commutator_quotient_rep, commutator_vectors,
-                            differential, fedosov, form_multiply,
-                            hochschild_b1, kahler_window, one_form_tuples,
-                            xcomplex_boundary_checks, xcomplex_homology)
+                            commutator_vectors, differential, fedosov,
+                            form_multiply, hochschild_b1, kahler_window,
+                            one_form_tuples, xcomplex_boundary_checks,
+                            xcomplex_homology)
 from hacalc.scalars import PrimeConfig
 
 POLY = AlgebraPresentation.polynomial()
@@ -77,17 +78,17 @@ def test_hochschild_b1_examples():
 
 def test_commutator_quotient_reps():
     t2 = POLY.monomial((2,))
-    rep = commutator_quotient_rep(Form.d_of_monomial(POLY, t2), 6)
+    quo = CommutatorQuotient(POLY)
+    rep = quo.rep(Form.d_of_monomial(POLY, t2))
     assert rep == Form(POLY, 1, {(T, T): 2})  # 2 t dt
     tdt = Form(POLY, 1, {(T, T): 1})
-    assert commutator_quotient_rep(tdt, 6) == tdt
-    quo = CommutatorQuotient(POLY, 6)
+    assert quo.rep(tdt) == tdt
     assert quo.rep(quo.rep(Form.d_of_monomial(POLY, t2))) == quo.rep(
         Form.d_of_monomial(POLY, t2))
 
 
 def test_commutator_quotient_free_consistency():
-    quo = CommutatorQuotient(FREE, 6)
+    quo = CommutatorQuotient(FREE)
     a, b = FREE.generator_monomial("a"), FREE.generator_monomial("b")
     adb = Form(FREE, 1, {(a, b): 1})
     from hacalc.algebra import ADJOINED_UNIT
@@ -98,7 +99,7 @@ def test_commutator_quotient_free_consistency():
 
 def test_commutator_quotient_free_rep_string():
     # the adjoined unit heads the d(b) term and prints first
-    quo = CommutatorQuotient(FREE, 4)
+    quo = CommutatorQuotient(FREE)
     ab, b = FREE.monomial((0, 1)), FREE.monomial((1,))
     one = FREE.one()
     assert one is None
@@ -265,10 +266,10 @@ def test_boundary_checks_build_no_window_on_commutative(monkeypatch):
     for A in (POLY, LAURENT, CURVE):
         monos = [random_monomial(A, 2, rng) for _ in range(16)]
         forms = [random_form(A, 1, 2, rng) for _ in range(16)]
-        assert xcomplex_boundary_checks(A, monos, forms, 8) == (True, "")
+        assert xcomplex_boundary_checks(A, monos, forms) == (True, "")
     forms = [random_form(FREE, 1, 2, rng) for _ in range(16)]
     with pytest.raises(AssertionError, match="window built"):
-        xcomplex_boundary_checks(FREE, [], forms, 5)
+        xcomplex_boundary_checks(FREE, [], forms)
 
 
 def test_multiply_associative_random():
@@ -307,9 +308,62 @@ def test_curvature_of_inclusion_identity():
             assert curv == MixedForm.of(dd), name
 
 
-def test_commutator_window_overflow():
-    from hacalc.errors import DegreeOverflow
-    quo = CommutatorQuotient(POLY, 3)
-    big = Form(POLY, 1, {(POLY.monomial((4,)), T): 1})
-    with pytest.raises(DegreeOverflow):
-        quo.rep(big)
+def _pivot_key(A, key_tuple):
+    """The windowed reference's column order: large d-slots first."""
+    head, *slots = key_tuple
+    total = A.degree(head) + sum(A.degree(s) for s in slots)
+    slotdeg = sum(A.degree(s) for s in slots)
+    return (-slotdeg, -total,
+            tuple(A.sort_key(s) for s in slots), A.sort_key(head))
+
+
+def _windowed_rep(A, bound):
+    """Reference representatives: the rref of every commutator [x, y dz]
+    of total degree <= bound, pivoting on large d-slots first."""
+    tuples = sorted(one_form_tuples(A, bound),
+                    key=lambda t: _pivot_key(A, t))
+    col = {t: i for i, t in enumerate(tuples)}
+    ech = SparseEchelon()
+    for vec in commutator_vectors(A, bound):
+        ech.add({col[k]: c for k, c in vec.items()})
+
+    def rep(omega):
+        res = ech.reduce({col[k]: c for k, c in omega.terms.items()})
+        return Form(A, 1, {tuples[c]: v for c, v in res.items()})
+
+    return rep
+
+
+@pytest.mark.parametrize("A", [
+    FREE, AlgebraPresentation.free(["a", "b"], unital=True), POLY,
+    AlgebraPresentation.polynomial(["x", "y"]),
+], ids=["free", "free-unital", "polynomial", "polynomial2"])
+def test_commutator_quotient_against_windowed_rref(A):
+    bound = 6
+    quo, oracle = CommutatorQuotient(A), _windowed_rep(A, bound)
+    for vec in commutator_vectors(A, bound):
+        assert quo.contains(Form(A, 1, vec))
+    rng = random.Random(17)
+    for _ in range(500):
+        omega = random_form(A, 1, bound // 2, rng, terms=rng.randint(1, 4))
+        rep, want = quo.rep(omega), oracle(omega)
+        assert rep == want, str(omega)
+        assert str(rep) == str(want)
+        assert quo.rep(rep) == rep
+
+
+def test_commutator_quotient_long_free_word():
+    # no window: a degree-24 word rotates onto its 24 letters
+    rng = random.Random(4)
+    word = tuple(rng.randrange(2) for _ in range(24))
+    quo = CommutatorQuotient(FREE)
+    rep = quo.rep(Form(FREE, 1, {(None, word): 1}))
+    assert all(len(s) == 1 and len(h) == 23 for h, s in rep.terms)
+    assert sum(rep.terms.values()) == 24
+    assert quo.rep(rep) == rep
+
+
+@pytest.mark.parametrize("A", [LAURENT, CURVE], ids=["laurent", "curve"])
+def test_commutator_quotient_refuses_kahler_kinds(A):
+    with pytest.raises(DomainError, match="no closed-form"):
+        CommutatorQuotient(A)
