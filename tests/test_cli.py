@@ -278,6 +278,38 @@ GOLDEN = {
                     '"max_bad_degree": null, "ok": true, "order": 3, '
                     '"pairs": 85}, "schema": "ha/1", "subcommand": "lift", '
                     '"version": "0.1.0"}\n',
+    "check-p5": '{"inputs": {"payload": null, "precision": 16, "prime": 5, '
+                '"seed": 0, "truncate": null}, "passed": true, "results": '
+                '{"diam": {"checks": 10, "detail": "", "name": "diam", '
+                '"passed": true}, "fedosov-growth": {"checks": 60, '
+                '"detail": "", "name": "fedosov-growth", "passed": true}, '
+                '"floors": {"checks": 200, "detail": "", "name": "floors", '
+                '"passed": true}, "forms": {"checks": 80, "detail": "", '
+                '"name": "forms", "passed": true}, "groebner": {"checks": '
+                '99, "detail": "", "name": "groebner", "passed": true}, '
+                '"scalars": {"checks": 200, "detail": "", "name": '
+                '"scalars", "passed": true}, "tube-closure": {"checks": 80, '
+                '"detail": "", "name": "tube-closure", "passed": true}, '
+                '"xcomplex-boundary": {"checks": 32, "detail": "", "name": '
+                '"xcomplex-boundary", "passed": true}}, "schema": "ha/1", '
+                '"subcommand": "check", "version": "0.1.0"}\n',
+    "check-p7-seed3": '{"inputs": {"payload": null, "precision": 16, '
+                      '"prime": 7, "seed": 3, "truncate": null}, "passed": '
+                      'true, "results": {"diam": {"checks": 10, "detail": '
+                      '"", "name": "diam", "passed": true}, '
+                      '"fedosov-growth": {"checks": 60, "detail": "", '
+                      '"name": "fedosov-growth", "passed": true}, "floors": '
+                      '{"checks": 200, "detail": "", "name": "floors", '
+                      '"passed": true}, "forms": {"checks": 40, "detail": '
+                      '"", "name": "forms", "passed": true}, "groebner": '
+                      '{"checks": 92, "detail": "", "name": "groebner", '
+                      '"passed": true}, "scalars": {"checks": 100, '
+                      '"detail": "", "name": "scalars", "passed": true}, '
+                      '"tube-closure": {"checks": 40, "detail": "", "name": '
+                      '"tube-closure", "passed": true}, "xcomplex-boundary": '
+                      '{"checks": 32, "detail": "", "name": '
+                      '"xcomplex-boundary", "passed": true}}, "schema": '
+                      '"ha/1", "subcommand": "check", "version": "0.1.0"}\n',
 }
 
 
@@ -290,16 +322,21 @@ README_RUNS = {
                   ["lift", "--order", "3", "--cap", "6", "--prime", "5"]),
     "lift-laurent": ("laurent.json", {"kind": "laurent", "generators": ["t"]},
                      ["lift", "--order", "3", "--cap", "6", "--prime", "5"]),
+    "check-p5": (None, None, ["check", "--prime", "5", "--samples", "200"]),
+    "check-p7-seed3": (None, None, ["--prime", "7", "--seed", "3", "check",
+                                    "--samples", "100"]),
 }
 
 
 @pytest.mark.parametrize("key", list(GOLDEN))
 def test_readme_curve_report_bytes(key, tmp_path, monkeypatch, capsys):
-    """The exact stdout of the README's curve and lift commands."""
+    """The exact stdout of the README's curve, lift and check commands."""
     name, payload, argv = README_RUNS[key]
-    (tmp_path / name).write_text(json.dumps(payload))
+    if name is not None:
+        (tmp_path / name).write_text(json.dumps(payload))
+        argv = argv[:1] + ["--algebra", name] + argv[1:]
     monkeypatch.chdir(tmp_path)
-    code = run(argv[:1] + ["--algebra", name] + argv[1:])
+    code = run(argv)
     assert code == 0
     assert capsys.readouterr().out == GOLDEN[key]
 

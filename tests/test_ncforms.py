@@ -367,3 +367,73 @@ def test_commutator_quotient_long_free_word():
 def test_commutator_quotient_refuses_kahler_kinds(A):
     with pytest.raises(DomainError, match="no closed-form"):
         CommutatorQuotient(A)
+
+
+#: str() of seeded products: (form_multiply(xi, eta), fedosov(a, b)) with
+#: xi, eta random 1-forms and a, b random 0- and 2-forms (max degree 2,
+#: random.Random(11)); the draws carry 1/2 coefficients.
+PRODUCT_GOLDEN = {
+    "polynomial": (
+        "5 t d(t^2) d(t^2) - 5/2 t d(t^4) d(t^2) + 5/2 t^3 d(t^2) d(t^2)",
+        "4 d(t^2) d(t) + 6 d(t^2) d(t^2) - 2 t d(t^2) d(t) "
+        "- 3 t d(t^2) d(t^2)"),
+    "laurent": (
+        "-5/4 d(t^-1) d(t^-1) + 5/2 d(t^-2) d(t^2) "
+        "+ 5/4 t^-2 d(t) d(t^-1)",
+        "4 d(t^2) d(t^2) - 1/2 t^-1 d(t^2) d(t^-1) - 2 t d(t^2) d(t^2) "
+        "+ t^-2 d(t^2) d(t^-1) + 1/2 d(t) d(t^-2) d(t^2) d(t^-1)"),
+    "plane_curve": (
+        "5/4 x*y d(x^2*y) d(y) + 5/4 x*y d(x^3*y) d(x^3) "
+        "- 5/4 x^3*y d(y) d(y) - 5/4 x^3*y d(x*y) d(x^3)",
+        "-4 y d(x^2) d(x*y) + 6 x d(x^2) d(x^3) + 2 x*y d(x^2) d(x*y) "
+        "- 3 x^2 d(x^2) d(x^3) - 6 x^3 d(x^2) d(x^3) "
+        "+ 3 x^4 d(x^2) d(x^3) + 6 d(y) d(y) d(x^2) d(x^3) "
+        "- 3 d(x*y) d(y) d(x^2) d(x^3)"),
+    "free": (
+        "5/4 a*b d(b*a*b) d(b) + 5/4 a*b d(b*a*a*b) d(b*b) "
+        "- 5/4 a*b*b*a d(b) d(b) - 5/4 a*b*b*a d(a*b) d(b*b)",
+        "-6 b*b d(a) d(b*a) + 3 a*b*b d(a) d(b*a) - 4 b*b*b d(a) d(b*a) "
+        "+ 2 a*b*b*b d(a) d(b*a) + 6 d(b) d(b) d(a) d(b*a) "
+        "+ 4 d(b) d(b*b) d(a) d(b*a) - 3 d(a*b) d(b) d(a) d(b*a) "
+        "- 2 d(a*b) d(b*b) d(a) d(b*a)"),
+}
+
+#: str() of CommutatorQuotient.rep on a seeded 3-term 1-form drawn after
+#: the products above.
+REP_GOLDEN = {
+    "polynomial": "-t d(t) + 3 t^2 d(t) + 1/2 t^3 d(t)",
+    "free": "1/2 a*b*b d(a) + 3 a*a*a*a*b d(b) + 3 a*a*a*b*b d(a) "
+            "- a*a*a*b*b d(b) + 3 a*a*b*b*a d(a) - a*a*b*b*b d(a) "
+            "- a*b*b*b*a d(a)",
+}
+
+
+@pytest.mark.parametrize("name", list(PRODUCT_GOLDEN))
+def test_seeded_product_strings_golden(name):
+    A = presentations()[name]
+    rng = random.Random(11)
+    xi, eta = random_form(A, 1, 2, rng), random_form(A, 1, 2, rng)
+    a, b = random_form(A, 0, 2, rng), random_form(A, 2, 2, rng)
+    assert (str(form_multiply(xi, eta)), str(fedosov(a, b))) \
+        == PRODUCT_GOLDEN[name]
+    if name in REP_GOLDEN:
+        omega = random_form(A, 1, 3, rng, terms=3)
+        assert str(CommutatorQuotient(A).rep(omega)) == REP_GOLDEN[name]
+
+
+@pytest.mark.parametrize("n", [0, 1, -1, 3, -7])
+def test_int_and_fraction_coefficients_agree(n):
+    """A coefficient n and Fraction(n) build equal, equally hashed and
+    equally printed forms and elements."""
+    for A in presentations().values():
+        m = A.monomials_up_to(2)[-1]
+        x, y = A.element({m: n}), A.element({m: Fraction(n)})
+        assert x == y and hash(x) == hash(y) and str(x) == str(y)
+        assert x.coeff(m) == y.coeff(m) and str(x.coeff(m)) == str(n)
+        for degree, key in ((0, (m,)), (1, (A.one(), m))):
+            f = Form(A, degree, {key: n})
+            g = Form(A, degree, {key: Fraction(n)})
+            assert f == g and str(f) == str(g)
+            assert hash(frozenset(f.terms.items())) \
+                == hash(frozenset(g.terms.items()))
+            assert str(f.scale(n)) == str(g.scale(Fraction(n)))
