@@ -24,7 +24,6 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import ZeroElement
 
@@ -47,6 +46,18 @@ def json_list(value, kind: type, what: str) -> list:
         raise ValueError(f"{what} must be a list of {_JSON_KINDS[kind]}, "
                          f"got {json.dumps(value)}")
     return value
+
+
+def int_entries(values, what: str) -> tuple:
+    """``values`` as a tuple if every entry is an int, else ValueError.
+
+    A bool, Fraction or float is refused rather than rounded into Z.
+    """
+    values = tuple(values)
+    for v in values:
+        if type(v) is not int:
+            raise ValueError(f"{what} must be integers, got {v!r}")
+    return values
 
 
 def exponent_vectors(nvars: int, bound: int) -> list:
@@ -77,7 +88,7 @@ class AlgebraPresentation:
         if kind == "plane_curve":
             if generators != ("x", "y"):
                 raise ValueError("plane_curve requires generators (x, y)")
-            f_coeffs = tuple(int(c) for c in (f_coeffs or ()))
+            f_coeffs = int_entries(f_coeffs or (), "f_coeffs")
             while f_coeffs and f_coeffs[-1] == 0:
                 f_coeffs = f_coeffs[:-1]
             if len(f_coeffs) < 2:
@@ -232,20 +243,19 @@ class AlgebraPresentation:
     def mul_monomials(self, a: tuple, b: tuple) -> dict:
         """Normal form of a*b as a sparse monomial combination."""
         if a is None:
-            return {b: Fraction(1)}
+            return {b: 1}
         if b is None:
-            return {a: Fraction(1)}
+            return {a: 1}
         if self.kind == "free":
-            return {a + b: Fraction(1)}
+            return {a + b: 1}
         if self.kind in ("polynomial", "laurent"):
-            return {tuple(x + y for x, y in zip(a, b)): Fraction(1)}
+            return {tuple(x + y for x, y in zip(a, b)): 1}
         i = a[0] + b[0]
         j = a[1] + b[1]
         if j <= 1:
-            return {(i, j): Fraction(1)}
+            return {(i, j): 1}
         # y^2 -> f(x)
-        return {(i + k, 0): Fraction(c)
-                for k, c in enumerate(self.f_coeffs) if c}
+        return {(i + k, 0): c for k, c in enumerate(self.f_coeffs) if c}
 
     def monomials_up_to(self, bound: int) -> list:
         """All basis monomials of filtration degree <= bound, sorted."""
@@ -300,7 +310,7 @@ class AlgebraPresentation:
         return AlgebraElement(self, {})
 
     def unit_element(self) -> "AlgebraElement":
-        return AlgebraElement(self, {self.one(): Fraction(1)})
+        return AlgebraElement(self, {self.one(): 1})
 
 
 class AlgebraElement:
@@ -310,8 +320,7 @@ class AlgebraElement:
 
     def __init__(self, presentation, terms):
         self.presentation = presentation
-        self.terms = {m: Fraction(c) for m, c in dict(terms).items()
-                      if c != 0}
+        self.terms = {m: c for m, c in dict(terms).items() if c != 0}
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -320,8 +329,8 @@ class AlgebraElement:
         key = self.presentation.sort_key
         return sorted(self.terms.items(), key=lambda kv: key(kv[0]))
 
-    def coeff(self, m: tuple) -> Fraction:
-        return self.terms.get(m, Fraction(0))
+    def coeff(self, m: tuple):
+        return self.terms.get(m, 0)
 
     def __eq__(self, other):
         return (isinstance(other, AlgebraElement)
@@ -347,7 +356,6 @@ class AlgebraElement:
         return self.scale(-1)
 
     def scale(self, c):
-        c = Fraction(c)
         return AlgebraElement(self.presentation,
                               {m: c * v for m, v in self.terms.items()})
 
@@ -394,7 +402,7 @@ def normalize(word, A: AlgebraPresentation) -> AlgebraElement:
             m = (-1,)
         else:
             m = A.generator_monomial(sym)
-        e = AlgebraElement(A, {m: Fraction(1)})
+        e = AlgebraElement(A, {m: 1})
         result = e if result is None else result * e
     if result is None:
         raise ValueError("empty word over a non-unital presentation")

@@ -11,14 +11,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (AlgebraPresentation, GrowthProfile,
-                      profile_check_diam_laws)
+                      profile_check_diam_laws, profile_power_sum)
 from .ncforms import (Form, MixedForm, differential, fedosov,
                       fedosov_mixed, form_multiply,
                       xcomplex_boundary_checks)
 from .scalars import INF, PrimeConfig, val
 from .tube import (EvenForm, TubeParams, dm_member, fedosov_even,
-                   fedosov_growth_check, floor_estimates, jdegree,
-                   tube_member)
+                   floor_estimates, form_in_module, jdegree, tube_member)
 
 
 @dataclass
@@ -264,6 +263,12 @@ def suite_tube_closure(cfg: PrimeConfig, samples: int, seed: int,
 
 def suite_fedosov_growth(cfg: PrimeConfig, samples: int,
                          seed: int) -> CheckResult:
+    """Sampled support estimate for iterated Fedosov products.
+
+    Random monomial forms in Omega^{i_k}(M), M = F_1, are multiplied;
+    every component of degree i + 2j must be supported in
+    Omega^{i+2j}(M^(3)).
+    """
     plans = [
         ("polynomial", (2, 2)),
         ("polynomial", (4, 2)),
@@ -273,17 +278,30 @@ def suite_fedosov_growth(cfg: PrimeConfig, samples: int,
         ("plane_curve", (2, 2)),
     ]
     kinds = presentations()
+    prof = GrowthProfile.filtration(1, 30)
+    m3 = profile_power_sum(prof, 3)
     total = 0
     for name, degrees in plans:
         A = kinds[name]
         rng = random.Random(seed + len(degrees))
-        prof = GrowthProfile.filtration(1, 30)
-        rep = fedosov_growth_check(A, prof, degrees, cfg, rng,
-                                   samples=samples)
-        total += rep.samples
-        if not rep.ok:
-            return CheckResult("fedosov-growth", False, total,
-                               f"{name} {degrees}: {rep.failure}")
+        i_total = sum(degrees)
+        for _ in range(samples):
+            total += 1
+            factors = [random_monomial_form(A, prof, deg, rng)
+                       for deg in degrees]
+            prod = MixedForm.of(factors[0])
+            for f in factors[1:]:
+                prod = fedosov_mixed(prod, MixedForm.of(f))
+            for deg in prod.degrees():
+                j2 = deg - i_total
+                if j2 < 0 or j2 % 2 or j2 // 2 > len(degrees) - 1:
+                    failure = f"component degree {deg} outside range"
+                elif not form_in_module(prod.component(deg), m3, cfg):
+                    failure = f"support outside M^(3) in degree {deg}"
+                else:
+                    continue
+                return CheckResult("fedosov-growth", False, total,
+                                   f"{name} {degrees}: {failure}")
     return CheckResult("fedosov-growth", True, total)
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from .algebra import AlgebraPresentation
 from .errors import BadReduction, Mismatch
 from .graphs import DirectedGraph, ha_leavitt
-from .linalg import IntEchelon
+from .linalg import IntEchelon, kernel_basis
 from .ncforms import kahler_window, stable_read
 from .scalars import PrimeConfig, _int_val, val
 
@@ -177,14 +177,13 @@ def _curve_reps(A: AlgebraPresentation, reduce, cfg):
     u, v = _poly_bezout(f, fprime)
     loss = 0
     for c in u + v:
-        d = Fraction(c).denominator
-        loss = max(loss, _int_val(d, cfg.p))
+        loss = max(loss, _int_val(c.denominator, cfg.p))
     x, y = A.generator_monomial("x"), A.generator_monomial("y")
     reps = []
     check = IntEchelon()
     for j in (0, 1):
-        form = {((j + k, 1), x): c for k, c in enumerate(u)}
-        form.update({((j + k, 0), y): 2 * c for k, c in enumerate(v)})
+        form = {((j + k, 1), x): c for k, c in enumerate(u) if c}
+        form.update({((j + k, 0), y): 2 * c for k, c in enumerate(v) if c})
         residual = reduce(form)
         if not residual:
             raise Mismatch("expected curve class is a boundary")
@@ -195,54 +194,23 @@ def _curve_reps(A: AlgebraPresentation, reduce, cfg):
 
 
 def _poly_bezout(f, g):
-    """u, v with u f + v g = 1 in Q[x] (coefficient lists, ascending)."""
+    """u, v with u f + v g = 1 in Q[x] (coefficient lists, ascending).
 
-    def deg(a):
-        return len(a) - 1
-
-    def trim(a):
-        while a and not a[-1]:
-            a.pop()
-        return a
-
-    def sub(a, b):
-        out = [Fraction(0)] * max(len(a), len(b))
-        for i, c in enumerate(a):
-            out[i] += c
-        for i, c in enumerate(b):
-            out[i] -= c
-        return trim(out)
-
-    def mul(a, b):
-        out = [Fraction(0)] * (len(a) + len(b) - 1) if a and b else []
-        for i, c in enumerate(a):
-            for k, d in enumerate(b):
-                out[i + k] += c * d
-        return trim(out)
-
-    def divmod_(a, b):
-        a = [Fraction(c) for c in a]
-        q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-        while a and deg(a) >= deg(b):
-            shift = deg(a) - deg(b)
-            coef = a[-1] / b[-1]
-            q[shift] = coef
-            a = sub(a, mul([Fraction(0)] * shift + [coef], b))
-        return trim(q), a
-
-    r0 = [Fraction(c) for c in f]
-    r1 = [Fraction(c) for c in g]
-    s0, s1 = [Fraction(1)], []
-    t0, t1 = [], [Fraction(1)]
-    while r1:
-        q, r = divmod_(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, sub(s0, mul(q, s1))
-        t0, t1 = t1, sub(t0, mul(q, t1))
-    if deg(r0) != 0:
-        raise BadReduction("f and f' share a root: curve not smooth")
-    c = r0[0]
-    return [x / c for x in s0], [x / c for x in t0]
+    One solve of the Sylvester system: a kernel vector of the columns
+    x^i f (i < deg g), x^i g (i < deg f) and -1 with a nonzero last entry
+    gives the unique u, v below those degrees; there is none when f and
+    g share a root.
+    """
+    m, n = len(g) - 1, len(f) - 1
+    cols = ([{i + k: c for k, c in enumerate(f) if c} for i in range(m)]
+            + [{i + k: c for k, c in enumerate(g) if c} for i in range(n)]
+            + [{0: -1}])
+    for combo in kernel_basis(cols):
+        last = combo.get(m + n)
+        if last:
+            uv = [Fraction(combo.get(i, 0), last) for i in range(m + n)]
+            return uv[:m], uv[m:]
+    raise BadReduction("f and f' share a root: curve not smooth")
 
 
 def h_dr(A: AlgebraPresentation, cfg: PrimeConfig,

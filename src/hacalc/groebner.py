@@ -30,10 +30,11 @@ class IntPoly:
         self.nvars = nvars
         self.terms = {}
         for e, c in dict(terms).items():
-            c = int(c)
+            if type(c) is not int:
+                raise ValueError(f"coefficient {c!r} is not an integer")
             if c:
-                e = tuple(int(x) for x in e)
-                if len(e) != nvars or min(e, default=0) < 0:
+                if (len(e) != nvars or min(e, default=0) < 0
+                        or not all(type(x) is int for x in e)):
                     raise ValueError(f"bad exponent vector {e}")
                 self.terms[e] = c
 

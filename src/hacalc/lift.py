@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 
-from .algebra import AlgebraPresentation
+from .algebra import AlgebraPresentation, int_entries
 from .errors import InvalidConnection, NotApproxIdempotent, WrongDegree
 from .ncforms import (Form, MixedForm, fedosov_mixed, form_multiply,
                       mixed_differential, mixed_multiply)
@@ -26,7 +25,7 @@ from .scalars import PrimeConfig
 
 
 def _mono_form(A, m: tuple) -> Form:
-    return Form(A, 0, {(m,): Fraction(1)})
+    return Form(A, 0, {(m,): 1})
 
 
 def _left_mul(m: tuple, x: MixedForm) -> MixedForm:
@@ -390,7 +389,7 @@ def lift_idempotent(e, cfg: PrimeConfig, N: int | None = None):
     if N is None:
         N = cfg.default_precision
     p, q = cfg.p, cfg.p ** N
-    e = [[int(v) % q for v in row] for row in e]
+    e = [[v % q for v in int_entries(row, "matrix entries")] for row in e]
     n = len(e)
     if any(len(row) != n for row in e):
         raise ValueError("matrix must be square")

@@ -1,8 +1,11 @@
 """Sparse exact linear algebra over the rationals.
 
-Vectors are dicts mapping integer column ids to nonzero coefficients
-(Fractions for ``SparseEchelon``, ints for ``IntEchelon``); the column
-order (smaller id eliminated first) is fixed by the caller.
+Vectors are dicts mapping integer column ids to nonzero coefficients,
+ints and Fractions alike; the column order (smaller id eliminated first)
+is fixed by the caller.  Only ``SparseEchelon`` divides, so only it makes
+Fractions.  ``IntEchelon`` and ``ZLattice`` take int vectors (a Fraction
+given to ``IntEchelon`` raises TypeError in ``math.gcd`` rather than being
+truncated); ``kernel_basis`` clears denominators before eliminating.
 ``SparseEchelon`` keeps a reduced row echelon form over Q and yields
 canonical coset representatives; the library no longer eliminates with
 it, and the tests use it as the rational reference (the raw commutator
@@ -117,7 +120,7 @@ class IntEchelon:
 
     def reduce(self, vec: dict) -> dict:
         """Scaled residual; empty iff vec lies in the row span over Q."""
-        vec = {c: int(v) for c, v in vec.items() if v}
+        vec = {c: v for c, v in vec.items() if v}
         rows = self.rows
         gcd = math.gcd
         steps = 0
@@ -251,12 +254,10 @@ def kernel_basis(vectors: list[dict]):
 
 
 def _clear_denominators(vec: dict) -> dict:
-    lcm = 1
-    for v in vec.values():
-        f = Fraction(v)
-        lcm = lcm * f.denominator // math.gcd(lcm, f.denominator)
-    return {c: int(Fraction(v) * lcm) for c, v in vec.items()
-            if Fraction(v)}
+    """``vec`` times the lcm of its denominators: an int vector."""
+    lcm = math.lcm(*(v.denominator for v in vec.values()))
+    return {c: v.numerator * (lcm // v.denominator)
+            for c, v in vec.items() if v}
 
 
 def int_matrix_rank(rows: list[list[int]]) -> int:

@@ -21,7 +21,6 @@ presentation.  The de Rham route for curves reads the same window.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import ADJOINED_UNIT, AlgebraElement, AlgebraPresentation
 from .errors import DomainError, NotCommutative, Unstable, WrongDegree
@@ -38,7 +37,6 @@ class Form:
         self.degree = degree
         clean = {}
         for key, c in dict(terms).items():
-            c = Fraction(c)
             if not c:
                 continue
             if len(key) != degree + 1:
@@ -53,7 +51,7 @@ class Form:
         """The 1-form dm (zero for the unit monomial)."""
         if A.is_unit_monomial(m):
             return cls(A, 1)
-        return cls(A, 1, {(A.one(), m): Fraction(1)})
+        return cls(A, 1, {(A.one(), m): 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -82,7 +80,6 @@ class Form:
         return self.scale(-1)
 
     def scale(self, c) -> "Form":
-        c = Fraction(c)
         return Form(self.presentation, self.degree,
                     {k: c * v for k, v in self.terms.items()})
 
@@ -539,7 +536,7 @@ def xcomplex_homology(A: AlgebraPresentation, cfg, D: int) -> XComplexReport:
         raise DomainError("one-variable polynomial rings only")
     h0, h1, reps0, reps1, _ = stable_read(
         lambda reads: kahler_window(A, reads), D)
-    reps1_str = tuple(str(Form(A, 1, {t: Fraction(1)})) for t in reps1)
+    reps1_str = tuple(str(Form(A, 1, {t: 1})) for t in reps1)
     reps0_str = tuple(str(x) for x in reps0)
     return XComplexReport(h0, h1, reps0_str, reps1_str, D, True)
 

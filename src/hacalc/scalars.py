@@ -1,10 +1,11 @@
 """Exact arithmetic over Z localized at a prime p.
 
 The coefficient ring V is modeled by rationals with nonnegative p-adic
-valuation, its fraction field F by arbitrary rationals.  Scalars are plain
-``fractions.Fraction`` values (aliased as ``Scalar``), so every downstream
-computation is exact; ``Residue`` mirrors V/p^N where finite precision is
-actually wanted.
+valuation, its fraction field F by arbitrary rationals.  A scalar is an
+``int`` or a ``fractions.Fraction`` (``Scalar``): structure constants are
+integers, so a Fraction appears only where a division does, and the JSON
+boundary refuses floats.  ``Residue`` mirrors V/p^N where finite precision
+is actually wanted.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from .errors import NegativeValuation
 #: Valuation of zero.
 INF = math.inf
 
-#: Exact rational scalar type used throughout the package.
-Scalar = Fraction
+#: The exact scalar types: an int, or a Fraction where a division made one.
+Scalar = int | Fraction
 
 
 def _is_prime(n: int) -> bool:

@@ -160,42 +160,3 @@ def floor_estimates(N: int) -> FloorReport:
                 b = next(b for b, g in enumerate(gaps, a) if g < F[a])
                 return FloorReport(False, N, (m, a, b))
     return FloorReport(True, N)
-
-
-@dataclass(frozen=True)
-class GrowthReport:
-    ok: bool
-    samples: int
-    failure: str = ""
-
-
-def fedosov_growth_check(A, M_profile: GrowthProfile, degrees, cfg,
-                         rng, samples: int = 100) -> GrowthReport:
-    """Sampled support estimate for iterated Fedosov products.
-
-    Random monomial forms in Omega^{i_k}(M) are multiplied; every
-    component of degree i + 2j must be supported in Omega^{i+2j}(M^(3)).
-    The profile's cap is the degree budget for the pattern.
-    """
-    from .algebra import profile_power_sum
-    from .checks import random_monomial_form
-
-    if sum(degrees) > M_profile.cap:
-        raise ValueError("degree pattern exceeds the profile cap")
-    m3 = profile_power_sum(M_profile, 3)
-    i_total = sum(degrees)
-    for s in range(samples):
-        factors = [random_monomial_form(A, M_profile, deg, rng)
-                   for deg in degrees]
-        prod = MixedForm.of(factors[0])
-        for f in factors[1:]:
-            prod = fedosov_mixed(prod, MixedForm.of(f))
-        for deg in prod.degrees():
-            j2 = deg - i_total
-            if j2 < 0 or j2 % 2 or j2 // 2 > len(degrees) - 1:
-                return GrowthReport(False, s + 1,
-                                    f"component degree {deg} outside range")
-            if not form_in_module(prod.component(deg), m3, cfg):
-                return GrowthReport(False, s + 1,
-                                    f"support outside M^(3) in degree {deg}")
-    return GrowthReport(True, samples)

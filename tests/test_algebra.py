@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -154,3 +155,12 @@ def test_presentation_validation():
         AlgebraPresentation.plane_curve([0, 0, 2])  # lc not a unit
     with pytest.raises(ValueError):
         AlgebraPresentation("free", ("a", "a"))
+
+
+@pytest.mark.parametrize("bad", [Fraction(-3, 2), Fraction(-1), -1.0, True],
+                         ids=["fraction", "integral-fraction", "float",
+                              "bool"])
+def test_plane_curve_refuses_non_integer_coefficients(bad):
+    # refused, not rounded into Z (int(-3/2) = -1 built y^2 = x^3 - x)
+    with pytest.raises(ValueError, match="f_coeffs must be integers"):
+        AlgebraPresentation.plane_curve([0, bad, 0, 1])

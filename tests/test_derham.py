@@ -208,3 +208,25 @@ def test_readme_curve_both_routes_at_d60():
     dr = h_dr(CURVE, CFG7, 60)
     assert (dr.h0, dr.h1) == (1, 2)
     assert dr.reps1 == ("dx/y", "x dx/y")
+
+
+@pytest.mark.parametrize("f", [[0, -1, 0, 1], [1, 2, 0, 1], [-3, 0, 1, -1],
+                               [2, 1], [5, 0, 1]])
+def test_poly_bezout_solves_the_sylvester_system(f):
+    from hacalc.derham import _poly_bezout
+    fp = [k * c for k, c in enumerate(f)][1:]
+    u, v = _poly_bezout(f, fp)
+    assert len(u) == len(fp) - 1 and len(v) == len(f) - 1
+    prod = [Fraction(0)] * (len(f) + len(fp))
+    for a, b in ((u, f), (v, fp)):
+        for i, x in enumerate(a):
+            for k, y in enumerate(b):
+                prod[i + k] += x * y
+    assert prod[0] == 1 and not any(prod[1:])
+
+
+def test_poly_bezout_refuses_a_common_root():
+    from hacalc.derham import _poly_bezout
+    f = [0, 0, -1, 1]  # x^2 (x - 1)
+    with pytest.raises(BadReduction, match="share a root"):
+        _poly_bezout(f, [0, -2, 3])

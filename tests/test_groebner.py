@@ -1,4 +1,7 @@
 import random
+from fractions import Fraction
+
+import pytest
 
 from hacalc.algebra import exponent_vectors
 from hacalc.checks import groebner_corpus
@@ -245,3 +248,13 @@ def test_witness_examples():
     rep = filtered_noetherian_witness(
         [P({(1, 0): 1, (0, 1): 1})], 200, 6, rng)
     assert rep.max_shift == 0 and rep.failures == 0
+
+
+@pytest.mark.parametrize("terms", [
+    {(1, 0): Fraction(3, 2)}, {(1, 0): Fraction(2)}, {(1, 0): 2.0},
+    {(1, 0): True}, {(1.0, 0): 2}, {(True, 0): 2}, {(0, 0): 0.0},
+], ids=["fraction", "integral-fraction", "float", "bool", "float-exponent",
+        "bool-exponent", "float-zero"])
+def test_intpoly_refuses_non_integers(terms):
+    with pytest.raises(ValueError):
+        IntPoly(2, terms)

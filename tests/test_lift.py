@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -220,3 +221,12 @@ def test_degree_constant_uniform_across_orders():
                     a = max(a, -((i - w) // (2 * k - 1)))
             per_k.append(a)
         assert per_k == [expected] * 3
+
+
+@pytest.mark.parametrize("bad", [Fraction(3, 2), Fraction(1), 1.0, True],
+                         ids=["fraction", "integral-fraction", "float",
+                              "bool"])
+def test_lift_idempotent_refuses_non_integer_entries(bad):
+    # refused, not rounded into Z (int(3/2) = 1 lifted [[1, 1], [0, 5]])
+    with pytest.raises(ValueError, match="matrix entries must be integers"):
+        lift_idempotent([[bad, 1], [0, 5]], PrimeConfig(5), 4)

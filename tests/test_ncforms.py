@@ -437,3 +437,18 @@ def test_int_and_fraction_coefficients_agree(n):
             assert hash(frozenset(f.terms.items())) \
                 == hash(frozenset(g.terms.items()))
             assert str(f.scale(n)) == str(g.scale(Fraction(n)))
+
+
+def test_elimination_keeps_int_and_refuses_stray_fractions():
+    from hacalc.linalg import IntEchelon, _clear_denominators
+    vec = {0: Fraction(1, 2), 3: 2, 5: Fraction(-2, 3), 7: 0}
+    cleared = _clear_denominators(vec)
+    assert cleared == {0: 3, 3: 12, 5: -4}
+    assert all(type(v) is int for v in cleared.values())
+    assert _clear_denominators({}) == {}
+    ech = IntEchelon()
+    ech.add({0: 2, 1: 4})
+    with pytest.raises(TypeError):  # was truncated to 0 by int()
+        ech.reduce({1: Fraction(1, 2)})
+    with pytest.raises(TypeError):
+        ech.reduce({0: Fraction(1, 2), 1: 1})
