@@ -161,6 +161,5 @@ def test_presentation_validation():
                          ids=["fraction", "integral-fraction", "float",
                               "bool"])
 def test_plane_curve_refuses_non_integer_coefficients(bad):
-    # refused, not rounded into Z (int(-3/2) = -1 built y^2 = x^3 - x)
     with pytest.raises(ValueError, match="f_coeffs must be integers"):
         AlgebraPresentation.plane_curve([0, bad, 0, 1])

@@ -32,20 +32,28 @@ def _imported(tree, lines):
             yield name, line
 
 
-def _used(tree) -> set:
-    names = set()
+def _annotations(tree):
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            # string annotations such as -> "AlgebraElement"
-            try:
-                expr = ast.parse(node.value, mode="eval")
-            except SyntaxError:
-                continue
-            names.update(n.id for n in ast.walk(expr)
-                         if isinstance(n, ast.Name))
-        elif isinstance(node, ast.Assign) and any(
+        if isinstance(node, ast.arg):
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _used(tree) -> set:
+    names = {node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name)}
+    for ann in _annotations(tree):
+        for node in ast.walk(ann) if ann else ():
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                # a string annotation such as -> "AlgebraElement"
+                names.update(n.id for n in ast.walk(
+                    ast.parse(node.value, mode="eval"))
+                    if isinstance(n, ast.Name))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "__all__"
                 for t in node.targets):
             names.update(ast.literal_eval(node.value))

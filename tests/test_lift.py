@@ -227,6 +227,5 @@ def test_degree_constant_uniform_across_orders():
                          ids=["fraction", "integral-fraction", "float",
                               "bool"])
 def test_lift_idempotent_refuses_non_integer_entries(bad):
-    # refused, not rounded into Z (int(3/2) = 1 lifted [[1, 1], [0, 5]])
     with pytest.raises(ValueError, match="matrix entries must be integers"):
         lift_idempotent([[bad, 1], [0, 5]], PrimeConfig(5), 4)

@@ -448,7 +448,7 @@ def test_elimination_keeps_int_and_refuses_stray_fractions():
     assert _clear_denominators({}) == {}
     ech = IntEchelon()
     ech.add({0: 2, 1: 4})
-    with pytest.raises(TypeError):  # was truncated to 0 by int()
+    with pytest.raises(TypeError):
         ech.reduce({1: Fraction(1, 2)})
     with pytest.raises(TypeError):
         ech.reduce({0: Fraction(1, 2), 1: 1})
