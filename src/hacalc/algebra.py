@@ -24,6 +24,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from operator import add
 
 from .errors import ZeroElement
 
@@ -112,6 +113,7 @@ class AlgebraPresentation:
         else:
             self._one = (0,) * len(generators)
         self._wt_cache = {}
+        self._monomials = {}  # bound -> monomials_up_to(bound)
 
     # -- constructors ---------------------------------------------------
 
@@ -258,7 +260,15 @@ class AlgebraPresentation:
         return {(i + k, 0): c for k, c in enumerate(self.f_coeffs) if c}
 
     def monomials_up_to(self, bound: int) -> list:
-        """All basis monomials of filtration degree <= bound, sorted."""
+        """All basis monomials of filtration degree <= bound, sorted.
+
+        The window is enumerated once per bound; each call returns a new
+        list, which the caller may change.
+        """
+        try:
+            return list(self._monomials[bound])
+        except KeyError:
+            pass
         out = []
         if self.kind == "free":
             n = len(self.generators)
@@ -280,6 +290,7 @@ class AlgebraPresentation:
                 out.append((i, 1))
                 i += 1
         out.sort(key=self.sort_key)
+        self._monomials[bound] = tuple(out)
         return out
 
     def word_of(self, m: tuple) -> list:
@@ -468,11 +479,8 @@ def profile_sum(u: GrowthProfile, v: GrowthProfile) -> GrowthProfile:
 def profile_product(u: GrowthProfile, v: GrowthProfile) -> GrowthProfile:
     """Profile of the product module M*N (min-plus convolution)."""
     _same_cap(u, v)
-    out = []
-    for d in range(u.cap + 1):
-        out.append(min((u.w[i] + v.w[d - i] for i in range(d + 1)),
-                       default=INF))
-    return GrowthProfile(u.cap, tuple(out))
+    return GrowthProfile(u.cap, tuple(
+        min(map(add, u.w[:d + 1], v.w[d::-1])) for d in range(u.cap + 1)))
 
 
 def profile_power_sum(u: GrowthProfile, n: int) -> GrowthProfile:

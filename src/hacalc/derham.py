@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import AlgebraPresentation
+from .algebra import AlgebraPresentation, int_entries
 from .errors import BadReduction, Mismatch
 from .graphs import DirectedGraph, ha_leavitt
 from .linalg import IntEchelon, kernel_basis
@@ -43,8 +43,11 @@ class OverconvergentSeries:
     @classmethod
     def make(cls, coeffs: dict, window: int, m: int, f: int,
              cfg: PrimeConfig, laurent: bool = False):
-        items = tuple(sorted((int(n), Fraction(c))
-                             for n, c in coeffs.items() if c))
+        """The series sum c_n t^n of ``coeffs``, its certificate verified;
+        a non-int exponent raises ValueError rather than being rounded."""
+        int_entries(coeffs, "series exponents")
+        items = tuple(sorted((n, Fraction(c)) for n, c in coeffs.items()
+                             if c))
         s = cls(items, window, m, f, laurent, cfg.p)
         s.verify(cfg)
         return s

@@ -21,6 +21,8 @@ import heapq
 import math
 from fractions import Fraction
 
+from .algebra import int_entries
+
 
 class SparseEchelon:
     """Incremental reduced row echelon form with a fixed column order.
@@ -261,8 +263,9 @@ def _clear_denominators(vec: dict) -> dict:
 
 
 def int_matrix_rank(rows: list[list[int]]) -> int:
-    """Rank over Q by fraction-free Gaussian elimination."""
-    m = [[int(x) for x in row] for row in rows]
+    """Rank over Q by fraction-free Gaussian elimination; the entries
+    must be ints (a bool, Fraction or float raises ValueError)."""
+    m = [list(int_entries(row, "matrix entries")) for row in rows]
     if not m or not m[0]:
         return 0
     nrows, ncols = len(m), len(m[0])

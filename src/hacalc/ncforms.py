@@ -28,29 +28,46 @@ from .linalg import IntEchelon, _clear_denominators, kernel_basis
 
 
 class Form:
-    """A homogeneous differential form of fixed degree."""
+    """A homogeneous differential form of fixed degree.
+
+    ``terms`` maps tuples (m0, m1, ..., mn) to nonzero coefficients.  The
+    d-slots m1, ..., mn never hold the unit monomial: d(1) = 0, so the
+    constructor drops every tuple that carries it there, and the
+    products below rely on this instead of re-testing the slots they copy.
+    """
 
     __slots__ = ("presentation", "degree", "terms")
 
     def __init__(self, presentation, degree, terms=()):
         self.presentation = presentation
         self.degree = degree
+        unit = presentation.is_unit_monomial
         clean = {}
         for key, c in dict(terms).items():
             if not c:
                 continue
             if len(key) != degree + 1:
                 raise WrongDegree(f"tuple {key} is not a {degree}-form")
+            if any(map(unit, key[1:])):
+                continue
             clean[key] = c
         self.terms = clean
+
+    @classmethod
+    def _trusted(cls, presentation, degree, terms: dict) -> "Form":
+        """A form from a kernel's output, whose tuples are already valid:
+        zeros are dropped, nothing else is checked."""
+        form = cls.__new__(cls)
+        form.presentation = presentation
+        form.degree = degree
+        form.terms = {k: c for k, c in terms.items() if c}
+        return form
 
     # -- construction helpers -------------------------------------------
 
     @classmethod
     def d_of_monomial(cls, A, m: tuple) -> "Form":
         """The 1-form dm (zero for the unit monomial)."""
-        if A.is_unit_monomial(m):
-            return cls(A, 1)
         return cls(A, 1, {(A.one(), m): 1})
 
     def is_zero(self) -> bool:
@@ -71,7 +88,7 @@ class Form:
         out = dict(self.terms)
         for k, c in other.terms.items():
             out[k] = out.get(k, 0) + c
-        return Form(self.presentation, self.degree, out)
+        return Form._trusted(self.presentation, self.degree, out)
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -80,8 +97,8 @@ class Form:
         return self.scale(-1)
 
     def scale(self, c) -> "Form":
-        return Form(self.presentation, self.degree,
-                    {k: c * v for k, v in self.terms.items()})
+        return Form._trusted(self.presentation, self.degree,
+                             {k: c * v for k, v in self.terms.items()})
 
     def __str__(self):
         if not self.terms:
@@ -111,38 +128,51 @@ def differential(omega: Form) -> Form:
         if A.is_unit_monomial(key[0]):
             continue
         out[(one,) + key] = out.get((one,) + key, 0) + c
-    return Form(A, omega.degree + 1, out)
+    return Form._trusted(A, omega.degree + 1, out)
 
 
 def form_multiply(omega: Form, eta: Form) -> Form:
     """Graded product dictated by the Leibniz rule.
 
-    (x0 dx1...dxn)(y0 dy1...dym) expands as the alternating sum over j of
-    x0 dx1 ... d(xj x_{j+1}) ... with x_{n+1} = y0; d-slots that receive
-    the unit monomial vanish.
+    (x0 dx1...dxn)(y0 dy1...dym) expands as the sum over j of
+    (-1)^(n-j) x0 dx1 ... d(xj x_{j+1}) ... dxn dy1 ... dym with
+    x_{n+1} = y0 (for j = 0 the product x0 x1 is the head); d-slots that
+    receive the unit monomial vanish.  For j < n the merged product
+    does not involve eta, and y0 sits in a d-slot, so a unit y0 leaves
+    only j = n.
     """
     A = omega.presentation
-    n, m = omega.degree, eta.degree
+    n = omega.degree
+    mul, unit = A.mul_monomials, A.is_unit_monomial
+    etas = [(ys, c2, unit(ys[0])) for ys, c2 in eta.terms.items()]
+    any_inner = n and not all(y0_unit for _, _, y0_unit in etas)
     out = {}
+    get = out.get
     for xs, c1 in omega.terms.items():
-        for ys, c2 in eta.terms.items():
-            seq = xs + (ys[0],)
+        # the j < n summands as (slots before, product, slots after, odd)
+        inner = []
+        for j in range(n if any_inner else 0):
+            prod = [(mm, mc) for mm, mc in mul(xs[j], xs[j + 1]).items()
+                    if not (j and unit(mm))]
+            inner.append((xs[:j], prod, xs[j + 2:], (n - j) % 2))
+        pre, xn = xs[:n], xs[n]
+        for ys, c2, y0_unit in etas:
+            c = c1 * c2
+            if inner and not y0_unit:
+                neg = -c
+                for before, prod, after, odd in inner:
+                    cj = neg if odd else c
+                    post = after + ys
+                    for mm, mc in prod:
+                        key = before + (mm,) + post
+                        out[key] = get(key, 0) + (cj if mc == 1 else cj * mc)
             tail = ys[1:]
-            for j in range(n + 1):
-                sign = -1 if (n - j) % 2 else 1
-                for mm, mc in A.mul_monomials(seq[j], seq[j + 1]).items():
-                    if j == 0:
-                        head, slots = mm, seq[2:] + tail
-                    else:
-                        if A.is_unit_monomial(mm):
-                            continue
-                        head = seq[0]
-                        slots = seq[1:j] + (mm,) + seq[j + 2:] + tail
-                    if any(A.is_unit_monomial(s) for s in slots):
-                        continue
-                    key = (head,) + slots
-                    out[key] = out.get(key, 0) + sign * c1 * c2 * mc
-    return Form(A, n + m, out)
+            for mm, mc in mul(xn, ys[0]).items():
+                if n and unit(mm):
+                    continue
+                key = pre + (mm,) + tail
+                out[key] = get(key, 0) + (c if mc == 1 else c * mc)
+    return Form._trusted(A, n + eta.degree, out)
 
 
 class MixedForm:
@@ -176,7 +206,7 @@ class MixedForm:
                 for k, c in g.terms.items():
                     acc[k] = acc.get(k, 0) + c
         return cls(presentation, {
-            n: f if isinstance(f, Form) else Form(presentation, n, f)
+            n: f if isinstance(f, Form) else Form._trusted(presentation, n, f)
             for n, f in parts.items()})
 
     @classmethod
@@ -557,8 +587,7 @@ def xcomplex_boundary_checks(A: AlgebraPresentation, monomials,
             return False, f"b(d({A.monomial_str(m)})) != 0"
     for omega in one_forms:
         x = hochschild_b1(omega)
-        dx = Form(A, 1, {(A.one(), m): c for m, c in x.terms.items()
-                         if not A.is_unit_monomial(m)})
+        dx = Form(A, 1, {(A.one(), m): c for m, c in x.terms.items()})
         if dx.is_zero():
             continue
         quo = quo or CommutatorQuotient(A)

@@ -163,3 +163,39 @@ def test_presentation_validation():
 def test_plane_curve_refuses_non_integer_coefficients(bad):
     with pytest.raises(ValueError, match="f_coeffs must be integers"):
         AlgebraPresentation.plane_curve([0, bad, 0, 1])
+
+
+@pytest.mark.parametrize("A", [
+    AlgebraPresentation.free(["a", "b"]),
+    AlgebraPresentation.free(["a", "b"], unital=True),
+    AlgebraPresentation.polynomial(),
+    AlgebraPresentation.polynomial(["x", "y"]),
+    AlgebraPresentation.laurent(),
+    AlgebraPresentation.plane_curve([0, -1, 0, 1]),
+], ids=["free", "free-unital", "polynomial", "polynomial2", "laurent",
+        "curve"])
+def test_monomials_up_to_cache(A):
+    """The cached window equals a fresh enumeration, and changing a
+    returned list leaves the next call's result alone."""
+    for bound in list(range(7)) + list(range(6, -1, -1)):
+        got = A.monomials_up_to(bound)
+        fresh = AlgebraPresentation(A.kind, A.generators, A.f_coeffs,
+                                    A.unital).monomials_up_to(bound)
+        assert got == fresh
+        assert got == sorted(got, key=A.sort_key)
+        assert all(A.degree(m) <= bound for m in got)
+        got.append((99,))
+        got.reverse()
+        assert A.monomials_up_to(bound) == fresh
+
+
+def test_profile_product_is_the_min_plus_convolution():
+    rng = random.Random(5)
+    for cap in range(7):
+        for _ in range(30):
+            u, v = (GrowthProfile(cap, tuple(
+                rng.choice([0, 1, 2, 5, INF]) for _ in range(cap + 1)))
+                for _ in range(2))
+            want = tuple(min(u[i] + v[d - i] for i in range(d + 1))
+                         for d in range(cap + 1))
+            assert profile_product(u, v).w == want

@@ -230,3 +230,16 @@ def test_poly_bezout_refuses_a_common_root():
     f = [0, 0, -1, 1]  # x^2 (x - 1)
     with pytest.raises(BadReduction, match="share a root"):
         _poly_bezout(f, [0, -2, 3])
+
+
+@pytest.mark.parametrize("bad", [Fraction(3, 2), Fraction(2), 2.7, 2.0, True],
+                         ids=["fraction", "integral-fraction", "float",
+                              "integral-float", "bool"])
+def test_series_refuses_non_integer_exponents(bad):
+    assert OverconvergentSeries.make({2: 5}, 10, 2, 0, CFG5).coeffs \
+        == ((2, Fraction(5)),)
+    with pytest.raises(ValueError, match="series exponents must be integers"):
+        OverconvergentSeries.make({bad: 5}, 10, 2, 0, CFG5)
+    with pytest.raises(ValueError, match="series exponents must be integers"):
+        OverconvergentSeries.with_min_certificate({3: 1, bad: 5}, 10, 2,
+                                                  CFG5)

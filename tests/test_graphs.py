@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -136,3 +137,15 @@ def test_from_json():
     g = DirectedGraph.from_json(
         {"vertices": ["v", "w"], "edges": [{"s": "v", "r": "w"}]})
     assert g.edges == (("v", "w"),)
+
+
+@pytest.mark.parametrize("bad", [Fraction(1, 2), Fraction(2), 0.5, True],
+                         ids=["fraction", "integral-fraction", "float",
+                              "bool"])
+def test_int_matrix_rank_refuses_non_integers(bad):
+    assert int_matrix_rank([[1, 1], [1, 2]]) == 2
+    assert int_matrix_rank([[1, 2], [2, 4]]) == 1
+    with pytest.raises(ValueError, match="matrix entries must be integers"):
+        int_matrix_rank([[bad, 1], [1, 2]])
+    with pytest.raises(ValueError, match="matrix entries must be integers"):
+        int_matrix_rank([[1, 2], [2, bad]])

@@ -108,6 +108,113 @@ def test_commutator_quotient_free_rep_string():
     assert (one, b) in rep.terms
 
 
+def test_unit_in_a_d_slot_is_zero():
+    # d(1) = 0, so the constructor drops a tuple with the unit in a d-slot
+    zero = Form(AlgebraPresentation.polynomial(), 1, {(T, ONE): 2})
+    assert zero.is_zero() and zero == Form(POLY, 1) and str(zero) == "0"
+    for x in (f0(POLY, T), Form(POLY, 1, {(T, T): 3}), zero):
+        assert form_multiply(zero, x).is_zero()
+        assert form_multiply(x, zero).is_zero()
+    mixed = Form(POLY, 2, {(T, T, ONE): 1, (ONE, T, T): 2})
+    assert mixed.terms == {(ONE, T, T): 2}
+    assert Form(FREE, 1, {(None, None): 1}).is_zero()
+    assert Form.d_of_monomial(POLY, ONE).is_zero()
+
+
+def _reference_multiply(omega: Form, eta: Form) -> Form:
+    """The graded product tested slot by slot: the oracle that
+    :func:`form_multiply` must match, term order included."""
+    A = omega.presentation
+    n, m = omega.degree, eta.degree
+    out = {}
+    for xs, c1 in omega.terms.items():
+        for ys, c2 in eta.terms.items():
+            seq = xs + (ys[0],)
+            tail = ys[1:]
+            for j in range(n + 1):
+                sign = -1 if (n - j) % 2 else 1
+                for mm, mc in A.mul_monomials(seq[j], seq[j + 1]).items():
+                    if j == 0:
+                        head, slots = mm, seq[2:] + tail
+                    else:
+                        if A.is_unit_monomial(mm):
+                            continue
+                        head = seq[0]
+                        slots = seq[1:j] + (mm,) + seq[j + 2:] + tail
+                    if any(A.is_unit_monomial(s) for s in slots):
+                        continue
+                    key = (head,) + slots
+                    out[key] = out.get(key, 0) + sign * c1 * c2 * mc
+    return Form(A, n + m, out)
+
+
+ORACLE_PRESENTATIONS = dict(
+    presentations(), **{"free-unital": AlgebraPresentation.free(
+        ["a", "b"], unital=True)})
+ORACLE_COEFFS = (1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3),
+                 Fraction(5, 4), Fraction(4, 2))
+
+
+def _oracle_form(A, degree, rng):
+    """A random form of 1-3 tuples whose head is the unit about a third
+    of the time; slots run over the monomials of degree <= 3, so Laurent
+    t t^-1 cancellations and curve y^2 reductions occur."""
+    monos = A.monomials_up_to(3)
+    if not A.unital:
+        monos = [None] + monos
+    nonunit = [m for m in monos if not A.is_unit_monomial(m)]
+    out = {}
+    for _ in range(rng.randint(1, 3)):
+        head = A.one() if rng.random() < 0.3 else rng.choice(monos)
+        key = (head,) + tuple(rng.choice(nonunit) for _ in range(degree))
+        out[key] = out.get(key, 0) + rng.choice(ORACLE_COEFFS)
+    return Form(A, degree, out)
+
+
+def _assert_same_product(x, y):
+    got, want = form_multiply(x, y), _reference_multiply(x, y)
+    assert list(got.terms.items()) == list(want.terms.items()), (x, y)
+    assert [type(c) for c in got.terms.values()] \
+        == [type(c) for c in want.terms.values()]
+    assert got.degree == want.degree and str(got) == str(want)
+
+
+@pytest.mark.parametrize("name", list(ORACLE_PRESENTATIONS))
+def test_form_multiply_against_reference(name):
+    A = ORACLE_PRESENTATIONS[name]
+    rng = random.Random(23)
+    for _ in range(400):
+        x = _oracle_form(A, rng.randint(0, 3), rng)
+        y = _oracle_form(A, rng.randint(0, 3), rng)
+        _assert_same_product(x, y)
+
+
+def test_form_multiply_reference_cases():
+    # each case takes one branch that drops a term
+    t, tinv = LAURENT.monomial((1,)), LAURENT.monomial((-1,))
+    x, y = CURVE.monomial((1, 0)), CURVE.monomial((0, 1))
+    a = FREE.generator_monomial("a")
+    cases = [
+        # the unit from merging two d-slots: d(t) d(t^-1) times t dt
+        (Form(LAURENT, 2, {((0,), t, tinv): 1}),
+         Form(LAURENT, 1, {(t, t): Fraction(1, 2)})),
+        # the unit from merging the last slot with y0: d(t^-1) times t
+        (Form(LAURENT, 1, {((0,), tinv): 3}), f0(LAURENT, t)),
+        # a unit y0 leaves only j = n: t dt d(t^2) times 1 dt
+        (Form(POLY, 2, {(T, T, POLY.monomial((2,))): 2}),
+         Form(POLY, 1, {(ONE, T): Fraction(-2, 3), (T, T): 1})),
+        # y * y reduces to x^3 - x: x dy times y dx
+        (Form(CURVE, 1, {(x, y): Fraction(1, 2)}),
+         Form(CURVE, 1, {(y, x): 2})),
+        # the adjoined unit as y0: a da times d(a)
+        (Form(FREE, 1, {(a, a): 1}), Form(FREE, 1, {(None, a): -1})),
+    ]
+    for omega, eta in cases:
+        _assert_same_product(omega, eta)
+        _assert_same_product(eta, omega)
+        assert not form_multiply(omega, eta).is_zero()
+
+
 def _dense_rref_basis(vectors, ncols):
     """Plain dense Gaussian elimination oracle over Fraction."""
     rows = [[Fraction(v.get(c, 0)) for c in range(ncols)] for v in vectors]
