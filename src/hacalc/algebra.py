@@ -465,10 +465,6 @@ class GrowthProfile:
     def __getitem__(self, d: int):
         return self.w[d]
 
-    def includes(self, other: "GrowthProfile") -> bool:
-        """Pointwise: self's module contains other's (self needs less)."""
-        return all(self.w[d] <= other.w[d] for d in range(self.cap + 1))
-
 
 def profile_sum(u: GrowthProfile, v: GrowthProfile) -> GrowthProfile:
     """Profile of the module sum M + N (pointwise minimum)."""
@@ -525,9 +521,9 @@ def profile_check_diam_laws(u: GrowthProfile, v: GrowthProfile
     """Check the five diamond-hull inclusions as profile inequalities.
 
     An inclusion of modules M <= N reads pointwise w_M(d) >= w_N(d).
-    Laws: (1) M^* + N^* <= (M+N)^*; (2) M N^* <= ((MN+N)^(2))^* both
-    sides; (3) p M^* M^* <= M^*; (4) M^* N^* <= ((M+N)^(2))^*;
-    (5) (M^*)^* = M^*.
+    Laws: (1) M^* + N^* <= (M+N)^*; (2) M N^* <= ((MN+N)^(2))^*, one
+    check for both orders, as profile products commute; (3) p M^* M^*
+    <= M^*; (4) M^* N^* <= ((M+N)^(2))^*; (5) (M^*)^* = M^*.
     """
     _same_cap(u, v)
     cap = u.cap
@@ -544,13 +540,10 @@ def profile_check_diam_laws(u: GrowthProfile, v: GrowthProfile
     # 1
     checks.append((profile_diamond(profile_sum(u, v)),
                    profile_sum(ud, vd), 1))
-    # 2, both orders; profiles are commutative so one inequality each way
+    # 2: one order suffices, as profile_product commutes
     mn = profile_product(u, v)
     checks.append((profile_diamond(profile_power_sum(profile_sum(mn, v), 2)),
                    profile_product(u, vd), 2))
-    nm = profile_product(v, u)
-    checks.append((profile_diamond(profile_power_sum(profile_sum(nm, v), 2)),
-                   profile_product(vd, u), 2))
     # 3
     shifted = GrowthProfile(cap, tuple(
         1 + x for x in profile_product(ud, ud).w))

@@ -84,11 +84,7 @@ def integrate_series(a: OverconvergentSeries, cfg: PrimeConfig):
     """
     if a.laurent:
         raise ValueError("polynomial windows only")
-    out = {}
-    loss = 0
-    for l, c in a.coeffs:
-        out[l + 1] = Fraction(c, l + 1)
-        loss = max(loss, _int_val(l + 1, cfg.p))
+    _, out, loss = reduce_laurent_form(a.as_dict(), a.window, cfg)
     primitive = OverconvergentSeries.with_min_certificate(
         out, a.window + 1, a.m, cfg)
     return primitive, loss

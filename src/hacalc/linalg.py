@@ -1,18 +1,18 @@
-"""Sparse exact linear algebra over the rationals.
+"""Sparse exact linear algebra over the rationals and the integers.
 
 Vectors are dicts mapping integer column ids to nonzero coefficients,
 ints and Fractions alike; the column order (smaller id eliminated first)
-is fixed by the caller.  Only ``SparseEchelon`` divides, so only it makes
-Fractions.  ``IntEchelon`` and ``ZLattice`` take int vectors (a Fraction
-given to ``IntEchelon`` raises TypeError in ``math.gcd`` rather than being
-truncated); ``kernel_basis`` clears denominators before eliminating.
-``SparseEchelon`` keeps a reduced row echelon form over Q and yields
-canonical coset representatives; the library no longer eliminates with
-it, and the tests use it as the rational reference (the raw commutator
-window, the Z-lattice oracle).  ``IntEchelon`` is its fraction-free
-counterpart for ranks and span membership over Q.  ``ZLattice`` decides
-exact membership over Z: an echelon basis of the Z-span, kept with
-extended-gcd pivoting.
+is fixed by the caller.  ``IntEchelon`` is the one elimination over Q:
+every rank (``int_matrix_rank``), kernel (``kernel_basis``) and residual
+over Q comes from it.  It is fraction-free and takes int vectors (a
+Fraction raises TypeError in ``math.gcd`` rather than being truncated);
+``kernel_basis`` clears denominators before eliminating.  ``ZLattice``
+decides exact membership over Z: an echelon basis of the Z-span, kept
+with extended-gcd pivoting.  ``SparseEchelon`` keeps a reduced row
+echelon form over Q with canonical coset representatives; it is the only
+one that divides, the library no longer eliminates with it, and the
+tests use it as the rational reference (the raw commutator window, the
+Z-lattice oracle).
 """
 
 from __future__ import annotations
@@ -161,11 +161,6 @@ class IntEchelon:
         self.rows[p] = vec
         return p
 
-    def clone(self) -> "IntEchelon":
-        out = IntEchelon()
-        out.rows = {p: dict(r) for p, r in self.rows.items()}
-        return out
-
 
 def bezout(a: int, b: int) -> tuple:
     """(s, t) with s*a + t*b = gcd(a, b) >= 0, by extended Euclid."""
@@ -239,7 +234,9 @@ def kernel_basis(vectors: list[dict]):
 
     Accepts integer or rational vectors (rationals are cleared first);
     returns coefficient dicts {i: int}, content-normalized, deterministic
-    for a fixed input order.
+    for a fixed input order.  The vector found at step i has its largest
+    index at i, so ``kernel_basis(vectors[:n])`` is the result's vectors
+    whose indices are all below n.
     """
     AUG = 1 << 40  # augmented columns sort after all real columns
     ech = IntEchelon()
@@ -263,25 +260,9 @@ def _clear_denominators(vec: dict) -> dict:
 
 
 def int_matrix_rank(rows: list[list[int]]) -> int:
-    """Rank over Q by fraction-free Gaussian elimination; the entries
+    """Rank over Q of the span of ``rows``, by ``IntEchelon``; the entries
     must be ints (a bool, Fraction or float raises ValueError)."""
-    m = [list(int_entries(row, "matrix entries")) for row in rows]
-    if not m or not m[0]:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        for i in range(r + 1, nrows):
-            if m[i][c]:
-                a, b = m[r][c], m[i][c]
-                m[i] = [a * x - b * y for x, y in zip(m[i], m[r])]
-        rank += 1
-        r += 1
-        if r == nrows:
-            break
-    return rank
+    ech = IntEchelon()
+    for row in rows:
+        ech.add(dict(enumerate(int_entries(row, "matrix entries"))))
+    return ech.rank()

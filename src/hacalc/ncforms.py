@@ -498,6 +498,11 @@ def kahler_window(A: AlgebraPresentation, reads: list) -> dict:
     to (h0, h1, reps0, reps1, reduce): the kernel of d on S_{<=R} and its
     basis, the cokernel dimension and its non-pivot columns, and the
     residual of a {(head, letter): c} vector modulo all rows.
+
+    One kernel pass serves every read bound: S_{<=R} is a prefix of the
+    window's monomials (sorted by ``sort_key``), and ``kernel_basis``
+    finds a kernel vector at the last index it uses, so the kernel on
+    S_{<=R} is the vectors whose indices all lie in that prefix.
     """
     big = max(reads) + PAD
     monos = A.monomials_up_to(big)
@@ -527,25 +532,24 @@ def kahler_window(A: AlgebraPresentation, reads: list) -> dict:
                 for hm, hc in A.mul_monomials(h, m).items():
                     row[(hm, w)] = row.get((hm, w), 0) + c * hc
             ech_c.add(vec(row))
-    d_of = {s: vec(_kahler_d(A, s, products)) for s in monos}
-    ech_u = ech_c.clone()
-    for s in monos:
-        ech_u.add(d_of[s])
+    d_of = [vec(_kahler_d(A, s, products)) for s in monos]
+    kernel = kernel_basis([ech_c.reduce(d) for d in d_of])
+    for d in d_of:
+        ech_c.add(d)
 
     def reduce(terms):
-        return ech_u.reduce(_clear_denominators(vec(terms)))
+        return ech_c.reduce(_clear_denominators(vec(terms)))
 
-    pivots = ech_u.pivots()
+    pivots = ech_c.pivots()
     results = {}
     for R in reads:
         reps1 = tuple(tuples[c] for c, d in enumerate(totdeg)
                       if d <= R and c not in pivots)
-        domain = A.monomials_up_to(R)
-        kernel = kernel_basis([ech_c.reduce(d_of[s]) for s in domain])
+        n = len(A.monomials_up_to(R))
         reps0 = tuple(
-            AlgebraElement(A, {domain[i]: c for i, c in combo.items()})
-            for combo in kernel)
-        results[R] = (len(kernel), len(reps1), reps0, reps1, reduce)
+            AlgebraElement(A, {monos[i]: c for i, c in combo.items()})
+            for combo in kernel if max(combo) < n)
+        results[R] = (len(reps0), len(reps1), reps0, reps1, reduce)
     return results
 
 

@@ -199,3 +199,14 @@ def test_profile_product_is_the_min_plus_convolution():
             want = tuple(min(u[i] + v[d - i] for i in range(d + 1))
                          for d in range(cap + 1))
             assert profile_product(u, v).w == want
+
+
+def test_profile_product_commutes():
+    # profile_check_diam_laws checks law 2 in one order only on this ground
+    rng = random.Random(8)
+    for cap in range(7):
+        for _ in range(30):
+            u, v = (GrowthProfile(cap, tuple(
+                rng.choice([0, 1, 3, INF, INF]) for _ in range(cap + 1)))
+                for _ in range(2))
+            assert profile_product(u, v) == profile_product(v, u)

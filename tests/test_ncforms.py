@@ -8,7 +8,7 @@ from hacalc.algebra import AlgebraPresentation
 from hacalc import ncforms
 from hacalc.checks import presentations, random_form, random_monomial
 from hacalc.errors import DomainError, NotCommutative, WrongDegree
-from hacalc.linalg import SparseEchelon
+from hacalc.linalg import SparseEchelon, kernel_basis
 from hacalc.ncforms import (PAD, CommutatorQuotient, Form, MixedForm,
                             commutator_vectors, differential, fedosov,
                             form_multiply, hochschild_b1, kahler_window,
@@ -293,6 +293,40 @@ def test_xcomplex_against_dense_oracle(A, D, expected):
         dims = kahler_window(A, [R])[R][:2]
         assert dims == _dense_xcomplex_dims(A, R, PAD), R
     assert dims == expected
+
+
+def test_kernel_basis_keeps_prefixes():
+    # kahler_window reads the kernel at every bound off one pass
+    rng = random.Random(3)
+    for _ in range(60):
+        vs = []
+        for _ in range(rng.randint(0, 12)):
+            roll = rng.random()
+            if roll < 0.15:
+                vs.append({})
+            elif roll < 0.3 and vs:
+                vs.append(dict(rng.choice(vs)))
+            elif roll < 0.45 and len(vs) > 1:
+                a, b = rng.sample(vs, 2)
+                vs.append({c: a.get(c, 0) + 2 * b.get(c, 0)
+                           for c in {**a, **b}})
+            else:
+                vs.append({rng.randrange(6): rng.choice(
+                    [1, -2, 3, Fraction(1, 2), Fraction(-3, 4)])
+                    for _ in range(rng.randint(1, 3))})
+        full = kernel_basis(vs)
+        for n in range(len(vs) + 1):
+            assert kernel_basis(vs[:n]) == [c for c in full if max(c) < n]
+
+
+@pytest.mark.parametrize("A", [POLY, LAURENT, CURVE],
+                         ids=["polynomial", "laurent", "curve"])
+def test_kahler_window_reads_each_bound_as_alone(A):
+    both = kahler_window(A, [4, 9])
+    for R in (4, 9):
+        h0, _, reps0, _, _ = kahler_window(A, [R])[R]
+        assert both[R][0] == h0
+        assert [str(e) for e in both[R][2]] == [str(e) for e in reps0]
 
 
 def test_xcomplex_polynomial():
