@@ -310,6 +310,17 @@ GOLDEN = {
                       '{"checks": 32, "detail": "", "name": '
                       '"xcomplex-boundary", "passed": true}}, "schema": '
                       '"ha/1", "subcommand": "check", "version": "0.1.0"}\n',
+    "tube-floors-p5": '{"inputs": {"payload": null, "precision": 16, '
+                      '"prime": 5, "seed": 0, "truncate": null}, "passed": '
+                      'true, "results": {"checks": 200, "detail": "", '
+                      '"name": "floors", "passed": true}, "schema": "ha/1", '
+                      '"subcommand": "tube", "version": "0.1.0"}\n',
+    "check-floors-p5": '{"inputs": {"payload": null, "precision": 16, '
+                       '"prime": 5, "seed": 0, "truncate": null}, "passed": '
+                       'true, "results": {"floors": {"checks": 200, '
+                       '"detail": "", "name": "floors", "passed": true}}, '
+                       '"schema": "ha/1", "subcommand": "check", '
+                       '"version": "0.1.0"}\n',
 }
 
 
@@ -325,6 +336,10 @@ README_RUNS = {
     "check-p5": (None, None, ["check", "--prime", "5", "--samples", "200"]),
     "check-p7-seed3": (None, None, ["--prime", "7", "--seed", "3", "check",
                                     "--samples", "100"]),
+    "tube-floors-p5": (None, None, ["tube", "--check", "floors", "--prime",
+                                    "5"]),
+    "check-floors-p5": (None, None, ["--prime", "5", "check", "--suite",
+                                     "floors"]),
 }
 
 
