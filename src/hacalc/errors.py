@@ -37,7 +37,7 @@ class InvalidConnection(DomainError):
     """The given connection data is inconsistent with the relations."""
 
 
-class NotApproxIdempotent(HacalcError):
+class NotApproxIdempotent(DomainError):
     """The input matrix is not idempotent modulo p."""
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, sub
 
 from .algebra import GrowthProfile
 from .ncforms import Form, MixedForm, fedosov_mixed
@@ -135,28 +134,68 @@ class FloorReport:
     counterexample: tuple | None = None
 
 
+def _split_minimum(m: int, n: int) -> tuple[int, int]:
+    """min over 0 <= j < n of floor(j/m) + floor((n-1-j)/m), with the
+    first j attaining it."""
+    q, r = divmod(n - 1, m)
+    if q and r <= m - 2:
+        return q - 1, r + 1
+    return q, 0
+
+
+def _shift_minimum(m: int, a: int, N: int) -> tuple[int, int]:
+    """min over a <= b <= N - a of floor((a+b)/m) - floor(b/m), with the
+    first b attaining it (needs 2a <= N)."""
+    s, t = divmod(a, m)
+    if 2 * t < m:
+        return s, a
+    if a - t + m <= N - a:
+        return s, a - t + m
+    return s + 1, a
+
+
 def floor_estimates(N: int) -> FloorReport:
-    """Exhaustive check of the degree-shift floor inequalities.
+    """Check the degree-shift floor inequalities against their minima.
 
     For all 1 <= m <= N and 0 <= j < n <= N:
         floor(n/2m) <= floor(j/m) + floor((n-j-1)/m),
-    and superadditivity floor(a/m) + floor(b/m) <= floor((a+b)/m).
-    Both sides are symmetric (j <-> n-1-j, a <-> b), so scanning j and
-    b from the low end of each range up to the middle meets every value,
-    and the first failure of the full scan lies in that half.
+    and superadditivity floor(a/m) + floor(b/m) <= floor((a+b)/m) for
+    0 <= a <= b <= N - a.  Each right side is minimised in closed form
+    by the carry argument (Graham-Knuth-Patashnik, Concrete Mathematics,
+    ch. 3): for x = um + c and y = vm + d with 0 <= c, d < m,
+    floor((x+y)/m) = u + v + [c + d >= m].
+
+    Split: write n - 1 = qm + r with 0 <= r < m.  For x = j and
+    y = n-1-j the carry sum c + d lies in [0, 2m - 2] and is r mod m, so
+    it is r or r + m, and the sum of floors is q or q - 1.  The value
+    q - 1 needs c + d = r + m <= 2m - 2 and u + v = q - 1 >= 0, i.e.
+    r <= m - 2 and q >= 1; then c = r + m - d >= r + 1, and j = r + 1
+    (u = 0, d = m - 1) is the first j attaining it.  Otherwise every j
+    gives q.
+
+    Shift: write a = sm + t with 0 <= t < m.  Taking x = a, y = b gives
+    floor((a+b)/m) - floor(b/m) = s + [t + (b mod m) >= m], which is s
+    exactly when b mod m <= m - 1 - t.  The first such b >= a is a
+    itself when 2t < m; otherwise the residues from a up to the next
+    multiple a - t + m of m are all at least t > m - 1 - t, so it is
+    a - t + m if that is at most N - a, and else every b gives s + 1.
+
+    A failure reports the triple the exhaustive scan reports, scanning m,
+    then n (or a), then j (or b): (m, n, j) with the first j attaining
+    the split minimum, and (m, a, b) with the first failing b.  As the
+    gap takes only the values s and s + 1, that b is the first one
+    attaining the shift minimum, unless the required value exceeds the
+    minimum by two or more: then every b fails, and b = a is first.
     """
     for m in range(1, N + 1):
-        F = [x // m for x in range(N + 1)]
         for n in range(1, N + 1):
-            half = (n + 1) // 2
-            rhs = list(map(add, F[:half], F[n - half:n][::-1]))
-            low = min(rhs)
+            low, j = _split_minimum(m, n)
             if low < n // (2 * m):
-                return FloorReport(False, N, (m, n, rhs.index(low)))
+                return FloorReport(False, N, (m, n, j))
         for a in range(N // 2 + 1):
-            # floor((a+b)/m) - floor(b/m) for b = a, ..., N - a
-            gaps = list(map(sub, F[2 * a:], F[a:]))
-            if min(gaps) < F[a]:
-                b = next(b for b, g in enumerate(gaps, a) if g < F[a])
-                return FloorReport(False, N, (m, a, b))
+            low, b = _shift_minimum(m, a, N)
+            need = a // m
+            if low < need:
+                return FloorReport(False, N,
+                                   (m, a, b if need == low + 1 else a))
     return FloorReport(True, N)

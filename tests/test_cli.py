@@ -255,6 +255,20 @@ def test_domain_errors_are_input_errors(argv, payload, error, kind,
                                "kind": kind}
 
 
+@pytest.mark.parametrize("matrix", [[[2, 0], [0, 0]], [[1, -1], [0, 1]]],
+                         ids=["scaled", "unipotent"])
+def test_non_idempotent_matrix_is_an_input_error(matrix, tmp_path, capsys):
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps({"matrix": matrix}))
+    code = run(["--prime", "5", "idem", "--matrix", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out.count("\n") == 1
+    assert "Traceback" not in out + err
+    assert json.loads(out) == {"schema": "ha/1", "error": "e^2 != e mod p",
+                               "kind": "NotApproxIdempotent"}
+
+
 GOLDEN = {
     "xcomplex-14": '{"inputs": {"payload": "curve.json", "precision": 16, '
                    '"prime": 7, "seed": 0, "truncate": 14}, "passed": true, '

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from operator import add, sub
 
 import pytest
 
@@ -8,7 +9,8 @@ from hacalc.checks import (presentations, random_even_form,
                            suite_fedosov_growth, suite_tube_closure)
 from hacalc.ncforms import Form
 from hacalc.scalars import INF, PrimeConfig
-from hacalc.tube import (EvenForm, TubeParams, dm_member, fedosov_even,
+from hacalc.tube import (EvenForm, TubeParams, _shift_minimum,
+                         _split_minimum, dm_member, fedosov_even,
                          floor_estimates, jdegree, tube_member)
 
 POLY = AlgebraPresentation.polynomial()
@@ -68,6 +70,37 @@ def test_fedosov_even_examples():
 def test_floor_estimates():
     assert floor_estimates(50).ok
     assert floor_estimates(200).ok
+
+
+def _scan_floor_minima(m, N):
+    """The exhaustive minima behind floor_estimates at level m.
+
+    For n = 1..N: the min over 0 <= j < n of floor(j/m) + floor((n-1-j)/m)
+    and the first j attaining it; for a = 0..N//2: the min over
+    a <= b <= N - a of floor((a+b)/m) - floor(b/m) and the first b
+    attaining it.
+    """
+    F = [x // m for x in range(N + 1)]
+    split = []
+    for n in range(1, N + 1):
+        rhs = list(map(add, F[:n], F[n - 1::-1]))
+        low = min(rhs)
+        split.append((low, rhs.index(low)))
+    shift = []
+    for a in range(N // 2 + 1):
+        gaps = list(map(sub, F[2 * a:], F[a:]))
+        low = min(gaps)
+        shift.append((low, a + gaps.index(low)))
+    return split, shift
+
+
+@pytest.mark.parametrize("N", [51, 200])
+def test_floor_minima_against_scan(N):
+    for m in range(1, N + 1):
+        split, shift = _scan_floor_minima(m, N)
+        assert [_split_minimum(m, n) for n in range(1, N + 1)] == split, m
+        assert [_shift_minimum(m, a, N)
+                for a in range(N // 2 + 1)] == shift, m
 
 
 def test_tube_closure_suite():
