@@ -22,13 +22,11 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import dataclass, field
 from operator import add
 
 from .errors import ZeroElement
-
-INF = math.inf
+from .scalars import INF
 
 KINDS = ("free", "polynomial", "laurent", "plane_curve")
 

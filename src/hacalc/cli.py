@@ -241,7 +241,7 @@ def _dispatch(args, cfg) -> int:
         rep = h_dr(A, cfg, args.truncate)
         out = rep.as_dict()
         if A.kind == "laurent":
-            cross = crosscheck_loop_graph(cfg, args.truncate)
+            cross = crosscheck_loop_graph(cfg, rep)
             out["crosscheck"] = cross.ok
         return _report(args, "derham", out)
 

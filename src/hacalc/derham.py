@@ -2,9 +2,11 @@
 
 Three families are covered at finite truncation: the polynomial ring, the
 Laurent ring, and affine plane curves y^2 = f(x) with deg f = 3, f
-squarefree mod p, p >= 5.  Cohomology is read on a degree window with
-padding and certified by recomputation on a larger window; every division
-performed on the way is logged as a p-adic valuation loss.
+squarefree mod p, p >= 5.  All three are read on the padded Kahler window
+of :mod:`hacalc.ncforms`, a fraction-free elimination, and certified by
+recomputation on a larger window.  The valuation loss logs the divisions a
+rational reduction makes: the divisors n of d(t^n) on the polynomial and
+Laurent rings, the Bezout denominators of the curve classes.
 """
 
 from __future__ import annotations
@@ -16,13 +18,8 @@ from .algebra import AlgebraPresentation, int_entries
 from .errors import BadReduction, Mismatch
 from .graphs import DirectedGraph, ha_leavitt
 from .linalg import IntEchelon, kernel_basis
-from .ncforms import kahler_window, stable_read
+from .ncforms import PAD, kahler_window, stable_read
 from .scalars import PrimeConfig, _int_val, val
-
-#: Degrees added to the read window of the rank-one (polynomial, Laurent)
-#: route, whose valuation loss is read over that padded domain; curves
-#: read the Kahler window of :mod:`hacalc.ncforms`, padded by its PAD.
-PAD = 3
 
 
 @dataclass(frozen=True)
@@ -136,34 +133,6 @@ def cubic_discriminant(f_coeffs) -> int:
             - 27 * a3 ** 2 * a0 ** 2)
 
 
-def _rank_one_window(D: int, cfg: PrimeConfig, laurent: bool):
-    """Windowed kernel/cokernel of g dt <- d(t^m) = m t^{m-1} dt.
-
-    The map is diagonal on the monomial basis over a field of
-    characteristic zero, so coverage is counted directly: the read-window
-    class t^k dt is exact iff k + 1 is a nonzero exponent of the padded
-    domain window.
-    """
-    lo = -(D + PAD) if laurent else 0
-    domain = range(lo, D + PAD + 1)
-    # d(t^m) = m t^{m-1} dt vanishes only at m = 0 in characteristic zero
-    kernel = [m for m in range(-D if laurent else 0, D + 1) if m == 0]
-    read_lo = -D if laurent else 0
-    missed = [k for k in range(read_lo, D) if k + 1 == 0
-              or k + 1 not in domain]
-    loss = max((_int_val(abs(m), cfg.p) for m in domain if m),
-               default=0)
-    reps1 = tuple("dt/t" if k == -1 else f"t^{k} dt" for k in missed)
-    return len(kernel), len(missed), reps1, loss
-
-
-def _h_rank_one(D: int, cfg: PrimeConfig, laurent: bool):
-    h0, h1, reps1, loss = stable_read(
-        lambda reads: {R: _rank_one_window(R, cfg, laurent)
-                       for R in reads}, D)
-    return CohomologyReport(h0, h1, ("1",), reps1, D, True, loss)
-
-
 def _curve_reps(A: AlgebraPresentation, reduce, cfg):
     """The classes x^j dx/y = x^j (u y dx + 2 v dy), j = 0, 1.
 
@@ -216,31 +185,36 @@ def h_dr(A: AlgebraPresentation, cfg: PrimeConfig,
          D: int) -> CohomologyReport:
     """De Rham cohomology (h0, h1) of the dagger model at truncation D.
 
-    Plane curves require y^2 = f(x) with deg f = 3, p >= 5, and p not
-    dividing disc(f) (else :class:`BadReduction`); the dimensions are
-    certified by :func:`stable_read`: the rank-one rings on windows
-    padded by PAD, curves on :func:`~hacalc.ncforms.kahler_window`.
+    Every kind is read on :func:`~hacalc.ncforms.kahler_window` and
+    certified by :func:`stable_read`.  On the polynomial and Laurent rings
+    each non-pivot column t^k dt is a class ("dt/t" for k = -1), and the
+    valuation loss is the largest v_p(n) of a divisor of d(t^n) = n t^(n-1)
+    dt over the window's padded domain 1 <= n <= D + PAD.  Plane curves
+    require y^2 = f(x) with deg f = 3, p >= 5, and p not dividing disc(f)
+    (else :class:`BadReduction`).
     """
-    if A.kind == "polynomial":
-        if len(A.generators) != 1:
-            raise ValueError("one-variable polynomial rings only")
-        return _h_rank_one(D, cfg, laurent=False)
-    if A.kind == "laurent":
-        return _h_rank_one(D, cfg, laurent=True)
-    if A.kind != "plane_curve":
+    if A.kind == "polynomial" and len(A.generators) != 1:
+        raise ValueError("one-variable polynomial rings only")
+    if A.kind == "plane_curve":
+        if A.curve_fdeg != 3:
+            raise ValueError("curves must have deg f = 3")
+        if cfg.p < 5:
+            raise BadReduction("p >= 5 required")
+        disc = cubic_discriminant(A.f_coeffs)
+        if disc % cfg.p == 0:
+            raise BadReduction(f"p = {cfg.p} divides disc(f) = {disc}")
+    elif A.kind not in ("polynomial", "laurent"):
         raise ValueError("unsupported presentation for de Rham reduction")
-    if A.curve_fdeg != 3:
-        raise ValueError("curves must have deg f = 3")
-    if cfg.p < 5:
-        raise BadReduction("p >= 5 required")
-    disc = cubic_discriminant(A.f_coeffs)
-    if disc % cfg.p == 0:
-        raise BadReduction(f"p = {cfg.p} divides disc(f) = {disc}")
-    h0, h1, _, _, reduce = stable_read(
+    h0, h1, _, cols, reduce = stable_read(
         lambda reads: kahler_window(A, reads), D)
-    reps1, bezout_loss = _curve_reps(A, reduce, cfg)
-    # fraction-free elimination introduces no denominators at all
-    return CohomologyReport(h0, h1, ("1",), reps1, D, True, bezout_loss)
+    if A.kind == "plane_curve":
+        # fraction-free elimination introduces no denominators at all
+        reps1, loss = _curve_reps(A, reduce, cfg)
+    else:
+        reps1 = tuple("dt/t" if h == (-1,) else f"t^{h[0]} dt"
+                      for h, _ in cols)
+        loss = max(_int_val(n, cfg.p) for n in range(1, D + PAD + 1))
+    return CohomologyReport(h0, h1, ("1",), reps1, D, True, loss)
 
 
 @dataclass(frozen=True)
@@ -250,14 +224,15 @@ class CrosscheckReport:
     ok: bool
 
 
-def crosscheck_loop_graph(cfg: PrimeConfig, D: int) -> CrosscheckReport:
+def crosscheck_loop_graph(cfg: PrimeConfig,
+                          dr: CohomologyReport) -> CrosscheckReport:
     """Two independent computations of the loop-graph invariants.
 
-    The one-vertex one-loop graph on the path-algebra side and the
-    Laurent presentation on the de Rham side must both give (1, 1).
+    The one-vertex one-loop graph on the path-algebra side (Smith normal
+    form) and ``dr``, the Laurent ring's :func:`h_dr` report (elimination
+    on the Kahler window), must both give (1, 1).
     """
     res = ha_leavitt(DirectedGraph.loop(), cfg)
-    dr = h_dr(AlgebraPresentation.laurent(), cfg, D)
     dims_g = (res.dim_ha0, res.dim_ha1)
     dims_d = (dr.h0, dr.h1)
     if dims_g != dims_d or dims_g != (1, 1):

@@ -15,7 +15,8 @@ the module of Kahler differentials, because [x, y dz] expands to the
 Leibniz rule (Cuntz-Quillen 1995; Loday, Cyclic Homology 1.3).  The
 homology is therefore read on a Kahler window (:func:`kahler_window`):
 1-forms h dw with w a letter, modulo the Leibniz defects of the
-presentation.  The de Rham route for curves reads the same window.
+presentation.  The de Rham route (:func:`hacalc.derham.h_dr`) reads the
+same window for the polynomial ring, the Laurent ring and curves.
 """
 
 from __future__ import annotations
@@ -353,19 +354,6 @@ def commutator_vectors(A: AlgebraPresentation, bound: int):
                     yield vec
 
 
-def _window_sort_key(A, key_tuple):
-    """Order for windowed rank counting: total degree strictly descending.
-
-    With this order the columns of degree <= R form a suffix for every R,
-    so a single elimination serves all read bounds at once.
-    """
-    head, *slots = key_tuple
-    total = A.degree(head) + sum(A.degree(s) for s in slots)
-    slotdeg = sum(A.degree(s) for s in slots)
-    return (-total, -slotdeg,
-            tuple(A.sort_key(s) for s in slots), A.sort_key(head))
-
-
 class CommutatorQuotient:
     """Canonical representatives in Omega^1 modulo the commutator span.
 
@@ -491,7 +479,8 @@ def kahler_window(A: AlgebraPresentation, reads: list) -> dict:
 
     The columns are the 1-forms h dw, w a letter of ``word_of``'s
     alphabet, of total degree <= max(reads) + PAD, in descending total
-    degree, so the degree-<=R columns form a suffix for each read bound R.
+    degree, then by letter and head (``sort_key``), so the degree-<=R
+    columns form a suffix for each read bound R.
     The rows are h rho(a, b) and d(s) for every monomial h, s of the
     window; a column a row reaches beyond the window is placed ahead of
     all others, so it never becomes a read pivot.  Each read bound R maps
@@ -508,11 +497,15 @@ def kahler_window(A: AlgebraPresentation, reads: list) -> dict:
     monos = A.monomials_up_to(big)
     letters = sorted({w for s in A.monomials_up_to(1) for w in A.word_of(s)},
                      key=A.sort_key)
-    tuples = [(h, w) for h in monos for w in letters
-              if A.degree(h) + A.degree(w) <= big]
-    tuples.sort(key=lambda t: _window_sort_key(A, t))
+    by_deg = [[] for _ in range(big + 1)]
+    for h in monos:  # sorted by sort_key, so each bucket is too
+        by_deg[A.degree(h)].append(h)
+    tuples, totdeg = [], []
+    for d in range(big - 1, -1, -1):  # letters have degree 1
+        for w in letters:
+            tuples += [(h, w) for h in by_deg[d]]
+            totdeg += [d + 1] * len(by_deg[d])
     col_of = {t: i for i, t in enumerate(tuples)}
-    totdeg = [-_window_sort_key(A, t)[0] for t in tuples]
 
     def vec(terms):
         out = {}

@@ -429,6 +429,21 @@ def test_derham_subcommand(laurent_file, capsys):
     assert out["results"]["crosscheck"] is True
 
 
+def test_derham_laurent_truncate_one_is_unstable(laurent_file, capsys):
+    # the read at D = 1 cannot see t^-1 dt, of filtration degree 2
+    argv = ["--prime", "7", "derham", "--algebra", laurent_file,
+            "--truncate", "1"]
+    outs = []
+    for _ in range(2):
+        assert run(argv) == 1
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert outs[0].count("\n") == 1
+    assert json.loads(outs[0]) == {
+        "schema": "ha/1", "kind": "Unstable",
+        "error": "dims (1, 0) at D=1 vs (1, 1) at D=6"}
+
+
 def test_keys_sorted(loop_file, capsys):
     run(["--prime", "5", "graph", loop_file])
     raw = capsys.readouterr().out

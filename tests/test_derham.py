@@ -8,7 +8,7 @@ from hacalc.algebra import AlgebraPresentation
 from hacalc.derham import (OverconvergentSeries,
                            crosscheck_loop_graph, cubic_discriminant, h_dr,
                            integrate_series, reduce_laurent_form)
-from hacalc.errors import BadReduction
+from hacalc.errors import BadReduction, Mismatch
 from hacalc.ncforms import PAD, xcomplex_homology
 from hacalc.scalars import PrimeConfig
 
@@ -183,8 +183,13 @@ def test_h_dr_curve_matches_dense_oracle():
 
 @pytest.mark.parametrize("p", [5, 7, 11])
 def test_crosscheck_loop_graph(p):
-    rep = crosscheck_loop_graph(PrimeConfig(p), 20)
+    cfg = PrimeConfig(p)
+    rep = crosscheck_loop_graph(
+        cfg, h_dr(AlgebraPresentation.laurent(), cfg, 20))
     assert rep.ok and rep.dims_graph == (1, 1)
+    with pytest.raises(Mismatch, match=r"graph \(1, 1\) vs de Rham \(1, 0\)"):
+        crosscheck_loop_graph(
+            cfg, h_dr(AlgebraPresentation.polynomial(), cfg, 20))
 
 
 def test_second_curve_both_routes():

@@ -354,13 +354,21 @@ def test_xcomplex_curve_reps_golden():
     assert rep.reps1 == ("x*y d(x)", "y d(x)")
 
 
+def _window_sort_key(A, key_tuple):
+    """Reference column order: total degree strictly descending, then slot
+    degree, slots and head, each by ``sort_key``."""
+    head, *slots = key_tuple
+    total = A.degree(head) + sum(A.degree(s) for s in slots)
+    slotdeg = sum(A.degree(s) for s in slots)
+    return (-total, -slotdeg,
+            tuple(A.sort_key(s) for s in slots), A.sort_key(head))
+
+
 def test_xcomplex_curve_expected_classes():
     """dx/y = u y dx + 2 v dy with u f + v f' = 1 and its x-multiple are
     independent nonzero classes in the computed quotient."""
     from hacalc.derham import _poly_bezout
     from hacalc.linalg import IntEchelon, _clear_denominators
-    from hacalc.ncforms import _window_sort_key, commutator_vectors
-
     A, D = CURVE, 12
     big = D + 2
     tuples = sorted(one_form_tuples(A, big),
