@@ -292,6 +292,17 @@ GOLDEN = {
                     '"max_bad_degree": null, "ok": true, "order": 3, '
                     '"pairs": 85}, "schema": "ha/1", "subcommand": "lift", '
                     '"version": "0.1.0"}\n',
+    "lift-free": '{"inputs": {"payload": "free.json", "precision": 16, '
+                 '"prime": 5, "seed": 0, "truncate": null}, "passed": true, '
+                 '"results": {"degree_constant": 0, "max_bad_degree": null, '
+                 '"ok": true, "order": 3, "pairs": 516}, "schema": "ha/1", '
+                 '"subcommand": "lift", "version": "0.1.0"}\n',
+    "lift-laurent-4": '{"inputs": {"payload": "laurent.json", "precision": '
+                      '16, "prime": 5, "seed": 0, "truncate": null}, '
+                      '"passed": true, "results": {"degree_constant": 2, '
+                      '"max_bad_degree": null, "ok": true, "order": 4, '
+                      '"pairs": 145}, "schema": "ha/1", "subcommand": '
+                      '"lift", "version": "0.1.0"}\n',
     "check-p5": '{"inputs": {"payload": null, "precision": 16, "prime": 5, '
                 '"seed": 0, "truncate": null}, "passed": true, "results": '
                 '{"diam": {"checks": 10, "detail": "", "name": "diam", '
@@ -347,6 +358,12 @@ README_RUNS = {
                   ["lift", "--order", "3", "--cap", "6", "--prime", "5"]),
     "lift-laurent": ("laurent.json", {"kind": "laurent", "generators": ["t"]},
                      ["lift", "--order", "3", "--cap", "6", "--prime", "5"]),
+    "lift-free": ("free.json", {"kind": "free", "generators": ["a", "b"]},
+                  ["lift", "--order", "3", "--cap", "6", "--prime", "5"]),
+    "lift-laurent-4": ("laurent.json",
+                       {"kind": "laurent", "generators": ["t"]},
+                       ["lift", "--order", "4", "--cap", "8", "--prime",
+                        "5"]),
     "check-p5": (None, None, ["check", "--prime", "5", "--samples", "200"]),
     "check-p7-seed3": (None, None, ["--prime", "7", "--seed", "3", "check",
                                     "--samples", "100"]),
@@ -359,7 +376,8 @@ README_RUNS = {
 
 @pytest.mark.parametrize("key", list(GOLDEN))
 def test_readme_curve_report_bytes(key, tmp_path, monkeypatch, capsys):
-    """The exact stdout of the README's curve, lift and check commands."""
+    """The exact stdout of the README's curve, lift and check commands,
+    and of two larger lifting towers."""
     name, payload, argv = README_RUNS[key]
     if name is not None:
         (tmp_path / name).write_text(json.dumps(payload))
