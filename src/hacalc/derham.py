@@ -187,11 +187,12 @@ def h_dr(A: AlgebraPresentation, cfg: PrimeConfig,
 
     Every kind is read on :func:`~hacalc.ncforms.kahler_window` and
     certified by :func:`stable_read`.  On the polynomial and Laurent rings
-    each non-pivot column t^k dt is a class ("dt/t" for k = -1), and the
-    valuation loss is the largest v_p(n) of a divisor of d(t^n) = n t^(n-1)
-    dt over the window's padded domain 1 <= n <= D + PAD.  Plane curves
-    require y^2 = f(x) with deg f = 3, p >= 5, and p not dividing disc(f)
-    (else :class:`BadReduction`).
+    each non-pivot column t^k dt is a class ("dt/t" for k = -1, written
+    in the payload's generator), and the valuation loss is the largest
+    v_p(n) of a divisor of d(t^n) = n t^(n-1) dt over the window's padded
+    domain 1 <= n <= D + PAD.  Plane curves require y^2 = f(x) with
+    deg f = 3, p >= 5, and p not dividing disc(f) (else
+    :class:`BadReduction`).
     """
     if A.kind == "polynomial" and len(A.generators) != 1:
         raise ValueError("one-variable polynomial rings only")
@@ -211,7 +212,8 @@ def h_dr(A: AlgebraPresentation, cfg: PrimeConfig,
         # fraction-free elimination introduces no denominators at all
         reps1, loss = _curve_reps(A, reduce, cfg)
     else:
-        reps1 = tuple("dt/t" if h == (-1,) else f"t^{h[0]} dt"
+        t = A.generators[0]
+        reps1 = tuple(f"d{t}/{t}" if h == (-1,) else f"{t}^{h[0]} d{t}"
                       for h, _ in cols)
         loss = max(_int_val(n, cfg.p) for n in range(1, D + PAD + 1))
     return CohomologyReport(h0, h1, ("1",), reps1, D, True, loss)

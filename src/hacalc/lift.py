@@ -131,14 +131,18 @@ def hochschild_delta(psi: Cochain) -> Cochain:
         for z in A.monomials_up_to(bound - A.degree(x) - A.degree(y))}, bound)
 
 
-def curvature(f: Cochain, x: tuple, y: tuple) -> MixedForm:
+def curvature(f: Cochain, x: tuple, y: tuple, below=None) -> MixedForm:
     """f(xy) - f(x) (.) f(y), the obstruction to multiplicativity.
 
     The target carries the Fedosov product, under which degree-0 forms
-    multiply as in the algebra.
+    multiply as in the algebra.  With ``below`` only the components of
+    degree < below are returned (see :func:`fedosov_mixed`).
     """
     A = f.presentation
-    return _extend(A, f, A.mul_monomials(x, y)) - fedosov_mixed(f(x), f(y))
+    ext = _extend(A, f, A.mul_monomials(x, y))
+    if below is not None:
+        ext = MixedForm(A, {k: g for k, g in ext.parts.items() if k < below})
+    return ext - fedosov_mixed(f(x), f(y), below)
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +345,10 @@ def section_curvature_check(tower: LiftingTower, n: int,
     """Check phi_{<=2n} is a section whose curvature starts in degree
     2(n+1).
 
+    Only the curvature's components below degree 2(n+1) are computed.
+    That is exact: a Fedosov product of forms of degrees i and j lives in
+    degrees i+j and i+j+2, and each is built from its own product alone.
+
     Also measures the filtration constant a with
     phi_{2k}(F_i) <= F_{i+(2k-1)a} of the even forms.
     """
@@ -348,8 +356,8 @@ def section_curvature_check(tower: LiftingTower, n: int,
     sigma = Cochain.from_function(A, 1, partial(tower.section, n), cap)
     pairs = _pairs(A, cap)
     bad = max((deg for x, y in pairs
-               for deg in curvature(sigma, x, y).degrees()
-               if deg < 2 * (n + 1)), default=None)
+               for deg in curvature(sigma, x, y, 2 * (n + 1)).degrees()),
+              default=None)
     a = 0
     for k in range(1, n + 1):
         for m in A.monomials_up_to(cap):

@@ -243,23 +243,33 @@ class MixedForm:
         return joined.replace("+ -", "- ")
 
 
-def fedosov(omega: Form, eta: Form) -> MixedForm:
+def fedosov(omega: Form, eta: Form, below=None) -> MixedForm:
     """Fedosov product of homogeneous forms.
 
     xi (.) eta = xi eta - (-1)^{ij} d(xi) d(eta); the two components live
-    in degrees i+j and i+j+2.
+    in degrees i+j and i+j+2.  With ``below`` only the components of
+    degree < below are computed and returned.  The truncation is exact:
+    xi eta is the whole of degree i+j and d(xi) d(eta) the whole of
+    degree i+j+2, so a kept component is built as in the full product.
     """
     i, j = omega.degree, eta.degree
-    sign = -1 if (i * j) % 2 else 1
-    low = form_multiply(omega, eta)
-    high = form_multiply(differential(omega), differential(eta))
-    return MixedForm(omega.presentation,
-                     {i + j: low, i + j + 2: high.scale(-sign)})
+    parts = {}
+    if below is None or i + j < below:
+        parts[i + j] = form_multiply(omega, eta)
+    if below is None or i + j + 2 < below:
+        sign = -1 if (i * j) % 2 else 1
+        high = form_multiply(differential(omega), differential(eta))
+        parts[i + j + 2] = high.scale(-sign)
+    return MixedForm(omega.presentation, parts)
 
 
-def fedosov_mixed(a: MixedForm, b: MixedForm) -> MixedForm:
+def fedosov_mixed(a: MixedForm, b: MixedForm, below=None) -> MixedForm:
+    """The Fedosov product extended to mixed forms; with ``below``, only
+    its components of degree < below (see :func:`fedosov`)."""
     return MixedForm.sum(a.presentation, (
-        fedosov(fa, fb) for fa in a.parts.values() for fb in b.parts.values()))
+        fedosov(fa, fb, below)
+        for i, fa in a.parts.items() for j, fb in b.parts.items()
+        if below is None or i + j < below))
 
 
 def mixed_multiply(a: MixedForm, b: MixedForm) -> MixedForm:

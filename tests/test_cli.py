@@ -447,6 +447,18 @@ def test_derham_subcommand(laurent_file, capsys):
     assert out["results"]["crosscheck"] is True
 
 
+def test_derham_names_the_class_after_the_generator(tmp_path, capsys):
+    path = tmp_path / "laurent_s.json"
+    path.write_text(json.dumps({"kind": "laurent", "generators": ["s"]}))
+    reps = {}
+    for command in ("derham", "xcomplex"):
+        code = run(["--prime", "7", command, "--algebra", str(path)])
+        reps[command] = json.loads(capsys.readouterr().out)["results"]
+        assert code == 0
+    assert reps["derham"]["reps1"] == ["ds/s"]
+    assert reps["xcomplex"]["reps"] == ["s^-1 d(s)"]
+
+
 def test_derham_laurent_truncate_one_is_unstable(laurent_file, capsys):
     # the read at D = 1 cannot see t^-1 dt, of filtration degree 2
     argv = ["--prime", "7", "derham", "--algebra", laurent_file,

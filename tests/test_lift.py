@@ -1,14 +1,16 @@
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
 from hacalc.algebra import AlgebraPresentation
 from hacalc.errors import InvalidConnection, NotApproxIdempotent
-from hacalc.lift import (Connection, Cochain, cup, curvature, d_cochain,
-                         connection_extend, hochschild_delta,
-                         identity_cochain, lift_idempotent,
-                         phi_psi_recursion, section_curvature_check)
+from hacalc.lift import (Connection, Cochain, LiftingTower, _pairs, cup,
+                         curvature, d_cochain, connection_extend,
+                         hochschild_delta, identity_cochain,
+                         lift_idempotent, phi_psi_recursion,
+                         section_curvature_check)
 from hacalc.ncforms import Form, MixedForm, form_multiply
 from hacalc.scalars import PrimeConfig
 
@@ -29,6 +31,10 @@ def test_curvature_examples():
     assert curvature(ev, T, T).is_zero()
     # the degree-0 truncation sigma = id has curvature dt dt at (t, t)
     assert curvature(idc, T, T).component(2) == DTDT
+    # below keeps only the degrees under it, of both terms
+    assert curvature(idc, T, T, 0).is_zero()
+    assert curvature(idc, T, T, 2).is_zero()
+    assert curvature(idc, T, T, 3) == MixedForm.of(DTDT)
 
 
 def test_hochschild_delta_basics():
@@ -106,6 +112,23 @@ def test_section_curvature_orders(A):
     a_small = section_curvature_check(tower, 3, 4).degree_constant
     a_big = section_curvature_check(tower, 3, 6).degree_constant
     assert a_small <= a_big
+
+
+@pytest.mark.parametrize("A", [POLY, LAURENT], ids=["polynomial", "laurent"])
+def test_truncated_check_finds_a_planted_sign_defect(A):
+    """The tower with the sign the recursion rejects has curvature below
+    2(n+1); the truncated check reports the degree the full curvature
+    shows there."""
+    good = phi_psi_recursion(Connection(A), 1, 6)
+    bad = LiftingTower(Connection(A), -good.sign)
+    for n in (1, 2, 3):
+        rep = section_curvature_check(bad, n, 6)
+        sigma = Cochain.from_function(A, 1, partial(bad.section, n), 6)
+        want = max((deg for x, y in _pairs(A, 6)
+                    for deg in curvature(sigma, x, y).degrees()
+                    if deg < 2 * (n + 1)), default=None)
+        assert want is not None, n
+        assert (rep.ok, rep.max_bad_degree) == (False, want), n
 
 
 def test_invalid_connection_plane_curve():
