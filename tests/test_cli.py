@@ -346,24 +346,67 @@ GOLDEN = {
                        '"detail": "", "name": "floors", "passed": true}}, '
                        '"schema": "ha/1", "subcommand": "check", '
                        '"version": "0.1.0"}\n',
+    "graph-3": '{"inputs": {"payload": "graph3.json", "precision": 16, '
+               '"prime": 5, "seed": 0, "truncate": null}, "passed": true, '
+               '"results": {"ha0": 1, "ha1": 1, "snf": [1, 1, 0]}, '
+               '"schema": "ha/1", "subcommand": "graph", "version": '
+               '"0.1.0"}\n',
+    "graph-3-cohn": '{"inputs": {"payload": "graph3.json", "precision": '
+                    '16, "prime": 5, "seed": 0, "truncate": null}, '
+                    '"passed": true, "results": {"ha0": 3, "ha1": 0, '
+                    '"snf": []}, "schema": "ha/1", "subcommand": "graph", '
+                    '"version": "0.1.0"}\n',
+    "derham-laurent-20": '{"inputs": {"payload": "laurent.json", '
+                         '"precision": 16, "prime": 7, "seed": 0, '
+                         '"truncate": 20}, "passed": true, "results": '
+                         '{"crosscheck": true, "h0": 1, "h1": 1, "reps0": '
+                         '["1"], "reps1": ["dt/t"], "stable": true, '
+                         '"truncation": 20, "valuation_loss": 1}, '
+                         '"schema": "ha/1", "subcommand": "derham", '
+                         '"version": "0.1.0"}\n',
+    "tube-growth-p5": '{"inputs": {"payload": null, "precision": 16, '
+                      '"prime": 5, "seed": 0, "truncate": null}, "passed": '
+                      'true, "results": {"checks": 30, "detail": "", '
+                      '"name": "fedosov-growth", "passed": true}, '
+                      '"schema": "ha/1", "subcommand": "tube", "version": '
+                      '"0.1.0"}\n',
+    "groebner-witness": '{"inputs": {"payload": "ideal.json", "precision": '
+                        '16, "prime": 5, "seed": 0, "truncate": null}, '
+                        '"passed": true, "results": {"basis": ["3*x1", '
+                        '"2*x0", "x0*x1"], "witness": {"failures": 0, '
+                        '"max_shift": 0, "samples": 500}}, "schema": '
+                        '"ha/1", "subcommand": "groebner", "version": '
+                        '"0.1.0"}\n',
 }
 
 
+POLY = {"kind": "polynomial", "generators": ["t"]}
+LAURENT = {"kind": "laurent", "generators": ["t"]}
+GRAPH3 = {"vertices": ["u", "v", "w"],
+          "edges": [{"s": "u", "r": "u"}, {"s": "u", "r": "v"},
+                    {"s": "v", "r": "u"}, {"s": "v", "r": "w"},
+                    {"s": "w", "r": "v"}, {"s": "w", "r": "w"}]}
+IDEAL_XY = {"vars": ["x", "y"],
+            "gens": [[{"e": [1, 0], "c": 2}], [{"e": [0, 1], "c": 3}]]}
+LIFT3 = ["--order", "3", "--cap", "6", "--prime", "5"]
+
+# key: (payload file name, payload, argv naming that file)
 README_RUNS = {
     "xcomplex-14": ("curve.json", CURVE,
-                    ["xcomplex", "--truncate", "14", "--prime", "7"]),
+                    ["xcomplex", "--algebra", "curve.json", "--truncate",
+                     "14", "--prime", "7"]),
     "derham-20": ("curve.json", CURVE,
-                  ["derham", "--truncate", "20", "--prime", "7"]),
-    "lift-poly": ("poly.json", {"kind": "polynomial", "generators": ["t"]},
-                  ["lift", "--order", "3", "--cap", "6", "--prime", "5"]),
-    "lift-laurent": ("laurent.json", {"kind": "laurent", "generators": ["t"]},
-                     ["lift", "--order", "3", "--cap", "6", "--prime", "5"]),
+                  ["derham", "--algebra", "curve.json", "--truncate", "20",
+                   "--prime", "7"]),
+    "lift-poly": ("poly.json", POLY,
+                  ["lift", "--algebra", "poly.json"] + LIFT3),
+    "lift-laurent": ("laurent.json", LAURENT,
+                     ["lift", "--algebra", "laurent.json"] + LIFT3),
     "lift-free": ("free.json", {"kind": "free", "generators": ["a", "b"]},
-                  ["lift", "--order", "3", "--cap", "6", "--prime", "5"]),
-    "lift-laurent-4": ("laurent.json",
-                       {"kind": "laurent", "generators": ["t"]},
-                       ["lift", "--order", "4", "--cap", "8", "--prime",
-                        "5"]),
+                  ["lift", "--algebra", "free.json"] + LIFT3),
+    "lift-laurent-4": ("laurent.json", LAURENT,
+                       ["lift", "--algebra", "laurent.json", "--order", "4",
+                        "--cap", "8", "--prime", "5"]),
     "check-p5": (None, None, ["check", "--prime", "5", "--samples", "200"]),
     "check-p7-seed3": (None, None, ["--prime", "7", "--seed", "3", "check",
                                     "--samples", "100"]),
@@ -371,17 +414,28 @@ README_RUNS = {
                                     "5"]),
     "check-floors-p5": (None, None, ["--prime", "5", "check", "--suite",
                                      "floors"]),
+    "graph-3": ("graph3.json", GRAPH3,
+                ["--prime", "5", "graph", "graph3.json"]),
+    "graph-3-cohn": ("graph3.json", GRAPH3,
+                     ["--prime", "5", "graph", "graph3.json", "--cohn"]),
+    "derham-laurent-20": ("laurent.json", LAURENT,
+                          ["derham", "--algebra", "laurent.json",
+                           "--truncate", "20", "--prime", "7"]),
+    "tube-growth-p5": (None, None, ["--prime", "5", "tube", "--check",
+                                    "growth", "--samples", "5"]),
+    "groebner-witness": ("ideal.json", IDEAL_XY,
+                         ["groebner", "ideal.json", "--witness", "500",
+                          "--prime", "5"]),
 }
 
 
 @pytest.mark.parametrize("key", list(GOLDEN))
 def test_readme_curve_report_bytes(key, tmp_path, monkeypatch, capsys):
-    """The exact stdout of the README's curve, lift and check commands,
-    and of two larger lifting towers."""
+    """The exact stdout of the README's commands, of two larger lifting
+    towers, of a three-vertex graph and of the Fedosov growth check."""
     name, payload, argv = README_RUNS[key]
     if name is not None:
         (tmp_path / name).write_text(json.dumps(payload))
-        argv = argv[:1] + ["--algebra", name] + argv[1:]
     monkeypatch.chdir(tmp_path)
     code = run(argv)
     assert code == 0
