@@ -27,10 +27,6 @@ class CheckResult:
     checks: int
     detail: str = ""
 
-    def as_dict(self):
-        return {"name": self.name, "passed": self.passed,
-                "checks": self.checks, "detail": self.detail}
-
 
 def presentations() -> dict:
     return {

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 from . import __version__, checks
 from .algebra import AlgebraPresentation, json_list
@@ -28,29 +28,15 @@ SUITES = ("scalars", "floors", "diam", "forms", "xcomplex", "tube",
           "fedosov", "groebner", "all")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Echo of the global inputs carried into every report."""
-
-    prime: int
-    precision: int
-    truncate: int | None
-    seed: int
-    payload: str | None
-
-    @classmethod
-    def from_args(cls, args) -> "RunConfig":
-        return cls(args.prime, args.precision,
-                   getattr(args, "truncate", None), args.seed,
-                   getattr(args, "payload", None))
-
-
 def _report(args, subcommand: str, results: dict, passed: bool = True):
     doc = {
         "schema": "ha/1",
         "version": __version__,
         "subcommand": subcommand,
-        "inputs": asdict(RunConfig.from_args(args)),
+        "inputs": {"prime": args.prime, "precision": args.precision,
+                   "truncate": getattr(args, "truncate", None),
+                   "seed": args.seed,
+                   "payload": getattr(args, "payload", None)},
         "results": results,
         "passed": passed,
     }
@@ -175,7 +161,7 @@ def _dispatch(args, cfg) -> int:
                 f"--{flag} must be >= 0, got {getattr(args, flag)}")
     if args.command == "graph":
         g = DirectedGraph.from_json(_load_object(args.payload))
-        res = ha_cohn(g, cfg) if args.cohn else ha_leavitt(g, cfg)
+        res = ha_cohn(g) if args.cohn else ha_leavitt(g)
         return _report(args, "graph", res.as_dict())
 
     if args.command == "xcomplex":
@@ -197,7 +183,7 @@ def _dispatch(args, cfg) -> int:
                     _load_object(args.payload))
             res = checks.suite_tube_closure(cfg, args.samples, args.seed,
                                             max_level=args.level, only=only)
-        return _report(args, "tube", res.as_dict(), res.passed)
+        return _report(args, "tube", asdict(res), res.passed)
 
     if args.command == "lift":
         A = AlgebraPresentation.from_json(_load_object(args.payload))
@@ -241,13 +227,13 @@ def _dispatch(args, cfg) -> int:
         rep = h_dr(A, cfg, args.truncate)
         out = rep.as_dict()
         if A.kind == "laurent":
-            cross = crosscheck_loop_graph(cfg, rep)
+            cross = crosscheck_loop_graph(rep)
             out["crosscheck"] = cross.ok
         return _report(args, "derham", out)
 
     if args.command == "check":
         picked = _run_suites(args, cfg)
-        results = {r.name: r.as_dict() for r in picked}
+        results = {r.name: asdict(r) for r in picked}
         return _report(args, "check", results,
                        all(r.passed for r in picked))
     raise ValueError(f"unknown command {args.command}")

@@ -18,7 +18,7 @@ from .algebra import AlgebraPresentation, int_entries
 from .errors import BadReduction, Mismatch
 from .graphs import DirectedGraph, ha_leavitt
 from .linalg import IntEchelon, kernel_basis
-from .ncforms import PAD, kahler_window, stable_read
+from .ncforms import PAD, stable_read
 from .scalars import PrimeConfig, _int_val, val
 
 
@@ -35,7 +35,6 @@ class OverconvergentSeries:
     m: int
     f: int
     laurent: bool = False
-    p: int = 2
 
     @classmethod
     def make(cls, coeffs: dict, window: int, m: int, f: int,
@@ -45,7 +44,7 @@ class OverconvergentSeries:
         int_entries(coeffs, "series exponents")
         items = tuple(sorted((n, Fraction(c)) for n, c in coeffs.items()
                              if c))
-        s = cls(items, window, m, f, laurent, cfg.p)
+        s = cls(items, window, m, f, laurent)
         s.verify(cfg)
         return s
 
@@ -206,8 +205,7 @@ def h_dr(A: AlgebraPresentation, cfg: PrimeConfig,
             raise BadReduction(f"p = {cfg.p} divides disc(f) = {disc}")
     elif A.kind not in ("polynomial", "laurent"):
         raise ValueError("unsupported presentation for de Rham reduction")
-    h0, h1, _, cols, reduce = stable_read(
-        lambda reads: kahler_window(A, reads), D)
+    h0, h1, _, cols, reduce = stable_read(A, D)
     if A.kind == "plane_curve":
         # fraction-free elimination introduces no denominators at all
         reps1, loss = _curve_reps(A, reduce, cfg)
@@ -226,15 +224,14 @@ class CrosscheckReport:
     ok: bool
 
 
-def crosscheck_loop_graph(cfg: PrimeConfig,
-                          dr: CohomologyReport) -> CrosscheckReport:
+def crosscheck_loop_graph(dr: CohomologyReport) -> CrosscheckReport:
     """Two independent computations of the loop-graph invariants.
 
     The one-vertex one-loop graph on the path-algebra side (Smith normal
     form) and ``dr``, the Laurent ring's :func:`h_dr` report (elimination
     on the Kahler window), must both give (1, 1).
     """
-    res = ha_leavitt(DirectedGraph.loop(), cfg)
+    res = ha_leavitt(DirectedGraph.loop())
     dims_g = (res.dim_ha0, res.dim_ha1)
     dims_d = (dr.h0, dr.h1)
     if dims_g != dims_d or dims_g != (1, 1):

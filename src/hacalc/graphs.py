@@ -16,7 +16,6 @@ import json
 from dataclasses import dataclass, field
 
 from .algebra import json_list
-from .scalars import PrimeConfig
 
 
 @dataclass(frozen=True)
@@ -177,7 +176,7 @@ class HAResult:
                 "snf": list(self.snf_invariants)}
 
 
-def ha_leavitt(g: DirectedGraph, cfg: PrimeConfig | None = None) -> HAResult:
+def ha_leavitt(g: DirectedGraph) -> HAResult:
     """Even/odd dimensions coker(N_E), ker(N_E) over the fraction field."""
     ne = incidence_NE(g)
     diag = snf_diagonal(ne.matrix)
@@ -186,6 +185,6 @@ def ha_leavitt(g: DirectedGraph, cfg: PrimeConfig | None = None) -> HAResult:
                     len(ne.col_vertices) - rank, diag)
 
 
-def ha_cohn(g: DirectedGraph, cfg: PrimeConfig | None = None) -> HAResult:
+def ha_cohn(g: DirectedGraph) -> HAResult:
     """One even dimension per vertex, nothing odd."""
     return HAResult(len(g.vertices), 0, ())

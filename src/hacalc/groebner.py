@@ -180,7 +180,6 @@ class DivisionCertificate:
 @dataclass(frozen=True)
 class StrongGB:
     polys: tuple
-    order: str = "deglex"
 
 
 def _strong_reduce(p: IntPoly, basis: list) -> tuple:
@@ -336,8 +335,9 @@ def _random_poly(nvars, max_deg, rng) -> IntPoly:
     terms = {}
     for _ in range(rng.randint(1, 3)):
         e = [0] * nvars
-        for _ in range(rng.randint(0, max_deg)):
-            e[rng.randrange(nvars)] += 1
+        if nvars:  # a constant has no exponents to draw
+            for _ in range(rng.randint(0, max_deg)):
+                e[rng.randrange(nvars)] += 1
         terms[tuple(e)] = terms.get(tuple(e), 0) + rng.randint(-3, 3)
     return IntPoly(nvars, terms)
 

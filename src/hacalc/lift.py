@@ -1,11 +1,10 @@
 """Connections, Hochschild cochain calculus, and multiplicative liftings.
 
-A connection is given on the differentials of the alphabet (generators,
-plus the formal inverse for laurent presentations) and extended by
-nabla(d(uv)) = nabla(du) v + du dv + u nabla(dv).  From it the recursion
-builds 1-cochains phi_0, phi_2, phi_4, ... whose partial sums are linear
-sections of the projection from even forms back to the algebra with
-curvature vanishing below form degree 2(n+1).
+The connection vanishes on the generator differentials and is extended
+by nabla(d(uv)) = nabla(du) v + du dv + u nabla(dv).  From it the
+recursion builds 1-cochains phi_0, phi_2 = -nabla d, phi_4, ... whose
+partial sums are linear sections of the projection from even forms back
+to the algebra with curvature vanishing below form degree 2(n+1).
 
 Idempotent lifting over Z/p^N uses the series sum binom(2n-1, n) x^n with
 x = e - e^2.
@@ -151,27 +150,23 @@ def curvature(f: Cochain, x: tuple, y: tuple, below=None) -> MixedForm:
 
 
 class Connection:
-    """Connection data: a degree-2 form nabla(d a) per alphabet letter.
+    """The connection with nabla(d a) = 0 for every generator a.
 
-    For laurent presentations the value on the formal inverse is derived
-    from d(1) = 0:  nabla(d t^-1) = -t^-1 (nabla(dt) t^-1 + dt dt^-1).
+    On laurent presentations d(1) = 0 forces the value on the formal
+    inverse:  nabla(d t^-1) = -t^-1 dt dt^-1.
     """
 
-    def __init__(self, A: AlgebraPresentation, values=None):
+    def __init__(self, A: AlgebraPresentation):
         self.presentation = A
-        vals = {}
-        for name in A.generators:
-            g = A.generator_monomial(name)
-            v = (values or {}).get(name)
-            vals[g] = v if v is not None else Form(A, 2)
+        vals = {A.generator_monomial(name): Form(A, 2)
+                for name in A.generators}
         if A.kind == "laurent":
             t = A.generator_monomial(A.generators[0])
             tinv = (-1,)
-            dt = Form.d_of_monomial(A, t)
-            dtinv = Form.d_of_monomial(A, tinv)
-            inner = (form_multiply(vals[t], _mono_form(A, tinv))
-                     + form_multiply(dt, dtinv))
-            vals[tinv] = form_multiply(_mono_form(A, tinv), inner).scale(-1)
+            dt_dtinv = form_multiply(Form.d_of_monomial(A, t),
+                                     Form.d_of_monomial(A, tinv))
+            vals[tinv] = form_multiply(_mono_form(A, tinv),
+                                       dt_dtinv).scale(-1)
         self.values = vals
         self._cache = {}
 
@@ -219,8 +214,7 @@ def connection_extend(nabla: Connection, omega: Form) -> Form:
 class LiftingTower:
     """Lazily evaluated cochains phi_0, phi_2, ... from a connection.
 
-    phi_2 is the signed connection propagation fixed by
-    delta(phi_2) = d u d; for n >= 1,
+    phi_2 = -nabla d, so that delta(phi_2) = d u d; for n >= 1,
 
         psi_{2(n+1)} = sum_j d phi_{2j} u d phi_{2(n-j)}
                        - sum_{j>=1} phi_{2j} u phi_{2(n+1-j)},
@@ -228,10 +222,9 @@ class LiftingTower:
                           over the tuples of phi_2(x).
     """
 
-    def __init__(self, nabla: Connection, sign: int):
+    def __init__(self, nabla: Connection):
         self.presentation = nabla.presentation
         self.nabla = nabla
-        self.sign = sign
         self._phi = {}
         self._psi = {}
 
@@ -245,7 +238,7 @@ class LiftingTower:
         if k == 0:
             out = MixedForm.of(_mono_form(A, m))
         elif k == 1:
-            out = MixedForm.of(self.nabla.nabla_d(m).scale(self.sign))
+            out = MixedForm.of(self.nabla.nabla_d(m).scale(-1))
         else:
             out = MixedForm.sum(A, (
                 _left_mul(x0, self.psi(k, x1, x2).scale(c))
@@ -298,19 +291,22 @@ def _check_phi2(tower: LiftingTower, pairs) -> bool:
 
 def phi_psi_recursion(nabla: Connection, n_max: int,
                       cap: int) -> LiftingTower:
-    """Build the tower of cochains, fixing the sign of phi_2 first.
+    """Build the tower of cochains after checking delta(phi_2) = d u d.
 
-    The sign is chosen on generator pairs so that delta(phi_2) = d u d,
-    then validated on every monomial pair of total degree <= cap;
-    failure raises :class:`InvalidConnection`.
+    The identity is checked on generator pairs, then on every monomial
+    pair of total degree <= cap; failure raises
+    :class:`InvalidConnection`.  Only phi_2 = -nabla d is tried: by the
+    Leibniz rule of the connection, delta(nabla d) = -d u d wherever
+    nabla is consistent with the relations, and phi_2 = +nabla d fails
+    at (x, x) for the first generator x, since nabla d(x^2) = dx dx.  So
+    a failure on generator pairs is a failure for either sign.
     """
     if n_max < 0 or cap < 0:
         raise ValueError(f"order and cap must be >= 0, got {n_max}, {cap}")
     A = nabla.presentation
+    tower = LiftingTower(nabla)
     gen_pairs = [(a, b) for a in nabla.values for b in nabla.values]
-    towers = (LiftingTower(nabla, sign) for sign in (-1, 1))
-    tower = next((t for t in towers if _check_phi2(t, gen_pairs)), None)
-    if tower is None:
+    if not _check_phi2(tower, gen_pairs):
         raise InvalidConnection("delta(phi_2) != d u d on generator pairs "
                                 "for either sign")
     if not _check_phi2(tower, _pairs(A, cap)):

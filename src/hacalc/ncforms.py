@@ -416,17 +416,16 @@ PAD = 2
 STAB_STEP = 5
 
 
-def stable_read(compute, D: int):
-    """``compute([D, D + STAB_STEP])[D]``, certified stable.
+def stable_read(A: AlgebraPresentation, D: int):
+    """``kahler_window(A, [D, D + STAB_STEP])[D]``, certified stable.
 
-    ``compute`` maps a list of read bounds to {bound: result}, each
-    result starting with the dimensions (h0, h1).  Both bounds must give
-    the same dimensions, else :class:`Unstable` is raised.
+    Both bounds must give the same dimensions (h0, h1), else
+    :class:`Unstable` is raised.
     """
     if D < 0:
         raise ValueError(f"truncation must be >= 0, got {D}")
     big = D + STAB_STEP
-    res = compute([D, big])
+    res = kahler_window(A, [D, big])
     dims, dims_big = res[D][:2], res[big][:2]
     if dims != dims_big:
         raise Unstable(f"dims {dims} at D={D} vs {dims_big} at D={big}")
@@ -571,8 +570,7 @@ def xcomplex_homology(A: AlgebraPresentation, cfg, D: int) -> XComplexReport:
                              "presentations only")
     if A.kind == "polynomial" and len(A.generators) > 1:
         raise DomainError("one-variable polynomial rings only")
-    h0, h1, reps0, reps1, _ = stable_read(
-        lambda reads: kahler_window(A, reads), D)
+    h0, h1, reps0, reps1, _ = stable_read(A, D)
     reps1_str = tuple(str(Form(A, 1, {t: 1})) for t in reps1)
     reps0_str = tuple(str(x) for x in reps0)
     return XComplexReport(h0, h1, reps0_str, reps1_str, D, True)

@@ -54,7 +54,7 @@ def test_criterion_01_fundamental_theorem(tmp_path, capsys):
 
 def test_criterion_02_ground_ring():
     t0 = time.time()
-    res = ha_leavitt(DirectedGraph(("v",), ()), PrimeConfig(5))
+    res = ha_leavitt(DirectedGraph(("v",), ()))
     assert (res.dim_ha0, res.dim_ha1) == (1, 0)
     rep = h_dr(AlgebraPresentation.polynomial(), PrimeConfig(5), 20)
     assert (rep.h0, rep.h1) == (1, 0)
@@ -63,12 +63,11 @@ def test_criterion_02_ground_ring():
 
 def test_criterion_03_leavitt_algebras():
     t0 = time.time()
-    cfg = PrimeConfig(5)
     for n in range(2, 7):
-        res = ha_leavitt(DirectedGraph.loop(n), cfg)
+        res = ha_leavitt(DirectedGraph.loop(n))
         assert (res.dim_ha0, res.dim_ha1) == (0, 0), n
     line = DirectedGraph(("v", "w"), (("v", "w"),))
-    res = ha_leavitt(line, cfg)
+    res = ha_leavitt(line)
     assert (res.dim_ha0, res.dim_ha1) == (1, 0)
     _report(3, "Leavitt algebras L_n and matrix stability",
             time.time() - t0, 5)
@@ -77,13 +76,12 @@ def test_criterion_03_leavitt_algebras():
 def test_criterion_04_cohn_algebras():
     t0 = time.time()
     rng = random.Random(0)
-    cfg = PrimeConfig(5)
     for _ in range(20):
         nv = rng.randint(1, 8)
         vs = tuple(f"v{i}" for i in range(nv))
         es = tuple((rng.choice(vs), rng.choice(vs))
                    for _ in range(rng.randint(0, 2 * nv)))
-        res = ha_cohn(DirectedGraph(vs, es), cfg)
+        res = ha_cohn(DirectedGraph(vs, es))
         assert (res.dim_ha0, res.dim_ha1) == (nv, 0)
     _report(4, "Cohn algebras", time.time() - t0, 5)
 

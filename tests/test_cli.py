@@ -463,6 +463,24 @@ def test_check_floors(capsys):
     assert code == 0 and out["passed"]
 
 
+def test_groebner_witness_on_zero_variables(tmp_path, capsys):
+    """An ideal of constants has no exponents to draw: the witness samples
+    constants, and the report is a pass."""
+    path = tmp_path / "constants.json"
+    path.write_text(json.dumps({"vars": [], "gens": [[{"e": [], "c": 2}],
+                                                     [{"e": [], "c": 3}]]}))
+    argv = ["--prime", "5", "groebner", str(path), "--witness", "5"]
+    code = run(argv)
+    out = capsys.readouterr().out
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["basis"] == ["1"]
+    assert results["witness"] == {"failures": 0, "max_shift": 0,
+                                  "samples": 5}
+    assert run(argv) == 0
+    assert capsys.readouterr().out == out
+
+
 def test_byte_identical_reruns(loop_file, capsys):
     run(["--prime", "5", "--seed", "3", "graph", loop_file])
     first = capsys.readouterr().out

@@ -184,12 +184,10 @@ def test_h_dr_curve_matches_dense_oracle():
 @pytest.mark.parametrize("p", [5, 7, 11])
 def test_crosscheck_loop_graph(p):
     cfg = PrimeConfig(p)
-    rep = crosscheck_loop_graph(
-        cfg, h_dr(AlgebraPresentation.laurent(), cfg, 20))
+    rep = crosscheck_loop_graph(h_dr(AlgebraPresentation.laurent(), cfg, 20))
     assert rep.ok and rep.dims_graph == (1, 1)
     with pytest.raises(Mismatch, match=r"graph \(1, 1\) vs de Rham \(1, 0\)"):
-        crosscheck_loop_graph(
-            cfg, h_dr(AlgebraPresentation.polynomial(), cfg, 20))
+        crosscheck_loop_graph(h_dr(AlgebraPresentation.polynomial(), cfg, 20))
 
 
 def test_second_curve_both_routes():

@@ -4,13 +4,14 @@ from functools import partial
 
 import pytest
 
+from hacalc import checks
 from hacalc.algebra import AlgebraPresentation
 from hacalc.errors import InvalidConnection, NotApproxIdempotent
-from hacalc.lift import (Connection, Cochain, LiftingTower, _pairs, cup,
-                         curvature, d_cochain, connection_extend,
-                         hochschild_delta, identity_cochain,
-                         lift_idempotent, phi_psi_recursion,
-                         section_curvature_check)
+from hacalc.lift import (Connection, Cochain, LiftingTower, _check_phi2,
+                         _pairs, cup, curvature, d_cochain,
+                         connection_extend, hochschild_delta,
+                         identity_cochain, lift_idempotent,
+                         phi_psi_recursion, section_curvature_check)
 from hacalc.ncforms import Form, MixedForm, form_multiply
 from hacalc.scalars import PrimeConfig
 
@@ -114,13 +115,21 @@ def test_section_curvature_orders(A):
     assert a_small <= a_big
 
 
+class PlusSignTower(LiftingTower):
+    """The tower built from phi_2 = +nabla d, the sign the recursion
+    rejects."""
+
+    def phi(self, k, m):
+        out = super().phi(k, m)
+        return out.scale(-1) if k == 1 else out
+
+
 @pytest.mark.parametrize("A", [POLY, LAURENT], ids=["polynomial", "laurent"])
 def test_truncated_check_finds_a_planted_sign_defect(A):
     """The tower with the sign the recursion rejects has curvature below
     2(n+1); the truncated check reports the degree the full curvature
     shows there."""
-    good = phi_psi_recursion(Connection(A), 1, 6)
-    bad = LiftingTower(Connection(A), -good.sign)
+    bad = PlusSignTower(Connection(A))
     for n in (1, 2, 3):
         rep = section_curvature_check(bad, n, 6)
         sigma = Cochain.from_function(A, 1, partial(bad.section, n), 6)
@@ -129,6 +138,31 @@ def test_truncated_check_finds_a_planted_sign_defect(A):
                     if deg < 2 * (n + 1)), default=None)
         assert want is not None, n
         assert (rep.ok, rep.max_bad_degree) == (False, want), n
+
+
+SIGN_CASES = {**checks.presentations(),
+              "free-unital": AlgebraPresentation.free(["a", "b"],
+                                                      unital=True),
+              "polynomial2": AlgebraPresentation.polynomial(["x", "y"])}
+
+
+@pytest.mark.parametrize("A", list(SIGN_CASES.values()),
+                         ids=list(SIGN_CASES))
+def test_plus_sign_fails_at_a_generator_square(A):
+    """Why the recursion only tries phi_2 = -nabla d: the + sign fails
+    delta(phi_2) = d u d at (x, x) for the first generator x, and the -
+    sign passes the generator pairs exactly where the recursion succeeds."""
+    nabla = Connection(A)
+    x = A.generator_monomial(A.generators[0])
+    assert not _check_phi2(PlusSignTower(nabla), [(x, x)])
+    gen_pairs = [(a, b) for a in nabla.values for b in nabla.values]
+    try:
+        phi_psi_recursion(nabla, 1, 4)
+    except InvalidConnection:
+        succeeds = False
+    else:
+        succeeds = True
+    assert _check_phi2(LiftingTower(nabla), gen_pairs) == succeeds
 
 
 def test_invalid_connection_plane_curve():
