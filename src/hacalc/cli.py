@@ -201,16 +201,16 @@ def _dispatch(args, cfg) -> int:
             data = _Payload(args.payload, data)["matrix"]
         e = [json_list(row, int, "matrix row")
              for row in json_list(data, list, "matrix")]
-        hat = lift_idempotent(e, cfg, args.precision)
+        hat = lift_idempotent(e, cfg)
         return _report(args, "idem", {"lift": hat})
 
     if args.command == "groebner":
         data = _load_object(args.payload)
-        nvars = len(json_list(data["vars"], str, "vars"))
-        gens = [IntPoly.from_json(nvars, g)
+        names = json_list(data["vars"], str, "vars")
+        gens = [IntPoly.from_json(len(names), g)
                 for g in json_list(data["gens"], list, "gens")]
         gb = strong_gb(gens)
-        out = {"basis": [str(p) for p in gb.polys]}
+        out = {"basis": [p.render(names) for p in gb.polys]}
         passed = True
         if args.witness:
             import random

@@ -118,9 +118,12 @@ class IntPoly:
         return sorted(self.terms, key=_deglex_key, reverse=True)
 
     def __str__(self):
+        return self.render([f"x{i}" for i in range(self.nvars)])
+
+    def render(self, names) -> str:
+        """The polynomial written in the variable names ``names``."""
         if not self.terms:
             return "0"
-        names = [f"x{i}" for i in range(self.nvars)]
         parts = []
         for e in self.monomials_sorted():
             c = self.terms[e]

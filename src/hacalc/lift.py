@@ -1,4 +1,7 @@
-"""Connections, Hochschild cochain calculus, and multiplicative liftings.
+"""Connections, a pointwise Hochschild calculus, and multiplicative liftings.
+
+A cochain is a plain callable from monomials to mixed forms; the
+coboundary, the cup product and the curvature evaluate it at one point.
 
 The connection vanishes on the generator differentials and is extended
 by nabla(d(uv)) = nabla(du) v + du dv + u nabla(dv).  From it the
@@ -37,9 +40,8 @@ def _right_mul(x: MixedForm, m: tuple) -> MixedForm:
 
 def _pairs(A: AlgebraPresentation, bound: int) -> list:
     """Monomial pairs (x, y) with deg x + deg y <= bound."""
-    monos = A.monomials_up_to(bound)
-    return [(x, y) for x in monos for y in monos
-            if A.degree(x) + A.degree(y) <= bound]
+    return [(x, y) for x in A.monomials_up_to(bound)
+            for y in A.monomials_up_to(bound - A.degree(x))]
 
 
 def _extend(A: AlgebraPresentation, f, terms: dict) -> MixedForm:
@@ -47,97 +49,39 @@ def _extend(A: AlgebraPresentation, f, terms: dict) -> MixedForm:
     return MixedForm.sum(A, (f(m).scale(c) for m, c in terms.items()))
 
 
-def _delta1(A: AlgebraPresentation, f, x: tuple, y: tuple) -> MixedForm:
-    """The Hochschild coboundary x f(y) - f(xy) + f(x) y of f at (x, y)."""
-    return (_left_mul(x, f(y)) - _extend(A, f, A.mul_monomials(x, y))
-            + _right_mul(f(x), y))
+def hochschild_delta(A: AlgebraPresentation, f, *point) -> MixedForm:
+    """The Hochschild coboundary of f at one point.
 
-
-class Cochain:
-    """A cochain of arity 1 or 2 with values in mixed differential forms.
-
-    Values are stored on tuples of basis monomials up to ``domain_bound``
-    (sum of filtration degrees); evaluation extends multilinearly.  Arity
-    3 only arises as the target of the coboundary of a 2-cochain.
+    At (x, y), f is a 1-cochain: x f(y) - f(xy) + f(x) y.
+    At (x, y, z), f is a 2-cochain:
+        x f(y, z) - f(xy, z) + f(x, yz) - f(x, y) z.
     """
-
-    def __init__(self, presentation, arity, values, domain_bound):
-        if arity not in (1, 2, 3):
-            raise ValueError("arity must be 1, 2, or 3")
-        self.presentation = presentation
-        self.arity = arity
-        self.values = dict(values)
-        self.domain_bound = domain_bound
-
-    @classmethod
-    def from_function(cls, A, arity, func, domain_bound):
-        if arity == 1:
-            values = {(m,): func(m) for m in A.monomials_up_to(domain_bound)}
-        else:
-            values = {p: func(*p) for p in _pairs(A, domain_bound)}
-        return cls(A, arity, values, domain_bound)
-
-    def __call__(self, *args) -> MixedForm:
-        return self.values[args]
-
-
-def identity_cochain(A: AlgebraPresentation, domain_bound: int) -> Cochain:
-    return Cochain.from_function(
-        A, 1, lambda m: MixedForm.of(_mono_form(A, m)), domain_bound)
-
-
-def d_cochain(phi: Cochain) -> Cochain:
-    """Post-compose a cochain with the differential."""
-    return Cochain(phi.presentation, phi.arity,
-                   {k: mixed_differential(v) for k, v in phi.values.items()},
-                   phi.domain_bound)
-
-
-def cup(psi: Cochain, xi: Cochain) -> Cochain:
-    """(psi u xi)(x, y) = psi(x) xi(y) with form multiplication."""
-    if psi.arity != 1 or xi.arity != 1:
-        raise WrongDegree("cup is implemented for pairs of 1-cochains")
-    A = psi.presentation
-    bound = min(psi.domain_bound, xi.domain_bound)
-    return Cochain(A, 2, {(x, y): mixed_multiply(psi(x), xi(y))
-                          for x, y in _pairs(A, bound)}, bound)
-
-
-def hochschild_delta(psi: Cochain) -> Cochain:
-    """Hochschild coboundary.
-
-    Arity 1: (d phi)(x, y) = x phi(y) - phi(xy) + phi(x) y.
-    Arity 2: (d psi)(x, y, z) =
-        x psi(y, z) - psi(xy, z) + psi(x, yz) - psi(x, y) z.
-    The arity-2 coboundary is returned as a map on triples with the same
-    evaluation interface.
-    """
-    if psi.arity == 3:
+    if len(point) == 2:
+        x, y = point
+        return (_left_mul(x, f(y)) - _extend(A, f, A.mul_monomials(x, y))
+                + _right_mul(f(x), y))
+    if len(point) != 3:
         raise WrongDegree("the coboundary is implemented up to 2-cochains")
-    A = psi.presentation
-    bound = psi.domain_bound
-    pairs = _pairs(A, bound)
-    if psi.arity == 1:
-        return Cochain(A, 2, {(x, y): _delta1(A, psi, x, y)
-                              for x, y in pairs}, bound)
-
-    return Cochain(A, 3, {
-        (x, y, z): (_left_mul(x, psi(y, z))
-                    - _extend(A, lambda m: psi(m, z), A.mul_monomials(x, y))
-                    + _extend(A, lambda m: psi(x, m), A.mul_monomials(y, z))
-                    - _right_mul(psi(x, y), z))
-        for x, y in pairs
-        for z in A.monomials_up_to(bound - A.degree(x) - A.degree(y))}, bound)
+    x, y, z = point
+    return (_left_mul(x, f(y, z))
+            - _extend(A, lambda m: f(m, z), A.mul_monomials(x, y))
+            + _extend(A, lambda m: f(x, m), A.mul_monomials(y, z))
+            - _right_mul(f(x, y), z))
 
 
-def curvature(f: Cochain, x: tuple, y: tuple, below=None) -> MixedForm:
+def cup(f, g, x: tuple, y: tuple) -> MixedForm:
+    """(f u g)(x, y) = f(x) g(y) with form multiplication."""
+    return mixed_multiply(f(x), g(y))
+
+
+def curvature(A: AlgebraPresentation, f, x: tuple, y: tuple,
+              below=None) -> MixedForm:
     """f(xy) - f(x) (.) f(y), the obstruction to multiplicativity.
 
     The target carries the Fedosov product, under which degree-0 forms
     multiply as in the algebra.  With ``below`` only the components of
     degree < below are returned (see :func:`fedosov_mixed`).
     """
-    A = f.presentation
     ext = _extend(A, f, A.mul_monomials(x, y))
     if below is not None:
         ext = MixedForm(A, {k: g for k, g in ext.parts.items() if k < below})
@@ -264,14 +208,6 @@ class LiftingTower:
         self._psi[key] = out
         return out
 
-    def phi_cochain(self, k: int, domain_bound: int) -> Cochain:
-        return Cochain.from_function(self.presentation, 1,
-                                     partial(self.phi, k), domain_bound)
-
-    def psi_cochain(self, k: int, domain_bound: int) -> Cochain:
-        return Cochain.from_function(self.presentation, 2,
-                                     partial(self.psi, k), domain_bound)
-
     def section(self, n: int, m: tuple) -> MixedForm:
         """sigma = phi_0 + phi_2 + ... + phi_{2n} at a monomial."""
         return MixedForm.sum(self.presentation,
@@ -286,7 +222,8 @@ def _dcupd(A: AlgebraPresentation, x: tuple, y: tuple) -> MixedForm:
 def _check_phi2(tower: LiftingTower, pairs) -> bool:
     A = tower.presentation
     phi2 = partial(tower.phi, 1)
-    return all(_delta1(A, phi2, x, y) == _dcupd(A, x, y) for x, y in pairs)
+    return all(hochschild_delta(A, phi2, x, y) == _dcupd(A, x, y)
+               for x, y in pairs)
 
 
 def phi_psi_recursion(nabla: Connection, n_max: int,
@@ -349,10 +286,11 @@ def section_curvature_check(tower: LiftingTower, n: int,
     phi_{2k}(F_i) <= F_{i+(2k-1)a} of the even forms.
     """
     A = tower.presentation
-    sigma = Cochain.from_function(A, 1, partial(tower.section, n), cap)
+    sigma = {m: tower.section(n, m) for m in A.monomials_up_to(cap)}
     pairs = _pairs(A, cap)
     bad = max((deg for x, y in pairs
-               for deg in curvature(sigma, x, y, 2 * (n + 1)).degrees()),
+               for deg in curvature(A, sigma.__getitem__, x, y,
+                                    2 * (n + 1)).degrees()),
               default=None)
     a = 0
     for k in range(1, n + 1):
@@ -383,16 +321,15 @@ def _mat_combine(ca, a, cb, b, q):
             for i in range(n)]
 
 
-def lift_idempotent(e, cfg: PrimeConfig, N: int | None = None):
+def lift_idempotent(e, cfg: PrimeConfig):
     """Lift an idempotent mod p to an exact idempotent mod p^N.
 
-    e must satisfy e^2 = e mod p; the lift is
-    e + (2e - 1) sum_{n=1}^{N} binom(2n-1, n) x^n with x = e - e^2,
+    N is ``cfg.default_precision``.  e must satisfy e^2 = e mod p; the lift
+    is e + (2e - 1) sum_{n=1}^{N} binom(2n-1, n) x^n with x = e - e^2,
     which is idempotent mod p^N because val(x) >= 1.
     """
-    if N is None:
-        N = cfg.default_precision
-    p, q = cfg.p, cfg.p ** N
+    p, N = cfg.p, cfg.default_precision
+    q = p ** N
     e = [[v % q for v in int_entries(row, "matrix entries")] for row in e]
     n = len(e)
     if any(len(row) != n for row in e):

@@ -406,7 +406,6 @@ class XComplexReport:
     h1: int
     reps0: tuple
     reps1: tuple
-    truncation: int
     stable: bool
 
 
@@ -573,7 +572,7 @@ def xcomplex_homology(A: AlgebraPresentation, cfg, D: int) -> XComplexReport:
     h0, h1, reps0, reps1, _ = stable_read(A, D)
     reps1_str = tuple(str(Form(A, 1, {t: 1})) for t in reps1)
     reps0_str = tuple(str(x) for x in reps0)
-    return XComplexReport(h0, h1, reps0_str, reps1_str, D, True)
+    return XComplexReport(h0, h1, reps0_str, reps1_str, True)
 
 
 def xcomplex_boundary_checks(A: AlgebraPresentation, monomials,

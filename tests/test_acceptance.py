@@ -6,6 +6,7 @@ criterion; every tolerance is exact and every runtime budget is asserted.
 
 import random
 import time
+from functools import partial
 
 from hacalc.algebra import AlgebraPresentation
 from hacalc.checks import (groebner_corpus, suite_diam, suite_fedosov_growth,
@@ -15,8 +16,9 @@ from hacalc.derham import h_dr
 from hacalc.graphs import DirectedGraph, ha_cohn, ha_leavitt
 from hacalc.groebner import (filtered_noetherian_witness, membership_oracle,
                              strong_divide, strong_gb)
-from hacalc.lift import (Connection, hochschild_delta, lift_idempotent,
-                         phi_psi_recursion, section_curvature_check)
+from hacalc.lift import (Connection, _dcupd, _pairs, hochschild_delta,
+                         lift_idempotent, phi_psi_recursion,
+                         section_curvature_check)
 from hacalc.scalars import PrimeConfig
 
 
@@ -100,19 +102,18 @@ def test_criterion_05_elliptic_curve():
 
 
 def test_criterion_06_lifting_recursion():
+    from test_lift import triples
     t0 = time.time()
     for A in (AlgebraPresentation.polynomial(),
               AlgebraPresentation.laurent()):
         tower = phi_psi_recursion(Connection(A), 3, 6)
-        for k in (1, 2, 3):
-            if k == 1:
-                delta = hochschild_delta(tower.phi_cochain(1, 6))
-                from hacalc.lift import _dcupd
-                for (x, y), v in delta.values.items():
-                    assert v == _dcupd(A, x, y)
-            else:
-                delta = hochschild_delta(tower.psi_cochain(k, 6))
-                assert all(v.is_zero() for v in delta.values.values())
+        phi2 = partial(tower.phi, 1)
+        for x, y in _pairs(A, 6):
+            assert hochschild_delta(A, phi2, x, y) == _dcupd(A, x, y)
+        for k in (2, 3):
+            psik = partial(tower.psi, k)
+            assert all(hochschild_delta(A, psik, *p).is_zero()
+                       for p in triples(A, 6)), (A.kind, k)
         for n in range(0, 4):
             rep = section_curvature_check(tower, n, 6)
             assert rep.ok, (A.kind, n, rep.max_bad_degree)
@@ -126,13 +127,13 @@ def test_criterion_07_idempotent_lifting():
     count = 0
     while count < 100:
         p = rng.choice([5, 7])
-        cfg = PrimeConfig(p)
+        cfg = PrimeConfig(p, 6)
         n = rng.choice([2, 3])
         diag = [[1 if (i == j and rng.random() < 0.6) else 0
                  for j in range(n)] for i in range(n)]
         g, ginv = _random_gl(n, p, rng)
         e = _mat_mod(_mul(_mul(g, diag, p), ginv, p), p)
-        hat = lift_idempotent(e, cfg, 6)
+        hat = lift_idempotent(e, cfg)
         q = p ** 6
         sq = [[sum(hat[i][k] * hat[k][j] for k in range(n)) % q
                for j in range(n)] for i in range(n)]

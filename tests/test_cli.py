@@ -372,8 +372,8 @@ GOLDEN = {
                       '"0.1.0"}\n',
     "groebner-witness": '{"inputs": {"payload": "ideal.json", "precision": '
                         '16, "prime": 5, "seed": 0, "truncate": null}, '
-                        '"passed": true, "results": {"basis": ["3*x1", '
-                        '"2*x0", "x0*x1"], "witness": {"failures": 0, '
+                        '"passed": true, "results": {"basis": ["3*y", '
+                        '"2*x", "x*y"], "witness": {"failures": 0, '
                         '"max_shift": 0, "samples": 500}}, "schema": '
                         '"ha/1", "subcommand": "groebner", "version": '
                         '"0.1.0"}\n',

@@ -7,12 +7,11 @@ import pytest
 from hacalc import checks
 from hacalc.algebra import AlgebraPresentation
 from hacalc.errors import InvalidConnection, NotApproxIdempotent
-from hacalc.lift import (Connection, Cochain, LiftingTower, _check_phi2,
-                         _pairs, cup, curvature, d_cochain,
-                         connection_extend, hochschild_delta,
-                         identity_cochain, lift_idempotent,
-                         phi_psi_recursion, section_curvature_check)
-from hacalc.ncforms import Form, MixedForm, form_multiply
+from hacalc.lift import (Connection, LiftingTower, _check_phi2, _pairs,
+                         cup, curvature, connection_extend, hochschild_delta,
+                         lift_idempotent, phi_psi_recursion,
+                         section_curvature_check)
+from hacalc.ncforms import Form, MixedForm, form_multiply, mixed_differential
 from hacalc.scalars import PrimeConfig
 
 POLY = AlgebraPresentation.polynomial()
@@ -22,41 +21,69 @@ ONE = POLY.one()
 DTDT = Form(POLY, 2, {(ONE, T, T): 1})
 
 
+def identity(m):
+    """The identity 1-cochain of POLY: m as a 0-form."""
+    return MixedForm.of(Form(POLY, 0, {(m,): 1}))
+
+
+def triples(A, bound):
+    """Monomial triples (x, y, z) with deg x + deg y + deg z <= bound."""
+    return [(x, y, z) for x, y in _pairs(A, bound)
+            for z in A.monomials_up_to(bound - A.degree(x) - A.degree(y))]
+
+
 def test_curvature_examples():
-    idc = identity_cochain(POLY, 4)
-    assert curvature(idc, T, T) == MixedForm.of(DTDT)
+    assert curvature(POLY, identity, T, T) == MixedForm.of(DTDT)
     # a multiplicative evaluation-style cochain has zero curvature
-    ev = Cochain.from_function(
-        POLY, 1,
-        lambda m: MixedForm.of(Form(POLY, 0, {(ONE,): 2 ** m[0]})), 4)
-    assert curvature(ev, T, T).is_zero()
+    def ev(m):
+        return MixedForm.of(Form(POLY, 0, {(ONE,): 2 ** m[0]}))
+    assert curvature(POLY, ev, T, T).is_zero()
     # the degree-0 truncation sigma = id has curvature dt dt at (t, t)
-    assert curvature(idc, T, T).component(2) == DTDT
+    assert curvature(POLY, identity, T, T).component(2) == DTDT
     # below keeps only the degrees under it, of both terms
-    assert curvature(idc, T, T, 0).is_zero()
-    assert curvature(idc, T, T, 2).is_zero()
-    assert curvature(idc, T, T, 3) == MixedForm.of(DTDT)
+    assert curvature(POLY, identity, T, T, 0).is_zero()
+    assert curvature(POLY, identity, T, T, 2).is_zero()
+    assert curvature(POLY, identity, T, T, 3) == MixedForm.of(DTDT)
 
 
 def test_hochschild_delta_basics():
-    zero = Cochain.from_function(POLY, 1, lambda m: MixedForm(POLY), 4)
-    dz = hochschild_delta(zero)
-    assert all(v.is_zero() for v in dz.values.values())
+    def zero(m):
+        return MixedForm(POLY)
+    assert all(hochschild_delta(POLY, zero, x, y).is_zero()
+               for x, y in _pairs(POLY, 4))
     rng = random.Random(0)
-    phi = Cochain.from_function(
-        POLY, 1,
-        lambda m: MixedForm.of(Form(POLY, 2, {(ONE, T, T):
-                                              rng.randint(-3, 3)})), 4)
-    ddphi = hochschild_delta(hochschild_delta(phi))
-    assert all(v.is_zero() for v in ddphi.values.values())
+    values = {m: MixedForm.of(Form(POLY, 2, {(ONE, T, T):
+                                             rng.randint(-3, 3)}))
+              for m in POLY.monomials_up_to(4)}
+    dphi = partial(hochschild_delta, POLY, values.__getitem__)
+    assert all(hochschild_delta(POLY, dphi, x, y, z).is_zero()
+               for x, y, z in triples(POLY, 4))
 
 
 def test_cup_examples():
-    idc = identity_cochain(POLY, 4)
-    dd = cup(d_cochain(idc), d_cochain(idc))
-    assert dd(T, T) == MixedForm.of(DTDT)
-    idid = cup(idc, idc)
-    assert idid(T, T) == MixedForm.of(Form(POLY, 0, {(POLY.monomial((2,)),): 1}))
+    def d_identity(m):
+        return mixed_differential(identity(m))
+    assert cup(d_identity, d_identity, T, T) == MixedForm.of(DTDT)
+    assert cup(identity, identity, T, T) == MixedForm.of(
+        Form(POLY, 0, {(POLY.monomial((2,)),): 1}))
+
+
+PAIRS_CASES = {**checks.presentations(),
+               "free-unital": AlgebraPresentation.free(["a", "b"],
+                                                       unital=True),
+               "polynomial2": AlgebraPresentation.polynomial(["x", "y"])}
+
+
+@pytest.mark.parametrize("A", list(PAIRS_CASES.values()),
+                         ids=list(PAIRS_CASES))
+def test_pairs_is_the_degree_filter(A):
+    """The prefix enumeration gives the pairs of the quadratic degree
+    filter, in the same order."""
+    for b in range(7):
+        monos = A.monomials_up_to(b)
+        want = [(x, y) for x in monos for y in monos
+                if A.degree(x) + A.degree(y) <= b]
+        assert _pairs(A, b) == want, b
 
 
 def test_connection_extend_examples():
@@ -75,11 +102,11 @@ def test_phi_psi_recursion_polynomial():
     assert tower.phi(1, T).is_zero()
     assert tower.phi(1, POLY.monomial((2,))) == MixedForm.of(DTDT.scale(-1))
     assert tower.phi(0, T) == MixedForm.of(Form(POLY, 0, {(T,): 1}))
-    # delta(psi_{2n}) = 0 for n = 2, 3 on all pairs within the cap
+    # delta(psi_{2n}) = 0 for n = 2, 3 on all triples within degree 4
     for k in (2, 3):
-        psik = tower.psi_cochain(k, 4)
-        delta = hochschild_delta(psik)
-        assert all(v.is_zero() for v in delta.values.values()), k
+        psik = partial(tower.psi, k)
+        assert all(hochschild_delta(POLY, psik, *p).is_zero()
+                   for p in triples(POLY, 4)), k
 
 
 def test_phi_psi_recursion_laurent():
@@ -90,9 +117,9 @@ def test_phi_psi_recursion_laurent():
     expected = Form(LAURENT, 2, {(tinv, t_, tinv): 1})
     assert tower.phi(1, tinv) == MixedForm.of(expected)
     for k in (2, 3):
-        psik = tower.psi_cochain(k, 4)
-        delta = hochschild_delta(psik)
-        assert all(v.is_zero() for v in delta.values.values()), k
+        psik = partial(tower.psi, k)
+        assert all(hochschild_delta(LAURENT, psik, *p).is_zero()
+                   for p in triples(LAURENT, 4)), k
 
 
 def test_section_is_section():
@@ -132,22 +159,16 @@ def test_truncated_check_finds_a_planted_sign_defect(A):
     bad = PlusSignTower(Connection(A))
     for n in (1, 2, 3):
         rep = section_curvature_check(bad, n, 6)
-        sigma = Cochain.from_function(A, 1, partial(bad.section, n), 6)
+        sigma = partial(bad.section, n)
         want = max((deg for x, y in _pairs(A, 6)
-                    for deg in curvature(sigma, x, y).degrees()
+                    for deg in curvature(A, sigma, x, y).degrees()
                     if deg < 2 * (n + 1)), default=None)
         assert want is not None, n
         assert (rep.ok, rep.max_bad_degree) == (False, want), n
 
 
-SIGN_CASES = {**checks.presentations(),
-              "free-unital": AlgebraPresentation.free(["a", "b"],
-                                                      unital=True),
-              "polynomial2": AlgebraPresentation.polynomial(["x", "y"])}
-
-
-@pytest.mark.parametrize("A", list(SIGN_CASES.values()),
-                         ids=list(SIGN_CASES))
+@pytest.mark.parametrize("A", list(PAIRS_CASES.values()),
+                         ids=list(PAIRS_CASES))
 def test_plus_sign_fails_at_a_generator_square(A):
     """Why the recursion only tries phi_2 = -nabla d: the + sign fails
     delta(phi_2) = d u d at (x, x) for the first generator x, and the -
@@ -192,12 +213,12 @@ def _newton_fixed_point(e, p, N):
 
 
 def test_lift_idempotent_examples():
-    cfg = PrimeConfig(5)
+    cfg = PrimeConfig(5, 4)
     # already exactly idempotent: unchanged
-    assert lift_idempotent([[1, 0], [0, 0]], cfg, 4) == [[1, 0], [0, 0]]
-    assert lift_idempotent([[0, 0], [0, 0]], cfg, 4) == [[0, 0], [0, 0]]
+    assert lift_idempotent([[1, 0], [0, 0]], cfg) == [[1, 0], [0, 0]]
+    assert lift_idempotent([[0, 0], [0, 0]], cfg) == [[0, 0], [0, 0]]
     e = [[1, 1], [0, 5]]
-    hat = lift_idempotent(e, cfg, 4)
+    hat = lift_idempotent(e, cfg)
     q = 5 ** 4
     sq = [[sum(hat[i][k] * hat[k][j] for k in range(2)) % q
            for j in range(2)] for i in range(2)]
@@ -206,20 +227,20 @@ def test_lift_idempotent_examples():
                for j in range(2))
     assert hat == _newton_fixed_point(e, 5, 4)
     with pytest.raises(NotApproxIdempotent):
-        lift_idempotent([[2, 0], [0, 0]], cfg, 4)
+        lift_idempotent([[2, 0], [0, 0]], cfg)
 
 
 def test_lift_idempotent_random_vs_newton():
     rng = random.Random(9)
     for p in (5, 7):
-        cfg = PrimeConfig(p)
+        cfg = PrimeConfig(p, 6)
         for _ in range(25):
             n = rng.choice([2, 3])
             diag = [[1 if (i == j and rng.random() < 0.5) else 0
                      for j in range(n)] for i in range(n)]
             g, ginv = _random_gl(n, p, rng)
             e = _mat_mod(_mul(_mul(g, diag, p), ginv, p), p)
-            hat = lift_idempotent(e, cfg, 6)
+            hat = lift_idempotent(e, cfg)
             assert hat == _newton_fixed_point(e, p, 6)
 
 
@@ -285,4 +306,4 @@ def test_degree_constant_uniform_across_orders():
                               "bool"])
 def test_lift_idempotent_refuses_non_integer_entries(bad):
     with pytest.raises(ValueError, match="matrix entries must be integers"):
-        lift_idempotent([[bad, 1], [0, 5]], PrimeConfig(5), 4)
+        lift_idempotent([[bad, 1], [0, 5]], PrimeConfig(5, 4))
