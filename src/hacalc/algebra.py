@@ -162,10 +162,6 @@ class AlgebraPresentation:
     def is_commutative(self) -> bool:
         return self.kind != "free"
 
-    @property
-    def curve_fdeg(self) -> int:
-        return len(self.f_coeffs) - 1
-
     def one(self) -> tuple | None:
         """The unit monomial (internal for unital kinds, adjoined else)."""
         return self._one
@@ -203,7 +199,7 @@ class AlgebraPresentation:
             return self._wt_cache[i]
         except KeyError:
             pass
-        d = self.curve_fdeg
+        d = len(self.f_coeffs) - 1
         best = i
         for m in range(1, i // max(d, 1) + 2):
             best = min(best, 2 * m + max(0, i - d * m))

@@ -1,12 +1,13 @@
 """Overconvergent de Rham reduction in relative dimension one.
 
 Three families are covered at finite truncation: the polynomial ring, the
-Laurent ring, and affine plane curves y^2 = f(x) with deg f = 3, f
+Laurent ring, and affine plane curves y^2 = f(x) of any degree >= 1, f
 squarefree mod p, p >= 5.  All three are read on the padded Kahler window
 of :mod:`hacalc.ncforms`, a fraction-free elimination, and certified by
 recomputation on a larger window.  The valuation loss logs the divisions a
 rational reduction makes: the divisors n of d(t^n) on the polynomial and
-Laurent rings, the Bezout denominators of the curve classes.
+Laurent rings; on curves it is 0, the Bezout denominators of the classes
+x^j dx/y being prime to p once f is squarefree mod p.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import AlgebraPresentation, int_entries
-from .errors import BadReduction, Mismatch
+from .errors import BadReduction, DomainError, Mismatch
 from .graphs import DirectedGraph, ha_leavitt
 from .linalg import IntEchelon, kernel_basis
 from .ncforms import PAD, stable_read
@@ -124,31 +125,18 @@ class CohomologyReport:
                 "valuation_loss": self.max_valuation_loss}
 
 
-def cubic_discriminant(f_coeffs) -> int:
-    """Discriminant of a cubic a3 x^3 + a2 x^2 + a1 x + a0."""
-    a0, a1, a2, a3 = (list(f_coeffs) + [0] * 4)[:4]
-    return (18 * a3 * a2 * a1 * a0 - 4 * a2 ** 3 * a0
-            + a2 ** 2 * a1 ** 2 - 4 * a3 * a1 ** 3
-            - 27 * a3 ** 2 * a0 ** 2)
+def _curve_reps(A: AlgebraPresentation, u, v, reduce, h1: int):
+    """The classes x^j dx/y = x^j (u y dx + 2 v dy), 0 <= j < deg f - 1.
 
-
-def _curve_reps(A: AlgebraPresentation, reduce, cfg):
-    """The classes x^j dx/y = x^j (u y dx + 2 v dy), j = 0, 1.
-
-    u, v solve u f + v f' = 1 over Q (possible: f squarefree); each rep
-    is verified nonzero and jointly independent modulo the boundaries of
-    the Kahler window, whose ``reduce`` takes the residual.
+    u, v solve u f + v f' = 1 (:func:`_poly_bezout`); each rep is
+    verified nonzero and jointly independent modulo the boundaries of the
+    Kahler window, whose ``reduce`` takes the residual, and their number
+    must be the window's h1.
     """
-    f = list(A.f_coeffs)
-    fprime = [k * c for k, c in enumerate(f)][1:]
-    u, v = _poly_bezout(f, fprime)
-    loss = 0
-    for c in u + v:
-        loss = max(loss, _int_val(c.denominator, cfg.p))
     x, y = A.generator_monomial("x"), A.generator_monomial("y")
     reps = []
     check = IntEchelon()
-    for j in (0, 1):
+    for j in range(len(A.f_coeffs) - 2):
         form = {((j + k, 1), x): c for k, c in enumerate(u) if c}
         form.update({((j + k, 0), y): 2 * c for k, c in enumerate(v) if c})
         residual = reduce(form)
@@ -156,8 +144,11 @@ def _curve_reps(A: AlgebraPresentation, reduce, cfg):
             raise Mismatch("expected curve class is a boundary")
         if check.add(residual) is None:
             raise Mismatch("curve classes are not independent")
-        reps.append("dx/y" if j == 0 else "x dx/y")
-    return tuple(reps), loss
+        reps.append("dx/y" if j == 0 else "x dx/y" if j == 1
+                    else f"x^{j} dx/y")
+    if len(reps) != h1:
+        raise Mismatch(f"{len(reps)} curve classes vs h1 = {h1}")
+    return tuple(reps)
 
 
 def _poly_bezout(f, g):
@@ -189,26 +180,31 @@ def h_dr(A: AlgebraPresentation, cfg: PrimeConfig,
     each non-pivot column t^k dt is a class ("dt/t" for k = -1, written
     in the payload's generator), and the valuation loss is the largest
     v_p(n) of a divisor of d(t^n) = n t^(n-1) dt over the window's padded
-    domain 1 <= n <= D + PAD.  Plane curves require y^2 = f(x) with
-    deg f = 3, p >= 5, and p not dividing disc(f) (else
-    :class:`BadReduction`).
+    domain 1 <= n <= D + PAD.
+
+    A plane curve y^2 = f(x) needs p >= 5 and f squarefree mod p, else
+    :class:`BadReduction`.  The latter is decided on the Bezout pair
+    u f + v f' = 1: f has leading coefficient +-1, so u and v are
+    p-integral exactly when their reductions are a Bezout identity over
+    F_p, that is when p does not divide disc(f).  The classes are
+    x^j dx/y, 0 <= j < deg f - 1, and their valuation loss is 0: their
+    only divisions are by the Bezout denominators, which the gate has
+    made prime to p, and the window's elimination is fraction-free.
     """
-    if A.kind == "polynomial" and len(A.generators) != 1:
-        raise ValueError("one-variable polynomial rings only")
     if A.kind == "plane_curve":
-        if A.curve_fdeg != 3:
-            raise ValueError("curves must have deg f = 3")
         if cfg.p < 5:
             raise BadReduction("p >= 5 required")
-        disc = cubic_discriminant(A.f_coeffs)
-        if disc % cfg.p == 0:
-            raise BadReduction(f"p = {cfg.p} divides disc(f) = {disc}")
+        f = list(A.f_coeffs)
+        u, v = _poly_bezout(f, [k * c for k, c in enumerate(f)][1:])
+        if any(c.denominator % cfg.p == 0 for c in u + v):
+            raise BadReduction(f"f is not squarefree mod p = {cfg.p}")
+    elif A.kind == "polynomial" and len(A.generators) != 1:
+        raise DomainError("one-variable polynomial rings only")
     elif A.kind not in ("polynomial", "laurent"):
-        raise ValueError("unsupported presentation for de Rham reduction")
+        raise DomainError("unsupported presentation for de Rham reduction")
     h0, h1, _, cols, reduce = stable_read(A, D)
     if A.kind == "plane_curve":
-        # fraction-free elimination introduces no denominators at all
-        reps1, loss = _curve_reps(A, reduce, cfg)
+        reps1, loss = _curve_reps(A, u, v, reduce, h1), 0
     else:
         t = A.generators[0]
         reps1 = tuple(f"d{t}/{t}" if h == (-1,) else f"{t}^{h[0]} d{t}"

@@ -230,7 +230,7 @@ CURVE = {"kind": "plane_curve", "f_coeffs": [0, -1, 0, 1]}
      "NotCommutative"),
     (["--prime", "23", "derham"],
      {"kind": "plane_curve", "f_coeffs": [1, -1, 0, 1]},
-     "p = 23 divides disc(f) = -23", "BadReduction"),
+     "f is not squarefree mod p = 23", "BadReduction"),
     (["--prime", "5", "lift", "--order", "2", "--cap", "4"], CURVE,
      "delta(phi_2) != d u d on generator pairs for either sign",
      "InvalidConnection"),
@@ -241,8 +241,13 @@ CURVE = {"kind": "plane_curve", "f_coeffs": [0, -1, 0, 1]}
     (["--prime", "7", "xcomplex"],
      {"kind": "polynomial", "generators": ["x", "y"]},
      "one-variable polynomial rings only", "DomainError"),
+    (["--prime", "7", "derham"],
+     {"kind": "polynomial", "generators": ["x", "y"]},
+     "one-variable polynomial rings only", "DomainError"),
+    (["--prime", "7", "derham"], {"kind": "free", "generators": ["a", "b"]},
+     "unsupported presentation for de Rham reduction", "DomainError"),
 ], ids=["xcomplex-free", "derham-bad-prime", "lift-curve", "lift-poly2",
-        "xcomplex-poly2"])
+        "xcomplex-poly2", "derham-poly2", "derham-free"])
 def test_domain_errors_are_input_errors(argv, payload, error, kind,
                                         tmp_path, capsys):
     path = tmp_path / "algebra.json"
@@ -281,6 +286,14 @@ GOLDEN = {
                  '["dx/y", "x dx/y"], "stable": true, "truncation": 20, '
                  '"valuation_loss": 0}, "schema": "ha/1", "subcommand": '
                  '"derham", "version": "0.1.0"}\n',
+    "derham-quintic-20": '{"inputs": {"payload": "quintic.json", '
+                         '"precision": 16, "prime": 7, "seed": 0, '
+                         '"truncate": 20}, "passed": true, "results": '
+                         '{"h0": 1, "h1": 4, "reps0": ["1"], "reps1": '
+                         '["dx/y", "x dx/y", "x^2 dx/y", "x^3 dx/y"], '
+                         '"stable": true, "truncation": 20, '
+                         '"valuation_loss": 0}, "schema": "ha/1", '
+                         '"subcommand": "derham", "version": "0.1.0"}\n',
     "lift-poly": '{"inputs": {"payload": "poly.json", "precision": 16, '
                  '"prime": 5, "seed": 0, "truncate": null}, "passed": true, '
                  '"results": {"degree_constant": 0, "max_bad_degree": null, '
@@ -398,6 +411,11 @@ README_RUNS = {
     "derham-20": ("curve.json", CURVE,
                   ["derham", "--algebra", "curve.json", "--truncate", "20",
                    "--prime", "7"]),
+    "derham-quintic-20": ("quintic.json",
+                          {"kind": "plane_curve",
+                           "f_coeffs": [1, -1, 0, 0, 0, 1]},
+                          ["derham", "--algebra", "quintic.json",
+                           "--truncate", "20", "--prime", "7"]),
     "lift-poly": ("poly.json", POLY,
                   ["lift", "--algebra", "poly.json"] + LIFT3),
     "lift-laurent": ("laurent.json", LAURENT,
@@ -432,7 +450,8 @@ README_RUNS = {
 @pytest.mark.parametrize("key", list(GOLDEN))
 def test_readme_curve_report_bytes(key, tmp_path, monkeypatch, capsys):
     """The exact stdout of the README's commands, of two larger lifting
-    towers, of a three-vertex graph and of the Fedosov growth check."""
+    towers, of a three-vertex graph, of the Fedosov growth check and of
+    de Rham on a quintic curve."""
     name, payload, argv = README_RUNS[key]
     if name is not None:
         (tmp_path / name).write_text(json.dumps(payload))

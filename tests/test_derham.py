@@ -5,16 +5,23 @@ from fractions import Fraction
 import pytest
 
 from hacalc.algebra import AlgebraPresentation
-from hacalc.derham import (OverconvergentSeries,
-                           crosscheck_loop_graph, cubic_discriminant, h_dr,
+from hacalc.derham import (OverconvergentSeries, crosscheck_loop_graph, h_dr,
                            integrate_series, reduce_laurent_form)
 from hacalc.errors import BadReduction, Mismatch
-from hacalc.ncforms import PAD, xcomplex_homology
+from hacalc.ncforms import PAD, stable_read, xcomplex_homology
 from hacalc.scalars import PrimeConfig
 
 CFG5 = PrimeConfig(5)
 CFG7 = PrimeConfig(7)
 CURVE = AlgebraPresentation.plane_curve([0, -1, 0, 1])
+
+
+def cubic_discriminant(f_coeffs) -> int:
+    """Oracle: discriminant of a cubic a3 x^3 + a2 x^2 + a1 x + a0."""
+    a0, a1, a2, a3 = (list(f_coeffs) + [0] * 4)[:4]
+    return (18 * a3 * a2 * a1 * a0 - 4 * a2 ** 3 * a0
+            + a2 ** 2 * a1 ** 2 - 4 * a3 * a1 ** 3
+            - 27 * a3 ** 2 * a0 ** 2)
 
 
 def test_integrate_series_examples():
@@ -102,19 +109,81 @@ def test_h_dr_curve():
     assert (rep.h0, rep.h1) == (1, 2)
     assert rep.reps1 == ("dx/y", "x dx/y")
     assert rep.stable
-    assert rep.max_valuation_loss <= math.floor(math.log(21, 7))
+    assert rep.max_valuation_loss == 0
 
 
 def test_h_dr_bad_reduction():
     assert cubic_discriminant([0, -1, 0, 1]) == 4
-    with pytest.raises(BadReduction):
+    with pytest.raises(BadReduction, match="p >= 5 required"):
         h_dr(CURVE, PrimeConfig(2), 10)  # p = 2 < 5
     # y^2 = x^3 - x has disc 4; y^2 = x^3 + x^2 is singular (disc 0)
     with pytest.raises(ValueError):
         AlgebraPresentation.plane_curve([0, 0, 0])
+    assert cubic_discriminant([0, 0, 1, 1]) == 0
     singular = AlgebraPresentation.plane_curve([0, 0, 1, 1])
-    with pytest.raises(BadReduction):
+    with pytest.raises(BadReduction, match="share a root"):
         h_dr(singular, CFG5, 10)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23])
+def test_bezout_gate_is_the_discriminant(p):
+    """h_dr refuses a cubic with leading coefficient +-1 exactly when p
+    divides its discriminant.  Half the draws are planted as
+    (x - a)^2 (x - b) mod p, so both verdicts occur at every p."""
+    rng = random.Random(p)
+    cfg = PrimeConfig(p)
+    verdicts = set()
+    for k in range(24):
+        lead = rng.choice([1, -1])
+        if k % 2:
+            a, b = rng.randrange(p), rng.randrange(p)
+            root = [-a * a * b, a * a + 2 * a * b, -2 * a - b, 1]
+            f = [lead * c + p * rng.randint(-3, 3) for c in root[:3]]
+        else:
+            f = [rng.randint(-30, 30) for _ in range(3)]
+        f.append(lead)
+        bad = cubic_discriminant(f) % p == 0
+        verdicts.add(bad)
+        try:
+            h_dr(AlgebraPresentation.plane_curve(f), cfg, 4)
+        except BadReduction:
+            assert bad, f
+        else:
+            assert not bad, f
+    assert verdicts == {False, True}
+
+
+@pytest.mark.parametrize("f", [[3, 1], [-1, 0, 1], [1, 1, 0, 0, 1],
+                               [1, -1, 0, 0, 0, 1], [-1, 0, 0, 2, 0, 0, 1],
+                               [1, 0, 0, 0, 0, 0, 1, -1]],
+                         ids=["deg1", "deg2", "deg4", "deg5", "deg6", "deg7"])
+def test_h_dr_curve_every_degree(f):
+    # genus formula: h1 = deg f - 1, one class x^j dx/y for each j
+    rep = h_dr(AlgebraPresentation.plane_curve(f), CFG7, 20)
+    names = ["dx/y", "x dx/y"] + [f"x^{j} dx/y" for j in range(2, 6)]
+    assert (rep.h0, rep.h1) == (1, len(f) - 2)
+    assert rep.reps1 == tuple(names[:len(f) - 2])
+    assert rep.stable and rep.max_valuation_loss == 0
+
+
+@pytest.mark.parametrize("f", [[1, 1, 0, 0, 1], [1, -1, 0, 0, 0, 1]],
+                         ids=["quartic", "quintic"])
+def test_h_dr_curve_matches_the_commutator_span(f):
+    # the raw commutator span, independent of the Kahler window, at R = 3
+    from test_ncforms import _dense_xcomplex_dims
+    curve = AlgebraPresentation.plane_curve(f)
+    rep = h_dr(curve, CFG7, 3)
+    assert _dense_xcomplex_dims(curve, 3, PAD) == (rep.h0, rep.h1)
+    assert rep.h1 == len(f) - 2
+
+
+def test_curve_class_count_must_be_h1():
+    from hacalc.derham import _curve_reps, _poly_bezout
+    u, v = _poly_bezout([0, -1, 0, 1], [-1, 0, 3])
+    reduce = stable_read(CURVE, 20)[4]
+    assert _curve_reps(CURVE, u, v, reduce, 2) == ("dx/y", "x dx/y")
+    with pytest.raises(Mismatch, match="2 curve classes vs h1 = 3"):
+        _curve_reps(CURVE, u, v, reduce, 3)
 
 
 def _dense_curve_cokernel(f_coeffs, N):
@@ -197,7 +266,7 @@ def test_second_curve_both_routes():
     for p in (5, 7, 11):
         rep = h_dr(curve, PrimeConfig(p), 20)
         assert (rep.h0, rep.h1) == (1, 2)
-    with pytest.raises(BadReduction):
+    with pytest.raises(BadReduction, match="not squarefree mod p = 23"):
         h_dr(curve, PrimeConfig(23), 20)
     # the raw commutator span, independent of the Kahler window
     from test_ncforms import _dense_xcomplex_dims

@@ -252,12 +252,14 @@ def _dense_rref_basis(vectors, ncols):
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
+        # the pivot row is zero left of col, so only col: onwards changes
         inv = 1 / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
+        rows[rank][col:] = [x * inv for x in rows[rank][col:]]
         for r in range(len(rows)):
             if r != rank and rows[r][col]:
                 c = rows[r][col]
-                rows[r] = [x - c * y for x, y in zip(rows[r], rows[rank])]
+                rows[r][col:] = [x - c * y for x, y in
+                                 zip(rows[r][col:], rows[rank][col:])]
         pivots.append(col)
         rank += 1
     return rows[:rank], pivots
@@ -278,11 +280,15 @@ def _dense_xcomplex_dims(A, D, pad):
     for s in A.monomials_up_to(big):
         if not A.is_unit_monomial(s):
             dvecs.append({col[(one, s)]: 1})
-    rows, pivots = _dense_rref_basis(vecs + dvecs, len(tuples))
+    crows, cpivots = _dense_rref_basis(vecs, len(tuples))
+    # the reduced commutator rows span what vecs span, so extending them
+    # by dvecs gives the pivots of vecs + dvecs
+    _, pivots = _dense_rref_basis(
+        [{i: c for i, c in enumerate(r) if c} for r in crows] + dvecs,
+        len(tuples))
     read = [i for i in range(len(tuples)) if deg[i] <= D]
     h1 = len(read) - sum(1 for p in pivots if deg[p] <= D)
     # kernel of d modulo commutators on the degree-<=D slice
-    crows, cpivots = _dense_rref_basis(vecs, len(tuples))
 
     def reduce(vec):
         v = [Fraction(vec.get(c, 0)) for c in range(len(tuples))]
