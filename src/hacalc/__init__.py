@@ -2,15 +2,12 @@
 
 __version__ = "0.1.0"
 
-from .algebra import (AlgebraElement, AlgebraPresentation, GrowthProfile,
-                      filtration_degree, normalize, profile_check_diam_laws,
-                      profile_diamond, profile_product)
-from .scalars import INF, PrimeConfig, Residue, Scalar, is_unit, reduce_mod, val
+from .algebra import (AlgebraPresentation, GrowthProfile,
+                      profile_check_diam_laws, profile_diamond,
+                      profile_product)
+from .scalars import INF, PrimeConfig, Scalar, val
 
 __all__ = [
-    "AlgebraElement", "AlgebraPresentation", "GrowthProfile",
-    "PrimeConfig", "Residue", "Scalar", "INF",
-    "filtration_degree", "is_unit", "normalize",
-    "profile_check_diam_laws", "profile_diamond", "profile_product",
-    "reduce_mod", "val",
+    "AlgebraPresentation", "GrowthProfile", "PrimeConfig", "Scalar", "INF",
+    "profile_check_diam_laws", "profile_diamond", "profile_product", "val",
 ]

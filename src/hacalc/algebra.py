@@ -25,7 +25,6 @@ import json
 from dataclasses import dataclass, field
 from operator import add
 
-from .errors import ZeroElement
 from .scalars import INF
 
 KINDS = ("free", "polynomial", "laurent", "plane_curve")
@@ -110,7 +109,6 @@ class AlgebraPresentation:
             self._one = ()
         else:
             self._one = (0,) * len(generators)
-        self._wt_cache = {}
         self._monomials = {}  # bound -> monomials_up_to(bound)
 
     # -- constructors ---------------------------------------------------
@@ -193,19 +191,6 @@ class AlgebraPresentation:
         e[i] = 1
         return tuple(e)
 
-    def _wt_x(self, i: int) -> int:
-        """Filtration weight of x^i on the curve y^2 = f(x)."""
-        try:
-            return self._wt_cache[i]
-        except KeyError:
-            pass
-        d = len(self.f_coeffs) - 1
-        best = i
-        for m in range(1, i // max(d, 1) + 2):
-            best = min(best, 2 * m + max(0, i - d * m))
-        self._wt_cache[i] = best
-        return best
-
     def degree(self, m: tuple) -> int:
         """Filtration degree: least n with m in F_n."""
         if m is None:
@@ -216,8 +201,14 @@ class AlgebraPresentation:
             return abs(m[0])
         if self.kind == "polynomial":
             return sum(m)
+        # y^2 = f(x) makes x^d (d = deg f) a product of two generators:
+        # x^i with i = dq + r weighs 2q plus the cheaper of x^r (r) and
+        # one more y^2 (2); for d <= 2 a trade saves nothing
         i, j = m
-        return j + self._wt_x(i)
+        d = len(self.f_coeffs) - 1
+        if d < 3:
+            return i + j
+        return j + 2 * (i // d) + min(i % d, 2)
 
     def sort_key(self, m: tuple):
         if m is None:
@@ -275,14 +266,11 @@ class AlgebraPresentation:
         elif self.kind == "polynomial":
             out = exponent_vectors(len(self.generators), bound)
         else:
-            i = 0
-            while self._wt_x(i) <= bound:
-                out.append((i, 0))
-                i += 1
-            i = 0
-            while 1 + self._wt_x(i) <= bound:
-                out.append((i, 1))
-                i += 1
+            for j in (0, 1):
+                i = 0
+                while self.degree((i, j)) <= bound:
+                    out.append((i, j))
+                    i += 1
         out.sort(key=self.sort_key)
         self._monomials[bound] = tuple(out)
         return out
@@ -307,119 +295,6 @@ class AlgebraPresentation:
             g[pos] = 1
             letters.extend([tuple(g)] * e)
         return letters
-
-    def element(self, terms) -> "AlgebraElement":
-        return AlgebraElement(self, terms)
-
-    def zero(self) -> "AlgebraElement":
-        return AlgebraElement(self, {})
-
-    def unit_element(self) -> "AlgebraElement":
-        return AlgebraElement(self, {self.one(): 1})
-
-
-class AlgebraElement:
-    """A sparse linear combination of normal-form monomials."""
-
-    __slots__ = ("presentation", "terms")
-
-    def __init__(self, presentation, terms):
-        self.presentation = presentation
-        self.terms = {m: c for m, c in dict(terms).items() if c != 0}
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def items(self):
-        key = self.presentation.sort_key
-        return sorted(self.terms.items(), key=lambda kv: key(kv[0]))
-
-    def coeff(self, m: tuple):
-        return self.terms.get(m, 0)
-
-    def __eq__(self, other):
-        return (isinstance(other, AlgebraElement)
-                and self.presentation is other.presentation
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, 0) + c
-        return AlgebraElement(self.presentation, out)
-
-    def __sub__(self, other):
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, 0) - c
-        return AlgebraElement(self.presentation, out)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def scale(self, c):
-        return AlgebraElement(self.presentation,
-                              {m: c * v for m, v in self.terms.items()})
-
-    def __mul__(self, other):
-        A = self.presentation
-        if not isinstance(other, AlgebraElement):
-            return self.scale(other)
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                for m, c in A.mul_monomials(m1, m2).items():
-                    out[m] = out.get(m, 0) + c1 * c2 * c
-        return AlgebraElement(A, out)
-
-    __rmul__ = scale
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        A = self.presentation
-        parts = []
-        for m, c in self.items():
-            ms = A.monomial_str(m)
-            if ms == "1":
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(ms)
-            elif c == -1:
-                parts.append(f"-{ms}")
-            else:
-                parts.append(f"{c}*{ms}")
-        return " + ".join(parts).replace("+ -", "- ")
-
-
-def normalize(word, A: AlgebraPresentation) -> AlgebraElement:
-    """Normal form of a raw word over the presentation's symbols.
-
-    Symbols are generator names; for laurent presentations the formal
-    inverse is written ``t^-1``.  The empty word normalizes to the unit.
-    """
-    result = A.unit_element() if A.unital else None
-    for sym in word:
-        if A.kind == "laurent" and sym == f"{A.generators[0]}^-1":
-            m = (-1,)
-        else:
-            m = A.generator_monomial(sym)
-        e = AlgebraElement(A, {m: 1})
-        result = e if result is None else result * e
-    if result is None:
-        raise ValueError("empty word over a non-unital presentation")
-    return result
-
-
-def filtration_degree(x: AlgebraElement) -> int:
-    """Least n with every monomial of x of filtration degree <= n."""
-    if x.is_zero():
-        raise ZeroElement("the zero element has no filtration degree")
-    A = x.presentation
-    return max(A.degree(m) for m in x.terms)
 
 
 # ---------------------------------------------------------------------------

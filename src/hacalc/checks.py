@@ -86,10 +86,10 @@ def random_monomial_form(A, profile: GrowthProfile, degree: int,
 
 
 def random_even_form(A, max_level: int, max_deg: int, rng,
-                     cfg: PrimeConfig, min_val: int = -2) -> EvenForm:
+                     cfg: PrimeConfig) -> EvenForm:
     parts = {}
     for n in rng.sample(range(max_level + 1), k=min(2, max_level + 1)):
-        scale = Fraction(1, cfg.p ** rng.randint(0, -min_val))
+        scale = Fraction(1, cfg.p ** rng.randint(0, 2))
         f = random_form(A, 2 * n, max_deg, rng).scale(scale)
         if not f.is_zero():
             parts[2 * n] = f

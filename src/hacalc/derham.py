@@ -15,97 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import AlgebraPresentation, int_entries
+from .algebra import AlgebraPresentation
 from .errors import BadReduction, DomainError, Mismatch
 from .graphs import DirectedGraph, ha_leavitt
 from .linalg import IntEchelon, kernel_basis
 from .ncforms import PAD, stable_read
-from .scalars import PrimeConfig, _int_val, val
-
-
-@dataclass(frozen=True)
-class OverconvergentSeries:
-    """Window-truncated series whose coefficient valuations grow linearly.
-
-    The certificate (m, f) asserts val(c_n) >= ceil(|n|/m) - f and is
-    verified on construction.
-    """
-
-    coeffs: tuple  # ((n, Fraction), ...) sorted by n
-    window: int
-    m: int
-    f: int
-    laurent: bool = False
-
-    @classmethod
-    def make(cls, coeffs: dict, window: int, m: int, f: int,
-             cfg: PrimeConfig, laurent: bool = False):
-        """The series sum c_n t^n of ``coeffs``, its certificate verified;
-        a non-int exponent raises ValueError rather than being rounded."""
-        int_entries(coeffs, "series exponents")
-        items = tuple(sorted((n, Fraction(c)) for n, c in coeffs.items()
-                             if c))
-        s = cls(items, window, m, f, laurent)
-        s.verify(cfg)
-        return s
-
-    @classmethod
-    def with_min_certificate(cls, coeffs: dict, window: int, m: int,
-                             cfg: PrimeConfig, laurent: bool = False):
-        """Smallest offset f >= 0 making the certificate hold."""
-        f = 0
-        for n, c in coeffs.items():
-            if c:
-                f = max(f, -(-abs(n) // m) - val(c, cfg))
-        return cls.make(coeffs, window, m, int(f), cfg, laurent)
-
-    def verify(self, cfg: PrimeConfig):
-        for n, c in self.coeffs:
-            lo = -self.window if self.laurent else 0
-            if not (lo <= n <= self.window):
-                raise ValueError(f"exponent {n} outside window")
-            if val(c, cfg) < -(-abs(n) // self.m) - self.f:
-                raise ValueError(
-                    f"certificate ({self.m}, {self.f}) fails at n={n}")
-
-    def as_dict(self) -> dict:
-        return dict(self.coeffs)
-
-
-def integrate_series(a: OverconvergentSeries, cfg: PrimeConfig):
-    """Termwise primitive sum c_l t^{l+1} / (l+1) on a polynomial window.
-
-    Returns the primitive (with the smallest valid certificate offset)
-    and the maximal valuation lost to the divisions, which is at most
-    floor(log_p(window + 1)).
-    """
-    if a.laurent:
-        raise ValueError("polynomial windows only")
-    _, out, loss = reduce_laurent_form(a.as_dict(), a.window, cfg)
-    primitive = OverconvergentSeries.with_min_certificate(
-        out, a.window + 1, a.m, cfg)
-    return primitive, loss
-
-
-def reduce_laurent_form(g, D: int, cfg: PrimeConfig):
-    """Split g dt = c_{-1} dt/t + d(primitive), exactly.
-
-    ``g`` maps exponents to coefficients; the primitive's t^n coefficient
-    is g_{n-1}/n and the reported losses are the valuations of the
-    divisors n.
-    """
-    residue = Fraction(g.get(-1, 0))
-    primitive = {}
-    loss = 0
-    for n_minus_1, c in g.items():
-        if n_minus_1 == -1 or not c:
-            continue
-        n = n_minus_1 + 1
-        if abs(n) > D + 1:
-            raise ValueError(f"exponent {n} outside window {D + 1}")
-        primitive[n] = Fraction(c, n)
-        loss = max(loss, _int_val(abs(n), cfg.p))
-    return residue, primitive, loss
+from .scalars import PrimeConfig, _int_val
 
 
 @dataclass(frozen=True)

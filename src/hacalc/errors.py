@@ -5,14 +5,6 @@ class HacalcError(Exception):
     """Base class for all package-specific errors."""
 
 
-class NegativeValuation(HacalcError):
-    """A rational with negative p-adic valuation was reduced modulo p^N."""
-
-
-class ZeroElement(HacalcError):
-    """An operation that needs a nonzero element received zero."""
-
-
 class WrongDegree(HacalcError):
     """A form of unexpected degree was passed."""
 

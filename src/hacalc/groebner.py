@@ -43,7 +43,9 @@ class IntPoly:
         """Terms ``[{"e": [exponents], "c": coefficient}, ...]``.
 
         Every exponent and coefficient must be a JSON integer: a float,
-        bool or string is refused rather than rounded into Z.
+        bool or string is refused rather than rounded into Z.  Every term,
+        a zero one too, needs ``nvars`` exponents >= 0, and the
+        coefficients of a repeated exponent vector are summed.
         """
         if not isinstance(data, list):
             raise ValueError(
@@ -57,7 +59,11 @@ class IntPoly:
                 raise ValueError(
                     f"term {json.dumps(t)} needs integer exponents "
                     "and coefficient")
-            terms[tuple(e)] = c
+            if len(e) != nvars or min(e, default=0) < 0:
+                raise ValueError(
+                    f"term {json.dumps(t)} needs {nvars} exponents >= 0")
+            e = tuple(e)
+            terms[e] = terms.get(e, 0) + c
         return cls(nvars, terms)
 
     @classmethod

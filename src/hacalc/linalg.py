@@ -196,7 +196,7 @@ class ZLattice:
     lattice of the added vectors.
     """
 
-    def __init__(self, key=None):
+    def __init__(self, key):
         self.key = key
         self.rows = {}  # pivot column -> row dict
 

@@ -4,6 +4,7 @@ A degree-n form is a sparse combination of tuples (m0; m1, ..., mn)
 encoding m0 dm1 ... dmn, where m0 runs over the basis together with the
 unit and m1, ..., mn run over the non-unit basis monomials (the
 differential kills the unit, so tuples carrying it in a d-slot are zero).
+The elements of the algebra S = Omega^0 S are the 0-forms (m0,).
 
 The module provides the differential, the graded multiplication, the
 Fedosov product, the Hochschild map b on 1-forms, canonical
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import ADJOINED_UNIT, AlgebraElement, AlgebraPresentation
+from .algebra import ADJOINED_UNIT, AlgebraPresentation
 from .errors import DomainError, NotCommutative, Unstable, WrongDegree
 from .linalg import IntEchelon, _clear_denominators, kernel_basis
 
@@ -284,18 +285,19 @@ def mixed_differential(a: MixedForm) -> MixedForm:
                          (differential(f) for f in a.parts.values()))
 
 
-def hochschild_b1(omega: Form) -> AlgebraElement:
-    """b(x dy) = xy - yx, extended linearly over degree-1 forms."""
+def hochschild_b1(omega: Form) -> Form:
+    """b(x dy) = xy - yx, extended linearly over degree-1 forms; the
+    result is a 0-form."""
     if omega.degree != 1:
         raise WrongDegree("b is defined on 1-forms here")
     A = omega.presentation
     out = {}
     for (x, y), c in omega.terms.items():
         for m, mc in A.mul_monomials(x, y).items():
-            out[m] = out.get(m, 0) + c * mc
+            out[(m,)] = out.get((m,), 0) + c * mc
         for m, mc in A.mul_monomials(y, x).items():
-            out[m] = out.get(m, 0) - c * mc
-    return AlgebraElement(A, out)
+            out[(m,)] = out.get((m,), 0) - c * mc
+    return Form._trusted(A, 0, out)
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +550,7 @@ def kahler_window(A: AlgebraPresentation, reads: list) -> dict:
                       if d <= R and c not in pivots)
         n = len(A.monomials_up_to(R))
         reps0 = tuple(
-            AlgebraElement(A, {monos[i]: c for i, c in combo.items()})
+            Form._trusted(A, 0, {(monos[i],): c for i, c in combo.items()})
             for combo in kernel if max(combo) < n)
         results[R] = (len(reps0), len(reps1), reps0, reps1, reduce)
     return results
@@ -590,8 +592,7 @@ def xcomplex_boundary_checks(A: AlgebraPresentation, monomials,
         if not hochschild_b1(f).is_zero():
             return False, f"b(d({A.monomial_str(m)})) != 0"
     for omega in one_forms:
-        x = hochschild_b1(omega)
-        dx = Form(A, 1, {(A.one(), m): c for m, c in x.terms.items()})
+        dx = differential(hochschild_b1(omega))
         if dx.is_zero():
             continue
         quo = quo or CommutatorQuotient(A)

@@ -4,15 +4,40 @@ from fractions import Fraction
 import pytest
 
 from hacalc.algebra import (INF, AlgebraPresentation, GrowthProfile,
-                            filtration_degree, normalize,
                             profile_check_diam_laws, profile_diamond,
                             profile_product)
-from hacalc.errors import ZeroElement
+from hacalc.ncforms import Form, form_multiply
 
 POLY = AlgebraPresentation.polynomial()
 LAURENT = AlgebraPresentation.laurent()
 CURVE = AlgebraPresentation.plane_curve([0, -1, 0, 1])  # y^2 = x^3 - x
 FREE = AlgebraPresentation.free(["a", "b"])
+
+
+def normalize(word, A):
+    """Normal form of a raw word over the presentation's symbols, as a
+    0-form: the product of its letters by ``form_multiply``.
+
+    Symbols are generator names; for laurent presentations the formal
+    inverse is written ``t^-1``.  The empty word normalizes to the unit.
+    """
+    result = Form(A, 0, {(A.one(),): 1}) if A.unital else None
+    for sym in word:
+        if A.kind == "laurent" and sym == f"{A.generators[0]}^-1":
+            m = (-1,)
+        else:
+            m = A.generator_monomial(sym)
+        e = Form(A, 0, {(m,): 1})
+        result = e if result is None else form_multiply(result, e)
+    if result is None:
+        raise ValueError("empty word over a non-unital presentation")
+    return result
+
+
+def filtration_degree(x):
+    """Least n with every monomial of the 0-form x of filtration degree
+    <= n; the zero form has none (ValueError)."""
+    return max(x.presentation.degree(m) for m, in x.terms)
 
 
 def test_normalize_examples():
@@ -29,7 +54,7 @@ def test_normalize_idempotent_and_multiplicative():
             w1 = [rng.choice(alphabet) for _ in range(rng.randint(1, 4))]
             w2 = [rng.choice(alphabet) for _ in range(rng.randint(1, 4))]
             u, v = normalize(w1, A), normalize(w2, A)
-            assert normalize(w1 + w2, A) == u * v
+            assert normalize(w1 + w2, A) == form_multiply(u, v)
 
 
 def test_filtration_degree_examples():
@@ -38,8 +63,8 @@ def test_filtration_degree_examples():
     assert filtration_degree(normalize(["t^-1"] * 2, LAURENT)) == 2
     ab_ba = normalize(["a", "b"], FREE) + normalize(["b", "a"], FREE)
     assert filtration_degree(ab_ba) == 2
-    with pytest.raises(ZeroElement):
-        filtration_degree(POLY.zero())
+    with pytest.raises(ValueError):
+        filtration_degree(Form(POLY, 0))
 
 
 def test_curve_monomial_weights():
@@ -49,6 +74,21 @@ def test_curve_monomial_weights():
     got = [CURVE.degree(CURVE.monomial((i, 0))) for i in range(10)]
     assert got == expected
     assert CURVE.degree(CURVE.monomial((3, 1))) == 3
+
+
+def _weight_by_trades(d, i):
+    """Oracle: the weight of x^i on y^2 = f(x), deg f = d, as the least
+    cost over m trades of x^d for y^2: 2m + max(0, i - dm)."""
+    return min(2 * m + max(0, i - d * m) for m in range(i // d + 2))
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_curve_weight_closed_form_matches_the_trades(d):
+    A = AlgebraPresentation.plane_curve([1] + [0] * (d - 1) + [1])
+    for i in range(1000):
+        w = _weight_by_trades(d, i)
+        assert A.degree((i, 0)) == w, (d, i)
+        assert A.degree((i, 1)) == w + 1, (d, i)
 
 
 def _span_monomials(A, n):
@@ -61,7 +101,7 @@ def _span_monomials(A, n):
 
     def rec(word, left):
         if word:
-            out.update(normalize(word, A).terms)
+            out.update(m for m, in normalize(word, A).terms)
         if left:
             for s in alphabet:
                 rec(word + [s], left - 1)

@@ -150,6 +150,37 @@ def test_non_integer_ideal_terms_are_input_errors(term, tmp_path, capsys):
                  "and coefficient"}
 
 
+def test_repeated_ideal_terms_are_summed(tmp_path, capsys):
+    """2x + 3x is the generator 5x, whichever order the terms come in."""
+    path = tmp_path / "ideal.json"
+    path.write_text(json.dumps({"vars": ["x", "y"], "gens": [
+        [{"e": [1, 0], "c": 2}, {"e": [1, 0], "c": 3}]]}))
+    code = run(["--prime", "5", "groebner", str(path)])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert out["results"]["basis"] == ["5*x"]
+
+
+@pytest.mark.parametrize("term", [
+    {"e": [1, 0, 7], "c": 0},
+    {"e": [1], "c": 0},
+    {"e": [1, -1], "c": 0},
+    {"e": [1, -1], "c": 2},
+], ids=["zero-long", "zero-short", "zero-negative", "negative"])
+def test_bad_ideal_exponents_are_input_errors(term, tmp_path, capsys):
+    """A term's exponents are checked whatever its coefficient."""
+    path = tmp_path / "ideal.json"
+    path.write_text(json.dumps({"vars": ["x", "y"],
+                                "gens": [[{"e": [0, 1], "c": 3}, term]]}))
+    code = run(["--prime", "5", "groebner", str(path)])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert len(out.splitlines()) == 1
+    assert json.loads(out) == {
+        "schema": "ha/1",
+        "error": f"term {json.dumps(term)} needs 2 exponents >= 0"}
+
+
 IDEAL = ["groebner"]
 ALGEBRA = ["lift", "--algebra"]
 MATRIX = ["idem", "--matrix"]

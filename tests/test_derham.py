@@ -1,12 +1,10 @@
-import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from hacalc.algebra import AlgebraPresentation
-from hacalc.derham import (OverconvergentSeries, crosscheck_loop_graph, h_dr,
-                           integrate_series, reduce_laurent_form)
+from hacalc.derham import crosscheck_loop_graph, h_dr
 from hacalc.errors import BadReduction, Mismatch
 from hacalc.ncforms import PAD, stable_read, xcomplex_homology
 from hacalc.scalars import PrimeConfig
@@ -22,77 +20,6 @@ def cubic_discriminant(f_coeffs) -> int:
     return (18 * a3 * a2 * a1 * a0 - 4 * a2 ** 3 * a0
             + a2 ** 2 * a1 ** 2 - 4 * a3 * a1 ** 3
             - 27 * a3 ** 2 * a0 ** 2)
-
-
-def test_integrate_series_examples():
-    s = OverconvergentSeries.with_min_certificate({4: Fraction(1)}, 24, 2,
-                                                  CFG5)
-    prim, loss = integrate_series(s, CFG5)
-    assert dict(prim.coeffs) == {5: Fraction(1, 5)}
-    assert loss == 1
-    s = OverconvergentSeries.with_min_certificate({0: Fraction(1)}, 24, 2,
-                                                  CFG5)
-    prim, loss = integrate_series(s, CFG5)
-    assert dict(prim.coeffs) == {1: Fraction(1)} and loss == 0
-    all_ones = {l: Fraction(1) for l in range(125)}
-    s = OverconvergentSeries.with_min_certificate(all_ones, 124, 4, CFG5)
-    _, loss = integrate_series(s, CFG5)
-    assert loss == 3  # from l + 1 = 125 = 5^3
-
-
-def test_integrate_loss_bounded_by_log():
-    for p, D in [(5, 24), (7, 48), (5, 124)]:
-        cfg = PrimeConfig(p)
-        coeffs = {l: Fraction(1) for l in range(D + 1)}
-        s = OverconvergentSeries.with_min_certificate(coeffs, D, 3, cfg)
-        _, loss = integrate_series(s, cfg)
-        assert loss <= math.floor(math.log(D + 1, p))
-
-
-def test_overconvergence_preserved():
-    # reindexing t^l -> t^{l+1} can add one ceiling step on top of the
-    # division loss, so the sharp certificate budget is log + 1
-    rng = random.Random(0)
-    for p, D, m in [(5, 30, 3), (5, 24, 2), (7, 48, 3)]:
-        cfg = PrimeConfig(p)
-        coeffs = {}
-        for n_ in range(D + 1):
-            need = math.ceil(n_ / m)
-            coeffs[n_] = Fraction(rng.randint(1, 9) * p ** need)
-        s = OverconvergentSeries.make(coeffs, D, m, 0, cfg)
-        prim, loss = integrate_series(s, cfg)
-        budget = math.floor(math.log(D + 1, p))
-        assert loss <= budget
-        assert prim.f <= s.f + budget + 1
-        prim.verify(cfg)
-
-
-def test_reduce_laurent_examples():
-    residue, prim, loss = reduce_laurent_form({2: Fraction(1)}, 10, CFG5)
-    assert residue == 0 and prim == {3: Fraction(1, 3)} and loss == 0
-    residue, prim, loss = reduce_laurent_form({-1: Fraction(1)}, 10, CFG5)
-    assert residue == 1 and prim == {}
-    residue, prim, _ = reduce_laurent_form(
-        {-1: Fraction(1), 2: Fraction(3)}, 10, CFG5)
-    assert residue == 1 and prim == {3: Fraction(1)}
-
-
-def test_reduce_laurent_exactness_random():
-    rng = random.Random(1)
-    for _ in range(1000):
-        g = {rng.randint(-9, 9): Fraction(rng.randint(-9, 9),
-                                          rng.randint(1, 9))
-             for _ in range(rng.randint(1, 6))}
-        residue, prim, loss = reduce_laurent_form(g, 10, CFG5)
-        # omega - residue dt/t - d(primitive) = 0, coefficientwise
-        recon = {-1: residue}
-        for n_, c in prim.items():
-            recon[n_ - 1] = recon.get(n_ - 1, 0) + n_ * c
-        g_clean = {k: v for k, v in g.items() if v}
-        recon = {k: v for k, v in recon.items() if v}
-        assert recon == g_clean
-        bound = math.floor(math.log(11, 5))
-        assert loss <= bound
 
 
 def test_h_dr_polynomial_and_laurent():
@@ -302,16 +229,3 @@ def test_poly_bezout_refuses_a_common_root():
     f = [0, 0, -1, 1]  # x^2 (x - 1)
     with pytest.raises(BadReduction, match="share a root"):
         _poly_bezout(f, [0, -2, 3])
-
-
-@pytest.mark.parametrize("bad", [Fraction(3, 2), Fraction(2), 2.7, 2.0, True],
-                         ids=["fraction", "integral-fraction", "float",
-                              "integral-float", "bool"])
-def test_series_refuses_non_integer_exponents(bad):
-    assert OverconvergentSeries.make({2: 5}, 10, 2, 0, CFG5).coeffs \
-        == ((2, Fraction(5)),)
-    with pytest.raises(ValueError, match="series exponents must be integers"):
-        OverconvergentSeries.make({bad: 5}, 10, 2, 0, CFG5)
-    with pytest.raises(ValueError, match="series exponents must be integers"):
-        OverconvergentSeries.with_min_certificate({3: 1, bad: 5}, 10, 2,
-                                                  CFG5)

@@ -1,4 +1,5 @@
-"""Every name a hacalc module imports is used, re-exported or marked.
+"""Every name a hacalc module or a test file imports is used, re-exported
+or marked.
 
 A stdlib ``ast`` scan: an imported name counts as used when it appears
 as a ``Name`` anywhere in the module (annotations included, also inside
@@ -14,7 +15,8 @@ import pytest
 import hacalc
 
 SRC = Path(hacalc.__file__).resolve().parent
-MODULES = sorted(SRC.glob("*.py"))
+TESTS = Path(__file__).resolve().parent
+MODULES = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
 
 
 def _imported(tree, lines):
@@ -48,7 +50,7 @@ def _used(tree) -> set:
     for ann in _annotations(tree):
         for node in ast.walk(ann) if ann else ():
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
-                # a string annotation such as -> "AlgebraElement"
+                # a string annotation such as -> "Form"
                 names.update(n.id for n in ast.walk(
                     ast.parse(node.value, mode="eval"))
                     if isinstance(n, ast.Name))

@@ -3,8 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from hacalc.errors import NegativeValuation
-from hacalc.scalars import INF, PrimeConfig, is_unit, reduce_mod, val
+from hacalc.scalars import INF, PrimeConfig, val
 
 CFG5 = PrimeConfig(5)
 
@@ -21,23 +20,6 @@ def test_val_examples():
     assert val(50, CFG5) == 2  # 50 = 2 * 5^2
     assert val(Fraction(1, 5), CFG5) == -1
     assert val(0, CFG5) is INF
-
-
-def test_reduce_mod_examples():
-    assert reduce_mod(7, 2, CFG5).value == 7
-    # oracle: the residue of 1/2 is the modular inverse of 2
-    r = reduce_mod(Fraction(1, 2), 2, CFG5)
-    assert r.value == pow(2, -1, 25) == 13
-    assert 2 * r.value % 25 == 1
-    with pytest.raises(NegativeValuation):
-        reduce_mod(Fraction(1, 5), 1, CFG5)
-
-
-def test_is_unit_examples():
-    assert is_unit(3, CFG5)
-    assert not is_unit(10, CFG5)
-    assert is_unit(Fraction(2, 3), CFG5)
-    assert not is_unit(0, CFG5)
 
 
 def _random_scalars(n, seed=0):
@@ -60,24 +42,3 @@ def test_valuation_ultrametric():
         assert vs >= min(va, vb)
         if va != vb:
             assert vs == min(va, vb)
-
-
-def test_reduce_mod_is_ring_homomorphism():
-    rng = random.Random(2)
-    N = 4
-    q = 5 ** N
-    for _ in range(2000):
-        a = Fraction(rng.randint(-999, 999), rng.choice([1, 2, 3, 7, 9]))
-        b = Fraction(rng.randint(-999, 999), rng.choice([1, 2, 3, 7, 9]))
-        ra, rb = reduce_mod(a, N, CFG5), reduce_mod(b, N, CFG5)
-        assert reduce_mod(a + b, N, CFG5).value == (ra.value + rb.value) % q
-        assert reduce_mod(a * b, N, CFG5).value == (ra.value * rb.value) % q
-
-
-def test_residue_validation():
-    import pytest
-    from hacalc.scalars import Residue
-    with pytest.raises(ValueError):
-        Residue(-1, 2)
-    with pytest.raises(ValueError):
-        Residue(3, 0)
