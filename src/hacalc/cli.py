@@ -207,6 +207,9 @@ def _dispatch(args, cfg) -> int:
     if args.command == "groebner":
         data = _load_object(args.payload)
         names = json_list(data["vars"], str, "vars")
+        if len(set(names)) != len(names):
+            raise ValueError(
+                f"vars must be distinct, got {json.dumps(names)}")
         gens = [IntPoly.from_json(len(names), g)
                 for g in json_list(data["gens"], list, "gens")]
         gb = strong_gb(gens)

@@ -7,10 +7,19 @@ coefficient divides lc(g); greedy division by such a basis therefore
 decides membership, and with deglex every multiplier satisfies
 deg(multiplier * basis element) <= deg(g), which witnesses the shift
 constant l = 0 of the total-degree filtration.
+
+Types are checked at the boundary only.  The constructor
+``IntPoly(nvars, terms)`` refuses any coefficient that is not an ``int``
+and any exponent vector that is not ``nvars`` non-negative ``int``s, and
+``term_mul`` checks its own coefficient and shift once.  Arithmetic
+between valid polynomials (``+``, ``-``, negation, ``*`` by an ``int`` or
+a polynomial) and the division kernel's outputs are built trusted by
+``IntPoly._trusted``, which only drops zero entries.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 from dataclasses import dataclass
@@ -37,6 +46,15 @@ class IntPoly:
                         or not all(type(x) is int for x in e)):
                     raise ValueError(f"bad exponent vector {e}")
                 self.terms[e] = c
+
+    @classmethod
+    def _trusted(cls, nvars, terms: dict) -> "IntPoly":
+        """A polynomial built from valid polynomials: zero entries are
+        dropped, nothing else is checked."""
+        poly = cls.__new__(cls)
+        poly.nvars = nvars
+        poly.terms = {e: c for e, c in terms.items() if c}
+        return poly
 
     @classmethod
     def from_json(cls, nvars, data) -> "IntPoly":
@@ -83,34 +101,43 @@ class IntPoly:
         out = dict(self.terms)
         for e, c in other.terms.items():
             out[e] = out.get(e, 0) + c
-        return IntPoly(self.nvars, out)
+        return IntPoly._trusted(self.nvars, out)
 
     def __sub__(self, other):
         out = dict(self.terms)
         for e, c in other.terms.items():
             out[e] = out.get(e, 0) - c
-        return IntPoly(self.nvars, out)
+        return IntPoly._trusted(self.nvars, out)
 
     def __neg__(self):
-        return IntPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return IntPoly._trusted(self.nvars,
+                                {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return IntPoly(self.nvars,
-                           {e: c * other for e, c in self.terms.items()})
+            return IntPoly._trusted(
+                self.nvars, {e: c * other for e, c in self.terms.items()})
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
                 out[e] = out.get(e, 0) + c1 * c2
-        return IntPoly(self.nvars, out)
+        return IntPoly._trusted(self.nvars, out)
 
     __rmul__ = __mul__
 
     def term_mul(self, coeff, expo) -> "IntPoly":
-        return IntPoly(self.nvars,
-                       {tuple(a + b for a, b in zip(e, expo)): c * coeff
-                        for e, c in self.terms.items()})
+        """The product with coeff * x^expo; coeff must be an ``int`` and
+        expo ``nvars`` non-negative ``int``s."""
+        if type(coeff) is not int:
+            raise ValueError(f"coefficient {coeff!r} is not an integer")
+        expo = tuple(expo)
+        if (len(expo) != self.nvars or min(expo, default=0) < 0
+                or not all(type(x) is int for x in expo)):
+            raise ValueError(f"bad exponent vector {expo}")
+        return IntPoly._trusted(
+            self.nvars, {tuple(a + b for a, b in zip(e, expo)): c * coeff
+                         for e, c in self.terms.items()})
 
     def leading(self):
         """(exponent, coefficient) of the deglex-largest term."""
@@ -192,26 +219,38 @@ class StrongGB:
 
 
 def _strong_reduce(p: IntPoly, basis: list) -> tuple:
-    """Full strong normal form; returns (remainder, multipliers)."""
+    """Full strong normal form; returns (remainder, multipliers).
+
+    The leading term of the working polynomial is divided by the first
+    basis element whose leading term divides it, or else moved to the
+    remainder.  Each step cancels into one working dict.
+    """
+    nvars = p.nvars
+    heads = [b.leading() for b in basis]
+    work = dict(p.terms)
+    remainder = {}
     mult = {}
-    remainder = IntPoly(p.nvars)
-    while not p.is_zero():
-        e, c = p.leading()
-        hit = None
-        for i, b in enumerate(basis):
-            be, bc = b.leading()
-            if _monomial_divides(be, e) and c % bc == 0:
-                hit = (i, c // bc, _expo_sub(e, be))
+    while work:
+        e = max(work, key=_deglex_key)
+        c = work[e]
+        for i, (be, bc) in enumerate(heads):
+            if c % bc == 0 and _monomial_divides(be, e):
                 break
-        if hit is None:
-            remainder = remainder + IntPoly(p.nvars, {e: c})
-            p = p - IntPoly(p.nvars, {e: c})
+        else:
+            remainder[e] = work.pop(e)
             continue
-        i, q, shift = hit
-        term = IntPoly(p.nvars, {shift: q})
-        mult[i] = mult.get(i, term * 0) + term
-        p = p - basis[i].term_mul(q, shift)
-    return remainder, mult
+        q, shift = c // bc, _expo_sub(e, be)
+        # the leading monomials decrease, so each shift is new for i
+        mult.setdefault(i, {})[shift] = q
+        for te, tc in basis[i].terms.items():
+            k = tuple(a + b for a, b in zip(te, shift))
+            v = work.get(k, 0) - q * tc
+            if v:
+                work[k] = v
+            else:
+                del work[k]
+    return (IntPoly._trusted(nvars, remainder),
+            {i: IntPoly._trusted(nvars, q) for i, q in mult.items()})
 
 
 def _s_poly(f: IntPoly, g: IntPoly) -> IntPoly:
@@ -243,36 +282,36 @@ def strong_gb(gens) -> StrongGB:
     basis = [g for g in gens if not g.is_zero()]
     if not basis:
         raise ValueError("need at least one nonzero generator")
-    nvars = basis[0].nvars
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i)}
+    heads = [b.leading()[0] for b in basis]
+    # (deglex key of lcm(lm_i, lm_j), i, j): popped smallest lcm first
+    pairs = []
+
+    def push_pairs(k):
+        for t in range(k):
+            lcm = tuple(max(a, b) for a, b in zip(heads[k], heads[t]))
+            heapq.heappush(pairs, (_deglex_key(lcm), k, t))
+
+    for k in range(len(basis)):
+        push_pairs(k)
     guard = 0
     while pairs:
         guard += 1
         if guard > 20000:
             raise RuntimeError("completion did not terminate")
-
-        def lcm_key(pair):
-            i, j = pair
-            fe, _ = basis[i].leading()
-            ge, _ = basis[j].leading()
-            return (_deglex_key(tuple(max(a, b) for a, b in zip(fe, ge))),
-                    i, j)
-
-        i, j = min(pairs, key=lcm_key)
-        pairs.discard((i, j))
+        _, i, j = heapq.heappop(pairs)
         for candidate in (_g_poly(basis[i], basis[j]),
                           _s_poly(basis[i], basis[j])):
             nf, _ = _strong_reduce(candidate, basis)
             if nf.is_zero():
                 continue
-            _, lc = nf.leading()
+            lm, lc = nf.leading()
             if lc < 0:
                 nf = -nf
             if nf in basis:
                 continue
             basis.append(nf)
-            k = len(basis) - 1
-            pairs.update((k, t) for t in range(k))
+            heads.append(lm)
+            push_pairs(len(basis) - 1)
     # interreduce deterministically
     changed = True
     while changed:
@@ -348,7 +387,7 @@ def _random_poly(nvars, max_deg, rng) -> IntPoly:
             for _ in range(rng.randint(0, max_deg)):
                 e[rng.randrange(nvars)] += 1
         terms[tuple(e)] = terms.get(tuple(e), 0) + rng.randint(-3, 3)
-    return IntPoly(nvars, terms)
+    return IntPoly._trusted(nvars, terms)
 
 
 # ---------------------------------------------------------------------------

@@ -193,6 +193,10 @@ MALFORMED = {
                     "vars must be a list of strings, got 5"),
     "vars-string": (IDEAL, {"vars": "xy", "gens": []},
                     'vars must be a list of strings, got "xy"'),
+    "vars-repeated": (IDEAL, {"vars": ["x", "x"],
+                              "gens": [[{"e": [1, 0], "c": 2}],
+                                       [{"e": [0, 1], "c": 3}]]},
+                      'vars must be distinct, got ["x", "x"]'),
     "f-float": (["xcomplex", "--algebra"],
                 {"kind": "plane_curve", "f_coeffs": [0, -1.5, 0, 1]},
                 "f_coeffs must be a list of integers, got [0, -1.5, 0, 1]"),

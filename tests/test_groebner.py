@@ -7,8 +7,9 @@ from hacalc.algebra import exponent_vectors
 from hacalc.checks import groebner_corpus
 from hacalc.graphs import smith_normal_form
 from hacalc.groebner import (ORACLE_HEADROOM, IntPoly, _deglex_key,
-                             deglex_compare, filtered_noetherian_witness,
-                             membership_oracle, strong_divide, strong_gb)
+                             _strong_reduce, deglex_compare,
+                             filtered_noetherian_witness, membership_oracle,
+                             strong_divide, strong_gb)
 from hacalc.linalg import SparseEchelon, ZLattice
 
 
@@ -29,6 +30,61 @@ def test_intpoly_arithmetic():
     assert (f + g).terms == {(1, 0): 3, (0, 1): -1}
     assert f.leading() == ((1, 0), 2)
     assert f.total_degree() == 1
+
+
+def _reference_strong_reduce(p, basis):
+    """The reduction one polynomial at a time: each cancelled term is an
+    ``IntPoly`` of its own, and every leading term is read afresh."""
+    mult = {}
+    remainder = IntPoly(p.nvars)
+    while not p.is_zero():
+        e, c = p.leading()
+        hit = None
+        for i, b in enumerate(basis):
+            be, bc = b.leading()
+            if all(u <= v for u, v in zip(be, e)) and c % bc == 0:
+                hit = (i, c // bc, tuple(v - u for u, v in zip(be, e)))
+                break
+        if hit is None:
+            remainder = remainder + IntPoly(p.nvars, {e: c})
+            p = p - IntPoly(p.nvars, {e: c})
+            continue
+        i, q, shift = hit
+        term = IntPoly(p.nvars, {shift: q})
+        mult[i] = mult.get(i, term * 0) + term
+        p = p - basis[i].term_mul(q, shift)
+    return remainder, mult
+
+
+def _divisor_lists(gens):
+    """The lists the kernel divides by: the raw generators in both orders
+    and both signs, and the partial bases of a completion, the generators
+    followed by the first k elements of the completed basis."""
+    gens = list(gens)
+    done = list(strong_gb(gens).polys)
+    return [gens[::-1], [-g for g in gens]] + [
+        gens + done[:k] for k in range(len(done) + 1)]
+
+
+def test_strong_reduce_matches_reference():
+    rng = random.Random(13)
+    compared = 0
+    for gens in groebner_corpus():
+        for basis in _divisor_lists(gens):
+            for _ in range(20):
+                g = IntPoly(2, {(rng.randint(0, 3), rng.randint(0, 3)):
+                                rng.randint(-12, 12) for _ in range(4)})
+                for base in gens:
+                    e = (rng.randint(0, 2), rng.randint(0, 2))
+                    g = g + base.term_mul(rng.randint(-3, 3), e)
+                rem, mult = _strong_reduce(g, basis)
+                ref_rem, ref_mult = _reference_strong_reduce(g, basis)
+                assert rem.terms == ref_rem.terms, g
+                assert list(mult) == list(ref_mult), g
+                assert all(mult[i].terms == ref_mult[i].terms
+                           for i in mult), g
+                compared += 1
+    assert compared > 1000
 
 
 def test_strong_gb_examples():
@@ -258,3 +314,31 @@ def test_witness_examples():
 def test_intpoly_refuses_non_integers(terms):
     with pytest.raises(ValueError):
         IntPoly(2, terms)
+
+
+@pytest.mark.parametrize("coeff, expo", [
+    (Fraction(3, 2), (0, 1)), (Fraction(2), (0, 1)), (True, (0, 1)),
+    (2.0, (0, 1)), (2, (1,)), (2, (1, 0, 0)), (2, (0, -1)),
+    (2, (1.0, 0)), (2, (True, 0)),
+], ids=["fraction", "integral-fraction", "bool", "float", "short-shift",
+        "long-shift", "negative-shift", "float-shift", "bool-shift"])
+def test_term_mul_refuses_bad_operands(coeff, expo):
+    with pytest.raises(ValueError):
+        P({(1, 0): 2, (0, 0): -1}).term_mul(coeff, expo)
+
+
+def test_arithmetic_keeps_int_coefficients_without_zeros():
+    f = P({(1, 0): 2, (0, 1): -1, (0, 0): 3})
+    g = P({(1, 0): -2, (1, 1): 1})
+    assert (f - f).terms == {}
+    assert (f * 0).terms == {}
+    assert (f + (-f)).terms == {}
+    assert f.term_mul(0, (1, 1)).terms == {}
+    assert (f * P({})).terms == {}
+    for h in (f + g, f - g, -f, f * 3, 3 * f, f * g,
+              f.term_mul(-2, (1, 0))):
+        assert h.terms and all(type(c) is int and c
+                               for c in h.terms.values())
+    assert (f + g).terms == {(0, 1): -1, (0, 0): 3, (1, 1): 1}
+    assert f.term_mul(-2, (1, 0)).terms == {(2, 0): -4, (1, 1): 2,
+                                            (1, 0): -6}
