@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
-from operator import add
+from dataclasses import dataclass
+from operator import add, sub
 
 from .scalars import INF
 
@@ -296,6 +296,14 @@ class AlgebraPresentation:
             letters.extend([tuple(g)] * e)
         return letters
 
+    def cofactor(self, m: tuple, w: tuple) -> tuple:
+        """The basis monomial m / w for a letter w of ``word_of(m)``.
+
+        Commutative monomials are exponent vectors, so the product of
+        the other letters is m - w, already in normal form.
+        """
+        return tuple(map(sub, m, w))
+
 
 # ---------------------------------------------------------------------------
 # Growth profiles
@@ -307,44 +315,35 @@ class GrowthProfile:
     """Minimum required coefficient valuation per monomial degree.
 
     ``w[d]`` is the valuation a degree-d coefficient must have for the
-    element to lie in the modeled submodule; ``INF`` means the submodule
-    has no degree-d part.
+    element to lie in the modeled submodule, for d = 0 .. cap; ``INF``
+    means the submodule has no degree-d part, as past the cap.
     """
 
-    cap: int
-    w: tuple = field(default=())
+    w: tuple
 
-    def __post_init__(self):
-        if len(self.w) != self.cap + 1:
-            raise ValueError("profile must list degrees 0..cap")
+    @property
+    def cap(self) -> int:
+        return len(self.w) - 1
 
     @classmethod
     def filtration(cls, k: int, cap: int) -> "GrowthProfile":
         """Profile of F_k: free coefficients up to degree k, nothing above."""
-        return cls(cap, tuple(0 if d <= k else INF for d in range(cap + 1)))
-
-    @classmethod
-    def empty(cls, cap: int) -> "GrowthProfile":
-        return cls(cap, (INF,) * (cap + 1))
-
-    @classmethod
-    def from_values(cls, values, cap: int) -> "GrowthProfile":
-        return cls(cap, tuple(values))
+        return cls(tuple(0 if d <= k else INF for d in range(cap + 1)))
 
     def __getitem__(self, d: int):
-        return self.w[d]
+        return self.w[d] if d < len(self.w) else INF
 
 
 def profile_sum(u: GrowthProfile, v: GrowthProfile) -> GrowthProfile:
     """Profile of the module sum M + N (pointwise minimum)."""
     _same_cap(u, v)
-    return GrowthProfile(u.cap, tuple(min(a, b) for a, b in zip(u.w, v.w)))
+    return GrowthProfile(tuple(min(a, b) for a, b in zip(u.w, v.w)))
 
 
 def profile_product(u: GrowthProfile, v: GrowthProfile) -> GrowthProfile:
     """Profile of the product module M*N (min-plus convolution)."""
     _same_cap(u, v)
-    return GrowthProfile(u.cap, tuple(
+    return GrowthProfile(tuple(
         min(map(add, u.w[:d + 1], v.w[d::-1])) for d in range(u.cap + 1)))
 
 
@@ -359,23 +358,22 @@ def profile_power_sum(u: GrowthProfile, n: int) -> GrowthProfile:
 
 
 def profile_diamond(u: GrowthProfile) -> GrowthProfile:
-    """Profile of the linear-growth hull sum_i p^i M^{i+1}.
+    """Profile of the linear-growth hull M^* = sum_i p^i M^{i+1}.
 
-    The minimum over i of i + (profile of M^{i+1}) is attained with
-    i <= d: a degree-0 factor can always be dropped at cost <= 0.
+    The hull solves M^* = M + p M M^*, so its profile is
+    w(d) = min(u(d), 1 + u(a) + w(d - a) for 1 <= a <= d).  The term
+    a = 0, 1 + u(0) + w(d), never lowers w(d) when u(0) >= -1; when
+    u(0) < -1 the degree-0 requirement i + (i + 1) u(0) of p^i M^{i+1}
+    falls without bound, and ValueError is raised.
     """
-    powers = [u]
-    out = []
-    for d in range(u.cap + 1):
-        best = INF
-        for i in range(d + 2):
-            while len(powers) <= i:
-                powers.append(profile_product(powers[-1], u))
-            term = i + powers[i].w[d]
-            if term < best:
-                best = term
-        out.append(best)
-    return GrowthProfile(u.cap, tuple(out))
+    if u[0] < -1:
+        raise ValueError(f"the hull of a profile with u(0) = {u[0]} < -1 "
+                         "is unbounded")
+    w = []
+    for ud in u.w:
+        w.append(min(ud, 1 + min(map(add, u.w[1:], reversed(w)),
+                                 default=INF)))
+    return GrowthProfile(tuple(w))
 
 
 @dataclass(frozen=True)
@@ -395,38 +393,24 @@ def profile_check_diam_laws(u: GrowthProfile, v: GrowthProfile
     <= M^*; (4) M^* N^* <= ((M+N)^(2))^*; (5) (M^*)^* = M^*.
     """
     _same_cap(u, v)
-    cap = u.cap
     ud, vd = profile_diamond(u), profile_diamond(v)
-
-    def leq(big, small, law):
-        # module inclusion small <= big: small's requirement >= big's
-        for d in range(cap + 1):
-            if small.w[d] < big.w[d]:
-                return DiamondLawReport(False, law, d)
-        return None
-
-    checks = []
-    # 1
-    checks.append((profile_diamond(profile_sum(u, v)),
-                   profile_sum(ud, vd), 1))
-    # 2: one order suffices, as profile_product commutes
     mn = profile_product(u, v)
-    checks.append((profile_diamond(profile_power_sum(profile_sum(mn, v), 2)),
-                   profile_product(u, vd), 2))
-    # 3
-    shifted = GrowthProfile(cap, tuple(
-        1 + x for x in profile_product(ud, ud).w))
-    checks.append((ud, shifted, 3))
-    # 4
-    checks.append((profile_diamond(profile_power_sum(profile_sum(u, v), 2)),
-                   profile_product(ud, vd), 4))
-    for big, small, law in checks:
-        bad = leq(big, small, law)
-        if bad:
-            return bad
+    # (N, M) for each inclusion M <= N of laws 1-4
+    inclusions = [
+        (profile_diamond(profile_sum(u, v)).w, profile_sum(ud, vd).w),
+        (profile_diamond(profile_power_sum(profile_sum(mn, v), 2)).w,
+         profile_product(u, vd).w),
+        (ud.w, [1 + x for x in profile_product(ud, ud).w]),
+        (profile_diamond(profile_power_sum(profile_sum(u, v), 2)).w,
+         profile_product(ud, vd).w),
+    ]
+    for law, (big, small) in enumerate(inclusions, 1):
+        for d, (b, s) in enumerate(zip(big, small)):
+            if s < b:
+                return DiamondLawReport(False, law, d)
     # 5: idempotency, exact equality
     udd = profile_diamond(ud)
-    for d in range(cap + 1):
+    for d in range(u.cap + 1):
         if udd.w[d] != ud.w[d]:
             return DiamondLawReport(False, 5, d)
     return DiamondLawReport(True)

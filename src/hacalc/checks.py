@@ -139,8 +139,7 @@ def suite_diam(cap: int = 20) -> CheckResult:
                     f"law {rep.failed_law} at degree {rep.failed_degree} "
                     f"for F_{k1}, F_{k2}")
     # a non-filtration profile: staircase valuations
-    w = GrowthProfile.from_values(
-        [d // 2 for d in range(cap + 1)], cap)
+    w = GrowthProfile(tuple(d // 2 for d in range(cap + 1)))
     rep = profile_check_diam_laws(w, GrowthProfile.filtration(2, cap))
     checks += 1
     if not rep.ok:

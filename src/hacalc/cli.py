@@ -144,7 +144,7 @@ def run(argv) -> int:
         return 2
     try:
         return _dispatch(args, cfg)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, ValueError) as exc:
         print(json.dumps({"schema": "ha/1", "error": str(exc)},
                          sort_keys=True))
         return 2
@@ -212,17 +212,20 @@ def _dispatch(args, cfg) -> int:
                 f"vars must be distinct, got {json.dumps(names)}")
         gens = [IntPoly.from_json(len(names), g)
                 for g in json_list(data["gens"], list, "gens")]
-        gb = strong_gb(gens)
-        out = {"basis": [p.render(names) for p in gb.polys]}
+        out = {}
         passed = True
         if args.witness:
             import random
             rep = filtered_noetherian_witness(
                 gens, args.witness, 6, random.Random(args.seed))
+            gb = rep.basis
             out["witness"] = {"samples": rep.samples,
                               "max_shift": rep.max_shift,
                               "failures": rep.failures}
             passed = rep.failures == 0 and rep.max_shift == 0
+        else:
+            gb = strong_gb(gens)
+        out["basis"] = [p.render(names) for p in gb.polys]
         return _report(args, "groebner", out, passed)
 
     if args.command == "derham":

@@ -113,8 +113,6 @@ def h_dr(A: AlgebraPresentation, cfg: PrimeConfig,
         u, v = _poly_bezout(f, [k * c for k, c in enumerate(f)][1:])
         if any(c.denominator % cfg.p == 0 for c in u + v):
             raise BadReduction(f"f is not squarefree mod p = {cfg.p}")
-    elif A.kind == "polynomial" and len(A.generators) != 1:
-        raise DomainError("one-variable polynomial rings only")
     elif A.kind not in ("polynomial", "laurent"):
         raise DomainError("unsupported presentation for de Rham reduction")
     h0, h1, _, cols, reduce = stable_read(A, D)

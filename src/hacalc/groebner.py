@@ -345,6 +345,7 @@ class WitnessReport:
     samples: int
     max_shift: int
     failures: int
+    basis: StrongGB  # the completion the samples were divided by
 
 
 def filtered_noetherian_witness(gens, sample_count: int, max_deg: int,
@@ -376,7 +377,7 @@ def filtered_noetherian_witness(gens, sample_count: int, max_deg: int,
             continue
         shift = max(0, cert.max_product_degree(gb) - g.total_degree())
         max_shift = max(max_shift, shift)
-    return WitnessReport(done, max_shift, failures)
+    return WitnessReport(done, max_shift, failures, gb)
 
 
 def _random_poly(nvars, max_deg, rng) -> IntPoly:

@@ -421,8 +421,12 @@ def stable_read(A: AlgebraPresentation, D: int):
     """``kahler_window(A, [D, D + STAB_STEP])[D]``, certified stable.
 
     Both bounds must give the same dimensions (h0, h1), else
-    :class:`Unstable` is raised.
+    :class:`Unstable` is raised.  A polynomial ring in two or more
+    variables is refused: Omega^1 S/dS is infinite-dimensional there, so
+    no window is ever stable.
     """
+    if A.kind == "polynomial" and len(A.generators) > 1:
+        raise DomainError("one-variable polynomial rings only")
     if D < 0:
         raise ValueError(f"truncation must be >= 0, got {D}")
     big = D + STAB_STEP
@@ -433,48 +437,25 @@ def stable_read(A: AlgebraPresentation, D: int):
     return res[D]
 
 
-def _letter_product(A: AlgebraPresentation, word: tuple,
-                    products: dict) -> dict:
-    """Normal form of a product of letters; ``products`` memoizes prefixes."""
-    start = len(word)
-    while word[:start] not in products:
-        start -= 1
-    out = products[word[:start]]
-    for i in range(start, len(word)):
-        nxt = {}
-        for m, c in out.items():
-            for mm, mc in A.mul_monomials(m, word[i]).items():
-                nxt[mm] = nxt.get(mm, 0) + c * mc
-        out = products[word[:i + 1]] = nxt
-    return out
-
-
-def _kahler_d(A: AlgebraPresentation, s: tuple, products: dict) -> dict:
+def _kahler_d(A: AlgebraPresentation, s: tuple) -> dict:
     """d(s) = sum_i (prod_{j != i} w_j) dw_i over s = w_1 ... w_n.
 
     ``s`` is factored by ``A.word_of``; the result maps 1-form tuples
     (head, letter) to coefficients.  A is commutative, so the k equal
-    letters w of a word share one cofactor, taken k times.
+    letters w of a word share one cofactor s / w, taken k times.
     """
-    word = tuple(A.word_of(s))
-    out = {}
-    for w in dict.fromkeys(word):
-        i, k = word.index(w), word.count(w)
-        rest = _letter_product(A, word[:i] + word[i + 1:], products)
-        for h, c in rest.items():
-            out[(h, w)] = out.get((h, w), 0) + k * c
-    return out
+    word = A.word_of(s)
+    return {(A.cofactor(s, w), w): word.count(w) for w in dict.fromkeys(word)}
 
 
-def _leibniz_defects(A: AlgebraPresentation, letters,
-                     products: dict) -> list:
+def _leibniz_defects(A: AlgebraPresentation, letters) -> list:
     """The nonzero rho(a, b) = d(ab) - a db - b da over letter pairs."""
     out = []
     for i, a in enumerate(letters):
         for b in letters[i:]:
             rho = {}
             for m, c in A.mul_monomials(a, b).items():
-                for key, v in _kahler_d(A, m, products).items():
+                for key, v in _kahler_d(A, m).items():
                     rho[key] = rho.get(key, 0) + c * v
             for key in ((a, b), (b, a)):
                 rho[key] = rho.get(key, 0) - 1
@@ -526,16 +507,15 @@ def kahler_window(A: AlgebraPresentation, reads: list) -> dict:
             out[col] = out.get(col, 0) + c
         return out
 
-    products = {(): {A.one(): 1}}
     ech_c = IntEchelon()
-    for rho in _leibniz_defects(A, letters, products):
+    for rho in _leibniz_defects(A, letters):
         for h in monos:
             row = {}
             for (m, w), c in rho.items():
                 for hm, hc in A.mul_monomials(h, m).items():
                     row[(hm, w)] = row.get((hm, w), 0) + c * hc
             ech_c.add(vec(row))
-    d_of = [vec(_kahler_d(A, s, products)) for s in monos]
+    d_of = [vec(_kahler_d(A, s)) for s in monos]
     kernel = kernel_basis([ech_c.reduce(d) for d in d_of])
     for d in d_of:
         ech_c.add(d)
@@ -562,15 +542,12 @@ def xcomplex_homology(A: AlgebraPresentation, cfg, D: int) -> XComplexReport:
     Only commutative presentations are supported: there the map from
     1-form classes back to S vanishes, so h0 = ker(d) and h1 = coker(d)
     on the truncated slices.  The dimensions are certified by
-    :func:`stable_read`.  A polynomial ring in two or more variables is
-    refused: Omega^1 S/dS is infinite-dimensional there, so no window is
-    ever stable.
+    :func:`stable_read`, which refuses a polynomial ring in two or more
+    variables.
     """
     if not A.is_commutative:
         raise NotCommutative("homology is computed for commutative "
                              "presentations only")
-    if A.kind == "polynomial" and len(A.generators) > 1:
-        raise DomainError("one-variable polynomial rings only")
     h0, h1, reps0, reps1, _ = stable_read(A, D)
     reps1_str = tuple(str(Form(A, 1, {t: 1})) for t in reps1)
     reps0_str = tuple(str(x) for x in reps0)

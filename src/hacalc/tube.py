@@ -80,14 +80,10 @@ def tube_member(x: EvenForm, m: int, cfg: PrimeConfig) -> bool:
 
 def _slot_requirement(A, profile: GrowthProfile, key) -> float:
     """Summed profile requirement over head and d-slots of a tuple."""
-    need = 0
     head = key[0]
-    if not A.is_unit_monomial(head):
-        d = A.degree(head)
-        need += profile[d] if d <= profile.cap else INF
+    need = 0 if A.is_unit_monomial(head) else profile[A.degree(head)]
     for s in key[1:]:
-        d = A.degree(s)
-        need += profile[d] if d <= profile.cap else INF
+        need += profile[A.degree(s)]
     return need
 
 
@@ -102,7 +98,7 @@ def form_in_module(form: Form, profile: GrowthProfile, cfg: PrimeConfig,
     A = form.presentation
     for key, c in form.terms.items():
         need = _slot_requirement(A, profile, key)
-        if need is INF or val(c, cfg) + shift < need:
+        if val(c, cfg) + shift < need:
             return False
     return True
 

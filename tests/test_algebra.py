@@ -139,7 +139,7 @@ def test_profile_product_examples():
     F5 = GrowthProfile.filtration(5, cap)
     assert profile_product(F1, F1).w == F2.w
     assert profile_product(F2, F3).w == F5.w
-    empty = GrowthProfile.empty(cap)
+    empty = GrowthProfile((INF,) * (cap + 1))
     assert profile_product(F1, empty).w == empty.w
 
 
@@ -159,6 +159,41 @@ def test_profile_diamond_closed_forms():
     assert profile_diamond(F2)[5] == 2
 
 
+def _reference_profile_diamond(u):
+    """The hull as the minimum over i of i + (profile of M^{i+1}).
+
+    With u(0) >= -1 a degree-0 factor can always be dropped at cost
+    <= 0, so the minimum is attained with i <= d.
+    """
+    powers = [u]
+    out = []
+    for d in range(u.cap + 1):
+        best = INF
+        for i in range(d + 2):
+            while len(powers) <= i:
+                powers.append(profile_product(powers[-1], u))
+            best = min(best, i + powers[i].w[d])
+        out.append(best)
+    return tuple(out)
+
+
+def test_profile_diamond_matches_min_over_powers():
+    rng = random.Random(19)
+    values = list(range(-3, 7)) + [INF]
+    for _ in range(5000):
+        cap = rng.randint(0, 24)
+        u = GrowthProfile((rng.choice(values[2:]),) + tuple(
+            rng.choice(values) for _ in range(cap)))
+        assert profile_diamond(u).w == _reference_profile_diamond(u), u.w
+
+
+@pytest.mark.parametrize("u0", [-2, -3])
+def test_profile_diamond_refuses_unbounded_hull(u0):
+    # p^i M^{i+1} needs valuation i + (i + 1) u(0) in degree 0
+    with pytest.raises(ValueError, match="unbounded"):
+        profile_diamond(GrowthProfile((u0, 0, 1)))
+
+
 def test_profile_diamond_idempotent():
     rng = random.Random(3)
     cap = 14
@@ -166,7 +201,7 @@ def test_profile_diamond_idempotent():
         w = []
         for d in range(cap + 1):
             w.append(INF if rng.random() < 0.2 else rng.randint(0, 6))
-        u = GrowthProfile.from_values(w, cap)
+        u = GrowthProfile(tuple(w))
         dia = profile_diamond(u)
         assert profile_diamond(dia).w == dia.w
 
@@ -233,7 +268,7 @@ def test_profile_product_is_the_min_plus_convolution():
     rng = random.Random(5)
     for cap in range(7):
         for _ in range(30):
-            u, v = (GrowthProfile(cap, tuple(
+            u, v = (GrowthProfile(tuple(
                 rng.choice([0, 1, 2, 5, INF]) for _ in range(cap + 1)))
                 for _ in range(2))
             want = tuple(min(u[i] + v[d - i] for i in range(d + 1))
@@ -246,7 +281,7 @@ def test_profile_product_commutes():
     rng = random.Random(8)
     for cap in range(7):
         for _ in range(30):
-            u, v = (GrowthProfile(cap, tuple(
+            u, v = (GrowthProfile(tuple(
                 rng.choice([0, 1, 3, INF, INF]) for _ in range(cap + 1)))
                 for _ in range(2))
             assert profile_product(u, v) == profile_product(v, u)

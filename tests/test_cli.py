@@ -8,6 +8,7 @@ import pytest
 
 import hacalc
 from hacalc.cli import run
+from hacalc.groebner import strong_gb
 
 
 @pytest.fixture
@@ -533,6 +534,36 @@ def test_groebner_witness_on_zero_variables(tmp_path, capsys):
                                   "samples": 5}
     assert run(argv) == 0
     assert capsys.readouterr().out == out
+
+
+def test_groebner_witness_completes_the_basis_once(tmp_path, monkeypatch,
+                                                   capsys):
+    """The reported basis is the completion the witness divided by."""
+    calls = []
+
+    def counted(gens):
+        calls.append(gens)
+        return strong_gb(gens)
+
+    monkeypatch.setattr("hacalc.groebner.strong_gb", counted)
+    monkeypatch.setattr("hacalc.cli.strong_gb", counted)
+    name, payload, argv = README_RUNS["groebner-witness"]
+    (tmp_path / name).write_text(json.dumps(payload))
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 0
+    assert capsys.readouterr().out == GOLDEN["groebner-witness"]
+    assert len(calls) == 1
+
+
+def test_internal_key_error_propagates(laurent_file, monkeypatch):
+    """Only malformed input exits 2: a KeyError raised inside a routine is
+    a fault of the program, not of the payload."""
+    def broken(*args):
+        raise KeyError("internal")
+
+    monkeypatch.setattr("hacalc.cli.h_dr", broken)
+    with pytest.raises(KeyError, match="internal"):
+        run(["--prime", "5", "derham", "--algebra", laurent_file])
 
 
 def test_byte_identical_reruns(loop_file, capsys):

@@ -11,7 +11,8 @@ from hacalc.ncforms import Form
 from hacalc.scalars import INF, PrimeConfig
 from hacalc.tube import (EvenForm, TubeParams, _shift_minimum,
                          _split_minimum, dm_member, fedosov_even,
-                         floor_estimates, jdegree, tube_member)
+                         floor_estimates, form_in_module, jdegree,
+                         tube_member)
 
 POLY = AlgebraPresentation.polynomial()
 CFG = PrimeConfig(5)
@@ -53,6 +54,27 @@ def test_dm_member_examples():
     assert not dm_member(bad, TubeParams(2, Fraction(1, 3), 3, prof), CFG)
     wide = GrowthProfile.filtration(2, 24)
     assert dm_member(bad, TubeParams(2, Fraction(1, 3), 3, wide), CFG)
+
+
+def test_form_in_module_reads_the_profile_slotwise():
+    prof = GrowthProfile((0, 1, 2))  # cap 2
+    t2, t3 = POLY.monomial((2,)), POLY.monomial((3,))
+
+    def inside(terms, shift=0):
+        form = Form(POLY, len(next(iter(terms))) - 1, terms)
+        return form_in_module(form, prof, CFG, shift)
+
+    # a head or d-slot past the cap is refused at any shift
+    assert not inside({(t3,): 1}, shift=99)
+    assert not inside({(ONE, t3): 1}, shift=99)
+    assert not inside({(T, T, t3): 1}, shift=99)
+    # the unit head is free; any other head pays its degree's requirement
+    assert inside({(ONE, T): 5}) and not inside({(ONE, T): 1})
+    assert inside({(T, T): 25}) and not inside({(T, T): 5})
+    # shift lowers the bar by exactly its value: need 2 + 2 = 4
+    for c, v in ((1, 0), (Fraction(1, 5), -1), (125, 3)):
+        assert inside({(t2, t2): c}, shift=4 - v)
+        assert not inside({(t2, t2): c}, shift=3 - v)
 
 
 def test_fedosov_even_examples():
