@@ -67,6 +67,13 @@ def _load_object(path) -> dict:
     return _Payload(path, data)
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors are input errors: one ha/1 document."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def _build_parser():
     # global flags are accepted both before and after the subcommand
     common = argparse.ArgumentParser(add_help=False)
@@ -74,7 +81,7 @@ def _build_parser():
     common.add_argument("--precision", type=int, default=argparse.SUPPRESS)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
 
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="ha", parents=[common],
         description="Exact invariants of p-adic algebras at finite "
                     "truncation.")
@@ -125,25 +132,15 @@ def _build_parser():
 
 
 def run(argv) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args = _build_parser().parse_args(argv)
+        if not hasattr(args, "prime"):
+            raise ValueError("--prime is required")
+        args.precision = getattr(args, "precision", 16)
+        args.seed = getattr(args, "seed", 0)
+        return _dispatch(args, PrimeConfig(args.prime, args.precision))
+    except SystemExit as exc:  # --help
         return 2 if exc.code else 0
-    if not hasattr(args, "prime"):
-        print(json.dumps({"schema": "ha/1",
-                          "error": "--prime is required"}, sort_keys=True))
-        return 2
-    args.precision = getattr(args, "precision", 16)
-    args.seed = getattr(args, "seed", 0)
-    try:
-        cfg = PrimeConfig(args.prime, args.precision)
-    except ValueError as exc:
-        print(json.dumps({"schema": "ha/1", "error": str(exc)},
-                         sort_keys=True))
-        return 2
-    try:
-        return _dispatch(args, cfg)
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         print(json.dumps({"schema": "ha/1", "error": str(exc)},
                          sort_keys=True))

@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass
 
 from .algebra import exponent_vectors
+from .errors import DomainError
 # Not called here: perfbench/layers.py traces this binding as oracle_snf.
 from .graphs import smith_normal_form  # noqa: F401
 from .linalg import ZLattice, bezout
@@ -354,8 +355,13 @@ def filtered_noetherian_witness(gens, sample_count: int, max_deg: int,
 
     Each sample is sum r_i gen_i with random r_i keeping the total degree
     <= max_deg; the observed shift max(0, deg(q_j f_j) - deg(g)) is 0 for
-    deglex division by a strong basis.
+    deglex division by a strong basis.  Without a nonzero generator of
+    total degree <= max_deg every sample is 0, so that is refused.
     """
+    if not any(not g.is_zero() and g.total_degree() <= max_deg
+               for g in gens):
+        raise DomainError(f"no nonzero generator has total degree <= "
+                          f"{max_deg}, so every witness sample is 0")
     gb = strong_gb(gens)
     max_shift = 0
     failures = 0

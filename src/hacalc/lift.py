@@ -1,13 +1,14 @@
 """Connections, a pointwise Hochschild calculus, and multiplicative liftings.
 
-A cochain is a plain callable from monomials to mixed forms; the
-coboundary, the cup product and the curvature evaluate it at one point.
+A cochain is a plain callable from monomials to homogeneous forms; the
+coboundary and the cup product evaluate it at one point.
 
 The connection vanishes on the generator differentials and is extended
 by nabla(d(uv)) = nabla(du) v + du dv + u nabla(dv).  From it the
-recursion builds 1-cochains phi_0, phi_2 = -nabla d, phi_4, ... whose
-partial sums are linear sections of the projection from even forms back
-to the algebra with curvature vanishing below form degree 2(n+1).
+recursion builds 1-cochains phi_0, phi_2 = -nabla d, phi_4, ... with
+delta(phi_{2k}) = psi_{2k}, so that their partial sums are linear
+sections of the projection from even forms back to the algebra with
+curvature vanishing below form degree 2(n+1).
 
 Idempotent lifting over Z/p^N uses the series sum binom(2n-1, n) x^n with
 x = e - e^2.
@@ -21,8 +22,7 @@ from functools import partial
 
 from .algebra import AlgebraPresentation, int_entries
 from .errors import InvalidConnection, NotApproxIdempotent, WrongDegree
-from .ncforms import (Form, MixedForm, fedosov_mixed, form_multiply,
-                      mixed_differential, mixed_multiply)
+from .ncforms import Form, MixedForm, differential, form_multiply
 from .scalars import PrimeConfig
 
 
@@ -30,12 +30,20 @@ def _mono_form(A, m: tuple) -> Form:
     return Form(A, 0, {(m,): 1})
 
 
-def _left_mul(m: tuple, x: MixedForm) -> MixedForm:
-    return mixed_multiply(MixedForm.of(_mono_form(x.presentation, m)), x)
+def _combine(A: AlgebraPresentation, n: int, scaled) -> Form:
+    """The n-form sum of c * f over the (c, f) pairs, in one dict."""
+    out = {}
+    get = out.get
+    for c, f in scaled:
+        for k, v in f.terms.items():
+            out[k] = get(k, 0) + c * v
+    return Form._trusted(A, n, out)
 
 
-def _right_mul(x: MixedForm, m: tuple) -> MixedForm:
-    return mixed_multiply(x, MixedForm.of(_mono_form(x.presentation, m)))
+def _products(triples):
+    """(c, a b) for each (c, a, b) whose factors are both nonzero."""
+    return ((c, form_multiply(a, b)) for c, a, b in triples
+            if a.terms and b.terms)
 
 
 def _pairs(A: AlgebraPresentation, bound: int) -> list:
@@ -44,12 +52,7 @@ def _pairs(A: AlgebraPresentation, bound: int) -> list:
             for y in A.monomials_up_to(bound - A.degree(x))]
 
 
-def _extend(A: AlgebraPresentation, f, terms: dict) -> MixedForm:
-    """Linear extension of f (monomial -> mixed form) to {monomial: c}."""
-    return MixedForm.sum(A, (f(m).scale(c) for m, c in terms.items()))
-
-
-def hochschild_delta(A: AlgebraPresentation, f, *point) -> MixedForm:
+def hochschild_delta(A: AlgebraPresentation, f, *point) -> Form:
     """The Hochschild coboundary of f at one point.
 
     At (x, y), f is a 1-cochain: x f(y) - f(xy) + f(x) y.
@@ -58,34 +61,25 @@ def hochschild_delta(A: AlgebraPresentation, f, *point) -> MixedForm:
     """
     if len(point) == 2:
         x, y = point
-        return (_left_mul(x, f(y)) - _extend(A, f, A.mul_monomials(x, y))
-                + _right_mul(f(x), y))
+        fy = f(y)
+        return _combine(A, fy.degree, [
+            *_products([(1, _mono_form(A, x), fy),
+                        (1, f(x), _mono_form(A, y))]),
+            *((-c, f(m)) for m, c in A.mul_monomials(x, y).items())])
     if len(point) != 3:
         raise WrongDegree("the coboundary is implemented up to 2-cochains")
     x, y, z = point
-    return (_left_mul(x, f(y, z))
-            - _extend(A, lambda m: f(m, z), A.mul_monomials(x, y))
-            + _extend(A, lambda m: f(x, m), A.mul_monomials(y, z))
-            - _right_mul(f(x, y), z))
+    fyz = f(y, z)
+    return _combine(A, fyz.degree, [
+        *_products([(1, _mono_form(A, x), fyz),
+                    (-1, f(x, y), _mono_form(A, z))]),
+        *((-c, f(m, z)) for m, c in A.mul_monomials(x, y).items()),
+        *((c, f(x, m)) for m, c in A.mul_monomials(y, z).items())])
 
 
-def cup(f, g, x: tuple, y: tuple) -> MixedForm:
+def cup(f, g, x: tuple, y: tuple) -> Form:
     """(f u g)(x, y) = f(x) g(y) with form multiplication."""
-    return mixed_multiply(f(x), g(y))
-
-
-def curvature(A: AlgebraPresentation, f, x: tuple, y: tuple,
-              below=None) -> MixedForm:
-    """f(xy) - f(x) (.) f(y), the obstruction to multiplicativity.
-
-    The target carries the Fedosov product, under which degree-0 forms
-    multiply as in the algebra.  With ``below`` only the components of
-    degree < below are returned (see :func:`fedosov_mixed`).
-    """
-    ext = _extend(A, f, A.mul_monomials(x, y))
-    if below is not None:
-        ext = MixedForm(A, {k: g for k, g in ext.parts.items() if k < below})
-    return ext - fedosov_mixed(f(x), f(y), below)
+    return form_multiply(f(x), g(y))
 
 
 # ---------------------------------------------------------------------------
@@ -145,9 +139,9 @@ def connection_extend(nabla: Connection, omega: Form) -> Form:
     if omega.degree != 1:
         raise WrongDegree("connections act on 1-forms")
     A = omega.presentation
-    return MixedForm.sum(A, (
-        form_multiply(_mono_form(A, head), nabla.nabla_d(slot)).scale(c)
-        for (head, slot), c in omega.terms.items())).component(2)
+    return _combine(A, 2, _products(
+        (c, _mono_form(A, head), nabla.nabla_d(slot))
+        for (head, slot), c in omega.terms.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -158,12 +152,13 @@ def connection_extend(nabla: Connection, omega: Form) -> Form:
 class LiftingTower:
     """Lazily evaluated cochains phi_0, phi_2, ... from a connection.
 
-    phi_2 = -nabla d, so that delta(phi_2) = d u d; for n >= 1,
+    phi_{2k} and psi_{2k} take values in 2k-forms.  phi_2 = -nabla d, so
+    that delta(phi_2) = psi_2 = d u d; for k >= 1,
 
-        psi_{2(n+1)} = sum_j d phi_{2j} u d phi_{2(n-j)}
-                       - sum_{j>=1} phi_{2j} u phi_{2(n+1-j)},
-        phi_{2(n+1)}(x) = sum x0 psi_{2(n+1)}(x1, x2)
-                          over the tuples of phi_2(x).
+        psi_{2k} = sum_{j<k} d phi_{2j} u d phi_{2(k-1-j)}
+                   - sum_{0<j<k} phi_{2j} u phi_{2(k-j)},
+        phi_{2k}(x) = sum x0 psi_{2k}(x1, x2)   (k >= 2)
+                      over the tuples of phi_2(x).
     """
 
     def __init__(self, nabla: Connection):
@@ -172,7 +167,7 @@ class LiftingTower:
         self._phi = {}
         self._psi = {}
 
-    def phi(self, k: int, m: tuple) -> MixedForm:
+    def phi(self, k: int, m: tuple) -> Form:
         A = self.presentation
         key = (k, m)
         try:
@@ -180,58 +175,53 @@ class LiftingTower:
         except KeyError:
             pass
         if k == 0:
-            out = MixedForm.of(_mono_form(A, m))
+            out = _mono_form(A, m)
         elif k == 1:
-            out = MixedForm.of(self.nabla.nabla_d(m).scale(-1))
+            out = self.nabla.nabla_d(m).scale(-1)
         else:
-            out = MixedForm.sum(A, (
-                _left_mul(x0, self.psi(k, x1, x2).scale(c))
-                for (x0, x1, x2), c
-                in self.phi(1, m).component(2).terms.items()))
+            out = _combine(A, 2 * k, _products(
+                (c, _mono_form(A, x0), self.psi(k, x1, x2))
+                for (x0, x1, x2), c in self.phi(1, m).terms.items()))
         self._phi[key] = out
         return out
 
-    def psi(self, k: int, x: tuple, y: tuple) -> MixedForm:
-        """psi_{2k} for k >= 2 (k = n+1 in the recursion)."""
+    def psi(self, k: int, x: tuple, y: tuple) -> Form:
+        """psi_{2k}(x, y) for k >= 1; psi_2(x, y) = dx dy."""
         key = (k, x, y)
         try:
             return self._psi[key]
         except KeyError:
             pass
-        n = k - 1
-        out = MixedForm.sum(self.presentation, [
-            mixed_multiply(mixed_differential(self.phi(j, x)),
-                           mixed_differential(self.phi(n - j, y)))
-            for j in range(0, n + 1)] + [
-            mixed_multiply(self.phi(j, x), self.phi(n + 1 - j, y)).scale(-1)
-            for j in range(1, n + 1)])
+        phi = self.phi
+        factors = [(phi(j, x), phi(k - 1 - j, y)) for j in range(k)]
+        out = _combine(self.presentation, 2 * k, _products([
+            *((1, differential(a), differential(b))
+              for a, b in factors if a.terms and b.terms),
+            *((-1, phi(j, x), phi(k - j, y)) for j in range(1, k))]))
         self._psi[key] = out
         return out
 
     def section(self, n: int, m: tuple) -> MixedForm:
         """sigma = phi_0 + phi_2 + ... + phi_{2n} at a monomial."""
-        return MixedForm.sum(self.presentation,
-                             (self.phi(k, m) for k in range(n + 1)))
+        return MixedForm(self.presentation,
+                         {2 * k: self.phi(k, m) for k in range(n + 1)})
 
 
-def _dcupd(A: AlgebraPresentation, x: tuple, y: tuple) -> MixedForm:
-    return MixedForm.of(form_multiply(Form.d_of_monomial(A, x),
-                                      Form.d_of_monomial(A, y)))
-
-
-def _check_phi2(tower: LiftingTower, pairs) -> bool:
+def _check_phi(tower: LiftingTower, k: int, pairs) -> bool:
+    """delta(phi_{2k}) = psi_{2k} at every pair."""
     A = tower.presentation
-    phi2 = partial(tower.phi, 1)
-    return all(hochschild_delta(A, phi2, x, y) == _dcupd(A, x, y)
+    phi = partial(tower.phi, k)
+    return all(hochschild_delta(A, phi, x, y) == tower.psi(k, x, y)
                for x, y in pairs)
 
 
 def phi_psi_recursion(nabla: Connection, n_max: int,
                       cap: int) -> LiftingTower:
-    """Build the tower of cochains after checking delta(phi_2) = d u d.
+    """The lazy tower of cochains, after checking delta(phi_2) = d u d.
 
-    The identity is checked on generator pairs, then on every monomial
-    pair of total degree <= cap; failure raises
+    Each phi_{2k}(m) is built when it is first read, so the order n_max
+    is only validated here.  The identity is checked on generator pairs,
+    then on every monomial pair of total degree <= cap; failure raises
     :class:`InvalidConnection`.  Only phi_2 = -nabla d is tried: by the
     Leibniz rule of the connection, delta(nabla d) = -d u d wherever
     nabla is consistent with the relations, and phi_2 = +nabla d fails
@@ -243,14 +233,11 @@ def phi_psi_recursion(nabla: Connection, n_max: int,
     A = nabla.presentation
     tower = LiftingTower(nabla)
     gen_pairs = [(a, b) for a in nabla.values for b in nabla.values]
-    if not _check_phi2(tower, gen_pairs):
+    if not _check_phi(tower, 1, gen_pairs):
         raise InvalidConnection("delta(phi_2) != d u d on generator pairs "
                                 "for either sign")
-    if not _check_phi2(tower, _pairs(A, cap)):
+    if not _check_phi(tower, 1, _pairs(A, cap)):
         raise InvalidConnection("delta(phi_2) != d u d within the cap")
-    for k in range(2, n_max + 1):
-        for m in A.monomials_up_to(cap):
-            tower.phi(k, m)
     return tower
 
 
@@ -259,9 +246,9 @@ def phi_psi_recursion(nabla: Connection, n_max: int,
 # ---------------------------------------------------------------------------
 
 
-def _form_weight(A, mixed: MixedForm):
-    return max((sum(A.degree(m) for m in key)
-                for f in mixed.parts.values() for key in f.terms), default=0)
+def _form_weight(A, form: Form):
+    return max((sum(A.degree(m) for m in key) for key in form.terms),
+               default=0)
 
 
 @dataclass(frozen=True)
@@ -276,22 +263,20 @@ class CurvatureReport:
 def section_curvature_check(tower: LiftingTower, n: int,
                             cap: int) -> CurvatureReport:
     """Check phi_{<=2n} is a section whose curvature starts in degree
-    2(n+1).
+    2(n+1), by checking delta(phi_{2k}) = psi_{2k} for k = n, ..., 1.
 
-    Only the curvature's components below degree 2(n+1) are computed.
-    That is exact: a Fedosov product of forms of degrees i and j lives in
-    degrees i+j and i+j+2, and each is built from its own product alone.
+    For even forms xi (.) eta = xi eta - d(xi) d(eta), so the degree-2k
+    part of sigma(xy) - sigma(x) (.) sigma(y) is psi_{2k}(x, y) -
+    delta(phi_{2k})(x, y), and its degree-0 part is xy - x y = 0.  The
+    largest failing k gives the reported degree 2k.
 
     Also measures the filtration constant a with
     phi_{2k}(F_i) <= F_{i+(2k-1)a} of the even forms.
     """
     A = tower.presentation
-    sigma = {m: tower.section(n, m) for m in A.monomials_up_to(cap)}
     pairs = _pairs(A, cap)
-    bad = max((deg for x, y in pairs
-               for deg in curvature(A, sigma.__getitem__, x, y,
-                                    2 * (n + 1)).degrees()),
-              default=None)
+    bad = next((2 * k for k in range(n, 0, -1)
+                if not _check_phi(tower, k, pairs)), None)
     a = 0
     for k in range(1, n + 1):
         for m in A.monomials_up_to(cap):

@@ -244,33 +244,23 @@ class MixedForm:
         return joined.replace("+ -", "- ")
 
 
-def fedosov(omega: Form, eta: Form, below=None) -> MixedForm:
+def fedosov(omega: Form, eta: Form) -> MixedForm:
     """Fedosov product of homogeneous forms.
 
     xi (.) eta = xi eta - (-1)^{ij} d(xi) d(eta); the two components live
-    in degrees i+j and i+j+2.  With ``below`` only the components of
-    degree < below are computed and returned.  The truncation is exact:
-    xi eta is the whole of degree i+j and d(xi) d(eta) the whole of
-    degree i+j+2, so a kept component is built as in the full product.
+    in degrees i+j and i+j+2.
     """
     i, j = omega.degree, eta.degree
-    parts = {}
-    if below is None or i + j < below:
-        parts[i + j] = form_multiply(omega, eta)
-    if below is None or i + j + 2 < below:
-        sign = -1 if (i * j) % 2 else 1
-        high = form_multiply(differential(omega), differential(eta))
-        parts[i + j + 2] = high.scale(-sign)
-    return MixedForm(omega.presentation, parts)
+    sign = -1 if (i * j) % 2 else 1
+    high = form_multiply(differential(omega), differential(eta))
+    return MixedForm(omega.presentation, {i + j: form_multiply(omega, eta),
+                                          i + j + 2: high.scale(-sign)})
 
 
-def fedosov_mixed(a: MixedForm, b: MixedForm, below=None) -> MixedForm:
-    """The Fedosov product extended to mixed forms; with ``below``, only
-    its components of degree < below (see :func:`fedosov`)."""
+def fedosov_mixed(a: MixedForm, b: MixedForm) -> MixedForm:
+    """The Fedosov product extended to mixed forms."""
     return MixedForm.sum(a.presentation, (
-        fedosov(fa, fb, below)
-        for i, fa in a.parts.items() for j, fb in b.parts.items()
-        if below is None or i + j < below))
+        fedosov(fa, fb) for fa in a.parts.values() for fb in b.parts.values()))
 
 
 def mixed_multiply(a: MixedForm, b: MixedForm) -> MixedForm:
@@ -278,11 +268,6 @@ def mixed_multiply(a: MixedForm, b: MixedForm) -> MixedForm:
     return MixedForm.sum(a.presentation, (
         form_multiply(fa, fb)
         for fa in a.parts.values() for fb in b.parts.values()))
-
-
-def mixed_differential(a: MixedForm) -> MixedForm:
-    return MixedForm.sum(a.presentation,
-                         (differential(f) for f in a.parts.values()))
 
 
 def hochschild_b1(omega: Form) -> Form:

@@ -506,16 +506,49 @@ def test_cli_import_does_not_load_numpy():
     assert out.strip() == "False"
 
 
-def test_usage_error_is_exit_2(capsys):
-    assert run(["graph", "x.json"]) == 2          # missing --prime
-    assert run(["--prime", "5", "bogus"]) == 2    # unknown subcommand
-    capsys.readouterr()
+def test_usage_error_is_exit_2(laurent_file, capsys):
+    """Every usage error is one ha/1 document on stdout, naming the
+    argument, with nothing on stderr; --help still exits 0."""
+    cases = [
+        (["graph", "x.json"], "--prime is required"),
+        (["--prime", "5", "bogus"], "invalid choice: 'bogus'"),
+        (["lift", "--algebra", laurent_file, "--order", "x", "--prime", "5"],
+         "ha lift: argument --order: invalid int value: 'x'"),
+        (["--prime", "5", "xcomplex", "--algebra", laurent_file,
+          "--truncate", "x"],
+         "ha xcomplex: argument --truncate: invalid int value: 'x'"),
+        (["--prime", "5", "check", "--samples", "x"],
+         "ha check: argument --samples: invalid int value: 'x'"),
+    ]
+    for argv, error in cases:
+        assert run(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert err == "", argv
+        doc = json.loads(out)
+        assert doc["schema"] == "ha/1" and error in doc["error"], argv
+    assert run(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: ha")
 
 
 def test_check_floors(capsys):
     code = run(["--prime", "5", "check", "--suite", "floors"])
     out = json.loads(capsys.readouterr().out)
     assert code == 0 and out["passed"]
+
+
+def test_groebner_witness_refuses_an_ideal_it_cannot_sample(tmp_path,
+                                                            capsys):
+    """With no nonzero generator of total degree <= 6 every witness sample
+    would be 0: the witness is refused up front (it used to loop)."""
+    path = tmp_path / "deg7.json"
+    path.write_text(json.dumps({"vars": ["x"],
+                                "gens": [[{"e": [7], "c": 1}]]}))
+    assert run(["--prime", "5", "groebner", str(path)]) == 0
+    capsys.readouterr()
+    assert run(["--prime", "5", "groebner", str(path), "--witness", "3"]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["kind"] == "DomainError"
+    assert "total degree <= 6" in doc["error"]
 
 
 def test_groebner_witness_on_zero_variables(tmp_path, capsys):

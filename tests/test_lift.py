@@ -7,11 +7,12 @@ import pytest
 from hacalc import checks
 from hacalc.algebra import AlgebraPresentation
 from hacalc.errors import InvalidConnection, NotApproxIdempotent
-from hacalc.lift import (Connection, LiftingTower, _check_phi2, _pairs,
-                         cup, curvature, connection_extend, hochschild_delta,
+from hacalc.lift import (Connection, LiftingTower, _check_phi, _pairs, cup,
+                         connection_extend, hochschild_delta,
                          lift_idempotent, phi_psi_recursion,
                          section_curvature_check)
-from hacalc.ncforms import Form, MixedForm, form_multiply, mixed_differential
+from hacalc.ncforms import (Form, MixedForm, differential, fedosov_mixed,
+                            form_multiply)
 from hacalc.scalars import PrimeConfig
 
 POLY = AlgebraPresentation.polynomial()
@@ -23,7 +24,21 @@ DTDT = Form(POLY, 2, {(ONE, T, T): 1})
 
 def identity(m):
     """The identity 1-cochain of POLY: m as a 0-form."""
-    return MixedForm.of(Form(POLY, 0, {(m,): 1}))
+    return Form(POLY, 0, {(m,): 1})
+
+
+def curvature(A, f, x, y) -> MixedForm:
+    """f(xy) - f(x) (.) f(y) with the full Fedosov product, for a cochain
+    f with form or mixed-form values: the oracle of the lifting check."""
+    ext = MixedForm.sum(A, (f(m).scale(c)
+                            for m, c in A.mul_monomials(x, y).items()))
+    return ext - fedosov_mixed(MixedForm.sum(A, [f(x)]),
+                               MixedForm.sum(A, [f(y)]))
+
+
+def _dcupd(A, x, y) -> Form:
+    """(d u d)(x, y) = dx dy."""
+    return form_multiply(Form.d_of_monomial(A, x), Form.d_of_monomial(A, y))
 
 
 def triples(A, bound):
@@ -36,24 +51,19 @@ def test_curvature_examples():
     assert curvature(POLY, identity, T, T) == MixedForm.of(DTDT)
     # a multiplicative evaluation-style cochain has zero curvature
     def ev(m):
-        return MixedForm.of(Form(POLY, 0, {(ONE,): 2 ** m[0]}))
+        return Form(POLY, 0, {(ONE,): 2 ** m[0]})
     assert curvature(POLY, ev, T, T).is_zero()
     # the degree-0 truncation sigma = id has curvature dt dt at (t, t)
     assert curvature(POLY, identity, T, T).component(2) == DTDT
-    # below keeps only the degrees under it, of both terms
-    assert curvature(POLY, identity, T, T, 0).is_zero()
-    assert curvature(POLY, identity, T, T, 2).is_zero()
-    assert curvature(POLY, identity, T, T, 3) == MixedForm.of(DTDT)
 
 
 def test_hochschild_delta_basics():
     def zero(m):
-        return MixedForm(POLY)
+        return Form(POLY, 2)
     assert all(hochschild_delta(POLY, zero, x, y).is_zero()
                for x, y in _pairs(POLY, 4))
     rng = random.Random(0)
-    values = {m: MixedForm.of(Form(POLY, 2, {(ONE, T, T):
-                                             rng.randint(-3, 3)}))
+    values = {m: Form(POLY, 2, {(ONE, T, T): rng.randint(-3, 3)})
               for m in POLY.monomials_up_to(4)}
     dphi = partial(hochschild_delta, POLY, values.__getitem__)
     assert all(hochschild_delta(POLY, dphi, x, y, z).is_zero()
@@ -62,10 +72,10 @@ def test_hochschild_delta_basics():
 
 def test_cup_examples():
     def d_identity(m):
-        return mixed_differential(identity(m))
-    assert cup(d_identity, d_identity, T, T) == MixedForm.of(DTDT)
-    assert cup(identity, identity, T, T) == MixedForm.of(
-        Form(POLY, 0, {(POLY.monomial((2,)),): 1}))
+        return differential(identity(m))
+    assert cup(d_identity, d_identity, T, T) == DTDT
+    assert cup(identity, identity, T, T) == Form(
+        POLY, 0, {(POLY.monomial((2,)),): 1})
 
 
 PAIRS_CASES = {**checks.presentations(),
@@ -100,8 +110,17 @@ def test_connection_extend_examples():
 def test_phi_psi_recursion_polynomial():
     tower = phi_psi_recursion(Connection(POLY), 3, 6)
     assert tower.phi(1, T).is_zero()
-    assert tower.phi(1, POLY.monomial((2,))) == MixedForm.of(DTDT.scale(-1))
-    assert tower.phi(0, T) == MixedForm.of(Form(POLY, 0, {(T,): 1}))
+    assert tower.phi(1, POLY.monomial((2,))) == DTDT.scale(-1)
+    assert tower.phi(0, T) == Form(POLY, 0, {(T,): 1})
+    # phi_{2k} and psi_{2k} take values in 2k-forms; psi_2 = d u d
+    for k in range(4):
+        assert all(tower.phi(k, m).degree == 2 * k
+                   for m in POLY.monomials_up_to(6)), k
+    for k in (1, 2, 3):
+        assert all(tower.psi(k, x, y).degree == 2 * k
+                   for x, y in _pairs(POLY, 6)), k
+    assert all(tower.psi(1, x, y) == _dcupd(POLY, x, y)
+               for x, y in _pairs(POLY, 6))
     # delta(psi_{2n}) = 0 for n = 2, 3 on all triples within degree 4
     for k in (2, 3):
         psik = partial(tower.psi, k)
@@ -115,7 +134,7 @@ def test_phi_psi_recursion_laurent():
     # derived value: nabla(d t^-1) = -t^-1 dt dt^-1, so phi_2 = +t^-1 dt dt^-1
     t_ = LAURENT.generator_monomial("t")
     expected = Form(LAURENT, 2, {(tinv, t_, tinv): 1})
-    assert tower.phi(1, tinv) == MixedForm.of(expected)
+    assert tower.phi(1, tinv) == expected
     for k in (2, 3):
         psik = partial(tower.psi, k)
         assert all(hochschild_delta(LAURENT, psik, *p).is_zero()
@@ -167,6 +186,46 @@ def test_truncated_check_finds_a_planted_sign_defect(A):
         assert (rep.ok, rep.max_bad_degree) == (False, want), n
 
 
+ORACLE_CASES = {"polynomial": POLY, "laurent": LAURENT,
+                "free": PAIRS_CASES["free"],
+                "free-unital": PAIRS_CASES["free-unital"]}
+TOWERS = {"real": LiftingTower, "plus-sign": PlusSignTower}
+
+
+@pytest.mark.parametrize("tower_cls", list(TOWERS.values()), ids=list(TOWERS))
+@pytest.mark.parametrize("A", list(ORACLE_CASES.values()),
+                         ids=list(ORACLE_CASES))
+def test_check_agrees_with_the_full_curvature(A, tower_cls):
+    """section_curvature_check gives the verdict and degree that the full
+    Fedosov curvature of the section shows below 2(n+1)."""
+    tower = tower_cls(Connection(A))
+    for n in range(4):
+        rep = section_curvature_check(tower, n, 6)
+        sigma = partial(tower.section, n)
+        want = max((deg for x, y in _pairs(A, 6)
+                    for deg in curvature(A, sigma, x, y).degrees()
+                    if deg < 2 * (n + 1)), default=None)
+        assert (rep.ok, rep.max_bad_degree) == (want is None, want), n
+
+
+@pytest.mark.parametrize("tower_cls", list(TOWERS.values()), ids=list(TOWERS))
+@pytest.mark.parametrize("A", list(ORACLE_CASES.values()),
+                         ids=list(ORACLE_CASES))
+def test_curvature_components_are_psi_minus_delta_phi(A, tower_cls):
+    """The degree-2k part of the section's full curvature is
+    psi_{2k} - delta(phi_{2k}) at every pair, and its degree-0 part is 0."""
+    n = 3
+    tower = tower_cls(Connection(A))
+    sigma = partial(tower.section, n)
+    for x, y in _pairs(A, 6):
+        curv = curvature(A, sigma, x, y)
+        assert curv.component(0).is_zero(), (x, y)
+        for k in range(1, n + 1):
+            delta = hochschild_delta(A, partial(tower.phi, k), x, y)
+            assert curv.component(2 * k) == tower.psi(k, x, y) - delta, \
+                (x, y, k)
+
+
 @pytest.mark.parametrize("A", list(PAIRS_CASES.values()),
                          ids=list(PAIRS_CASES))
 def test_plus_sign_fails_at_a_generator_square(A):
@@ -175,7 +234,7 @@ def test_plus_sign_fails_at_a_generator_square(A):
     sign passes the generator pairs exactly where the recursion succeeds."""
     nabla = Connection(A)
     x = A.generator_monomial(A.generators[0])
-    assert not _check_phi2(PlusSignTower(nabla), [(x, x)])
+    assert not _check_phi(PlusSignTower(nabla), 1, [(x, x)])
     gen_pairs = [(a, b) for a in nabla.values for b in nabla.values]
     try:
         phi_psi_recursion(nabla, 1, 4)
@@ -183,7 +242,7 @@ def test_plus_sign_fails_at_a_generator_square(A):
         succeeds = False
     else:
         succeeds = True
-    assert _check_phi2(LiftingTower(nabla), gen_pairs) == succeeds
+    assert _check_phi(LiftingTower(nabla), 1, gen_pairs) == succeeds
 
 
 def test_invalid_connection_plane_curve():

@@ -11,7 +11,7 @@ from hacalc.errors import DomainError, NotCommutative, WrongDegree
 from hacalc.linalg import SparseEchelon, kernel_basis
 from hacalc.ncforms import (PAD, CommutatorQuotient, Form, MixedForm,
                             commutator_vectors, differential, fedosov,
-                            fedosov_mixed, form_multiply, hochschild_b1, kahler_window,
+                            form_multiply, hochschild_b1, kahler_window,
                             one_form_tuples, xcomplex_boundary_checks,
                             xcomplex_homology)
 from hacalc.scalars import PrimeConfig
@@ -187,33 +187,6 @@ def test_form_multiply_against_reference(name):
         x = _oracle_form(A, rng.randint(0, 3), rng)
         y = _oracle_form(A, rng.randint(0, 3), rng)
         _assert_same_product(x, y)
-
-
-def _oracle_mixed(A, rng):
-    """A mixed form with parts in 1-4 of the degrees 0-3, in random order."""
-    return MixedForm.sum(A, (_oracle_form(A, d, rng)
-                             for d in rng.sample(range(4), rng.randint(1, 4))))
-
-
-@pytest.mark.parametrize("name", list(ORACLE_PRESENTATIONS))
-def test_truncated_fedosov_against_full(name):
-    """fedosov_mixed(a, b, below) is the full product restricted to the
-    degrees < below: same keys in the same order, equal coefficients of
-    the same type."""
-    A = ORACLE_PRESENTATIONS[name]
-    rng = random.Random(31)
-    for _ in range(40):
-        a, b = _oracle_mixed(A, rng), _oracle_mixed(A, rng)
-        full = fedosov_mixed(a, b)
-        for below in range(max(full.degrees(), default=0) + 4):
-            got = fedosov_mixed(a, b, below)
-            want = {k: f for k, f in full.parts.items() if k < below}
-            assert list(got.parts) == list(want), (name, below)
-            for k, f in want.items():
-                terms = list(got.parts[k].terms.items())
-                assert terms == list(f.terms.items()), (name, below, k)
-                assert [type(c) for _, c in terms] \
-                    == [type(c) for c in f.terms.values()]
 
 
 def test_form_multiply_reference_cases():
