@@ -173,15 +173,6 @@ def _deglex_key(e):
     return (sum(e), e)
 
 
-def deglex_compare(a, b) -> int:
-    """-1, 0, 1 for a < b, a = b, a > b in degree-lexicographic order."""
-    a, b = tuple(a), tuple(b)
-    if len(a) != len(b):
-        raise ValueError("exponent vectors of different length")
-    ka, kb = _deglex_key(a), _deglex_key(b)
-    return (ka > kb) - (ka < kb)
-
-
 def _monomial_divides(e, f) -> bool:
     return all(a <= b for a, b in zip(e, f))
 
@@ -272,13 +263,18 @@ def _g_poly(f: IntPoly, g: IntPoly) -> IntPoly:
             + g.term_mul(b, _expo_sub(lcm_e, ge)))
 
 
+#: Pairs the completion may pop before it gives up with DomainError.
+MAX_PAIRS = 20000
+
+
 def strong_gb(gens) -> StrongGB:
     """Buchberger completion over Z with S- and G-polynomials.
 
     G-polynomials (Bezout combinations of leading coefficients) are
     processed before S-polynomials of the same pair, in the normal
     pair-selection strategy (smallest deglex lcm first); the final basis
-    is interreduced, sign-normalized, and sorted.
+    is interreduced, sign-normalized, and sorted.  Completion that pops
+    more than ``MAX_PAIRS`` pairs raises :class:`DomainError`.
     """
     basis = [g for g in gens if not g.is_zero()]
     if not basis:
@@ -294,11 +290,12 @@ def strong_gb(gens) -> StrongGB:
 
     for k in range(len(basis)):
         push_pairs(k)
-    guard = 0
+    popped = 0
     while pairs:
-        guard += 1
-        if guard > 20000:
-            raise RuntimeError("completion did not terminate")
+        popped += 1
+        if popped > MAX_PAIRS:
+            raise DomainError(f"completion did not terminate within "
+                              f"{MAX_PAIRS} pairs")
         _, i, j = heapq.heappop(pairs)
         for candidate in (_g_poly(basis[i], basis[j]),
                           _s_poly(basis[i], basis[j])):

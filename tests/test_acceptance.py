@@ -16,9 +16,8 @@ from hacalc.derham import h_dr
 from hacalc.graphs import DirectedGraph, ha_cohn, ha_leavitt
 from hacalc.groebner import (filtered_noetherian_witness, membership_oracle,
                              strong_divide, strong_gb)
-from hacalc.lift import (Connection, _pairs, hochschild_delta,
-                         lift_idempotent, phi_psi_recursion,
-                         section_curvature_check)
+from hacalc.lift import (Connection, hochschild_delta, lift_idempotent,
+                         phi_psi_recursion, section_curvature_check)
 from hacalc.scalars import PrimeConfig
 
 
@@ -102,7 +101,7 @@ def test_criterion_05_elliptic_curve():
 
 
 def test_criterion_06_lifting_recursion():
-    from test_lift import _dcupd, triples
+    from test_lift import _dcupd, _pairs, triples
     t0 = time.time()
     for A in (AlgebraPresentation.polynomial(),
               AlgebraPresentation.laurent()):

@@ -333,24 +333,24 @@ GOLDEN = {
     "lift-poly": '{"inputs": {"payload": "poly.json", "precision": 16, '
                  '"prime": 5, "seed": 0, "truncate": null}, "passed": true, '
                  '"results": {"degree_constant": 0, "max_bad_degree": null, '
-                 '"ok": true, "order": 3, "pairs": 28}, "schema": "ha/1", '
+                 '"ok": true, "order": 3, "pairs": 6}, "schema": "ha/1", '
                  '"subcommand": "lift", "version": "0.1.0"}\n',
     "lift-laurent": '{"inputs": {"payload": "laurent.json", "precision": 16, '
                     '"prime": 5, "seed": 0, "truncate": null}, '
                     '"passed": true, "results": {"degree_constant": 2, '
                     '"max_bad_degree": null, "ok": true, "order": 3, '
-                    '"pairs": 85}, "schema": "ha/1", "subcommand": "lift", '
+                    '"pairs": 22}, "schema": "ha/1", "subcommand": "lift", '
                     '"version": "0.1.0"}\n',
     "lift-free": '{"inputs": {"payload": "free.json", "precision": 16, '
                  '"prime": 5, "seed": 0, "truncate": null}, "passed": true, '
                  '"results": {"degree_constant": 0, "max_bad_degree": null, '
-                 '"ok": true, "order": 3, "pairs": 516}, "schema": "ha/1", '
+                 '"ok": true, "order": 3, "pairs": 124}, "schema": "ha/1", '
                  '"subcommand": "lift", "version": "0.1.0"}\n',
     "lift-laurent-4": '{"inputs": {"payload": "laurent.json", "precision": '
                       '16, "prime": 5, "seed": 0, "truncate": null}, '
                       '"passed": true, "results": {"degree_constant": 2, '
                       '"max_bad_degree": null, "ok": true, "order": 4, '
-                      '"pairs": 145}, "schema": "ha/1", "subcommand": '
+                      '"pairs": 30}, "schema": "ha/1", "subcommand": '
                       '"lift", "version": "0.1.0"}\n',
     "check-p5": '{"inputs": {"payload": null, "precision": 16, "prime": 5, '
                 '"seed": 0, "truncate": null}, "passed": true, "results": '
@@ -549,6 +549,28 @@ def test_groebner_witness_refuses_an_ideal_it_cannot_sample(tmp_path,
     doc = json.loads(capsys.readouterr().out)
     assert doc["kind"] == "DomainError"
     assert "total degree <= 6" in doc["error"]
+
+
+def test_groebner_completion_limit_is_an_input_error(tmp_path, monkeypatch,
+                                                    capsys):
+    """A completion that pops more than MAX_PAIRS pairs ends in one
+    DomainError document with exit 2, not a traceback."""
+    path = tmp_path / "hard.json"
+    path.write_text(json.dumps({"vars": ["x", "y"], "gens": [
+        [{"e": [0, 0], "c": 11}, {"e": [4, 0], "c": 30},
+         {"e": [3, 1], "c": -3}],
+        [{"e": [0, 4], "c": -16}, {"e": [3, 3], "c": 5},
+         {"e": [1, 2], "c": -16}],
+        [{"e": [1, 3], "c": 30}, {"e": [2, 0], "c": -4},
+         {"e": [4, 0], "c": -19}]]}))
+    monkeypatch.setattr("hacalc.groebner.MAX_PAIRS", 50)
+    code = run(["--prime", "5", "groebner", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out.count("\n") == 1 and "Traceback" not in out + err
+    assert json.loads(out) == {
+        "schema": "ha/1", "kind": "DomainError",
+        "error": "completion did not terminate within 50 pairs"}
 
 
 def test_groebner_witness_on_zero_variables(tmp_path, capsys):

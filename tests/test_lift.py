@@ -7,7 +7,7 @@ import pytest
 from hacalc import checks
 from hacalc.algebra import AlgebraPresentation
 from hacalc.errors import InvalidConnection, NotApproxIdempotent
-from hacalc.lift import (Connection, LiftingTower, _check_phi, _pairs, cup,
+from hacalc.lift import (Connection, LiftingTower, _check_phi, cup,
                          connection_extend, hochschild_delta,
                          lift_idempotent, phi_psi_recursion,
                          section_curvature_check)
@@ -39,6 +39,14 @@ def curvature(A, f, x, y) -> MixedForm:
 def _dcupd(A, x, y) -> Form:
     """(d u d)(x, y) = dx dy."""
     return form_multiply(Form.d_of_monomial(A, x), Form.d_of_monomial(A, y))
+
+
+def _pairs(A, bound):
+    """Monomial pairs (x, y) with deg x + deg y <= bound: the all-pairs
+    filter the letter-pair check is compared against."""
+    monos = A.monomials_up_to(bound)
+    return [(x, y) for x in monos for y in monos
+            if A.degree(x) + A.degree(y) <= bound]
 
 
 def triples(A, bound):
@@ -82,18 +90,6 @@ PAIRS_CASES = {**checks.presentations(),
                "free-unital": AlgebraPresentation.free(["a", "b"],
                                                        unital=True),
                "polynomial2": AlgebraPresentation.polynomial(["x", "y"])}
-
-
-@pytest.mark.parametrize("A", list(PAIRS_CASES.values()),
-                         ids=list(PAIRS_CASES))
-def test_pairs_is_the_degree_filter(A):
-    """The prefix enumeration gives the pairs of the quadratic degree
-    filter, in the same order."""
-    for b in range(7):
-        monos = A.monomials_up_to(b)
-        want = [(x, y) for x in monos for y in monos
-                if A.degree(x) + A.degree(y) <= b]
-        assert _pairs(A, b) == want, b
 
 
 def test_connection_extend_examples():
@@ -190,22 +186,68 @@ ORACLE_CASES = {"polynomial": POLY, "laurent": LAURENT,
                 "free": PAIRS_CASES["free"],
                 "free-unital": PAIRS_CASES["free-unital"]}
 TOWERS = {"real": LiftingTower, "plus-sign": PlusSignTower}
+GRID = [(0, 0), (1, 1), (1, 2), (1, 4), (2, 4), (3, 3), (3, 6), (4, 6),
+        (2, 7)]
+GRID_CASES = {**ORACLE_CASES,
+              "free3": AlgebraPresentation.free(["a", "b", "c"])}
 
 
 @pytest.mark.parametrize("tower_cls", list(TOWERS.values()), ids=list(TOWERS))
-@pytest.mark.parametrize("A", list(ORACLE_CASES.values()),
-                         ids=list(ORACLE_CASES))
+@pytest.mark.parametrize("A", list(GRID_CASES.values()), ids=list(GRID_CASES))
 def test_check_agrees_with_the_full_curvature(A, tower_cls):
-    """section_curvature_check gives the verdict and degree that the full
-    Fedosov curvature of the section shows below 2(n+1)."""
+    """section_curvature_check, which reads the letter pairs only, gives
+    the verdict and degree that the full Fedosov curvature of the section
+    shows below 2(n+1) on all pairs inside the cap."""
     tower = tower_cls(Connection(A))
-    for n in range(4):
-        rep = section_curvature_check(tower, n, 6)
+    cap_limit = 4 if A is GRID_CASES["free3"] else 7
+    for n, cap in GRID:
+        if cap > cap_limit:
+            continue
+        rep = section_curvature_check(tower, n, cap)
         sigma = partial(tower.section, n)
-        want = max((deg for x, y in _pairs(A, 6)
+        want = max((deg for x, y in _pairs(A, cap)
                     for deg in curvature(A, sigma, x, y).degrees()
                     if deg < 2 * (n + 1)), default=None)
-        assert (rep.ok, rep.max_bad_degree) == (want is None, want), n
+        assert (rep.ok, rep.max_bad_degree) == (want is None, want), (n, cap)
+        assert rep.pairs_checked == sum(
+            A.degree(x) + A.degree(v) <= cap
+            for x in A.monomials_up_to(cap) for v in tower.nabla.values)
+
+
+def _word_section(A, n, m) -> MixedForm:
+    """sigma(v_1) (.) ... (.) sigma(v_r) over the canonical word of m, cut
+    at degree 2n: sigma of a generator is the generator, and
+    phi_{2k}(t^-1) = t^-1 (dt dt^-1)^k."""
+    def sigma(v):
+        if A.kind == "laurent" and v == (-1,):
+            t = A.generator_monomial("t")
+            return MixedForm.sum(A, [Form(A, 2 * k, {(v,) + (t, v) * k: 1})
+                                     for k in range(n + 1)])
+        return MixedForm.of(Form(A, 0, {(v,): 1}))
+
+    word = A.word_of(m)
+    if not word:
+        return MixedForm.of(Form(A, 0, {(m,): 1}))
+    acc = sigma(word[0])
+    for v in word[1:]:
+        prod = fedosov_mixed(acc, sigma(v))
+        acc = MixedForm(A, {d: f for d, f in prod.parts.items()
+                            if d <= 2 * n})
+    return acc
+
+
+@pytest.mark.parametrize("A, bound, n", [
+    (POLY, 8, 4),
+    (PAIRS_CASES["free"], 5, 3),
+    (PAIRS_CASES["free-unital"], 5, 3),
+    (LAURENT, 5, 3)], ids=["polynomial", "free", "free-unital", "laurent"])
+def test_phi_is_the_word_recursion(A, bound, n):
+    """The accepted tower's section is multiplicative along canonical
+    words: sigma(v_1 ... v_r) = sigma(v_1) (.) ... (.) sigma(v_r) up to
+    degree 2n."""
+    tower = phi_psi_recursion(Connection(A), n, bound)
+    for m in A.monomials_up_to(bound):
+        assert tower.section(n, m) == _word_section(A, n, m), m
 
 
 @pytest.mark.parametrize("tower_cls", list(TOWERS.values()), ids=list(TOWERS))
