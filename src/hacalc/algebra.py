@@ -167,22 +167,6 @@ class AlgebraPresentation:
     def is_unit_monomial(self, m: tuple | None) -> bool:
         return m is None or m == self._one
 
-    def monomial(self, data) -> tuple:
-        data = tuple(data)
-        if self.kind == "free":
-            if not all(0 <= g < len(self.generators) for g in data):
-                raise ValueError("free word entries are generator indices")
-        elif self.kind == "laurent":
-            if len(data) != 1:
-                raise ValueError("laurent monomials have one exponent")
-        elif self.kind == "polynomial":
-            if len(data) != len(self.generators) or min(data, default=0) < 0:
-                raise ValueError("bad polynomial exponent vector")
-        else:
-            if len(data) != 2 or data[0] < 0 or data[1] not in (0, 1):
-                raise ValueError("plane_curve monomials are x^i y^j, j <= 1")
-        return data
-
     def generator_monomial(self, name: str) -> tuple:
         i = self.generators.index(name)
         if self.kind == "free":

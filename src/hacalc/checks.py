@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from .algebra import (AlgebraPresentation, GrowthProfile,
                       profile_check_diam_laws, profile_power_sum)
+from .groebner import IntPoly, membership_oracle, strong_divide, strong_gb
 from .ncforms import (Form, MixedForm, differential, fedosov,
                       fedosov_mixed, form_multiply,
                       xcomplex_boundary_checks)
@@ -301,9 +302,6 @@ def suite_fedosov_growth(cfg: PrimeConfig, samples: int,
 
 
 def suite_groebner(samples_per_ideal: int, seed: int) -> CheckResult:
-    from .groebner import (IntPoly, membership_oracle, strong_divide,
-                           strong_gb)
-
     corpus = groebner_corpus()
     rng = random.Random(seed)
     total = 0
@@ -341,8 +339,6 @@ def suite_groebner(samples_per_ideal: int, seed: int) -> CheckResult:
 
 
 def groebner_corpus():
-    from .groebner import IntPoly
-
     def P(terms):
         return IntPoly(2, terms)
 

@@ -27,8 +27,7 @@ from dataclasses import dataclass
 from .algebra import exponent_vectors
 from .errors import DomainError
 # Not called here: perfbench/layers.py traces this binding as oracle_snf.
-from .graphs import smith_normal_form  # noqa: F401
-from .linalg import ZLattice, bezout
+from .linalg import ZLattice, bezout, smith_normal_form  # noqa: F401
 
 
 class IntPoly:

@@ -1,7 +1,7 @@
 """Connections, a pointwise Hochschild calculus, and multiplicative liftings.
 
 A cochain is a plain callable from monomials to homogeneous forms; the
-coboundary and the cup product evaluate it at one point.
+coboundary evaluates it at one point.
 
 The connection vanishes on the generator differentials and is extended
 by nabla(d(uv)) = nabla(du) v + du dv + u nabla(dv).  From it the
@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from functools import partial
 
 from .algebra import AlgebraPresentation, int_entries
-from .errors import InvalidConnection, NotApproxIdempotent, WrongDegree
-from .ncforms import Form, MixedForm, differential, form_multiply
+from .errors import InvalidConnection, NotApproxIdempotent
+from .ncforms import Form, differential, form_multiply
 from .scalars import PrimeConfig
 
 
@@ -46,34 +46,13 @@ def _products(triples):
             if a.terms and b.terms)
 
 
-def hochschild_delta(A: AlgebraPresentation, f, *point) -> Form:
-    """The Hochschild coboundary of f at one point.
-
-    At (x, y), f is a 1-cochain: x f(y) - f(xy) + f(x) y.
-    At (x, y, z), f is a 2-cochain:
-        x f(y, z) - f(xy, z) + f(x, yz) - f(x, y) z.
-    """
-    if len(point) == 2:
-        x, y = point
-        fy = f(y)
-        return _combine(A, fy.degree, [
-            *_products([(1, _mono_form(A, x), fy),
-                        (1, f(x), _mono_form(A, y))]),
-            *((-c, f(m)) for m, c in A.mul_monomials(x, y).items())])
-    if len(point) != 3:
-        raise WrongDegree("the coboundary is implemented up to 2-cochains")
-    x, y, z = point
-    fyz = f(y, z)
-    return _combine(A, fyz.degree, [
-        *_products([(1, _mono_form(A, x), fyz),
-                    (-1, f(x, y), _mono_form(A, z))]),
-        *((-c, f(m, z)) for m, c in A.mul_monomials(x, y).items()),
-        *((c, f(x, m)) for m, c in A.mul_monomials(y, z).items())])
-
-
-def cup(f, g, x: tuple, y: tuple) -> Form:
-    """(f u g)(x, y) = f(x) g(y) with form multiplication."""
-    return form_multiply(f(x), g(y))
+def hochschild_delta(A: AlgebraPresentation, f, x: tuple, y: tuple) -> Form:
+    """The Hochschild coboundary of the 1-cochain f at (x, y):
+    x f(y) - f(xy) + f(x) y."""
+    fy = f(y)
+    return _combine(A, fy.degree, [
+        *_products([(1, _mono_form(A, x), fy), (1, f(x), _mono_form(A, y))]),
+        *((-c, f(m)) for m, c in A.mul_monomials(x, y).items())])
 
 
 # ---------------------------------------------------------------------------
@@ -126,16 +105,6 @@ class Connection:
                 (acc,) = A.mul_monomials(acc, letter)
         self._cache[m] = result
         return result
-
-
-def connection_extend(nabla: Connection, omega: Form) -> Form:
-    """Extend nabla to a 1-form by nabla(x0 dx1) = x0 nabla(d x1)."""
-    if omega.degree != 1:
-        raise WrongDegree("connections act on 1-forms")
-    A = omega.presentation
-    return _combine(A, 2, _products(
-        (c, _mono_form(A, head), nabla.nabla_d(slot))
-        for (head, slot), c in omega.terms.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -194,11 +163,6 @@ class LiftingTower:
             *((-1, phi(j, x), phi(k - j, y)) for j in range(1, k))]))
         self._psi[key] = out
         return out
-
-    def section(self, n: int, m: tuple) -> MixedForm:
-        """sigma = phi_0 + phi_2 + ... + phi_{2n} at a monomial."""
-        return MixedForm(self.presentation,
-                         {2 * k: self.phi(k, m) for k in range(n + 1)})
 
 
 def _check_phi(tower: LiftingTower, k: int, pairs) -> bool:

@@ -12,7 +12,8 @@ with extended-gcd pivoting.  ``SparseEchelon`` keeps a reduced row
 echelon form over Q with canonical coset representatives; it is the only
 one that divides, the library no longer eliminates with it, and the
 tests use it as the rational reference (the raw commutator window, the
-Z-lattice oracle).
+Z-lattice oracle).  ``smith_normal_form`` is the one Smith kernel: the
+elementary divisors of a dense integer matrix, with no transforms.
 """
 
 from __future__ import annotations
@@ -227,6 +228,51 @@ class ZLattice:
                 return False
             vec = _combine(1, vec, -(vec[p] // row[p]), row)
         return True
+
+
+def smith_normal_form(M) -> tuple:
+    """The Smith diagonal d1 | d2 | ... >= 0 of a list of integer rows.
+
+    The result has min(m, n) entries, the zeros last.  Each step pivots on
+    an entry of least absolute value (the first in row-major order) and
+    Euclid-reduces its column by row operations and its row by column
+    operations.  A nonzero remainder is a smaller pivot for the next step;
+    once the pivot's row and column are zero, the pivot is split off with
+    them.  The pivots are the diagonal of an equivalent matrix, and one
+    pairwise (gcd, lcm) pass turns them into the divisibility chain.
+    """
+    D = [list(row) for row in M]
+    size = min(len(D), len(D[0])) if D else 0
+    pivots = []
+    while True:
+        best = min(((abs(x), i, j) for i, row in enumerate(D)
+                    for j, x in enumerate(row) if x), default=None)
+        if best is None:
+            break
+        _, pi, pj = best
+        prow = D[pi]
+        p = prow[pj]
+        done = True
+        for i, row in enumerate(D):
+            if i != pi and row[pj]:
+                q = row[pj] // p
+                D[i] = row = [a - q * b for a, b in zip(row, prow)]
+                done = done and not row[pj]
+        for j, x in enumerate(prow):
+            if j != pj and x:
+                q = x // p
+                for row in D:
+                    row[j] -= q * row[pj]
+                done = done and not prow[j]
+        if done:
+            pivots.append(abs(p))
+            D = [row[:pj] + row[pj + 1:] for i, row in enumerate(D)
+                 if i != pi]
+    for i in range(len(pivots)):
+        for j in range(i + 1, len(pivots)):
+            a, b = pivots[i], pivots[j]
+            pivots[i], pivots[j] = math.gcd(a, b), math.lcm(a, b)
+    return tuple(pivots) + (0,) * (size - len(pivots))
 
 
 def kernel_basis(vectors: list[dict]):

@@ -71,9 +71,9 @@ def test_curve_monomial_weights():
     # the relation y^2 = x^3 - x lets two generators produce x^3, so the
     # weight of x^i is min over m of 2m + max(0, i - 3m)
     expected = [0, 1, 2, 2, 3, 4, 4, 5, 6, 6]
-    got = [CURVE.degree(CURVE.monomial((i, 0))) for i in range(10)]
+    got = [CURVE.degree((i, 0)) for i in range(10)]
     assert got == expected
-    assert CURVE.degree(CURVE.monomial((3, 1))) == 3
+    assert CURVE.degree((3, 1)) == 3
 
 
 def _weight_by_trades(d, i):

@@ -405,6 +405,11 @@ GOLDEN = {
                     '"passed": true, "results": {"ha0": 3, "ha1": 0, '
                     '"snf": []}, "schema": "ha/1", "subcommand": "graph", '
                     '"version": "0.1.0"}\n',
+    "graph-torsion": '{"inputs": {"payload": "torsion.json", "precision": '
+                     '16, "prime": 5, "seed": 0, "truncate": null}, '
+                     '"passed": true, "results": {"ha0": 0, "ha1": 0, '
+                     '"snf": [1, 6]}, "schema": "ha/1", "subcommand": '
+                     '"graph", "version": "0.1.0"}\n',
     "derham-laurent-20": '{"inputs": {"payload": "laurent.json", '
                          '"precision": 16, "prime": 7, "seed": 0, '
                          '"truncate": 20}, "passed": true, "results": '
@@ -435,6 +440,9 @@ GRAPH3 = {"vertices": ["u", "v", "w"],
           "edges": [{"s": "u", "r": "u"}, {"s": "u", "r": "v"},
                     {"s": "v", "r": "u"}, {"s": "v", "r": "w"},
                     {"s": "w", "r": "v"}, {"s": "w", "r": "w"}]}
+# N_E = diag(-2, -3): the Smith diagonal (1, 6) needs the divisibility step
+TORSION = {"vertices": ["u", "v"],
+           "edges": [{"s": "u", "r": "u"}] * 3 + [{"s": "v", "r": "v"}] * 4}
 IDEAL_XY = {"vars": ["x", "y"],
             "gens": [[{"e": [1, 0], "c": 2}], [{"e": [0, 1], "c": 3}]]}
 LIFT3 = ["--order", "3", "--cap", "6", "--prime", "5"]
@@ -472,6 +480,8 @@ README_RUNS = {
                 ["--prime", "5", "graph", "graph3.json"]),
     "graph-3-cohn": ("graph3.json", GRAPH3,
                      ["--prime", "5", "graph", "graph3.json", "--cohn"]),
+    "graph-torsion": ("torsion.json", TORSION,
+                      ["--prime", "5", "graph", "torsion.json"]),
     "derham-laurent-20": ("laurent.json", LAURENT,
                           ["derham", "--algebra", "laurent.json",
                            "--truncate", "20", "--prime", "7"]),
@@ -486,8 +496,8 @@ README_RUNS = {
 @pytest.mark.parametrize("key", list(GOLDEN))
 def test_readme_curve_report_bytes(key, tmp_path, monkeypatch, capsys):
     """The exact stdout of the README's commands, of two larger lifting
-    towers, of a three-vertex graph, of the Fedosov growth check and of
-    de Rham on a quintic curve."""
+    towers, of a three-vertex graph, of a graph with torsion, of the
+    Fedosov growth check and of de Rham on a quintic curve."""
     name, payload, argv = README_RUNS[key]
     if name is not None:
         (tmp_path / name).write_text(json.dumps(payload))

@@ -1,10 +1,14 @@
-"""Every function, class and method defined in hacalc is referenced.
+"""Every function, class and method defined in hacalc has a caller
+outside the tests.
 
-A stdlib ``ast`` scan over ``src/``, ``tests/`` and ``perfbench/``: a
-definition counts as referenced when its name appears as a ``Name``, as
-an ``Attribute``, as an import alias, or as a string constant that is an
+A stdlib ``ast`` scan over ``src/`` and ``perfbench/``: a definition
+counts as referenced when its name appears as a ``Name``, as an
+``Attribute``, as an import alias, or as a string constant that is an
 identifier (an ``__all__`` entry, an attribute name that the benchmark
-looks up).  Dunder names are exempt: Python calls them by protocol.
+looks up).  The names that ``hacalc/__init__.py`` imports are the public
+API, and count through its import aliases.  ``tests/`` is not scanned: a
+helper that only the tests call belongs in ``tests/``.  Dunder names are
+exempt: Python calls them by protocol.
 """
 
 import ast
@@ -14,7 +18,7 @@ import hacalc
 
 SRC = Path(hacalc.__file__).resolve().parent
 ROOT = SRC.parents[1]
-SCANNED = ("src", "tests", "perfbench")
+SCANNED = ("src", "perfbench")
 
 
 def _definitions(tree):

@@ -49,7 +49,7 @@ def test_dm_member_examples():
     assert dm_member(x3, TubeParams(2, Fraction(1, 3), 0, prof), CFG)
     assert not dm_member(x3, TubeParams(2, Fraction(1, 4), 0, prof), CFG)
     # supported outside M: slot degree 2 against the F_1 profile
-    t2 = POLY.monomial((2,))
+    t2 = (2,)
     bad = _even({2: Form(POLY, 2, {(ONE, t2, T): 1})})
     assert not dm_member(bad, TubeParams(2, Fraction(1, 3), 3, prof), CFG)
     wide = GrowthProfile.filtration(2, 24)
@@ -58,7 +58,7 @@ def test_dm_member_examples():
 
 def test_form_in_module_reads_the_profile_slotwise():
     prof = GrowthProfile((0, 1, 2))  # cap 2
-    t2, t3 = POLY.monomial((2,)), POLY.monomial((3,))
+    t2, t3 = (2,), (3,)
 
     def inside(terms, shift=0):
         form = Form(POLY, len(next(iter(terms))) - 1, terms)
