@@ -13,8 +13,10 @@ Types are checked at the boundary only.  The constructor
 and any exponent vector that is not ``nvars`` non-negative ``int``s, and
 ``term_mul`` checks its own coefficient and shift once.  Arithmetic
 between valid polynomials (``+``, ``-``, negation, ``*`` by an ``int`` or
-a polynomial) and the division kernel's outputs are built trusted by
-``IntPoly._trusted``, which only drops zero entries.
+a polynomial), the division kernel's outputs and the witness samples are
+built trusted by ``IntPoly._trusted``, which only drops zero entries; the
+membership oracle's shifted generators m * gen go to its lattice as plain
+dicts.  Their exponents are sums of valid exponents.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import heapq
 import json
 import math
 from dataclasses import dataclass
+from operator import add, sub
 
 from .algebra import exponent_vectors
 from .errors import DomainError
@@ -42,8 +45,8 @@ class IntPoly:
             if type(c) is not int:
                 raise ValueError(f"coefficient {c!r} is not an integer")
             if c:
-                if (len(e) != nvars or min(e, default=0) < 0
-                        or not all(type(x) is int for x in e)):
+                if (not all(type(x) is int for x in e)
+                        or len(e) != nvars or min(e, default=0) < 0):
                     raise ValueError(f"bad exponent vector {e}")
                 self.terms[e] = c
 
@@ -120,7 +123,7 @@ class IntPoly:
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 out[e] = out.get(e, 0) + c1 * c2
         return IntPoly._trusted(self.nvars, out)
 
@@ -132,11 +135,11 @@ class IntPoly:
         if type(coeff) is not int:
             raise ValueError(f"coefficient {coeff!r} is not an integer")
         expo = tuple(expo)
-        if (len(expo) != self.nvars or min(expo, default=0) < 0
-                or not all(type(x) is int for x in expo)):
+        if (not all(type(x) is int for x in expo)
+                or len(expo) != self.nvars or min(expo, default=0) < 0):
             raise ValueError(f"bad exponent vector {expo}")
         return IntPoly._trusted(
-            self.nvars, {tuple(a + b for a, b in zip(e, expo)): c * coeff
+            self.nvars, {tuple(map(add, e, expo)): c * coeff
                          for e, c in self.terms.items()})
 
     def leading(self):
@@ -177,7 +180,7 @@ def _monomial_divides(e, f) -> bool:
 
 
 def _expo_sub(f, e):
-    return tuple(b - a for a, b in zip(e, f))
+    return tuple(map(sub, f, e))
 
 
 @dataclass
@@ -199,9 +202,17 @@ class DivisionCertificate:
         return out
 
     def max_product_degree(self, basis) -> int:
-        return max((q * basis.polys[i]).total_degree()
-                   for i, q in self.multipliers.items()) \
-            if self.multipliers else 0
+        """The largest total degree of a product multiplier[i] * basis[i],
+        0 for a certificate without multipliers.
+
+        No product is built: Z[x] is an integral domain, so the top-degree
+        parts of two nonzero factors (``strong_divide`` makes no zero
+        multiplier, ``strong_gb`` no zero basis element) multiply to a
+        nonzero form, and the degrees add.
+        """
+        polys = basis.polys
+        return max((q.total_degree() + polys[i].total_degree()
+                    for i, q in self.multipliers.items()), default=0)
 
 
 @dataclass(frozen=True)
@@ -234,7 +245,7 @@ def _strong_reduce(p: IntPoly, basis: list) -> tuple:
         # the leading monomials decrease, so each shift is new for i
         mult.setdefault(i, {})[shift] = q
         for te, tc in basis[i].terms.items():
-            k = tuple(a + b for a, b in zip(te, shift))
+            k = tuple(map(add, te, shift))
             v = work.get(k, 0) - q * tc
             if v:
                 work[k] = v
@@ -359,17 +370,21 @@ def filtered_noetherian_witness(gens, sample_count: int, max_deg: int,
         raise DomainError(f"no nonzero generator has total degree <= "
                           f"{max_deg}, so every witness sample is 0")
     gb = strong_gb(gens)
+    nvars = gens[0].nvars
+    # a generator above max_deg gets no multiplier, and draws nothing
+    drawn = [(max_deg - base.total_degree(), base.terms.items())
+             for base in gens if base.total_degree() <= max_deg]
     max_shift = 0
     failures = 0
     done = 0
     while done < sample_count:
-        g = IntPoly(gens[0].nvars)
-        for base in gens:
-            budget = max_deg - base.total_degree()
-            if budget < 0:
-                continue
-            r = _random_poly(base.nvars, budget, rng)
-            g = g + r * base
+        sample = {}
+        for budget, terms in drawn:
+            for e1, c1 in _random_poly(nvars, budget, rng).terms.items():
+                for e2, c2 in terms:
+                    e = tuple(map(add, e1, e2))
+                    sample[e] = sample.get(e, 0) + c1 * c2
+        g = IntPoly._trusted(nvars, sample)
         if g.is_zero():
             continue
         done += 1
@@ -419,12 +434,14 @@ def membership_oracle(g: IntPoly, gens) -> bool:
         return True
     lattice = ZLattice(_deglex_key)
     base = g.total_degree()
+    shifted = [(gen.total_degree(), gen.terms.items()) for gen in gens]
     for bound in range(base, base + ORACLE_HEADROOM + 1):
-        for gen in gens:
-            budget = bound - gen.total_degree()
+        for degree, terms in shifted:
+            budget = bound - degree
             for m in exponent_vectors(g.nvars, budget):
                 if bound == base or sum(m) == budget:
-                    lattice.add(gen.term_mul(1, m).terms)
+                    lattice.add({tuple(map(add, e, m)): c
+                                 for e, c in terms})
         if lattice.contains(g.terms):
             return True
     return False

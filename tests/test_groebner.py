@@ -5,7 +5,8 @@ import pytest
 
 from hacalc.algebra import exponent_vectors
 from hacalc.checks import groebner_corpus
-from hacalc.groebner import (ORACLE_HEADROOM, IntPoly, _deglex_key,
+from hacalc.groebner import (ORACLE_HEADROOM, DivisionCertificate, IntPoly,
+                             WitnessReport, _deglex_key, _random_poly,
                              _strong_reduce, filtered_noetherian_witness,
                              membership_oracle, strong_divide, strong_gb)
 from hacalc.linalg import SparseEchelon, ZLattice
@@ -122,6 +123,38 @@ def test_certificate_reconstruction_random():
             assert cert.reconstruct(gb) == g
             if cert.remainder.is_zero() and not g.is_zero():
                 assert cert.max_product_degree(gb) <= g.total_degree()
+
+
+def _product_degree(cert, basis) -> int:
+    """The largest degree of a product multiplier * basis element, read
+    off the multiplied-out products."""
+    return max((q * basis.polys[i]).total_degree()
+               for i, q in cert.multipliers.items()) \
+        if cert.multipliers else 0
+
+
+def test_max_product_degree_adds_degrees():
+    rng = random.Random(15)
+    readme = (P({(1, 0): 2}), P({(0, 1): 3}))
+    seen = {"member": 0, "non-member": 0}
+    for gens in [*groebner_corpus(), readme]:
+        gb = strong_gb(list(gens))
+        for _ in range(30):
+            g = IntPoly(2)
+            for base in gens:
+                e = (rng.randint(0, 2), rng.randint(0, 2))
+                g = g + base.term_mul(rng.randint(-3, 3), e)
+            if rng.random() < 0.5:  # perturbed off the ideal, mostly
+                e = (rng.randint(0, 3), rng.randint(0, 3))
+                g = g + P({e: rng.choice((-1, 1, 2))})
+            cert = strong_divide(g, gb)
+            assert cert.max_product_degree(gb) == _product_degree(cert, gb)
+            seen["member" if cert.remainder.is_zero()
+                 else "non-member"] += 1
+    assert min(seen.values()) > 50, seen
+    gb = strong_gb(list(readme))
+    empty = DivisionCertificate({}, IntPoly(2))
+    assert empty.max_product_degree(gb) == _product_degree(empty, gb) == 0
 
 
 def test_strong_divisibility_of_members():
@@ -291,6 +324,41 @@ def test_membership_oracle_agrees_with_snf_oracle():
     assert not snf_membership_oracle(g, gens)
 
 
+def _seeded_ideal(rng, nvars, with_zero):
+    """One or two generators of one or two terms, linear in three
+    variables and at most quadratic in one; a zero generator optional."""
+    monomials = exponent_vectors(nvars, 1 if nvars > 1 else 2)
+    gens = [IntPoly(nvars, {e: rng.choice((-1, 1, 2, 3, 6))
+                            for e in rng.sample(monomials, rng.randint(1, 2))})
+            for _ in range(rng.randint(1, 2))]
+    if with_zero:
+        gens.insert(rng.randrange(len(gens) + 1), IntPoly(nvars))
+    return gens
+
+
+@pytest.mark.parametrize("nvars, ideals, draws", [(1, 8, 4), (3, 5, 3)])
+def test_membership_oracle_agrees_beyond_two_variables(nvars, ideals, draws):
+    rng = random.Random(14 + nvars)
+    seen = {True: 0, False: 0}
+    for k in range(ideals):
+        gens = _seeded_ideal(rng, nvars, k == 0)
+        gb = strong_gb(gens)
+        for _ in range(draws):
+            g = IntPoly(nvars)
+            for base in gens:
+                e = [0] * nvars
+                if rng.random() < 0.5:
+                    e[rng.randrange(nvars)] += 1
+                g = g + base.term_mul(rng.randint(-2, 2), tuple(e))
+            if rng.random() < 0.5:
+                g = g + IntPoly.constant(nvars, rng.choice((-2, -1, 1, 2)))
+            member = membership_oracle(g, gens)
+            assert member == snf_membership_oracle(g, gens), (gens, g)
+            assert member == strong_divide(g, gb).remainder.is_zero(), g
+            seen[member] += 1
+    assert min(seen.values()) >= 3, seen
+
+
 def test_witness_examples():
     rng = random.Random(4)
     rep = filtered_noetherian_witness(
@@ -305,11 +373,57 @@ def test_witness_examples():
     assert rep.max_shift == 0 and rep.failures == 0
 
 
+def _reference_witness(gens, sample_count, max_deg, rng):
+    """The sampling loop one polynomial at a time: every r_i * gen_i and
+    every partial sum is an ``IntPoly`` of its own, and the shift is read
+    off the multiplied-out products."""
+    gb = strong_gb(gens)
+    max_shift = 0
+    failures = 0
+    done = 0
+    while done < sample_count:
+        g = IntPoly(gens[0].nvars)
+        for base in gens:
+            budget = max_deg - base.total_degree()
+            if budget < 0:
+                continue
+            r = _random_poly(base.nvars, budget, rng)
+            g = g + r * base
+        if g.is_zero():
+            continue
+        done += 1
+        cert = strong_divide(g, gb)
+        if not cert.remainder.is_zero():
+            failures += 1
+            continue
+        shift = max(0, _product_degree(cert, gb) - g.total_degree())
+        max_shift = max(max_shift, shift)
+    return WitnessReport(done, max_shift, failures, gb)
+
+
+def test_witness_draws_the_reference_samples():
+    ideals = [list(gens) for gens in groebner_corpus()] + [
+        [IntPoly.constant(0, 6), IntPoly.constant(0, 10)],  # no variables
+        [P({(4, 3): 1}), P({(1, 0): 2}), P({(0, 1): 3})],  # deg 7: no draw
+        [P({(1, 0): 2}), P({}), P({(1, 1): 1, (0, 0): -2})],  # a zero gen
+    ]
+    for salt in range(4):
+        for gens in ideals:
+            rng, ref_rng = random.Random(salt), random.Random(salt)
+            rep = filtered_noetherian_witness(gens, 25, 6, rng)
+            ref = _reference_witness(gens, 25, 6, ref_rng)
+            assert (rep.samples, rep.max_shift, rep.failures) == \
+                (ref.samples, ref.max_shift, ref.failures) == (25, 0, 0)
+            assert rep.basis == ref.basis
+            assert rng.getstate() == ref_rng.getstate()
+
+
 @pytest.mark.parametrize("terms", [
     {(1, 0): Fraction(3, 2)}, {(1, 0): Fraction(2)}, {(1, 0): 2.0},
     {(1, 0): True}, {(1.0, 0): 2}, {(True, 0): 2}, {(0, 0): 0.0},
+    {("a", 0): 1}, {(None, 0): 1},
 ], ids=["fraction", "integral-fraction", "float", "bool", "float-exponent",
-        "bool-exponent", "float-zero"])
+        "bool-exponent", "float-zero", "str-exponent", "none-exponent"])
 def test_intpoly_refuses_non_integers(terms):
     with pytest.raises(ValueError):
         IntPoly(2, terms)
@@ -318,9 +432,10 @@ def test_intpoly_refuses_non_integers(terms):
 @pytest.mark.parametrize("coeff, expo", [
     (Fraction(3, 2), (0, 1)), (Fraction(2), (0, 1)), (True, (0, 1)),
     (2.0, (0, 1)), (2, (1,)), (2, (1, 0, 0)), (2, (0, -1)),
-    (2, (1.0, 0)), (2, (True, 0)),
+    (2, (1.0, 0)), (2, (True, 0)), (1, ("a", 0)), (1, (None, 0)),
 ], ids=["fraction", "integral-fraction", "bool", "float", "short-shift",
-        "long-shift", "negative-shift", "float-shift", "bool-shift"])
+        "long-shift", "negative-shift", "float-shift", "bool-shift",
+        "str-exponent", "none-exponent"])
 def test_term_mul_refuses_bad_operands(coeff, expo):
     with pytest.raises(ValueError):
         P({(1, 0): 2, (0, 0): -1}).term_mul(coeff, expo)
