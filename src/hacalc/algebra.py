@@ -58,12 +58,15 @@ def int_entries(values, what: str) -> tuple:
     return values
 
 
-def exponent_vectors(nvars: int, bound: int) -> list:
-    """Exponent tuples of length nvars with sum <= bound, in lex order."""
+def exponent_vectors(nvars: int, degree: int) -> list:
+    """Exponent tuples of length nvars with sum exactly degree, in lex
+    order; none for a negative degree."""
     if nvars == 0:
-        return [()]
-    return [(e,) + rest for e in range(bound + 1)
-            for rest in exponent_vectors(nvars - 1, bound - e)]
+        return [()] if degree == 0 else []
+    if nvars == 1:  # the last exponent is what the degree leaves
+        return [(degree,)] if degree >= 0 else []
+    return [(e,) + rest for e in range(degree + 1)
+            for rest in exponent_vectors(nvars - 1, degree - e)]
 
 
 #: The unit adjoined to a non-unital presentation.  Every other basis
@@ -248,7 +251,8 @@ class AlgebraPresentation:
         elif self.kind == "laurent":
             out = [(k,) for k in range(-bound, bound + 1)]
         elif self.kind == "polynomial":
-            out = exponent_vectors(len(self.generators), bound)
+            out = [e for d in range(bound + 1)
+                   for e in exponent_vectors(len(self.generators), d)]
         else:
             for j in (0, 1):
                 i = 0

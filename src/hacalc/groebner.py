@@ -255,22 +255,19 @@ def _strong_reduce(p: IntPoly, basis: list) -> tuple:
             {i: IntPoly._trusted(nvars, q) for i, q in mult.items()})
 
 
-def _s_poly(f: IntPoly, g: IntPoly) -> IntPoly:
+def _critical_pair(f: IntPoly, g: IntPoly) -> tuple:
+    """(G, S): both shift f and g up to the lcm of their leading
+    monomials; G combines the leading coefficients by Bezout, S cancels
+    them at their lcm."""
     fe, fc = f.leading()
     ge, gc = g.leading()
     lcm_e = tuple(max(a, b) for a, b in zip(fe, ge))
-    lcm_c = abs(fc * gc) // math.gcd(fc, gc)
-    return (f.term_mul(lcm_c // fc, _expo_sub(lcm_e, fe))
-            - g.term_mul(lcm_c // gc, _expo_sub(lcm_e, ge)))
-
-
-def _g_poly(f: IntPoly, g: IntPoly) -> IntPoly:
-    fe, fc = f.leading()
-    ge, gc = g.leading()
-    lcm_e = tuple(max(a, b) for a, b in zip(fe, ge))
+    f_shift, g_shift = _expo_sub(lcm_e, fe), _expo_sub(lcm_e, ge)
     a, b = bezout(fc, gc)  # a fc + b gc = gcd(fc, gc)
-    return (f.term_mul(a, _expo_sub(lcm_e, fe))
-            + g.term_mul(b, _expo_sub(lcm_e, ge)))
+    lcm_c = abs(fc * gc) // math.gcd(fc, gc)
+    return (f.term_mul(a, f_shift) + g.term_mul(b, g_shift),
+            f.term_mul(lcm_c // fc, f_shift)
+            - g.term_mul(lcm_c // gc, g_shift))
 
 
 #: Pairs the completion may pop before it gives up with DomainError.
@@ -307,36 +304,27 @@ def strong_gb(gens) -> StrongGB:
             raise DomainError(f"completion did not terminate within "
                               f"{MAX_PAIRS} pairs")
         _, i, j = heapq.heappop(pairs)
-        for candidate in (_g_poly(basis[i], basis[j]),
-                          _s_poly(basis[i], basis[j])):
+        for candidate in _critical_pair(basis[i], basis[j]):
             nf, _ = _strong_reduce(candidate, basis)
             if nf.is_zero():
                 continue
             lm, lc = nf.leading()
-            if lc < 0:
-                nf = -nf
-            if nf in basis:
-                continue
-            basis.append(nf)
+            # not in basis: each b divides its lead strongly, no term of +-nf
+            basis.append(-nf if lc < 0 else nf)
             heads.append(lm)
             push_pairs(len(basis) - 1)
-    # interreduce deterministically
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(basis)):
-            others = basis[:i] + basis[i + 1:]
-            if not others:
-                continue
-            nf, _ = _strong_reduce(basis[i], others)
-            if nf != basis[i]:
-                changed = True
-                if nf.is_zero():
-                    basis = others
-                else:
-                    _, lc = nf.leading()
-                    basis = others + [-nf if lc < 0 else nf]
-                break
+    # interreduce deterministically: a changed element moves to the end,
+    # a zero one is dropped, and the scan starts again
+    i = 0
+    while i < len(basis):
+        others = basis[:i] + basis[i + 1:]
+        nf, _ = _strong_reduce(basis[i], others)
+        if nf == basis[i]:
+            i += 1
+            continue
+        if not nf.is_zero():
+            others.append(-nf if nf.leading()[1] < 0 else nf)
+        basis, i = others, 0
     basis.sort(key=lambda p: (_deglex_key(p.leading()[0]),
                               abs(p.leading()[1])))
     return StrongGB(tuple(basis))
@@ -422,26 +410,23 @@ def membership_oracle(g: IntPoly, gens) -> bool:
 
     At degree bound b the columns are the products m * gen_i with
     deg(m * gen_i) <= b, and g is a member at b iff it lies in their
-    Z-span, which a ``ZLattice`` decides.  The bound escalates from
-    deg(g): a member can need products of the raw generators beyond its
-    own degree (the degree control of strong-basis division speaks about
-    the completed basis, not the generators), e.g. 5y = y(x^2+5) - x(xy).
-    The columns at b are among those at b + 1, so one lattice serves
-    every bound and each later bound adds only the products whose
-    multiplier has the new degree.
+    Z-span, which a ``ZLattice`` decides.  The bound runs from deg(g) to
+    deg(g) + ``ORACLE_HEADROOM``: a member can need products of the raw
+    generators beyond its own degree (the degree control of strong-basis
+    division speaks about the completed basis, not the generators), e.g.
+    5y = y(x^2+5) - x(xy).  The columns at b are among those at b + 1, so
+    one lattice serves every bound: it climbs from bound 0 and adds each
+    product m * gen_i once, at its own degree deg(m) + deg(gen_i).
     """
     if g.is_zero():
         return True
     lattice = ZLattice(_deglex_key)
     base = g.total_degree()
     shifted = [(gen.total_degree(), gen.terms.items()) for gen in gens]
-    for bound in range(base, base + ORACLE_HEADROOM + 1):
+    for bound in range(base + ORACLE_HEADROOM + 1):
         for degree, terms in shifted:
-            budget = bound - degree
-            for m in exponent_vectors(g.nvars, budget):
-                if bound == base or sum(m) == budget:
-                    lattice.add({tuple(map(add, e, m)): c
-                                 for e, c in terms})
-        if lattice.contains(g.terms):
+            for m in exponent_vectors(g.nvars, bound - degree):
+                lattice.add({tuple(map(add, e, m)): c for e, c in terms})
+        if bound >= base and lattice.contains(g.terms):
             return True
     return False

@@ -35,6 +35,11 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+#: The primes accepted are below this bound; trial division by _is_prime
+#: up to sqrt(p) then takes milliseconds, not years.
+PRIME_BOUND = 2 ** 32
+
+
 @dataclass(frozen=True)
 class PrimeConfig:
     """The uniformiser p and the precision N of idempotent lifts mod p^N."""
@@ -43,6 +48,8 @@ class PrimeConfig:
     default_precision: int = 16
 
     def __post_init__(self):
+        if self.p >= PRIME_BOUND:
+            raise ValueError(f"p must be below 2^32, got {self.p}")
         if not _is_prime(self.p):
             raise ValueError(f"p must be prime, got {self.p}")
         if self.default_precision < 1:

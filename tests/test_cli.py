@@ -431,6 +431,16 @@ GOLDEN = {
                         '"max_shift": 0, "samples": 500}}, "schema": '
                         '"ha/1", "subcommand": "groebner", "version": '
                         '"0.1.0"}\n',
+    "idem-p5-n4": '{"inputs": {"payload": "idem.json", "precision": 4, '
+                  '"prime": 5, "seed": 0, "truncate": null}, "passed": true, '
+                  '"results": {"lift": [[516, 552], [130, 110]]}, "schema": '
+                  '"ha/1", "subcommand": "idem", "version": "0.1.0"}\n',
+    "groebner-xyz": '{"inputs": {"payload": "ideal_xyz.json", "precision": '
+                    '16, "prime": 5, "seed": 0, "truncate": null}, "passed": '
+                    'true, "results": {"basis": ["y^2 - x", "2*x*y + 3*z", '
+                    '"2*x^2 + 3*y*z"], "witness": {"failures": 0, '
+                    '"max_shift": 0, "samples": 20}}, "schema": "ha/1", '
+                    '"subcommand": "groebner", "version": "0.1.0"}\n',
 }
 
 
@@ -445,6 +455,10 @@ TORSION = {"vertices": ["u", "v"],
            "edges": [{"s": "u", "r": "u"}] * 3 + [{"s": "v", "r": "v"}] * 4}
 IDEAL_XY = {"vars": ["x", "y"],
             "gens": [[{"e": [1, 0], "c": 2}], [{"e": [0, 1], "c": 3}]]}
+# 2xy + 3z and y^2 - x: completion adds 2x^2 + 3yz
+IDEAL_XYZ = {"vars": ["x", "y", "z"],
+             "gens": [[{"e": [1, 1, 0], "c": 2}, {"e": [0, 0, 1], "c": 3}],
+                      [{"e": [0, 2, 0], "c": 1}, {"e": [1, 0, 0], "c": -1}]]}
 LIFT3 = ["--order", "3", "--cap", "6", "--prime", "5"]
 
 # key: (payload file name, payload, argv naming that file)
@@ -490,6 +504,13 @@ README_RUNS = {
     "groebner-witness": ("ideal.json", IDEAL_XY,
                          ["groebner", "ideal.json", "--witness", "500",
                           "--prime", "5"]),
+    # the lift is idempotent mod 5^4 = 625
+    "idem-p5-n4": ("idem.json", {"matrix": [[6, 2], [5, 0]]},
+                   ["idem", "--matrix", "idem.json", "--prime", "5",
+                    "--precision", "4"]),
+    "groebner-xyz": ("ideal_xyz.json", IDEAL_XYZ,
+                     ["groebner", "ideal_xyz.json", "--witness", "20",
+                      "--prime", "5"]),
 }
 
 
@@ -497,7 +518,8 @@ README_RUNS = {
 def test_readme_curve_report_bytes(key, tmp_path, monkeypatch, capsys):
     """The exact stdout of the README's commands, of two larger lifting
     towers, of a three-vertex graph, of a graph with torsion, of the
-    Fedosov growth check and of de Rham on a quintic curve."""
+    Fedosov growth check, of de Rham on a quintic curve, of an idempotent
+    lift and of an ideal in three variables."""
     name, payload, argv = README_RUNS[key]
     if name is not None:
         (tmp_path / name).write_text(json.dumps(payload))
@@ -538,6 +560,21 @@ def test_usage_error_is_exit_2(laurent_file, capsys):
         assert doc["schema"] == "ha/1" and error in doc["error"], argv
     assert run(["--help"]) == 0
     assert capsys.readouterr().out.startswith("usage: ha")
+
+
+def test_huge_prime_is_refused_before_the_primality_test(capsys):
+    """Trial division up to sqrt(p) never ends for p near 10^18, so a
+    p >= 2^32 exits 2 at once, also for a suite that never reads p."""
+    huge = "1000000000000000003"
+    for argv in (["tube", "--check", "floors"], ["check", "--suite",
+                                                 "floors"]):
+        assert run(argv + ["--prime", huge]) == 2
+        out, err = capsys.readouterr()
+        assert err == "" and out.count("\n") == 1
+        error = f"p must be below 2^32, got {huge}"
+        assert json.loads(out) == {"schema": "ha/1", "error": error}
+    assert run(["--prime", "4294967291", "check", "--suite", "floors"]) == 0
+    assert run(["--prime", str(2 ** 32), "check", "--suite", "floors"]) == 2
 
 
 def test_check_floors(capsys):

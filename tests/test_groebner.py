@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -6,15 +7,32 @@ import pytest
 from hacalc.algebra import exponent_vectors
 from hacalc.checks import groebner_corpus
 from hacalc.groebner import (ORACLE_HEADROOM, DivisionCertificate, IntPoly,
-                             WitnessReport, _deglex_key, _random_poly,
-                             _strong_reduce, filtered_noetherian_witness,
-                             membership_oracle, strong_divide, strong_gb)
+                             WitnessReport, _critical_pair, _deglex_key,
+                             _random_poly, _strong_reduce,
+                             filtered_noetherian_witness, membership_oracle,
+                             strong_divide, strong_gb)
 from hacalc.linalg import SparseEchelon, ZLattice
 from test_graphs import smith_with_transforms
 
 
 def P(terms):
     return IntPoly(2, terms)
+
+
+def _exponents_up_to(nvars, bound):
+    """Exponent tuples of length nvars with sum <= bound, in lex order,
+    by brute force: the test oracles do not share the library's
+    enumerator."""
+    return sorted(e for e in itertools.product(range(bound + 1),
+                                               repeat=nvars)
+                  if sum(e) <= bound)
+
+
+@pytest.mark.parametrize("nvars", range(5))
+def test_exponent_vectors_have_exact_degree_in_lex_order(nvars):
+    for degree in range(-2, 7):
+        assert exponent_vectors(nvars, degree) == [
+            e for e in _exponents_up_to(nvars, degree) if sum(e) == degree]
 
 
 def test_deglex_examples():
@@ -85,6 +103,34 @@ def test_strong_reduce_matches_reference():
                            for i in mult), g
                 compared += 1
     assert compared > 1000
+
+
+def test_strong_reduce_leaves_no_strongly_divisible_term():
+    """No remainder term c x^e has a divisor b with lm(b) | e and
+    lc(b) | c.  Each divisor strongly divides its own leading term, so a
+    nonzero remainder is never a divisor or its negative: strong_gb need
+    not test a new element against its basis."""
+    rng = random.Random(24)
+    ideals = [list(gens) for gens in groebner_corpus()] + [
+        _seeded_ideal(rng, nvars, False) for nvars in (1, 3)
+        for _ in range(6)]
+    checked = 0
+    for gens in ideals:
+        nvars = gens[0].nvars
+        for basis in _divisor_lists(gens):
+            heads = [b.leading() for b in basis]
+            dividends = [p for f, g in itertools.combinations(basis, 2)
+                         for p in _critical_pair(f, g)]
+            dividends += [_random_poly(nvars, 3, rng) * rng.choice(basis)
+                          + _random_poly(nvars, 4, rng) for _ in range(5)]
+            for p in dividends:
+                rem, _ = _strong_reduce(p, basis)
+                for e, c in rem.terms.items():
+                    assert not any(
+                        c % bc == 0 and all(a <= b for a, b in zip(be, e))
+                        for be, bc in heads), (p, basis)
+                    checked += 1
+    assert checked > 500
 
 
 def test_strong_gb_examples():
@@ -223,7 +269,7 @@ def snf_solvable(columns, target) -> bool:
 def snf_member_at_bound(g, gens, bound) -> bool:
     """Is g in the Z-span of the products m * gen with degree <= bound?"""
     cols = [gen.term_mul(1, m).terms for gen in gens
-            for m in exponent_vectors(g.nvars, bound - gen.total_degree())]
+            for m in _exponents_up_to(g.nvars, bound - gen.total_degree())]
     return snf_solvable(cols, g.terms)
 
 
@@ -238,7 +284,7 @@ def snf_membership_oracle(g, gens) -> bool:
 def _random_system(rng):
     """Small integer columns over exponent keys: gcd > 1 columns,
     duplicates and zero columns included."""
-    keys = exponent_vectors(2, 2)
+    keys = _exponents_up_to(2, 2)
     cols = []
     for _ in range(rng.randint(0, 5)):
         kind = rng.random()
@@ -327,7 +373,7 @@ def test_membership_oracle_agrees_with_snf_oracle():
 def _seeded_ideal(rng, nvars, with_zero):
     """One or two generators of one or two terms, linear in three
     variables and at most quadratic in one; a zero generator optional."""
-    monomials = exponent_vectors(nvars, 1 if nvars > 1 else 2)
+    monomials = _exponents_up_to(nvars, 1 if nvars > 1 else 2)
     gens = [IntPoly(nvars, {e: rng.choice((-1, 1, 2, 3, 6))
                             for e in rng.sample(monomials, rng.randint(1, 2))})
             for _ in range(rng.randint(1, 2))]
