@@ -223,7 +223,7 @@ class AlgebraPresentation:
         if self.kind == "free":
             return {a + b: 1}
         if self.kind in ("polynomial", "laurent"):
-            return {tuple(x + y for x, y in zip(a, b)): 1}
+            return {tuple(map(add, a, b)): 1}
         i = a[0] + b[0]
         j = a[1] + b[1]
         if j <= 1:

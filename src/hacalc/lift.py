@@ -22,35 +22,25 @@ from functools import partial
 
 from .algebra import AlgebraPresentation, int_entries
 from .errors import InvalidConnection, NotApproxIdempotent
-from .ncforms import Form, differential, form_multiply
+from .ncforms import Form, combine, differential, form_multiply
 from .scalars import PrimeConfig
 
 
 def _mono_form(A, m: tuple) -> Form:
-    return Form(A, 0, {(m,): 1})
-
-
-def _combine(A: AlgebraPresentation, n: int, scaled) -> Form:
-    """The n-form sum of c * f over the (c, f) pairs, in one dict."""
-    out = {}
-    get = out.get
-    for c, f in scaled:
-        for k, v in f.terms.items():
-            out[k] = get(k, 0) + c * v
-    return Form._trusted(A, n, out)
+    return Form._trusted(A, 0, {(m,): 1})
 
 
 def _products(triples):
     """(c, a b) for each (c, a, b) whose factors are both nonzero."""
     return ((c, form_multiply(a, b)) for c, a, b in triples
-            if a.terms and b.terms)
+            if a.num and b.num)
 
 
 def hochschild_delta(A: AlgebraPresentation, f, x: tuple, y: tuple) -> Form:
     """The Hochschild coboundary of the 1-cochain f at (x, y):
     x f(y) - f(xy) + f(x) y."""
     fy = f(y)
-    return _combine(A, fy.degree, [
+    return combine(A, fy.degree, [
         *_products([(1, _mono_form(A, x), fy), (1, f(x), _mono_form(A, y))]),
         *((-c, f(m)) for m, c in A.mul_monomials(x, y).items())])
 
@@ -142,9 +132,10 @@ class LiftingTower:
         elif k == 1:
             out = self.nabla.nabla_d(m).scale(-1)
         else:
-            out = _combine(A, 2 * k, _products(
+            phi2 = self.phi(1, m)
+            out = combine(A, 2 * k, _products(
                 (c, _mono_form(A, x0), self.psi(k, x1, x2))
-                for (x0, x1, x2), c in self.phi(1, m).terms.items()))
+                for (x0, x1, x2), c in phi2.num.items()), phi2.den)
         self._phi[key] = out
         return out
 
@@ -157,9 +148,9 @@ class LiftingTower:
             pass
         phi = self.phi
         factors = [(phi(j, x), phi(k - 1 - j, y)) for j in range(k)]
-        out = _combine(self.presentation, 2 * k, _products([
+        out = combine(self.presentation, 2 * k, _products([
             *((1, differential(a), differential(b))
-              for a, b in factors if a.terms and b.terms),
+              for a, b in factors if a.num and b.num),
             *((-1, phi(j, x), phi(k - j, y)) for j in range(1, k))]))
         self._psi[key] = out
         return out
@@ -219,7 +210,7 @@ def phi_psi_recursion(nabla: Connection, n_max: int,
 
 
 def _form_weight(A, form: Form):
-    return max((sum(A.degree(m) for m in key) for key in form.terms),
+    return max((sum(A.degree(m) for m in key) for key in form.num),
                default=0)
 
 

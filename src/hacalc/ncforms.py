@@ -6,6 +6,12 @@ unit and m1, ..., mn run over the non-unit basis monomials (the
 differential kills the unit, so tuples carrying it in a d-slot are zero).
 The elements of the algebra S = Omega^0 S are the 0-forms (m0,).
 
+Coefficients lie in F = V[1/p], and a form with denominator p^k is p^-k
+times a V-integral form.  A :class:`Form` is stored that way: integer
+numerators over one positive denominator, in lowest terms, so every
+kernel does integer arithmetic and a form built from ints alone (the
+lifting tower's) never carries a denominator.
+
 The module provides the differential, the graded multiplication, the
 Fedosov product, the Hochschild map b on 1-forms, canonical
 representatives modulo commutators, and truncated homology of the
@@ -23,6 +29,8 @@ same window for the polynomial ring, the Laurent ring and curves.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd, lcm
 
 from .algebra import ADJOINED_UNIT, AlgebraPresentation
 from .errors import DomainError, NotCommutative, Unstable, WrongDegree
@@ -30,22 +38,33 @@ from .linalg import IntEchelon, _clear_denominators, kernel_basis
 
 
 class Form:
-    """A homogeneous differential form of fixed degree.
+    """A homogeneous differential form of fixed degree, fraction-free.
 
-    ``terms`` maps tuples (m0, m1, ..., mn) to nonzero coefficients.  The
-    d-slots m1, ..., mn never hold the unit monomial: d(1) = 0, so the
+    A form with coefficients in F = V[1/p] is stored as ``num / den``:
+    ``num`` maps tuples (m0, m1, ..., mn) to nonzero integers and ``den``
+    is one positive integer, in lowest terms (gcd(den, every numerator)
+    = 1, and the zero form has den = 1), so equal forms have equal
+    ``num`` and ``den``.  Every kernel below does integer arithmetic on
+    the numerators and settles the denominator once per result.
+
+    The d-slots m1, ..., mn never hold the unit monomial: d(1) = 0, so the
     constructor drops every tuple that carries it there, and the
     products below rely on this instead of re-testing the slots they copy.
+    The constructor takes ``int`` and ``Fraction`` coefficients only.
     """
 
-    __slots__ = ("presentation", "degree", "terms")
+    __slots__ = ("presentation", "degree", "num", "den")
 
     def __init__(self, presentation, degree, terms=()):
         self.presentation = presentation
         self.degree = degree
         unit = presentation.is_unit_monomial
         clean = {}
+        integral = True
         for key, c in dict(terms).items():
+            if type(c) is not int:
+                _check_exact(c)
+                integral = False
             if not c:
                 continue
             if len(key) != degree + 1:
@@ -53,16 +72,32 @@ class Form:
             if any(map(unit, key[1:])):
                 continue
             clean[key] = c
-        self.terms = clean
+        den = 1
+        if not integral:
+            # the lcm of reduced denominators shares no prime with every
+            # numerator it makes, so num / den is in lowest terms
+            den = lcm(*(c.denominator for c in clean.values()))
+            clean = {k: c.numerator * (den // c.denominator)
+                     for k, c in clean.items()}
+        self.num, self.den = clean, den
 
     @classmethod
-    def _trusted(cls, presentation, degree, terms: dict) -> "Form":
-        """A form from a kernel's output, whose tuples are already valid:
-        zeros are dropped, nothing else is checked."""
+    def _trusted(cls, presentation, degree, num: dict,
+                 den: int = 1) -> "Form":
+        """The form num / den from a kernel's output, whose tuples are
+        already valid and whose den is positive: zeros are dropped and
+        the fraction is reduced, nothing else is checked."""
         form = cls.__new__(cls)
         form.presentation = presentation
         form.degree = degree
-        form.terms = {k: c for k, c in terms.items() if c}
+        num = {k: c for k, c in num.items() if c}
+        if den != 1:
+            g = gcd(den, *num.values())
+            if g != 1:
+                den //= g
+                num = {k: c // g for k, c in num.items()}
+        form.num = num
+        form.den = den
         return form
 
     # -- construction helpers -------------------------------------------
@@ -72,8 +107,17 @@ class Form:
         """The 1-form dm (zero for the unit monomial)."""
         return cls(A, 1, {(A.one(), m): 1})
 
+    @property
+    def terms(self) -> dict:
+        """The exact coefficients, read-only: ``num`` itself when den = 1,
+        a Fraction per tuple otherwise."""
+        den = self.den
+        if den == 1:
+            return self.num
+        return {k: Fraction(c, den) for k, c in self.num.items()}
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def items(self):
         A = self.presentation
@@ -82,28 +126,30 @@ class Form:
 
     def __eq__(self, other):
         return (isinstance(other, Form) and self.degree == other.degree
-                and self.terms == other.terms)
+                and self.den == other.den and self.num == other.num)
 
     def __add__(self, other):
-        if self.degree != other.degree:
-            raise WrongDegree("cannot add forms of different degree")
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, 0) + c
-        return Form._trusted(self.presentation, self.degree, out)
+        return combine(self.presentation, self.degree,
+                       ((1, self), (1, other)))
 
     def __sub__(self, other):
-        return self + other.scale(-1)
+        return combine(self.presentation, self.degree,
+                       ((1, self), (-1, other)))
 
     def __neg__(self):
         return self.scale(-1)
 
     def scale(self, c) -> "Form":
+        """c times the form, for an int or Fraction c."""
+        if type(c) is not int:
+            _check_exact(c)
+        a = c.numerator
         return Form._trusted(self.presentation, self.degree,
-                             {k: c * v for k, v in self.terms.items()})
+                             {k: a * v for k, v in self.num.items()},
+                             self.den * c.denominator)
 
     def __str__(self):
-        if not self.terms:
+        if not self.num:
             return "0"
         A = self.presentation
         parts = []
@@ -121,16 +167,49 @@ class Form:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-def differential(omega: Form) -> Form:
-    """d(m0 dm1 ... dmn) = 1 dm0 dm1 ... dmn; zero when m0 is the unit."""
-    A = omega.presentation
+def _check_exact(c) -> None:
+    """Refuse a coefficient that is neither an int nor a Fraction: a
+    float or bool is not rounded into F."""
+    if type(c) is not int and type(c) is not Fraction:
+        raise ValueError(f"form coefficients must be int or Fraction, "
+                         f"got {c!r}")
+
+
+def combine(A: AlgebraPresentation, n: int, scaled, den: int = 1) -> Form:
+    """The n-form (sum of c f over the (c, f) pairs, c an int) / den.
+
+    The numerators meet in one dict over the lcm of the denominators,
+    which is reduced once, in the result.
+    """
     out = {}
-    one = A.one()
-    for key, c in omega.terms.items():
-        if A.is_unit_monomial(key[0]):
-            continue
-        out[(one,) + key] = out.get((one,) + key, 0) + c
-    return Form._trusted(A, omega.degree + 1, out)
+    get = out.get
+    common = 1
+    for c, f in scaled:
+        if f.degree != n:
+            raise WrongDegree("cannot add forms of different degree")
+        d = f.den
+        if d != common:
+            big = lcm(common, d)
+            if big != common:
+                up = big // common
+                for k in out:
+                    out[k] *= up
+                common = big
+            c *= common // d
+        for k, v in f.num.items():
+            out[k] = get(k, 0) + c * v
+    return Form._trusted(A, n, out, common * den)
+
+
+def differential(omega: Form) -> Form:
+    """d(m0 dm1 ... dmn) = 1 dm0 dm1 ... dmn; zero when m0 is the unit.
+
+    Distinct tuples stay distinct, so the numerators are copied."""
+    A = omega.presentation
+    one, unit = A.one(), A.is_unit_monomial
+    return Form._trusted(A, omega.degree + 1, {
+        (one,) + key: c for key, c in omega.num.items() if not unit(key[0])},
+        omega.den)
 
 
 def form_multiply(omega: Form, eta: Form) -> Form:
@@ -141,16 +220,16 @@ def form_multiply(omega: Form, eta: Form) -> Form:
     x_{n+1} = y0 (for j = 0 the product x0 x1 is the head); d-slots that
     receive the unit monomial vanish.  For j < n the merged product
     does not involve eta, and y0 sits in a d-slot, so a unit y0 leaves
-    only j = n.
+    only j = n.  The numerators multiply as ints over den1 den2.
     """
     A = omega.presentation
     n = omega.degree
     mul, unit = A.mul_monomials, A.is_unit_monomial
-    etas = [(ys, c2, unit(ys[0])) for ys, c2 in eta.terms.items()]
+    etas = [(ys, c2, unit(ys[0])) for ys, c2 in eta.num.items()]
     any_inner = n and not all(y0_unit for _, _, y0_unit in etas)
     out = {}
     get = out.get
-    for xs, c1 in omega.terms.items():
+    for xs, c1 in omega.num.items():
         # the j < n summands as (slots before, product, slots after, odd)
         inner = []
         for j in range(n if any_inner else 0):
@@ -174,7 +253,7 @@ def form_multiply(omega: Form, eta: Form) -> Form:
                     continue
                 key = pre + (mm,) + tail
                 out[key] = get(key, 0) + (c if mc == 1 else c * mc)
-    return Form._trusted(A, n + eta.degree, out)
+    return Form._trusted(A, n + eta.degree, out, omega.den * eta.den)
 
 
 class MixedForm:
@@ -194,22 +273,16 @@ class MixedForm:
         """The sum of an iterable of Forms and MixedForms.
 
         A degree that only one input carries keeps that Form object; every
-        other degree is merged in one dict and built once.
+        other degree is merged by :func:`combine` and built once.
         """
-        parts = {}  # degree -> the only Form so far, or the merged terms
+        by_degree = {}
         for f in forms:
             for g in (f.parts.values() if isinstance(f, MixedForm) else (f,)):
-                acc = parts.get(g.degree)
-                if acc is None:
-                    parts[g.degree] = g
-                    continue
-                if isinstance(acc, Form):
-                    acc = parts[g.degree] = dict(acc.terms)
-                for k, c in g.terms.items():
-                    acc[k] = acc.get(k, 0) + c
+                by_degree.setdefault(g.degree, []).append(g)
         return cls(presentation, {
-            n: f if isinstance(f, Form) else Form._trusted(presentation, n, f)
-            for n, f in parts.items()})
+            n: gs[0] if len(gs) == 1
+            else combine(presentation, n, [(1, g) for g in gs])
+            for n, gs in by_degree.items()})
 
     @classmethod
     def of(cls, *forms):
@@ -277,12 +350,12 @@ def hochschild_b1(omega: Form) -> Form:
         raise WrongDegree("b is defined on 1-forms here")
     A = omega.presentation
     out = {}
-    for (x, y), c in omega.terms.items():
+    for (x, y), c in omega.num.items():
         for m, mc in A.mul_monomials(x, y).items():
             out[(m,)] = out.get((m,), 0) + c * mc
         for m, mc in A.mul_monomials(y, x).items():
             out[(m,)] = out.get((m,), 0) - c * mc
-    return Form._trusted(A, 0, out)
+    return Form._trusted(A, 0, out, omega.den)
 
 
 # ---------------------------------------------------------------------------
@@ -374,14 +447,14 @@ class CommutatorQuotient:
             raise WrongDegree("commutator quotient lives on 1-forms")
         A = self.presentation
         out = {}
-        for (x, s), c in omega.terms.items():
+        for (x, s), c in omega.num.items():
             word = A.word_of(s)
             for i, v in enumerate(word):
                 head = A.one()
                 for m in word[i + 1:] + [x] + word[:i]:
                     (head,) = A.mul_monomials(head, m)  # one monomial here
                 out[(head, v)] = out.get((head, v), 0) + c
-        return Form(A, 1, out)
+        return Form._trusted(A, 1, out, omega.den)
 
     def contains(self, omega: Form) -> bool:
         return self.rep(omega).is_zero()

@@ -4,7 +4,10 @@ The coefficient ring V is modeled by rationals with nonnegative p-adic
 valuation, its fraction field F by arbitrary rationals.  A scalar is an
 ``int`` or a ``fractions.Fraction`` (``Scalar``): structure constants are
 integers, so a Fraction appears only where a division does, and the JSON
-boundary refuses floats.
+boundary and the form constructor refuse floats and bools.  A form keeps
+no Fraction at all: it holds integer numerators over one denominator
+(:class:`hacalc.ncforms.Form`), and its valuations are v_p(numerator) -
+v_p(denominator), read with the integer valuation below.
 """
 
 from __future__ import annotations

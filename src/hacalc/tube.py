@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .algebra import GrowthProfile
 from .ncforms import Form, MixedForm, fedosov_mixed
-from .scalars import INF, PrimeConfig, val
+from .scalars import INF, PrimeConfig, _int_val
 
 
 class EvenForm(MixedForm):
@@ -66,7 +66,13 @@ def jdegree(x: EvenForm):
 
 
 def _min_component_val(form: Form, cfg: PrimeConfig):
-    return min((val(c, cfg) for c in form.terms.values()), default=INF)
+    """min val(c) over the coefficients c = n / den of the form: the
+    least v_p(n), less v_p(den); ``INF`` for zero."""
+    if not form.num:
+        return INF
+    p = cfg.p
+    return (min(_int_val(c, p) for c in form.num.values())
+            - _int_val(form.den, p))
 
 
 def tube_member(x: EvenForm, m: int, cfg: PrimeConfig) -> bool:
@@ -91,14 +97,15 @@ def form_in_module(form: Form, profile: GrowthProfile, cfg: PrimeConfig,
                    shift: int = 0) -> bool:
     """Is the form in p^{-shift} Omega^deg(M)?  M given as a profile.
 
-    A tuple with coefficient c lies in Omega(M) iff val(c) covers the
-    summed per-slot requirement; the head contributes through M^+ (the
-    unit is free).
+    A tuple with coefficient c = n / den lies in Omega(M) iff val(c) =
+    v_p(n) - v_p(den) covers the summed per-slot requirement; the head
+    contributes through M^+ (the unit is free).
     """
-    A = form.presentation
-    for key, c in form.terms.items():
+    A, p = form.presentation, cfg.p
+    shift -= _int_val(form.den, p)
+    for key, c in form.num.items():
         need = _slot_requirement(A, profile, key)
-        if val(c, cfg) + shift < need:
+        if _int_val(c, p) + shift < need:
             return False
     return True
 

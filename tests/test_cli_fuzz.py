@@ -6,6 +6,10 @@ document, the document itself included, are swapped for numbers, floats,
 bools, strings, nulls, lists or objects.  Whatever the input, a run must
 exit 0, 1 or 2, print exactly one ``ha/1`` JSON line (with an ``error``
 key on exit 2) and no traceback, and print the same bytes when rerun.
+
+The numeric flags get the same treatment with negative and non-numeric
+values, each of which is an input error: exit 2 and one ``error``
+document.  Huge values are left out, as nothing bounds their cost yet.
 """
 
 import copy
@@ -94,3 +98,47 @@ def test_mutated_payloads_keep_the_cli_contract(command, tmp_path, capsys):
             assert code != 2 or "error" in report, where
             outs.append(out)
         assert outs[0] == outs[1], where
+
+
+#: Each numeric flag with the commands that read it.  The payloads are the
+#: valid ones above; --prime and --precision go to a command that reads
+#: nothing else.
+FLAG_COMMANDS = {
+    "--truncate": ("xcomplex", "derham"),
+    "--order": ("lift",),
+    "--cap": ("lift",),
+    "--level": ("tube",),
+    "--samples": ("tube", "check"),
+    "--precision": ("idem", "check"),
+    "--prime": ("tube", "check"),
+}
+BAD_VALUES = ("-1", "-7", "x", "", "1.5", "3e2", "0x10", "seven")
+
+
+@pytest.mark.parametrize("flag,command", [
+    (flag, command) for flag, commands in FLAG_COMMANDS.items()
+    for command in commands])
+def test_bad_flag_values_are_input_errors(flag, command, tmp_path, capsys):
+    if command == "check":
+        argv, payload = ["check", "--suite", "floors"], None
+    else:
+        argv, payload = VALID[command]
+    path = tmp_path / "payload.json"
+    if payload is not None:
+        path.write_text(json.dumps(payload))
+    argv = [str(path) if a == "@" else a for a in argv]
+    for value in BAD_VALUES:
+        full = argv + [flag, value]
+        if flag != "--prime":
+            full += ["--prime", "5"]
+        outs = []
+        for _ in range(2):
+            code = run(full)
+            out, err = capsys.readouterr()
+            assert code == 2, full
+            assert "Traceback" not in out + err, full
+            assert out.count("\n") == 1 and out.endswith("\n"), full
+            report = json.loads(out)
+            assert report["schema"] == "ha/1" and "error" in report, full
+            outs.append(out)
+        assert outs[0] == outs[1], full

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -187,6 +188,76 @@ def test_form_multiply_against_reference(name):
         x = _oracle_form(A, rng.randint(0, 3), rng)
         y = _oracle_form(A, rng.randint(0, 3), rng)
         _assert_same_product(x, y)
+
+
+def _assert_normal(f: Form):
+    """num / den in lowest terms: a positive den sharing no factor with
+    every numerator, den = 1 for zero, and ``terms`` ints exactly when
+    den = 1."""
+    assert type(f.den) is int and f.den >= 1
+    assert all(type(c) is int and c for c in f.num.values())
+    assert math.gcd(f.den, *f.num.values()) == 1
+    want = int if f.den == 1 else Fraction
+    assert all(type(c) is want for c in f.terms.values())
+    assert f.terms == {k: Fraction(c, f.den) for k, c in f.num.items()}
+
+
+def _plain_combination(*scaled):
+    """sum c f over (c, f) pairs, coefficient by coefficient on
+    ``terms``: the value oracle of +, - and scale."""
+    out = {}
+    for c, f in scaled:
+        for k, v in f.terms.items():
+            out[k] = out.get(k, 0) + c * v
+    return {k: v for k, v in out.items() if v}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_PRESENTATIONS))
+def test_every_kernel_returns_the_normal_form(name):
+    A = ORACLE_PRESENTATIONS[name]
+    rng = random.Random(29)
+    for _ in range(150):
+        n = rng.randint(0, 2)
+        x, y = _oracle_form(A, n, rng), _oracle_form(A, n, rng)
+        z = _oracle_form(A, rng.randint(0, 2), rng)
+        outs = [x, y, form_multiply(x, z), form_multiply(z, x),
+                differential(x), x + y, x - y, x - x,
+                *(x.scale(c) for c in (3, -1, 0, Fraction(-2, 3),
+                                       Fraction(5), Fraction(4, 6)))]
+        for mixed in (MixedForm.sum(A, [x, y, z, differential(z)]),
+                      fedosov(x, z), fedosov(z, y)):
+            outs += mixed.parts.values()
+        if n == 1:
+            outs.append(hochschild_b1(x))
+            if A.kind in ("free", "polynomial"):
+                outs.append(CommutatorQuotient(A).rep(x))
+        for f in outs:
+            _assert_normal(f)
+        assert (x + y).terms == _plain_combination((1, x), (1, y))
+        assert (x - y).terms == _plain_combination((1, x), (-1, y))
+        for c in (3, -1, Fraction(-2, 3), Fraction(4, 6)):
+            assert x.scale(c).terms == _plain_combination((c, x))
+        assert (x - x) == Form(A, n) and (x - x).den == 1
+        assert x.scale(0) == Form(A, n)
+        if x.is_zero():
+            continue
+        key = next(iter(x.num))
+        half = Form(A, n, {key: Fraction(1, 2)})
+        assert half.den == 2 and (half + half).den == 1
+        assert (half + half).terms == {key: 1}
+        assert half - half == Form(A, n)
+
+
+@pytest.mark.parametrize("bad", [0.5, 2.0, 0.0, True, False, "1", None,
+                                 complex(1, 0)])
+def test_inexact_coefficients_are_refused(bad):
+    key = (T, T)
+    with pytest.raises(ValueError, match="int or Fraction"):
+        Form(POLY, 1, {key: bad})
+    with pytest.raises(ValueError, match="int or Fraction"):
+        Form(POLY, 1, {key: 1, (ONE, T): bad})
+    with pytest.raises(ValueError, match="int or Fraction"):
+        Form(POLY, 1, {key: 1}).scale(bad)
 
 
 def test_form_multiply_reference_cases():

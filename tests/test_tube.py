@@ -8,9 +8,10 @@ from hacalc.algebra import AlgebraPresentation, GrowthProfile
 from hacalc.checks import (presentations, random_even_form,
                            suite_fedosov_growth, suite_tube_closure)
 from hacalc.ncforms import Form
-from hacalc.scalars import INF, PrimeConfig
-from hacalc.tube import (EvenForm, TubeParams, _shift_minimum,
-                         _split_minimum, dm_member, fedosov_even,
+from hacalc.scalars import INF, PrimeConfig, val
+from hacalc.tube import (EvenForm, TubeParams, _min_component_val,
+                         _shift_minimum, _split_minimum, dm_member,
+                         fedosov_even,
                          floor_estimates, form_in_module, jdegree,
                          tube_member)
 
@@ -75,6 +76,49 @@ def test_form_in_module_reads_the_profile_slotwise():
     for c, v in ((1, 0), (Fraction(1, 5), -1), (125, 3)):
         assert inside({(t2, t2): c}, shift=4 - v)
         assert not inside({(t2, t2): c}, shift=3 - v)
+
+
+def _in_module_by_coefficient(form, profile, cfg, shift):
+    """form_in_module read coefficient by coefficient with scalars.val:
+    the oracle of the numerator-over-denominator route."""
+    A = form.presentation
+    for key, c in form.terms.items():
+        need = sum(profile[A.degree(m)] for m in key[1:])
+        if not A.is_unit_monomial(key[0]):
+            need += profile[A.degree(key[0])]
+        if val(c, cfg) + shift < need:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_tube_valuations_against_per_coefficient_val(p):
+    cfg = PrimeConfig(p)
+    profiles = [GrowthProfile.filtration(2, 12),
+                GrowthProfile(tuple(d // 2 for d in range(13))),
+                GrowthProfile((0, 1, 1, 2, 0, 3, 1))]
+    seen_vals, seen_verdicts = set(), set()
+    for name, A in presentations().items():
+        rng = random.Random(p * 100 + len(name))
+        for _ in range(40):
+            x = random_even_form(A, 3, 3, rng, cfg)
+            y = random_even_form(A, 2, 2, rng, cfg)
+            for form in (x, x.scale(p ** rng.randint(1, 3)),
+                         fedosov_even(x, y)):
+                for n in form.degrees():
+                    f = form.component(n)
+                    want = min((val(c, cfg) for c in f.terms.values()),
+                               default=INF)
+                    assert _min_component_val(f, cfg) == want, (name, f)
+                    seen_vals.add(want)
+                    for prof in profiles:
+                        for shift in range(-2, 5):
+                            got = form_in_module(f, prof, cfg, shift)
+                            assert got == _in_module_by_coefficient(
+                                f, prof, cfg, shift), (name, f, shift)
+                            seen_verdicts.add(got)
+    assert seen_verdicts == {True, False}
+    assert {-2, -1, 0, 1, 2} <= seen_vals
 
 
 def test_fedosov_even_examples():
