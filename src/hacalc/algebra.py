@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import weakref
 from dataclasses import dataclass
 from operator import add, sub
 
@@ -75,6 +76,22 @@ def exponent_vectors(nvars: int, degree: int) -> list:
 ADJOINED_UNIT = None
 
 
+class ProductTable(dict):
+    """``mul_monomials(a, b)`` at the key (a, b) as a tuple of
+    (m, c, is_unit_monomial(m)), remembered per presentation.  It holds
+    its presentation through a weak proxy: the two form no cycle, so
+    both are freed as soon as the presentation is dropped."""
+
+    def __init__(self, presentation):
+        self.presentation = weakref.proxy(presentation)
+
+    def __missing__(self, key):
+        A = self.presentation
+        entry = self[key] = tuple((m, c, A.is_unit_monomial(m)) for m, c
+                                  in A.mul_monomials(*key).items())
+        return entry
+
+
 class AlgebraPresentation:
     """A presented algebra with monomial basis and length filtration."""
 
@@ -113,6 +130,7 @@ class AlgebraPresentation:
         else:
             self._one = (0,) * len(generators)
         self._monomials = {}  # bound -> monomials_up_to(bound)
+        self.product_table = ProductTable(self)
 
     # -- constructors ---------------------------------------------------
 

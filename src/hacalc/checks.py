@@ -186,6 +186,7 @@ def suite_forms(samples_per_kind: int, seed: int) -> CheckResult:
             fx, fy = Form(A, 0, {(x,): 1}), Form(A, 0, {(y,): 1})
             curv = (MixedForm.of(form_multiply(fx, fy))
                     - fedosov(fx, fy))
+            # the generic product: fedosov's high part is d_product
             expected = MixedForm.of(
                 form_multiply(Form.d_of_monomial(A, x),
                               Form.d_of_monomial(A, y)))

@@ -22,7 +22,7 @@ from functools import partial
 
 from .algebra import AlgebraPresentation, int_entries
 from .errors import InvalidConnection, NotApproxIdempotent
-from .ncforms import Form, combine, differential, form_multiply
+from .ncforms import Form, combine, d_product, form_multiply
 from .scalars import PrimeConfig
 
 
@@ -30,18 +30,13 @@ def _mono_form(A, m: tuple) -> Form:
     return Form._trusted(A, 0, {(m,): 1})
 
 
-def _products(triples):
-    """(c, a b) for each (c, a, b) whose factors are both nonzero."""
-    return ((c, form_multiply(a, b)) for c, a, b in triples
-            if a.num and b.num)
-
-
 def hochschild_delta(A: AlgebraPresentation, f, x: tuple, y: tuple) -> Form:
     """The Hochschild coboundary of the 1-cochain f at (x, y):
     x f(y) - f(xy) + f(x) y."""
     fy = f(y)
     return combine(A, fy.degree, [
-        *_products([(1, _mono_form(A, x), fy), (1, f(x), _mono_form(A, y))]),
+        (1, form_multiply(_mono_form(A, x), fy)),
+        (1, form_multiply(f(x), _mono_form(A, y))),
         *((-c, f(m)) for m, c in A.mul_monomials(x, y).items())])
 
 
@@ -62,12 +57,9 @@ class Connection:
         vals = {A.generator_monomial(name): Form(A, 2)
                 for name in A.generators}
         if A.kind == "laurent":
-            t = A.generator_monomial(A.generators[0])
-            tinv = (-1,)
-            dt_dtinv = form_multiply(Form.d_of_monomial(A, t),
-                                     Form.d_of_monomial(A, tinv))
-            vals[tinv] = form_multiply(_mono_form(A, tinv),
-                                       dt_dtinv).scale(-1)
+            t, tinv = A.generator_monomial(A.generators[0]), (-1,)
+            ft, finv = _mono_form(A, t), _mono_form(A, tinv)
+            vals[tinv] = form_multiply(finv, d_product(ft, finv)).scale(-1)
         self.values = vals
         self._cache = {}
 
@@ -86,12 +78,9 @@ class Connection:
             acc = word[0]
             for letter in word[1:]:
                 # nabla(d(u v)) = nabla(du) v + du dv + u nabla(dv)
-                du = Form.d_of_monomial(A, acc)
-                dv = Form.d_of_monomial(A, letter)
-                result = (form_multiply(result, _mono_form(A, letter))
-                          + form_multiply(du, dv)
-                          + form_multiply(_mono_form(A, acc),
-                                          self.values[letter]))
+                u, v = _mono_form(A, acc), _mono_form(A, letter)
+                result = (form_multiply(result, v) + d_product(u, v)
+                          + form_multiply(u, self.values[letter]))
                 (acc,) = A.mul_monomials(acc, letter)
         self._cache[m] = result
         return result
@@ -133,8 +122,8 @@ class LiftingTower:
             out = self.nabla.nabla_d(m).scale(-1)
         else:
             phi2 = self.phi(1, m)
-            out = combine(A, 2 * k, _products(
-                (c, _mono_form(A, x0), self.psi(k, x1, x2))
+            out = combine(A, 2 * k, (
+                (c, form_multiply(_mono_form(A, x0), self.psi(k, x1, x2)))
                 for (x0, x1, x2), c in phi2.num.items()), phi2.den)
         self._phi[key] = out
         return out
@@ -147,11 +136,11 @@ class LiftingTower:
         except KeyError:
             pass
         phi = self.phi
-        factors = [(phi(j, x), phi(k - 1 - j, y)) for j in range(k)]
-        out = combine(self.presentation, 2 * k, _products([
-            *((1, differential(a), differential(b))
-              for a, b in factors if a.num and b.num),
-            *((-1, phi(j, x), phi(k - j, y)) for j in range(1, k))]))
+        out = combine(self.presentation, 2 * k, [
+            *((1, d_product(phi(j, x), phi(k - 1 - j, y)))
+              for j in range(k)),
+            *((-1, form_multiply(phi(j, x), phi(k - j, y)))
+              for j in range(1, k))])
         self._psi[key] = out
         return out
 

@@ -17,6 +17,11 @@ Fedosov product, the Hochschild map b on 1-forms, canonical
 representatives modulo commutators, and truncated homology of the
 two-term complex  S <-> Omega^1(S)/[,]  for commutative presentations.
 
+Two kernels make every product of forms: :func:`form_multiply`, the
+Leibniz rule, reading monomial products from the presentation's
+``product_table``, and :func:`d_product`, the concatenation
+d(x0 dx1 ... dxn) d(y0 dy1 ... dym) = 1 dx0 ... dxn dy0 ... dym.
+
 For commutative S the commutator quotient Omega^1 S/[S, Omega^1 S] is
 the module of Kahler differentials, because [x, y dz] expands to the
 Leibniz rule (Cuntz-Quillen 1995; Loday, Cyclic Homology 1.3).  The
@@ -90,7 +95,8 @@ class Form:
         form = cls.__new__(cls)
         form.presentation = presentation
         form.degree = degree
-        num = {k: c for k, c in num.items() if c}
+        if 0 in num.values():
+            num = {k: c for k, c in num.items() if c}
         if den != 1:
             g = gcd(den, *num.values())
             if g != 1:
@@ -219,41 +225,53 @@ def form_multiply(omega: Form, eta: Form) -> Form:
     (-1)^(n-j) x0 dx1 ... d(xj x_{j+1}) ... dxn dy1 ... dym with
     x_{n+1} = y0 (for j = 0 the product x0 x1 is the head); d-slots that
     receive the unit monomial vanish.  For j < n the merged product
-    does not involve eta, and y0 sits in a d-slot, so a unit y0 leaves
-    only j = n.  The numerators multiply as ints over den1 den2.
+    does not involve eta, so each key prefix is built once per tuple of
+    omega, and y0 sits in a d-slot, so a unit y0 leaves only j = n.
+    The numerators multiply as ints over den1 den2.
     """
     A = omega.presentation
     n = omega.degree
-    mul, unit = A.mul_monomials, A.is_unit_monomial
-    etas = [(ys, c2, unit(ys[0])) for ys, c2 in eta.num.items()]
-    any_inner = n and not all(y0_unit for _, _, y0_unit in etas)
+    if not (omega.num and eta.num):
+        return Form._trusted(A, n + eta.degree, {})
+    table, unit = A.product_table, A.is_unit_monomial
+    etas = [(ys, ys[0], ys[1:], c2, unit(ys[0]))
+            for ys, c2 in eta.num.items()]
+    any_inner = n and not all(y0_unit for *_, y0_unit in etas)
     out = {}
     get = out.get
     for xs, c1 in omega.num.items():
-        # the j < n summands as (slots before, product, slots after, odd)
-        inner = []
-        for j in range(n if any_inner else 0):
-            prod = [(mm, mc) for mm, mc in mul(xs[j], xs[j + 1]).items()
-                    if not (j and unit(mm))]
-            inner.append((xs[:j], prod, xs[j + 2:], (n - j) % 2))
+        # the j < n summands as (key prefix, signed coefficient)
+        inner = [(xs[:j] + (mm,) + xs[j + 2:], -mc if (n - j) % 2 else mc)
+                 for j in range(n if any_inner else 0)
+                 for mm, mc, mm_unit in table[xs[j], xs[j + 1]]
+                 if not (j and mm_unit)]
         pre, xn = xs[:n], xs[n]
-        for ys, c2, y0_unit in etas:
+        for ys, y0, tail, c2, y0_unit in etas:
             c = c1 * c2
             if inner and not y0_unit:
-                neg = -c
-                for before, prod, after, odd in inner:
-                    cj = neg if odd else c
-                    post = after + ys
-                    for mm, mc in prod:
-                        key = before + (mm,) + post
-                        out[key] = get(key, 0) + (cj if mc == 1 else cj * mc)
-            tail = ys[1:]
-            for mm, mc in mul(xn, ys[0]).items():
-                if n and unit(mm):
+                for prefix, mc in inner:
+                    key = prefix + ys
+                    out[key] = get(key, 0) + (c if mc == 1 else c * mc)
+            for mm, mc, mm_unit in table[xn, y0]:
+                if n and mm_unit:
                     continue
                 key = pre + (mm,) + tail
                 out[key] = get(key, 0) + (c if mc == 1 else c * mc)
     return Form._trusted(A, n + eta.degree, out, omega.den * eta.den)
+
+
+def d_product(omega: Form, eta: Form) -> Form:
+    """d(omega) d(eta) as one concatenation, 1 dx0 ... dxn dy0 ... dym
+    per pair of tuples with non-unit heads: distinct pairs give distinct
+    keys, in the order of form_multiply(differential(omega),
+    differential(eta))."""
+    A = omega.presentation
+    unit, one = A.is_unit_monomial, (A.one(),)
+    etas = [(ys, c2) for ys, c2 in eta.num.items() if not unit(ys[0])]
+    return Form._trusted(A, omega.degree + eta.degree + 2, {
+        one + xs + ys: c1 * c2
+        for xs, c1 in omega.num.items() if not unit(xs[0])
+        for ys, c2 in etas}, omega.den * eta.den)
 
 
 class MixedForm:
@@ -321,13 +339,15 @@ def fedosov(omega: Form, eta: Form) -> MixedForm:
     """Fedosov product of homogeneous forms.
 
     xi (.) eta = xi eta - (-1)^{ij} d(xi) d(eta); the two components live
-    in degrees i+j and i+j+2.
+    in degrees i+j and i+j+2.  The low part is :func:`form_multiply`;
+    the high part is :func:`d_product`, the concatenation
+    1 dx0 ... dxn dy0 ... dym of the two differentials.
     """
     i, j = omega.degree, eta.degree
-    sign = -1 if (i * j) % 2 else 1
-    high = form_multiply(differential(omega), differential(eta))
-    return MixedForm(omega.presentation, {i + j: form_multiply(omega, eta),
-                                          i + j + 2: high.scale(-sign)})
+    high = d_product(omega, eta)
+    return MixedForm(omega.presentation, {
+        i + j: form_multiply(omega, eta),
+        i + j + 2: high if (i * j) % 2 else -high})
 
 
 def fedosov_mixed(a: MixedForm, b: MixedForm) -> MixedForm:

@@ -1,18 +1,21 @@
 import itertools
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 
 from hacalc.algebra import AlgebraPresentation
 from hacalc import ncforms
-from hacalc.checks import presentations, random_form, random_monomial
+from hacalc.checks import (presentations, random_form, random_monomial,
+                           suite_forms)
 from hacalc.errors import DomainError, NotCommutative, WrongDegree
 from hacalc.linalg import SparseEchelon, kernel_basis
 from hacalc.ncforms import (PAD, CommutatorQuotient, Form, MixedForm,
-                            commutator_vectors, differential, fedosov,
-                            form_multiply, hochschild_b1, kahler_window,
+                            commutator_vectors, d_product, differential,
+                            fedosov, form_multiply, hochschild_b1,
+                            kahler_window,
                             one_form_tuples, xcomplex_boundary_checks,
                             xcomplex_homology)
 from hacalc.scalars import PrimeConfig
@@ -188,6 +191,84 @@ def test_form_multiply_against_reference(name):
         x = _oracle_form(A, rng.randint(0, 3), rng)
         y = _oracle_form(A, rng.randint(0, 3), rng)
         _assert_same_product(x, y)
+
+
+def _assert_same_form(got: Form, want: Form):
+    """Equal term by term: degree, den, keys in order, numerators and
+    the types of the exact values."""
+    assert (got.degree, got.den) == (want.degree, want.den)
+    assert list(got.num.items()) == list(want.num.items())
+    assert [type(c) for c in got.terms.values()] \
+        == [type(c) for c in want.terms.values()]
+
+
+@pytest.mark.parametrize("name", list(ORACLE_PRESENTATIONS))
+def test_d_product_against_generic_product(name):
+    """d_product(x, y) is form_multiply(d x, d y), and fedosov is its
+    definition written with the generic product; the draws have unit
+    and (non-unital free) None heads, and 1/2 2 coefficients that
+    lower the den."""
+    A = ORACLE_PRESENTATIONS[name]
+    rng = random.Random(31)
+    for _ in range(300):
+        x = _oracle_form(A, rng.randint(0, 3), rng)
+        y = _oracle_form(A, rng.randint(0, 3), rng)
+        _assert_same_form(d_product(x, y),
+                          form_multiply(differential(x), differential(y)))
+        i, j = x.degree, y.degree
+        sign = -1 if (i * j) % 2 else 1
+        high = form_multiply(differential(x), differential(y))
+        want = MixedForm(A, {i + j: form_multiply(x, y),
+                             i + j + 2: high.scale(-sign)})
+        got = fedosov(x, y)
+        assert list(got.parts) == list(want.parts)
+        for n in want.parts:
+            _assert_same_form(got.parts[n], want.parts[n])
+    zero = Form(A, 1)
+    assert d_product(zero, x) == Form(A, x.degree + 3)
+    assert d_product(x, zero).den == 1
+
+
+@pytest.mark.parametrize("name", list(ORACLE_PRESENTATIONS))
+def test_product_table_remembers_mul_monomials(name):
+    A = ORACLE_PRESENTATIONS[name]
+    monos = A.monomials_up_to(3)
+    if not A.unital:
+        monos = [None] + monos
+    for a, b in itertools.product(monos, monos):
+        entry = A.product_table[a, b]
+        assert [(m, c) for m, c, _ in entry] \
+            == list(A.mul_monomials(a, b).items())
+        assert [u for *_, u in entry] \
+            == [A.is_unit_monomial(m) for m, _, _ in entry]
+        assert A.product_table[a, b] is entry
+    twin = AlgebraPresentation(A.kind, A.generators, A.f_coeffs, A.unital)
+    assert twin.product_table is not A.product_table
+    assert not twin.product_table
+    twin.product_table[monos[-1], monos[-1]]
+    gone = weakref.ref(twin)
+    del twin  # no cycle: reference counting frees it, no collector runs
+    assert gone() is None
+
+
+def test_rebuilt_presentations_repeat_mul_monomials_counts(monkeypatch):
+    """Two passes over freshly built presentations ask mul_monomials
+    equally often: the product table lives on its presentation, so no
+    pass reads what an earlier one filled."""
+    calls = []
+    plain = AlgebraPresentation.mul_monomials
+
+    def counted(self, a, b):
+        calls.append(1)
+        return plain(self, a, b)
+
+    monkeypatch.setattr(AlgebraPresentation, "mul_monomials", counted)
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        assert suite_forms(8, 3).passed
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 def _assert_normal(f: Form):
