@@ -129,7 +129,7 @@ class AlgebraPresentation:
             self._one = ()
         else:
             self._one = (0,) * len(generators)
-        self._monomials = {}  # bound -> monomials_up_to(bound)
+        self._monomials = {}  # bound -> window(bound)
         self.product_table = ProductTable(self)
 
     # -- constructors ---------------------------------------------------
@@ -250,13 +250,19 @@ class AlgebraPresentation:
         return {(i + k, 0): c for k, c in enumerate(self.f_coeffs) if c}
 
     def monomials_up_to(self, bound: int) -> list:
+        """All basis monomials of filtration degree <= bound, sorted, as
+        a new list that the caller may change: a copy of ``window``."""
+        return list(self.window(bound))
+
+    def window(self, bound: int) -> tuple:
         """All basis monomials of filtration degree <= bound, sorted.
 
-        The window is enumerated once per bound; each call returns a new
-        list, which the caller may change.
+        The window is enumerated once per bound and cached; every call
+        returns that same tuple, without a copy, so the seeded generators
+        of :mod:`hacalc.checks` draw from it with ``rng.choice``.
         """
         try:
-            return list(self._monomials[bound])
+            return self._monomials[bound]
         except KeyError:
             pass
         out = []
@@ -278,8 +284,8 @@ class AlgebraPresentation:
                     out.append((i, j))
                     i += 1
         out.sort(key=self.sort_key)
-        self._monomials[bound] = tuple(out)
-        return out
+        window = self._monomials[bound] = tuple(out)
+        return window
 
     def word_of(self, m: tuple) -> list:
         """A canonical factorization of m into alphabet monomials.

@@ -2,6 +2,14 @@
 
 Each suite returns a :class:`CheckResult`; randomness always flows from an
 explicit seed so failures replay exactly.
+
+Every draw of the random generators below is ``rng.choice`` over a cached
+immutable sequence: a window of ``AlgebraPresentation.window``, a pool
+built once per suite plan, or a module constant.  ``choice(seq)`` is
+``seq[_randbelow(len(seq))]``, the one call ``randrange`` and ``randint``
+make, so the generators draw what plain ``randrange``/``randint`` code
+draws and leave the ``Random`` in the same state.  A change to a
+generator must keep that stream: tests/test_draw_streams.py pins it.
 """
 
 from __future__ import annotations
@@ -45,55 +53,57 @@ def _offset(name: str) -> int:
 
 # -- random generators -------------------------------------------------------
 
+#: Twice the coefficients -2, -1, 1, 2, 1/2, 3 of ``random_form``: it sums
+#: these numerators over den 2.
+_FORM_NUMERATORS = (-4, -2, 2, 4, 1, 6)
+
+#: The exponents k of the scale p^-k of a part of ``random_even_form``.
+_EVEN_SHIFTS = (0, 1, 2)
+
 
 def random_monomial(A: AlgebraPresentation, max_deg: int,
                     rng: random.Random) -> tuple:
-    monos = A.monomials_up_to(max_deg)
-    return monos[rng.randrange(len(monos))]
-
-
-def random_nonunit_monomial(A, max_deg, rng) -> tuple:
-    while True:
-        m = random_monomial(A, max_deg, rng)
-        if not A.is_unit_monomial(m):
-            return m
+    return rng.choice(A.window(max_deg))
 
 
 def random_form(A, degree: int, max_deg: int, rng,
                 terms: int = 2) -> Form:
-    out = {}
+    """A sum of ``terms`` random tuples (head; slots) with coefficients
+    from -2, -1, 1, 2, 1/2, 3; a slot that draws the unit is redrawn."""
+    window = A.window(max_deg)
+    unit = A.is_unit_monomial
+    choice = rng.choice
+    num = {}
     for _ in range(terms):
-        head = random_monomial(A, max_deg, rng)
-        slots = tuple(random_nonunit_monomial(A, max_deg, rng)
-                      for _ in range(degree))
-        c = rng.choice([-2, -1, 1, 2, Fraction(1, 2), 3])
-        key = (head,) + slots
-        out[key] = out.get(key, 0) + c
-    return Form(A, degree, out)
+        key = [choice(window)]
+        for _ in range(degree):
+            m = choice(window)
+            while unit(m):
+                m = choice(window)
+            key.append(m)
+        key = tuple(key)
+        num[key] = num.get(key, 0) + choice(_FORM_NUMERATORS)
+    return Form._trusted(A, degree, num, 2)
 
 
-def random_monomial_form(A, profile: GrowthProfile, degree: int,
+def random_monomial_form(A, pool: tuple, nonunit: tuple, degree: int,
                          rng) -> Form:
-    """A single-tuple form supported in Omega^degree(M) for M = profile."""
-    reach = max((d for d in range(profile.cap + 1) if profile[d] == 0),
-                default=0)
-    pool = [m for m in A.monomials_up_to(reach)
-            if profile[A.degree(m)] == 0]
-    nonunit = [m for m in pool if not A.is_unit_monomial(m)]
-    head = pool[rng.randrange(len(pool))]
-    slots = tuple(nonunit[rng.randrange(len(nonunit))]
-                  for _ in range(degree))
-    return Form(A, degree, {(head,) + slots: Fraction(1)})
+    """A single-tuple form with its head from ``pool`` and its slots from
+    ``nonunit``, the non-unit monomials of the pool: supported in
+    Omega^degree(M) when the pool spans M."""
+    choice = rng.choice
+    key = (choice(pool),) + tuple(choice(nonunit) for _ in range(degree))
+    return Form._trusted(A, degree, {key: 1})
 
 
 def random_even_form(A, max_level: int, max_deg: int, rng,
                      cfg: PrimeConfig) -> EvenForm:
     parts = {}
     for n in rng.sample(range(max_level + 1), k=min(2, max_level + 1)):
-        scale = Fraction(1, cfg.p ** rng.randint(0, 2))
-        f = random_form(A, 2 * n, max_deg, rng).scale(scale)
+        scale = cfg.p ** rng.choice(_EVEN_SHIFTS)
+        f = random_form(A, 2 * n, max_deg, rng)
         if not f.is_zero():
-            parts[2 * n] = f
+            parts[2 * n] = Form._trusted(A, 2 * n, f.num, f.den * scale)
     return EvenForm(A, parts)
 
 
@@ -277,14 +287,17 @@ def suite_fedosov_growth(cfg: PrimeConfig, samples: int,
     kinds = presentations()
     prof = GrowthProfile.filtration(1, 30)
     m3 = profile_power_sum(prof, 3)
+    reach = max((d for d in range(prof.cap + 1) if prof[d] == 0), default=0)
     total = 0
     for name, degrees in plans:
         A = kinds[name]
+        pool = tuple(m for m in A.window(reach) if prof[A.degree(m)] == 0)
+        nonunit = tuple(m for m in pool if not A.is_unit_monomial(m))
         rng = random.Random(seed + len(degrees))
         i_total = sum(degrees)
         for _ in range(samples):
             total += 1
-            factors = [random_monomial_form(A, prof, deg, rng)
+            factors = [random_monomial_form(A, pool, nonunit, deg, rng)
                        for deg in degrees]
             prod = MixedForm.of(factors[0])
             for f in factors[1:]:

@@ -359,16 +359,19 @@ def filtered_noetherian_witness(gens, sample_count: int, max_deg: int,
                           f"{max_deg}, so every witness sample is 0")
     gb = strong_gb(gens)
     nvars = gens[0].nvars
-    # a generator above max_deg gets no multiplier, and draws nothing
-    drawn = [(max_deg - base.total_degree(), base.terms.items())
+    # a generator above max_deg gets no multiplier, and draws nothing;
+    # one of degree d draws its multiplier's degree from 0 .. max_deg - d
+    drawn = [(tuple(range(max_deg - base.total_degree() + 1)),
+              base.terms.items())
              for base in gens if base.total_degree() <= max_deg]
+    slots = tuple(range(nvars))
     max_shift = 0
     failures = 0
     done = 0
     while done < sample_count:
         sample = {}
-        for budget, terms in drawn:
-            for e1, c1 in _random_poly(nvars, budget, rng).terms.items():
+        for steps, terms in drawn:
+            for e1, c1 in _random_poly(steps, slots, rng).terms.items():
                 for e2, c2 in terms:
                     e = tuple(map(add, e1, e2))
                     sample[e] = sample.get(e, 0) + c1 * c2
@@ -385,14 +388,26 @@ def filtered_noetherian_witness(gens, sample_count: int, max_deg: int,
     return WitnessReport(done, max_shift, failures, gb)
 
 
-def _random_poly(nvars, max_deg, rng) -> IntPoly:
+#: The term counts and the coefficients ``_random_poly`` draws from.
+_TERM_COUNTS = (1, 2, 3)
+_COEFFS = (-3, -2, -1, 0, 1, 2, 3)
+
+
+def _random_poly(steps: tuple, slots: tuple, rng) -> IntPoly:
+    """A random polynomial in len(slots) variables, each term of
+    ``choice(steps)`` steps along ``choice(slots)``.  ``choice`` over the
+    tuple range(a, b + 1) draws what ``randint(a, b)`` draws, and
+    tests/test_draw_streams.py pins that stream."""
+    choice = rng.choice
+    nvars = len(slots)
     terms = {}
-    for _ in range(rng.randint(1, 3)):
+    for _ in range(choice(_TERM_COUNTS)):
         e = [0] * nvars
         if nvars:  # a constant has no exponents to draw
-            for _ in range(rng.randint(0, max_deg)):
-                e[rng.randrange(nvars)] += 1
-        terms[tuple(e)] = terms.get(tuple(e), 0) + rng.randint(-3, 3)
+            for _ in range(choice(steps)):
+                e[choice(slots)] += 1
+        e = tuple(e)
+        terms[e] = terms.get(e, 0) + choice(_COEFFS)
     return IntPoly._trusted(nvars, terms)
 
 

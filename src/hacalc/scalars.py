@@ -68,9 +68,14 @@ def _int_val(n: int, p: int) -> int:
     return v
 
 
-def val(s, cfg: PrimeConfig):
-    """p-adic valuation of a rational scalar; ``INF`` for zero."""
-    s = Fraction(s)
-    if s == 0:
+def val(s: Scalar, cfg: PrimeConfig):
+    """p-adic valuation of an int or a Fraction; ``INF`` for zero.
+
+    Anything else raises ValueError: a float would be valued as its
+    binary fraction, not as the rational it stands for.
+    """
+    if type(s) is not int and type(s) is not Fraction:
+        raise ValueError(f"val takes an int or a Fraction, got {s!r}")
+    if not s:
         return INF
     return _int_val(s.numerator, cfg.p) - _int_val(s.denominator, cfg.p)

@@ -9,7 +9,6 @@ in Omega^{2n} M.  Support is tested slotwise through growth profiles.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -55,8 +54,8 @@ class TubeParams:
         a = Fraction(self.alpha)
         if not (0 < a < Fraction(1, self.m)):
             raise ValueError("alpha must lie in (0, 1/m)")
-        if self.f < 0:
-            raise ValueError("f must be a natural number")
+        if type(self.f) is not int or self.f < 0:
+            raise ValueError(f"f must be a natural number, got {self.f!r}")
 
 
 def jdegree(x: EvenForm):
@@ -114,11 +113,12 @@ def dm_member(x: EvenForm, P: TubeParams, cfg: PrimeConfig) -> bool:
     """Membership in D_m(M, alpha, f).
 
     Component 2n must lie in p^{-floor(min(n/m, alpha n + f))}
-    Omega^{2n} M.
+    Omega^{2n} M.  The floor is monotone and f an integer, so the
+    exponent is min(floor(n/m), floor(alpha n) + f), in integers.
     """
+    a = Fraction(P.alpha)
     for n in x.levels():
-        bound = math.floor(min(Fraction(n, P.m),
-                               Fraction(P.alpha) * n + P.f))
+        bound = min(n // P.m, a.numerator * n // a.denominator + P.f)
         if not form_in_module(x.level_component(n), P.M_profile, cfg,
                               shift=bound):
             return False

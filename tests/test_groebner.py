@@ -19,6 +19,10 @@ def P(terms):
     return IntPoly(2, terms)
 
 
+#: ``_random_poly`` draws a term's degree from STEPS[b] = (0, ..., b).
+STEPS = [tuple(range(b + 1)) for b in range(8)]
+
+
 def _exponents_up_to(nvars, bound):
     """Exponent tuples of length nvars with sum <= bound, in lex order,
     by brute force: the test oracles do not share the library's
@@ -121,8 +125,11 @@ def test_strong_reduce_leaves_no_strongly_divisible_term():
             heads = [b.leading() for b in basis]
             dividends = [p for f, g in itertools.combinations(basis, 2)
                          for p in _critical_pair(f, g)]
-            dividends += [_random_poly(nvars, 3, rng) * rng.choice(basis)
-                          + _random_poly(nvars, 4, rng) for _ in range(5)]
+            slots = tuple(range(nvars))
+            dividends += [_random_poly(STEPS[3], slots, rng)
+                          * rng.choice(basis)
+                          + _random_poly(STEPS[4], slots, rng)
+                          for _ in range(5)]
             for p in dividends:
                 rem, _ = _strong_reduce(p, basis)
                 for e, c in rem.terms.items():
@@ -433,7 +440,7 @@ def _reference_witness(gens, sample_count, max_deg, rng):
             budget = max_deg - base.total_degree()
             if budget < 0:
                 continue
-            r = _random_poly(base.nvars, budget, rng)
+            r = _random_poly(STEPS[budget], tuple(range(base.nvars)), rng)
             g = g + r * base
         if g.is_zero():
             continue

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import random
@@ -7,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from hacalc.algebra import AlgebraPresentation
-from hacalc import ncforms
+from hacalc import checks, ncforms
 from hacalc.checks import (presentations, random_form, random_monomial,
                            suite_forms)
 from hacalc.errors import DomainError, NotCommutative, WrongDegree
@@ -246,9 +247,35 @@ def test_product_table_remembers_mul_monomials(name):
     assert twin.product_table is not A.product_table
     assert not twin.product_table
     twin.product_table[monos[-1], monos[-1]]
+    twin.window(3)
     gone = weakref.ref(twin)
     del twin  # no cycle: reference counting frees it, no collector runs
     assert gone() is None
+
+
+def test_suites_free_their_presentations_by_reference_counting(
+        monkeypatch):
+    """The presentations a sampled suite builds, with their windows,
+    pools and product tables, die with the suite: none waits for the
+    cyclic collector, which is off here."""
+    built = []
+    plain = checks.presentations
+
+    def tracked():
+        kinds = plain()
+        built.extend(map(weakref.ref, kinds.values()))
+        return kinds
+
+    monkeypatch.setattr(checks, "presentations", tracked)
+    cfg = PrimeConfig(5)
+    gc.disable()
+    try:
+        assert checks.suite_fedosov_growth(cfg, 3, 0).passed
+        assert checks.suite_tube_closure(cfg, 3, 0).passed
+        assert len(built) == 8
+        assert [ref() for ref in built] == [None] * 8
+    finally:
+        gc.enable()
 
 
 def test_rebuilt_presentations_repeat_mul_monomials_counts(monkeypatch):

@@ -20,6 +20,15 @@ def test_val_examples():
     assert val(50, CFG5) == 2  # 50 = 2 * 5^2
     assert val(Fraction(1, 5), CFG5) == -1
     assert val(0, CFG5) is INF
+    assert val(Fraction(0), CFG5) is INF
+
+
+@pytest.mark.parametrize("s", [0.1, 0.0, 2.0, True, False, "5", None])
+def test_val_refuses_inexact_scalars(s):
+    """A float would be valued as its binary fraction (0.1 has v_2 = -55
+    where 1/10 has -1), and a bool is not a scalar."""
+    with pytest.raises(ValueError, match="int or a Fraction"):
+        val(s, PrimeConfig(2))
 
 
 def _random_scalars(n, seed=0):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from operator import add, sub
@@ -55,6 +56,26 @@ def test_dm_member_examples():
     assert not dm_member(bad, TubeParams(2, Fraction(1, 3), 3, prof), CFG)
     wide = GrowthProfile.filtration(2, 24)
     assert dm_member(bad, TubeParams(2, Fraction(1, 3), 3, wide), CFG)
+
+
+def test_dm_member_exponent_matches_the_fraction_formula():
+    """The integer exponent min(n // m, floor(alpha n) + f) of dm_member is
+    floor(min(n/m, alpha n + f)): a coefficient p^-e passes exactly when
+    e is at most that floor."""
+    prof = GrowthProfile.filtration(1, 24)
+    parts = {(n, e): _even({2 * n: Form(POLY, 2 * n, {
+        (ONE,) + (T,) * (2 * n): Fraction(1, 5 ** e)})})
+        for n in range(9) for e in range(10)}
+    for m in range(1, 5):
+        alphas = {Fraction(a, b) for b in range(1, 13)
+                  for a in range(1, b) if Fraction(a, b) < Fraction(1, m)}
+        for alpha in alphas:
+            for f in range(4):
+                P = TubeParams(m, alpha, f, prof)
+                for n in range(9):
+                    want = math.floor(min(Fraction(n, m), alpha * n + f))
+                    assert dm_member(parts[n, want], P, CFG)
+                    assert not dm_member(parts[n, want + 1], P, CFG)
 
 
 def test_form_in_module_reads_the_profile_slotwise():
@@ -198,3 +219,7 @@ def test_tube_params_validation():
         TubeParams(0, Fraction(1, 3), 0, prof)
     with pytest.raises(ValueError):
         TubeParams(2, Fraction(1, 3), -1, prof)
+    # dm_member reads floor(alpha n + f) as floor(alpha n) + f
+    for f in (1.5, 1.0, Fraction(1), True):
+        with pytest.raises(ValueError, match="natural number"):
+            TubeParams(2, Fraction(1, 3), f, prof)
