@@ -8,6 +8,19 @@ decides membership, and with deglex every multiplier satisfies
 deg(multiplier * basis element) <= deg(g), which witnesses the shift
 constant l = 0 of the total-degree filtration.
 
+The kernels key every term by its deglex key (deg, e) = (sum(e), e), so
+comparing two keys compares the monomials and the leading term is a plain
+``max`` (Monagan and Pearce, "Sparse polynomial division using a heap",
+J. Symb. Comp. 46, 2011, keep monomials in such a directly comparable
+form).  ``IntPoly.terms`` stays keyed by exponent tuples.  A ``StrongGB``
+carries its division table, built with the basis: for each element its
+head (deg, e, c), the deglex-leading term, and its other terms keyed the
+same way.  ``strong_divide`` reduces by the table, certificate degrees read
+the heads, and ``strong_gb`` keeps the table in step as its basis grows
+and while it interreduces.  The membership oracle hands its lattice
+deglex-keyed columns.  Every entry point refuses polynomials in different
+numbers of variables.
+
 Types are checked at the boundary only.  The constructor
 ``IntPoly(nvars, terms)`` refuses any coefficient that is not an ``int``
 and any exponent vector that is not ``nvars`` non-negative ``int``s, and
@@ -24,8 +37,8 @@ from __future__ import annotations
 import heapq
 import json
 import math
-from dataclasses import dataclass
-from operator import add, sub
+from dataclasses import dataclass, field
+from operator import add, le, sub
 
 from .algebra import exponent_vectors
 from .errors import DomainError
@@ -95,7 +108,8 @@ class IntPoly:
         return not self.terms
 
     def __eq__(self, other):
-        return isinstance(other, IntPoly) and self.terms == other.terms
+        return (isinstance(other, IntPoly) and self.nvars == other.nvars
+                and self.terms == other.terms)
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
@@ -175,10 +189,6 @@ def _deglex_key(e):
     return (sum(e), e)
 
 
-def _monomial_divides(e, f) -> bool:
-    return all(a <= b for a, b in zip(e, f))
-
-
 def _expo_sub(f, e):
     return tuple(map(sub, f, e))
 
@@ -208,44 +218,64 @@ class DivisionCertificate:
         No product is built: Z[x] is an integral domain, so the top-degree
         parts of two nonzero factors (``strong_divide`` makes no zero
         multiplier, ``strong_gb`` no zero basis element) multiply to a
-        nonzero form, and the degrees add.
+        nonzero form, and the degrees add.  A basis element's degree is
+        that of its head in the division table: the deglex-leading term
+        has the top total degree.
         """
-        polys = basis.polys
-        return max((q.total_degree() + polys[i].total_degree()
+        table = basis.table
+        return max((q.total_degree() + table[i][0][0]
                     for i, q in self.multipliers.items()), default=0)
+
+
+def _division_row(poly: IntPoly) -> tuple:
+    """(head, tail) of a nonzero polynomial: head is its deglex-leading
+    term (deg, e, c), tail its other terms keyed the same way."""
+    terms = [(sum(e), e, c) for e, c in poly.terms.items()]
+    head = max(terms)  # the keys (deg, e) differ, so c is never compared
+    terms.remove(head)
+    return head, tuple(terms)
 
 
 @dataclass(frozen=True)
 class StrongGB:
+    """A strong basis and its division table: ``table[i]`` is
+    ``_division_row(polys[i])``.  The table holds only ints and tuples, so
+    it refers to nothing that could refer back."""
+
     polys: tuple
+    table: tuple = field(repr=False, compare=False)
 
 
-def _strong_reduce(p: IntPoly, basis: list) -> tuple:
-    """Full strong normal form; returns (remainder, multipliers).
+def _strong_reduce(p: IntPoly, table) -> tuple:
+    """Full strong normal form by a division table (a sequence of
+    ``_division_row``s); returns (remainder, multipliers).
 
     The leading term of the working polynomial is divided by the first
-    basis element whose leading term divides it, or else moved to the
-    remainder.  Each step cancels into one working dict.
+    row whose head divides it, or else moved to the remainder.  Each step
+    cancels into one working dict keyed by deglex keys (deg, e), so the
+    leading term is a plain ``max``; the head cancels exactly, and each
+    tail term shifted by (sd, shift) lands on (d + sd, e + shift).
     """
     nvars = p.nvars
-    heads = [b.leading() for b in basis]
-    work = dict(p.terms)
+    work = {(sum(e), e): c for e, c in p.terms.items()}
     remainder = {}
     mult = {}
     while work:
-        e = max(work, key=_deglex_key)
-        c = work[e]
-        for i, (be, bc) in enumerate(heads):
-            if c % bc == 0 and _monomial_divides(be, e):
+        key = max(work)
+        d, e = key
+        c = work[key]
+        for i, ((bd, be, bc), tail) in enumerate(table):
+            if bd <= d and c % bc == 0 and all(map(le, be, e)):
                 break
         else:
-            remainder[e] = work.pop(e)
+            remainder[e] = work.pop(key)
             continue
-        q, shift = c // bc, _expo_sub(e, be)
+        del work[key]
+        q, sd, shift = c // bc, d - bd, tuple(map(sub, e, be))
         # the leading monomials decrease, so each shift is new for i
         mult.setdefault(i, {})[shift] = q
-        for te, tc in basis[i].terms.items():
-            k = tuple(map(add, te, shift))
+        for td, te, tc in tail:
+            k = (td + sd, tuple(map(add, te, shift)))
             v = work.get(k, 0) - q * tc
             if v:
                 work[k] = v
@@ -274,26 +304,48 @@ def _critical_pair(f: IntPoly, g: IntPoly) -> tuple:
 MAX_PAIRS = 20000
 
 
+def _check_nvars(polys, nvars, what):
+    """Refuse a polynomial whose variable count is not ``nvars``: the
+    kernels zip exponent vectors, which would silently truncate."""
+    for poly in polys:
+        if poly.nvars != nvars:
+            raise ValueError(f"{what} has {poly.nvars} variables, "
+                             f"expected {nvars}")
+
+
 def strong_gb(gens) -> StrongGB:
     """Buchberger completion over Z with S- and G-polynomials.
 
     G-polynomials (Bezout combinations of leading coefficients) are
     processed before S-polynomials of the same pair, in the normal
     pair-selection strategy (smallest deglex lcm first); the final basis
-    is interreduced, sign-normalized, and sorted.  Completion that pops
-    more than ``MAX_PAIRS`` pairs raises :class:`DomainError`.
+    is interreduced, sign-normalized, and sorted.  The division table is
+    kept in step with the basis throughout.  Generators in different
+    numbers of variables raise ValueError; completion that pops more than
+    ``MAX_PAIRS`` pairs raises :class:`DomainError`.
     """
+    gens = list(gens)
+    if gens:
+        _check_nvars(gens, gens[0].nvars, "a generator")
     basis = [g for g in gens if not g.is_zero()]
     if not basis:
         raise ValueError("need at least one nonzero generator")
-    heads = [b.leading()[0] for b in basis]
+    table = [_division_row(b) for b in basis]
     # (deglex key of lcm(lm_i, lm_j), i, j): popped smallest lcm first
     pairs = []
 
     def push_pairs(k):
+        lm = table[k][0][1]
         for t in range(k):
-            lcm = tuple(max(a, b) for a, b in zip(heads[k], heads[t]))
-            heapq.heappush(pairs, (_deglex_key(lcm), k, t))
+            lcm = tuple(map(max, lm, table[t][0][1]))
+            heapq.heappush(pairs, ((sum(lcm), lcm), k, t))
+
+    def append(basis, table, nf):
+        # not in basis: each row divides its head strongly, no term of +-nf
+        if nf.leading()[1] < 0:
+            nf = -nf
+        basis.append(nf)
+        table.append(_division_row(nf))
 
     for k in range(len(basis)):
         push_pairs(k)
@@ -305,34 +357,34 @@ def strong_gb(gens) -> StrongGB:
                               f"{MAX_PAIRS} pairs")
         _, i, j = heapq.heappop(pairs)
         for candidate in _critical_pair(basis[i], basis[j]):
-            nf, _ = _strong_reduce(candidate, basis)
-            if nf.is_zero():
-                continue
-            lm, lc = nf.leading()
-            # not in basis: each b divides its lead strongly, no term of +-nf
-            basis.append(-nf if lc < 0 else nf)
-            heads.append(lm)
-            push_pairs(len(basis) - 1)
+            nf, _ = _strong_reduce(candidate, table)
+            if not nf.is_zero():
+                append(basis, table, nf)
+                push_pairs(len(basis) - 1)
     # interreduce deterministically: a changed element moves to the end,
     # a zero one is dropped, and the scan starts again
     i = 0
     while i < len(basis):
-        others = basis[:i] + basis[i + 1:]
-        nf, _ = _strong_reduce(basis[i], others)
+        others, rows = basis[:i] + basis[i + 1:], table[:i] + table[i + 1:]
+        nf, _ = _strong_reduce(basis[i], rows)
         if nf == basis[i]:
             i += 1
             continue
         if not nf.is_zero():
-            others.append(-nf if nf.leading()[1] < 0 else nf)
-        basis, i = others, 0
-    basis.sort(key=lambda p: (_deglex_key(p.leading()[0]),
-                              abs(p.leading()[1])))
-    return StrongGB(tuple(basis))
+            append(others, rows, nf)
+        basis, table, i = others, rows, 0
+    # by deglex leading monomial, then by |leading coefficient|
+    order = sorted(range(len(basis)),
+                   key=lambda k: (table[k][0][:2], abs(table[k][0][2])))
+    return StrongGB(tuple(basis[k] for k in order),
+                    tuple(table[k] for k in order))
 
 
 def strong_divide(g: IntPoly, B: StrongGB) -> DivisionCertificate:
-    """Greedy strong division of g by the basis; remainder 0 iff member."""
-    remainder, mult = _strong_reduce(g, list(B.polys))
+    """Greedy strong division of g by the basis; remainder 0 iff member.
+    A dividend in another number of variables raises ValueError."""
+    _check_nvars((g,), B.polys[0].nvars, "the dividend")
+    remainder, mult = _strong_reduce(g, B.table)
     return DivisionCertificate(mult, remainder)
 
 
@@ -431,17 +483,26 @@ def membership_oracle(g: IntPoly, gens) -> bool:
     division speaks about the completed basis, not the generators), e.g.
     5y = y(x^2+5) - x(xy).  The columns at b are among those at b + 1, so
     one lattice serves every bound: it climbs from bound 0 and adds each
-    product m * gen_i once, at its own degree deg(m) + deg(gen_i).
+    product m * gen_i once, at its own degree deg(m) + deg(gen_i).  The
+    columns and g are keyed by deglex keys (deg, e), so the lattice's
+    pivot, the deglex-largest entry, is a plain ``max``.  A generator in
+    another number of variables than g raises ValueError.
     """
+    _check_nvars(gens, g.nvars, "a generator")
     if g.is_zero():
         return True
-    lattice = ZLattice(_deglex_key)
+    lattice = ZLattice()
+    target = {(sum(e), e): c for e, c in g.terms.items()}
     base = g.total_degree()
-    shifted = [(gen.total_degree(), gen.terms.items()) for gen in gens]
+    shifted = [(gen.total_degree(),
+                [(sum(e), e, c) for e, c in gen.terms.items()])
+               for gen in gens]
     for bound in range(base + ORACLE_HEADROOM + 1):
         for degree, terms in shifted:
-            for m in exponent_vectors(g.nvars, bound - degree):
-                lattice.add({tuple(map(add, e, m)): c for e, c in terms})
-        if bound >= base and lattice.contains(g.terms):
+            k = bound - degree
+            for m in exponent_vectors(g.nvars, k):
+                lattice.add({(d + k, tuple(map(add, e, m))): c
+                             for d, e, c in terms})
+        if bound >= base and lattice.contains(target):
             return True
     return False

@@ -8,12 +8,15 @@ over Q comes from it.  It is fraction-free and takes int vectors (a
 Fraction raises TypeError in ``math.gcd`` rather than being truncated);
 ``kernel_basis`` clears denominators before eliminating.  ``ZLattice``
 decides exact membership over Z: an echelon basis of the Z-span, kept
-with extended-gcd pivoting.  ``SparseEchelon`` keeps a reduced row
-echelon form over Q with canonical coset representatives; it is the only
-one that divides, the library no longer eliminates with it, and the
-tests use it as the rational reference (the raw commutator window, the
-Z-lattice oracle).  ``smith_normal_form`` is the one Smith kernel: the
-elementary divisors of a dense integer matrix, with no transforms.
+with extended-gcd pivoting.  It takes no key function: its columns may
+be any comparable ids, and a row's pivot is its largest column (the
+Groebner oracle keys its columns by deglex keys (deg, e)).
+``SparseEchelon`` keeps a reduced row echelon form over Q with canonical
+coset representatives; it is the only one that divides, the library no
+longer eliminates with it, and the tests use it as the rational
+reference (the raw commutator window, the Z-lattice oracle).
+``smith_normal_form`` is the one Smith kernel: the elementary divisors
+of a dense integer matrix, with no transforms.
 """
 
 from __future__ import annotations
@@ -186,32 +189,43 @@ def _combine(a: int, u: dict, b: int, w: dict) -> dict:
     return {c: x for c, x in out.items() if x}
 
 
+def _subtract(vec: dict, q: int, row: dict) -> None:
+    """vec -= q * row in place, zeros dropped; q and the entries of row
+    are nonzero, so a zero sum has a key in vec."""
+    get = vec.get
+    for c, x in row.items():
+        w = get(c, 0) - q * x
+        if w:
+            vec[c] = w
+        else:
+            del vec[c]
+
+
 class ZLattice:
     """Incremental echelon basis of a Z-lattice: exact membership over Z.
 
-    Vectors are sparse int dicts; a row's pivot is its largest column
-    under ``key``, and each pivot has one row.  When an incoming entry
-    is not a multiple of the pivot entry, the row becomes the Bezout
-    combination (pivot entry gcd) and the unimodular complement, zero at
-    that pivot, carries on; the rows therefore always span exactly the
+    Vectors are sparse int dicts over comparable columns; a row's pivot
+    is its largest column, and each pivot has one row.  When an incoming
+    entry is not a multiple of the pivot entry, the row becomes the
+    Bezout combination (pivot entry gcd) and the unimodular complement,
+    zero at that pivot, carries on; the rows therefore always span exactly the
     lattice of the added vectors.
     """
 
-    def __init__(self, key):
-        self.key = key
+    def __init__(self):
         self.rows = {}  # pivot column -> row dict
 
     def add(self, vec: dict):
-        vec = {c: v for c, v in vec.items() if v}
+        vec = {c: v for c, v in vec.items() if v}  # a copy: rows change
         while vec:
-            p = max(vec, key=self.key)
+            p = max(vec)
             row = self.rows.get(p)
             if row is None:
                 self.rows[p] = vec
                 return
             a, b = row[p], vec[p]
             if b % a == 0:
-                vec = _combine(1, vec, -(b // a), row)
+                _subtract(vec, b // a, row)
                 continue
             s, t = bezout(a, b)
             g = s * a + t * b
@@ -222,11 +236,11 @@ class ZLattice:
         """True iff vec is an integer combination of the added vectors."""
         vec = {c: v for c, v in vec.items() if v}
         while vec:
-            p = max(vec, key=self.key)
+            p = max(vec)
             row = self.rows.get(p)
             if row is None or vec[p] % row[p]:
                 return False
-            vec = _combine(1, vec, -(vec[p] // row[p]), row)
+            _subtract(vec, vec[p] // row[p], row)
         return True
 
 

@@ -41,7 +41,12 @@ class EvenForm(MixedForm):
 
 @dataclass(frozen=True)
 class TubeParams:
-    """Level m, slope alpha in (0, 1/m), offset f, and the support module."""
+    """Level m, slope alpha in (0, 1/m), offset f, and the support module.
+
+    The level is an ``int`` and the slope a ``Fraction``: a float slope
+    would be read as its binary value (0.1 as 3602879701896397 / 2^55),
+    and a string is no number.
+    """
 
     m: int
     alpha: Fraction
@@ -49,10 +54,11 @@ class TubeParams:
     M_profile: GrowthProfile
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("level must be >= 1")
-        a = Fraction(self.alpha)
-        if not (0 < a < Fraction(1, self.m)):
+        if type(self.m) is not int or self.m < 1:
+            raise ValueError(f"level must be an int >= 1, got {self.m!r}")
+        if not isinstance(self.alpha, Fraction):
+            raise ValueError(f"alpha must be a Fraction, got {self.alpha!r}")
+        if not (0 < self.alpha < Fraction(1, self.m)):
             raise ValueError("alpha must lie in (0, 1/m)")
         if type(self.f) is not int or self.f < 0:
             raise ValueError(f"f must be a natural number, got {self.f!r}")
@@ -116,7 +122,7 @@ def dm_member(x: EvenForm, P: TubeParams, cfg: PrimeConfig) -> bool:
     Omega^{2n} M.  The floor is monotone and f an integer, so the
     exponent is min(floor(n/m), floor(alpha n) + f), in integers.
     """
-    a = Fraction(P.alpha)
+    a = P.alpha
     for n in x.levels():
         bound = min(n // P.m, a.numerator * n // a.denominator + P.f)
         if not form_in_module(x.level_component(n), P.M_profile, cfg,

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -8,7 +10,7 @@ from hacalc.algebra import exponent_vectors
 from hacalc.checks import groebner_corpus
 from hacalc.groebner import (ORACLE_HEADROOM, DivisionCertificate, IntPoly,
                              WitnessReport, _critical_pair, _deglex_key,
-                             _random_poly, _strong_reduce,
+                             _division_row, _random_poly, _strong_reduce,
                              filtered_noetherian_witness, membership_oracle,
                              strong_divide, strong_gb)
 from hacalc.linalg import SparseEchelon, ZLattice
@@ -78,6 +80,11 @@ def _reference_strong_reduce(p, basis):
     return remainder, mult
 
 
+def _table(basis):
+    """The division table of a list of divisors."""
+    return [_division_row(b) for b in basis]
+
+
 def _divisor_lists(gens):
     """The lists the kernel divides by: the raw generators in both orders
     and both signs, and the partial bases of a completion, the generators
@@ -99,7 +106,7 @@ def test_strong_reduce_matches_reference():
                 for base in gens:
                     e = (rng.randint(0, 2), rng.randint(0, 2))
                     g = g + base.term_mul(rng.randint(-3, 3), e)
-                rem, mult = _strong_reduce(g, basis)
+                rem, mult = _strong_reduce(g, _table(basis))
                 ref_rem, ref_mult = _reference_strong_reduce(g, basis)
                 assert rem.terms == ref_rem.terms, g
                 assert list(mult) == list(ref_mult), g
@@ -123,6 +130,7 @@ def test_strong_reduce_leaves_no_strongly_divisible_term():
         nvars = gens[0].nvars
         for basis in _divisor_lists(gens):
             heads = [b.leading() for b in basis]
+            table = _table(basis)
             dividends = [p for f, g in itertools.combinations(basis, 2)
                          for p in _critical_pair(f, g)]
             slots = tuple(range(nvars))
@@ -131,7 +139,7 @@ def test_strong_reduce_leaves_no_strongly_divisible_term():
                           + _random_poly(STEPS[4], slots, rng)
                           for _ in range(5)]
             for p in dividends:
-                rem, _ = _strong_reduce(p, basis)
+                rem, _ = _strong_reduce(p, table)
                 for e, c in rem.terms.items():
                     assert not any(
                         c % bc == 0 and all(a <= b for a, b in zip(be, e))
@@ -329,21 +337,22 @@ def test_zlattice_agrees_with_snf_solvability():
     seen = {"member": 0, "off_q_span": 0, "q_span_only": 0}
     for _ in range(400):
         keys, cols = _random_system(rng)
-        lattice, over_q = ZLattice(_deglex_key), SparseEchelon()
+        lattice, over_q = ZLattice(), SparseEchelon()
         index = {k: i for i, k in enumerate(keys)}
         for col in cols:
-            lattice.add(col)
+            lattice.add({_deglex_key(k): v for k, v in col.items()})
             over_q.add({index[k]: v for k, v in col.items()})
         for _ in range(3):
             target = _random_target(rng, keys, cols)
             expected = snf_solvable(cols, target)
-            assert lattice.contains(target) == expected, (cols, target)
+            keyed = {_deglex_key(k): v for k, v in target.items()}
+            assert lattice.contains(keyed) == expected, (cols, target)
             in_q = over_q.contains({index[k]: v for k, v in target.items()})
             seen["member" if expected else
                  "q_span_only" if in_q else "off_q_span"] += 1
         # the rows are an echelon basis: one pivot each, at their maximum
         for p, row in lattice.rows.items():
-            assert max(row, key=_deglex_key) == p
+            assert max(row) == p
     assert min(seen.values()) > 50, seen
 
 
@@ -509,3 +518,64 @@ def test_arithmetic_keeps_int_coefficients_without_zeros():
     assert (f + g).terms == {(0, 1): -1, (0, 0): 3, (1, 1): 1}
     assert f.term_mul(-2, (1, 0)).terms == {(2, 0): -4, (1, 1): 2,
                                             (1, 0): -6}
+
+
+def test_division_table_agrees_with_polys():
+    """Each row of a basis's table is the element's leading term, keyed
+    (deg, e, c) with deg its total degree, and its other terms keyed the
+    same way: on the corpus and on 15 seeded ideals in each of one, two
+    and three variables, every fifth with a zero generator."""
+    rng = random.Random(25)
+    ideals = [list(gens) for gens in groebner_corpus()] + [
+        _seeded_ideal(rng, nvars, k % 5 == 0)
+        for nvars in (1, 2, 3) for k in range(15)]
+    for gens in ideals:
+        gb = strong_gb(gens)
+        assert len(gb.table) == len(gb.polys)
+        for p, (head, tail) in zip(gb.polys, gb.table):
+            assert head[1:] == p.leading()
+            assert head[0] == p.total_degree()
+            assert sorted((head, *tail)) == sorted(
+                (sum(e), e, c) for e, c in p.terms.items())
+            assert len(tail) == len(p.terms) - 1
+
+
+def test_strong_basis_and_table_are_freed_by_reference_counting():
+    """A basis, its table and its certificates refer to nothing that
+    refers back: with the cyclic collector off they die with their last
+    reference, and the collector then finds no garbage."""
+    gens = list(groebner_corpus()[3])
+    gc.collect()
+    gc.disable()
+    try:
+        gb = strong_gb(gens)
+        cert = strong_divide(gens[0].term_mul(2, (1, 1)), gb)
+        assert cert.remainder.is_zero()
+        gone = weakref.ref(gb), weakref.ref(cert)
+        del gb, cert
+        assert [ref() for ref in gone] == [None, None]
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_intpoly_equality_compares_nvars():
+    assert IntPoly(1) != IntPoly(2)
+    assert IntPoly.constant(1, 3) != IntPoly.constant(2, 3)
+    assert IntPoly(2, {(1, 0): 1}) == P({(1, 0): 1})
+
+
+def test_mismatched_nvars_are_refused():
+    gb = strong_gb([P({(1, 0): 1})])
+    for g in (IntPoly(3, {(1, 0, 0): 1, (0, 0, 1): 2}),
+              IntPoly(1, {(1,): 1}), IntPoly(3)):
+        with pytest.raises(ValueError, match="variables"):
+            strong_divide(g, gb)
+        with pytest.raises(ValueError, match="variables"):
+            membership_oracle(g, [P({(1, 0): 1})])
+    with pytest.raises(ValueError, match="variables"):
+        membership_oracle(P({(1, 0): 1}), [P({(1, 0): 1}), IntPoly(1)])
+    with pytest.raises(ValueError, match="variables"):
+        strong_gb([P({(1, 0): 1}), IntPoly(1, {(1,): 1})])
+    with pytest.raises(ValueError, match="variables"):
+        strong_gb([IntPoly(1), P({(1, 0): 1})])

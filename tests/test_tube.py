@@ -219,6 +219,13 @@ def test_tube_params_validation():
         TubeParams(0, Fraction(1, 3), 0, prof)
     with pytest.raises(ValueError):
         TubeParams(2, Fraction(1, 3), -1, prof)
+    # a float slope would be its binary value, a string no number at all
+    for alpha in (0.1, "1/5", 0.25, None):
+        with pytest.raises(ValueError, match="Fraction"):
+            TubeParams(2, alpha, 0, prof)
+    for m in (2.0, 1.5, True, "2", Fraction(2)):
+        with pytest.raises(ValueError, match="level"):
+            TubeParams(m, Fraction(1, 5), 0, prof)
     # dm_member reads floor(alpha n + f) as floor(alpha n) + f
     for f in (1.5, 1.0, Fraction(1), True):
         with pytest.raises(ValueError, match="natural number"):
