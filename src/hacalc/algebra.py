@@ -249,12 +249,7 @@ class AlgebraPresentation:
         # y^2 -> f(x)
         return {(i + k, 0): c for k, c in enumerate(self.f_coeffs) if c}
 
-    def monomials_up_to(self, bound: int) -> list:
-        """All basis monomials of filtration degree <= bound, sorted, as
-        a new list that the caller may change: a copy of ``window``."""
-        return list(self.window(bound))
-
-    def window(self, bound: int) -> tuple:
+    def monomials_up_to(self, bound: int) -> tuple:
         """All basis monomials of filtration degree <= bound, sorted.
 
         The window is enumerated once per bound and cached; every call

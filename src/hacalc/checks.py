@@ -4,8 +4,8 @@ Each suite returns a :class:`CheckResult`; randomness always flows from an
 explicit seed so failures replay exactly.
 
 Every draw of the random generators below is ``rng.choice`` over a cached
-immutable sequence: a window of ``AlgebraPresentation.window``, a pool
-built once per suite plan, or a module constant.  ``choice(seq)`` is
+immutable sequence: a window of ``AlgebraPresentation.monomials_up_to``, a
+pool built once per suite plan, or a module constant.  ``choice(seq)`` is
 ``seq[_randbelow(len(seq))]``, the one call ``randrange`` and ``randint``
 make, so the generators draw what plain ``randrange``/``randint`` code
 draws and leave the ``Random`` in the same state.  A change to a
@@ -63,14 +63,14 @@ _EVEN_SHIFTS = (0, 1, 2)
 
 def random_monomial(A: AlgebraPresentation, max_deg: int,
                     rng: random.Random) -> tuple:
-    return rng.choice(A.window(max_deg))
+    return rng.choice(A.monomials_up_to(max_deg))
 
 
 def random_form(A, degree: int, max_deg: int, rng,
                 terms: int = 2) -> Form:
     """A sum of ``terms`` random tuples (head; slots) with coefficients
     from -2, -1, 1, 2, 1/2, 3; a slot that draws the unit is redrawn."""
-    window = A.window(max_deg)
+    window = A.monomials_up_to(max_deg)
     unit = A.is_unit_monomial
     choice = rng.choice
     num = {}
@@ -291,7 +291,8 @@ def suite_fedosov_growth(cfg: PrimeConfig, samples: int,
     total = 0
     for name, degrees in plans:
         A = kinds[name]
-        pool = tuple(m for m in A.window(reach) if prof[A.degree(m)] == 0)
+        pool = tuple(m for m in A.monomials_up_to(reach)
+                     if prof[A.degree(m)] == 0)
         nonunit = tuple(m for m in pool if not A.is_unit_monomial(m))
         rng = random.Random(seed + len(degrees))
         i_total = sum(degrees)

@@ -12,12 +12,13 @@ The kernels key every term by its deglex key (deg, e) = (sum(e), e), so
 comparing two keys compares the monomials and the leading term is a plain
 ``max`` (Monagan and Pearce, "Sparse polynomial division using a heap",
 J. Symb. Comp. 46, 2011, keep monomials in such a directly comparable
-form).  ``IntPoly.terms`` stays keyed by exponent tuples.  A ``StrongGB``
-carries its division table, built with the basis: for each element its
-head (deg, e, c), the deglex-leading term, and its other terms keyed the
-same way.  ``strong_divide`` reduces by the table, certificate degrees read
-the heads, and ``strong_gb`` keeps the table in step as its basis grows
-and while it interreduces.  The membership oracle hands its lattice
+form).  ``IntPoly.terms`` stays keyed by exponent tuples.  A division row
+is a polynomial's head (deg, e, c), its deglex-leading term, and its other
+terms keyed the same way.  ``strong_gb`` completes and interreduces one
+list of rows, the ``StrongGB``'s division table, and builds each basis
+polynomial once from its final row; every basis element has a positive
+leading coefficient.  ``strong_divide`` reduces by the table, certificate
+degrees read the heads, and the membership oracle hands its lattice
 deglex-keyed columns.  Every entry point refuses polynomials in different
 numbers of variables.
 
@@ -26,10 +27,11 @@ Types are checked at the boundary only.  The constructor
 and any exponent vector that is not ``nvars`` non-negative ``int``s, and
 ``term_mul`` checks its own coefficient and shift once.  Arithmetic
 between valid polynomials (``+``, ``-``, negation, ``*`` by an ``int`` or
-a polynomial), the division kernel's outputs and the witness samples are
-built trusted by ``IntPoly._trusted``, which only drops zero entries; the
-membership oracle's shifted generators m * gen go to its lattice as plain
-dicts.  Their exponents are sums of valid exponents.
+a polynomial), the division kernel's outputs, the basis and the witness
+samples are built trusted by ``IntPoly._trusted``, which takes a fresh
+dict as it is, zero entries dropped; the membership oracle's shifted
+generators m * gen go to its lattice as plain dicts.  Their exponents are
+sums of valid exponents.
 """
 
 from __future__ import annotations
@@ -65,11 +67,13 @@ class IntPoly:
 
     @classmethod
     def _trusted(cls, nvars, terms: dict) -> "IntPoly":
-        """A polynomial built from valid polynomials: zero entries are
-        dropped, nothing else is checked."""
+        """A polynomial built from valid polynomials, nothing checked:
+        ``terms``, a fresh dict that the caller does not reuse, becomes its
+        own, copied only to drop zero entries."""
         poly = cls.__new__(cls)
         poly.nvars = nvars
-        poly.terms = {e: c for e, c in terms.items() if c}
+        poly.terms = ({e: c for e, c in terms.items() if c}
+                      if 0 in terms.values() else terms)
         return poly
 
     @classmethod
@@ -156,16 +160,8 @@ class IntPoly:
             self.nvars, {tuple(map(add, e, expo)): c * coeff
                          for e, c in self.terms.items()})
 
-    def leading(self):
-        """(exponent, coefficient) of the deglex-largest term."""
-        e = max(self.terms, key=_deglex_key)
-        return e, self.terms[e]
-
     def total_degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
-
-    def monomials_sorted(self):
-        return sorted(self.terms, key=_deglex_key, reverse=True)
 
     def __str__(self):
         return self.render([f"x{i}" for i in range(self.nvars)])
@@ -175,7 +171,7 @@ class IntPoly:
         if not self.terms:
             return "0"
         parts = []
-        for e in self.monomials_sorted():
+        for e in sorted(self.terms, key=_deglex_key, reverse=True):
             c = self.terms[e]
             mono = "*".join(n if k == 1 else f"{n}^{k}"
                             for n, k in zip(names, e) if k)
@@ -187,10 +183,6 @@ class IntPoly:
 
 def _deglex_key(e):
     return (sum(e), e)
-
-
-def _expo_sub(f, e):
-    return tuple(map(sub, f, e))
 
 
 @dataclass
@@ -219,47 +211,52 @@ class DivisionCertificate:
         parts of two nonzero factors (``strong_divide`` makes no zero
         multiplier, ``strong_gb`` no zero basis element) multiply to a
         nonzero form, and the degrees add.  A basis element's degree is
-        that of its head in the division table: the deglex-leading term
-        has the top total degree.
+        its head's: the deglex-leading term has the top total degree.
         """
         table = basis.table
         return max((q.total_degree() + table[i][0][0]
                     for i, q in self.multipliers.items()), default=0)
 
 
-def _division_row(poly: IntPoly) -> tuple:
-    """(head, tail) of a nonzero polynomial: head is its deglex-leading
+def _division_row(terms: dict) -> tuple:
+    """(head, tail) of a nonzero {e: c} dict: head is its deglex-leading
     term (deg, e, c), tail its other terms keyed the same way."""
-    terms = [(sum(e), e, c) for e, c in poly.terms.items()]
+    terms = [(sum(e), e, c) for e, c in terms.items()]
     head = max(terms)  # the keys (deg, e) differ, so c is never compared
     terms.remove(head)
     return head, tuple(terms)
 
 
+def _positive(row) -> tuple:
+    """A division row times the sign of its leading coefficient."""
+    (d, e, c), tail = row
+    return row if c > 0 else (
+        (d, e, -c), tuple((td, te, -tc) for td, te, tc in tail))
+
+
 @dataclass(frozen=True)
 class StrongGB:
-    """A strong basis and its division table: ``table[i]`` is
-    ``_division_row(polys[i])``.  The table holds only ints and tuples, so
-    it refers to nothing that could refer back."""
+    """A strong basis and its division table: ``table[i]`` is the division
+    row of ``polys[i]``.  The table holds only ints and tuples, so it
+    refers to nothing that could refer back."""
 
     polys: tuple
     table: tuple = field(repr=False, compare=False)
 
 
-def _strong_reduce(p: IntPoly, table) -> tuple:
-    """Full strong normal form by a division table (a sequence of
-    ``_division_row``s); returns (remainder, multipliers).
+def _strong_reduce(work: dict, table) -> tuple:
+    """Full strong normal form of ``work``, a fresh zero-free dict
+    {(deg, e): c} that the call consumes, by a division table (a sequence
+    of division rows).  Returns (remainder, multipliers) as plain dicts
+    {e: c} and {row index: {shift: q}}; there are no multipliers iff the
+    remainder is the dividend.
 
-    The leading term of the working polynomial is divided by the first
-    row whose head divides it, or else moved to the remainder.  Each step
-    cancels into one working dict keyed by deglex keys (deg, e), so the
-    leading term is a plain ``max``; the head cancels exactly, and each
-    tail term shifted by (sd, shift) lands on (d + sd, e + shift).
+    The leading term is divided by the first row whose head divides it,
+    or else moved to the remainder.  Each step cancels into ``work``, so
+    the leading term is a plain ``max``; the head cancels exactly, and
+    each tail term shifted by (sd, shift) lands on (d + sd, e + shift).
     """
-    nvars = p.nvars
-    work = {(sum(e), e): c for e, c in p.terms.items()}
-    remainder = {}
-    mult = {}
+    remainder, mult = {}, {}
     while work:
         key = max(work)
         d, e = key
@@ -281,23 +278,27 @@ def _strong_reduce(p: IntPoly, table) -> tuple:
                 work[k] = v
             else:
                 del work[k]
-    return (IntPoly._trusted(nvars, remainder),
-            {i: IntPoly._trusted(nvars, q) for i, q in mult.items()})
+    return remainder, mult
 
 
-def _critical_pair(f: IntPoly, g: IntPoly) -> tuple:
-    """(G, S): both shift f and g up to the lcm of their leading
-    monomials; G combines the leading coefficients by Bezout, S cancels
-    them at their lcm."""
-    fe, fc = f.leading()
-    ge, gc = g.leading()
-    lcm_e = tuple(max(a, b) for a, b in zip(fe, ge))
-    f_shift, g_shift = _expo_sub(lcm_e, fe), _expo_sub(lcm_e, ge)
-    a, b = bezout(fc, gc)  # a fc + b gc = gcd(fc, gc)
+def _critical_pair(f, g) -> tuple:
+    """(G, S) of two division rows as working dicts {(deg, e): c}: both
+    shift f and g up to the lcm of their heads' monomials; G combines the
+    leading coefficients by Bezout, S cancels them at their lcm."""
+    (_, fe, fc), (_, ge, gc) = f[0], g[0]
+    lcm_e = tuple(map(max, fe, ge))
+    lcm_d = sum(lcm_e)
+    a, b = bezout(fc, gc)  # a fc + b gc = gcd(fc, gc) > 0
     lcm_c = abs(fc * gc) // math.gcd(fc, gc)
-    return (f.term_mul(a, f_shift) + g.term_mul(b, g_shift),
-            f.term_mul(lcm_c // fc, f_shift)
-            - g.term_mul(lcm_c // gc, g_shift))
+    G, S = {(lcm_d, lcm_e): a * fc + b * gc}, {}
+    for ((d, e, _), tail), u, v in ((f, a, lcm_c // fc),
+                                    (g, b, -(lcm_c // gc))):
+        shift = tuple(map(sub, lcm_e, e))
+        for td, te, tc in tail:
+            k = (td + lcm_d - d, tuple(map(add, te, shift)))
+            G[k] = G.get(k, 0) + u * tc
+            S[k] = S.get(k, 0) + v * tc
+    return tuple({k: c for k, c in X.items() if c} for X in (G, S))
 
 
 #: Pairs the completion may pop before it gives up with DomainError.
@@ -314,23 +315,24 @@ def _check_nvars(polys, nvars, what):
 
 
 def strong_gb(gens) -> StrongGB:
-    """Buchberger completion over Z with S- and G-polynomials.
+    """Buchberger completion over Z on one list of division rows.
 
     G-polynomials (Bezout combinations of leading coefficients) are
     processed before S-polynomials of the same pair, in the normal
-    pair-selection strategy (smallest deglex lcm first); the final basis
-    is interreduced, sign-normalized, and sorted.  The division table is
-    kept in step with the basis throughout.  Generators in different
+    pair-selection strategy (smallest deglex lcm first).  A new row gets a
+    positive leading coefficient; the generators keep their signs, on
+    which the Bezout coefficients depend.  The rows are then interreduced,
+    given positive leading coefficients and sorted by head, and each basis
+    polynomial is built once, from its row.  Generators in different
     numbers of variables raise ValueError; completion that pops more than
     ``MAX_PAIRS`` pairs raises :class:`DomainError`.
     """
     gens = list(gens)
     if gens:
         _check_nvars(gens, gens[0].nvars, "a generator")
-    basis = [g for g in gens if not g.is_zero()]
-    if not basis:
+    table = [_division_row(g.terms) for g in gens if g.terms]
+    if not table:
         raise ValueError("need at least one nonzero generator")
-    table = [_division_row(b) for b in basis]
     # (deglex key of lcm(lm_i, lm_j), i, j): popped smallest lcm first
     pairs = []
 
@@ -340,14 +342,7 @@ def strong_gb(gens) -> StrongGB:
             lcm = tuple(map(max, lm, table[t][0][1]))
             heapq.heappush(pairs, ((sum(lcm), lcm), k, t))
 
-    def append(basis, table, nf):
-        # not in basis: each row divides its head strongly, no term of +-nf
-        if nf.leading()[1] < 0:
-            nf = -nf
-        basis.append(nf)
-        table.append(_division_row(nf))
-
-    for k in range(len(basis)):
+    for k in range(len(table)):
         push_pairs(k)
     popped = 0
     while pairs:
@@ -356,36 +351,46 @@ def strong_gb(gens) -> StrongGB:
             raise DomainError(f"completion did not terminate within "
                               f"{MAX_PAIRS} pairs")
         _, i, j = heapq.heappop(pairs)
-        for candidate in _critical_pair(basis[i], basis[j]):
+        for candidate in _critical_pair(table[i], table[j]):
             nf, _ = _strong_reduce(candidate, table)
-            if not nf.is_zero():
-                append(basis, table, nf)
-                push_pairs(len(basis) - 1)
-    # interreduce deterministically: a changed element moves to the end,
-    # a zero one is dropped, and the scan starts again
-    i = 0
-    while i < len(basis):
-        others, rows = basis[:i] + basis[i + 1:], table[:i] + table[i + 1:]
-        nf, _ = _strong_reduce(basis[i], rows)
-        if nf == basis[i]:
-            i += 1
-            continue
-        if not nf.is_zero():
-            append(others, rows, nf)
-        basis, table, i = others, rows, 0
-    # by deglex leading monomial, then by |leading coefficient|
-    order = sorted(range(len(basis)),
-                   key=lambda k: (table[k][0][:2], abs(table[k][0][2])))
-    return StrongGB(tuple(basis[k] for k in order),
-                    tuple(table[k] for k in order))
+            if nf:  # no row nor its negative: each divides its own head
+                table.append(_positive(_division_row(nf)))
+                push_pairs(len(table) - 1)
+    rows = sorted(map(_positive, _interreduce(table)), key=lambda r: r[0])
+    polys = (IntPoly._trusted(gens[0].nvars, {e: c for _, e, c in (h, *t)})
+             for h, t in rows)
+    return StrongGB(tuple(polys), tuple(rows))
+
+
+def _interreduce(table) -> list:
+    """The rows of a strong basis, each reduced once by the others.
+
+    A row either reduces to 0 by the others, which still form a strong
+    basis, or keeps its head, and no head moves when a tail does.  So one
+    pass suffices: an unchanged row keeps its place, a changed one goes
+    behind all rows and a zero one is dropped, and each row is reduced by
+    the others in the order a scan restarting after every change uses.
+    """
+    kept, moved = [], []
+    for k, (head, tail) in enumerate(table):
+        work = {(d, e): c for d, e, c in (head, *tail)}
+        nf, mult = _strong_reduce(work, kept + table[k + 1:] + moved)
+        if not mult:
+            kept.append(table[k])
+        elif nf:
+            moved.append(_division_row(nf))
+    return kept + moved
 
 
 def strong_divide(g: IntPoly, B: StrongGB) -> DivisionCertificate:
     """Greedy strong division of g by the basis; remainder 0 iff member.
     A dividend in another number of variables raises ValueError."""
     _check_nvars((g,), B.polys[0].nvars, "the dividend")
-    remainder, mult = _strong_reduce(g, B.table)
-    return DivisionCertificate(mult, remainder)
+    remainder, mult = _strong_reduce(
+        {(sum(e), e): c for e, c in g.terms.items()}, B.table)
+    return DivisionCertificate(
+        {i: IntPoly._trusted(g.nvars, q) for i, q in mult.items()},
+        IntPoly._trusted(g.nvars, remainder))
 
 
 @dataclass(frozen=True)
@@ -417,9 +422,7 @@ def filtered_noetherian_witness(gens, sample_count: int, max_deg: int,
               base.terms.items())
              for base in gens if base.total_degree() <= max_deg]
     slots = tuple(range(nvars))
-    max_shift = 0
-    failures = 0
-    done = 0
+    max_shift = failures = done = 0
     while done < sample_count:
         sample = {}
         for steps, terms in drawn:
@@ -475,17 +478,14 @@ ORACLE_HEADROOM = 8
 def membership_oracle(g: IntPoly, gens) -> bool:
     """Decide membership by integer linear algebra on one Z-lattice.
 
-    At degree bound b the columns are the products m * gen_i with
-    deg(m * gen_i) <= b, and g is a member at b iff it lies in their
-    Z-span, which a ``ZLattice`` decides.  The bound runs from deg(g) to
+    At degree bound b, g is a member iff it lies in the Z-span of the
+    products m * gen_i of degree <= b.  The bound runs from deg(g) to
     deg(g) + ``ORACLE_HEADROOM``: a member can need products of the raw
-    generators beyond its own degree (the degree control of strong-basis
-    division speaks about the completed basis, not the generators), e.g.
-    5y = y(x^2+5) - x(xy).  The columns at b are among those at b + 1, so
-    one lattice serves every bound: it climbs from bound 0 and adds each
-    product m * gen_i once, at its own degree deg(m) + deg(gen_i).  The
-    columns and g are keyed by deglex keys (deg, e), so the lattice's
-    pivot, the deglex-largest entry, is a plain ``max``.  A generator in
+    generators above its own degree, e.g. 5y = y(x^2+5) - x(xy) (strong
+    division controls degrees for the completed basis only).  The columns
+    at b are among those at b + 1, so one lattice climbs from bound 0 and
+    adds each product once, at its own degree.  Columns and g are keyed
+    (deg, e), so the lattice's pivot is a plain ``max``.  A generator in
     another number of variables than g raises ValueError.
     """
     _check_nvars(gens, g.nvars, "a generator")

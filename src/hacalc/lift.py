@@ -61,14 +61,9 @@ class Connection:
             ft, finv = _mono_form(A, t), _mono_form(A, tinv)
             vals[tinv] = form_multiply(finv, d_product(ft, finv)).scale(-1)
         self.values = vals
-        self._cache = {}
 
     def nabla_d(self, m: tuple) -> Form:
         """nabla(dm) via the canonical word of m."""
-        try:
-            return self._cache[m]
-        except KeyError:
-            pass
         A = self.presentation
         word = A.word_of(m)
         if not word:
@@ -82,7 +77,6 @@ class Connection:
                 result = (form_multiply(result, v) + d_product(u, v)
                           + form_multiply(u, self.values[letter]))
                 (acc,) = A.mul_monomials(acc, letter)
-        self._cache[m] = result
         return result
 
 

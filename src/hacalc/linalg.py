@@ -1,12 +1,12 @@
 """Sparse exact linear algebra over the rationals and the integers.
 
-Vectors are dicts mapping integer column ids to nonzero coefficients,
-ints and Fractions alike; the column order (smaller id eliminated first)
-is fixed by the caller.  ``IntEchelon`` is the one elimination over Q:
-every rank (``int_matrix_rank``), kernel (``kernel_basis``) and residual
-over Q comes from it.  It is fraction-free and takes int vectors (a
-Fraction raises TypeError in ``math.gcd`` rather than being truncated);
-``kernel_basis`` clears denominators before eliminating.  ``ZLattice``
+Vectors are dicts mapping integer column ids to nonzero coefficients;
+the column order (smaller id eliminated first) is fixed by the caller.
+``IntEchelon`` is the one elimination over Q: every rank
+(``int_matrix_rank``), kernel (``kernel_basis``) and residual over Q
+comes from it.  It is fraction-free and takes int vectors (a Fraction
+raises TypeError in ``math.gcd`` rather than being truncated); a caller
+with rational vectors clears their denominators first.  ``ZLattice``
 decides exact membership over Z: an echelon basis of the Z-span, kept
 with extended-gcd pivoting.  It takes no key function: its columns may
 be any comparable ids, and a row's pivot is its largest column (the
@@ -292,17 +292,17 @@ def smith_normal_form(M) -> tuple:
 def kernel_basis(vectors: list[dict]):
     """Kernel of the linear map e_i -> vectors[i].
 
-    Accepts integer or rational vectors (rationals are cleared first);
-    returns coefficient dicts {i: int}, content-normalized, deterministic
-    for a fixed input order.  The vector found at step i has its largest
-    index at i, so ``kernel_basis(vectors[:n])`` is the result's vectors
-    whose indices are all below n.
+    Takes int vectors, as ``IntEchelon`` does; returns coefficient dicts
+    {i: int}, content-normalized, deterministic for a fixed input order.
+    The vector found at step i has its largest index at i, so
+    ``kernel_basis(vectors[:n])`` is the result's vectors whose indices
+    are all below n.
     """
     AUG = 1 << 40  # augmented columns sort after all real columns
     ech = IntEchelon()
     kernel = []
     for i, vec in enumerate(vectors):
-        row = _clear_denominators(vec)
+        row = dict(vec)
         row[AUG + i] = 1
         res = ech.reduce(row)
         if not res or min(res) >= AUG:

@@ -386,7 +386,7 @@ def hochschild_b1(omega: Form) -> Form:
 def _heads(A: AlgebraPresentation, bound: int):
     heads = A.monomials_up_to(bound)
     if not A.unital:
-        heads = [ADJOINED_UNIT] + heads
+        heads = (ADJOINED_UNIT,) + heads
     return heads
 
 

@@ -142,7 +142,7 @@ def test_random_monomial_form_draws_the_reference_stream(name):
         profile = GrowthProfile.filtration(k, 30)
         reach = max((d for d in range(profile.cap + 1) if profile[d] == 0),
                     default=0)
-        pool = tuple(m for m in A.window(reach)
+        pool = tuple(m for m in A.monomials_up_to(reach)
                      if profile[A.degree(m)] == 0)
         nonunit = tuple(m for m in pool if not A.is_unit_monomial(m))
         for seed in SEEDS:

@@ -1,11 +1,15 @@
 import gc
+import hashlib
 import itertools
+import json
+import math
 import random
 import weakref
 from fractions import Fraction
 
 import pytest
 
+from hacalc import groebner
 from hacalc.algebra import exponent_vectors
 from hacalc.checks import groebner_corpus
 from hacalc.groebner import (ORACLE_HEADROOM, DivisionCertificate, IntPoly,
@@ -13,12 +17,23 @@ from hacalc.groebner import (ORACLE_HEADROOM, DivisionCertificate, IntPoly,
                              _division_row, _random_poly, _strong_reduce,
                              filtered_noetherian_witness, membership_oracle,
                              strong_divide, strong_gb)
-from hacalc.linalg import SparseEchelon, ZLattice
+from hacalc.linalg import SparseEchelon, ZLattice, bezout
 from test_graphs import smith_with_transforms
 
 
 def P(terms):
     return IntPoly(2, terms)
+
+
+def _leading(p):
+    """(exponent, coefficient) of the deglex-largest term."""
+    e = max(p.terms, key=_deglex_key)
+    return e, p.terms[e]
+
+
+def _keyed(p):
+    """A polynomial as a fresh working dict {(deg, e): c}."""
+    return {(sum(e), e): c for e, c in p.terms.items()}
 
 
 #: ``_random_poly`` draws a term's degree from STEPS[b] = (0, ..., b).
@@ -52,7 +67,7 @@ def test_intpoly_arithmetic():
     g = P({(1, 0): 1})
     assert (f * g).terms == {(2, 0): 2, (1, 1): -1}
     assert (f + g).terms == {(1, 0): 3, (0, 1): -1}
-    assert f.leading() == ((1, 0), 2)
+    assert _leading(f) == ((1, 0), 2)
     assert f.total_degree() == 1
 
 
@@ -62,10 +77,10 @@ def _reference_strong_reduce(p, basis):
     mult = {}
     remainder = IntPoly(p.nvars)
     while not p.is_zero():
-        e, c = p.leading()
+        e, c = _leading(p)
         hit = None
         for i, b in enumerate(basis):
-            be, bc = b.leading()
+            be, bc = _leading(b)
             if all(u <= v for u, v in zip(be, e)) and c % bc == 0:
                 hit = (i, c // bc, tuple(v - u for u, v in zip(be, e)))
                 break
@@ -82,7 +97,7 @@ def _reference_strong_reduce(p, basis):
 
 def _table(basis):
     """The division table of a list of divisors."""
-    return [_division_row(b) for b in basis]
+    return [_division_row(b.terms) for b in basis]
 
 
 def _divisor_lists(gens):
@@ -106,12 +121,12 @@ def test_strong_reduce_matches_reference():
                 for base in gens:
                     e = (rng.randint(0, 2), rng.randint(0, 2))
                     g = g + base.term_mul(rng.randint(-3, 3), e)
-                rem, mult = _strong_reduce(g, _table(basis))
+                rem, mult = _strong_reduce(_keyed(g), _table(basis))
                 ref_rem, ref_mult = _reference_strong_reduce(g, basis)
-                assert rem.terms == ref_rem.terms, g
+                assert rem == ref_rem.terms, g
                 assert list(mult) == list(ref_mult), g
-                assert all(mult[i].terms == ref_mult[i].terms
-                           for i in mult), g
+                assert all(mult[i] == ref_mult[i].terms for i in mult), g
+                assert (not mult) == (rem == g.terms), g
                 compared += 1
     assert compared > 1000
 
@@ -129,18 +144,18 @@ def test_strong_reduce_leaves_no_strongly_divisible_term():
     for gens in ideals:
         nvars = gens[0].nvars
         for basis in _divisor_lists(gens):
-            heads = [b.leading() for b in basis]
+            heads = [_leading(b) for b in basis]
             table = _table(basis)
-            dividends = [p for f, g in itertools.combinations(basis, 2)
+            dividends = [p for f, g in itertools.combinations(table, 2)
                          for p in _critical_pair(f, g)]
             slots = tuple(range(nvars))
-            dividends += [_random_poly(STEPS[3], slots, rng)
-                          * rng.choice(basis)
-                          + _random_poly(STEPS[4], slots, rng)
+            dividends += [_keyed(_random_poly(STEPS[3], slots, rng)
+                                 * rng.choice(basis)
+                                 + _random_poly(STEPS[4], slots, rng))
                           for _ in range(5)]
             for p in dividends:
-                rem, _ = _strong_reduce(p, table)
-                for e, c in rem.terms.items():
+                rem, _ = _strong_reduce(dict(p), table)
+                for e, c in rem.items():
                     assert not any(
                         c % bc == 0 and all(a <= b for a, b in zip(be, e))
                         for be, bc in heads), (p, basis)
@@ -148,9 +163,49 @@ def test_strong_reduce_leaves_no_strongly_divisible_term():
     assert checked > 500
 
 
+def _reference_critical_pair(f, g):
+    """(G, S) of two polynomials, each shifted product an ``IntPoly``."""
+    (fe, fc), (ge, gc) = _leading(f), _leading(g)
+    lcm_e = tuple(map(max, fe, ge))
+    f_shift = tuple(a - b for a, b in zip(lcm_e, fe))
+    g_shift = tuple(a - b for a, b in zip(lcm_e, ge))
+    a, b = bezout(fc, gc)
+    lcm_c = abs(fc * gc) // math.gcd(fc, gc)
+    return (f.term_mul(a, f_shift) + g.term_mul(b, g_shift),
+            f.term_mul(lcm_c // fc, f_shift)
+            - g.term_mul(lcm_c // gc, g_shift))
+
+
+def test_critical_pair_matches_reference():
+    """The pair of two division rows is the pair of their polynomials,
+    keyed and zero-free; G leads with gcd(lc f, lc g) at the lcm and S
+    stays below it: on the divisor lists of the corpus and of seeded
+    ideals in one and three variables, in both orders."""
+    rng = random.Random(26)
+    ideals = [list(gens) for gens in groebner_corpus()] + [
+        _seeded_ideal(rng, nvars, False) for nvars in (1, 3)
+        for _ in range(6)]
+    checked = 0
+    for gens in ideals:
+        for basis in _divisor_lists(gens):
+            for f, g in itertools.permutations(basis, 2):
+                G, S = _critical_pair(*_table([f, g]))
+                ref_G, ref_S = _reference_critical_pair(f, g)
+                assert (G, S) == (_keyed(ref_G), _keyed(ref_S)), (f, g)
+                assert all(type(c) is int and c for c in (*G.values(),
+                                                          *S.values()))
+                (fe, fc), (ge, gc) = _leading(f), _leading(g)
+                lcm_e = tuple(map(max, fe, ge))
+                assert max(G) == (sum(lcm_e), lcm_e)
+                assert G[max(G)] == math.gcd(fc, gc)
+                assert all(k < (sum(lcm_e), lcm_e) for k in S)
+                checked += 1
+    assert checked > 300
+
+
 def test_strong_gb_examples():
     gb = strong_gb([P({(1, 0): 2}), P({(0, 1): 3})])
-    lts = {p.leading() for p in gb.polys}
+    lts = {_leading(p) for p in gb.polys}
     assert ((1, 0), 2) in lts      # 2x
     assert ((0, 1), 3) in lts      # 3y
     assert ((1, 1), 1) in lts      # xy = 3y*x - 2x*y is in the ideal
@@ -229,10 +284,10 @@ def test_strong_divisibility_of_members():
                 g = g + base.term_mul(rng.randint(-2, 2), e)
             if g.is_zero():
                 continue
-            ge, gc = g.leading()
+            ge, gc = _leading(g)
             assert any(
-                all(a <= b for a, b in zip(p.leading()[0], ge))
-                and gc % p.leading()[1] == 0
+                all(a <= b for a, b in zip(_leading(p)[0], ge))
+                and gc % _leading(p)[1] == 0
                 for p in gb.polys)
 
 
@@ -533,7 +588,7 @@ def test_division_table_agrees_with_polys():
         gb = strong_gb(gens)
         assert len(gb.table) == len(gb.polys)
         for p, (head, tail) in zip(gb.polys, gb.table):
-            assert head[1:] == p.leading()
+            assert head[1:] == _leading(p)
             assert head[0] == p.total_degree()
             assert sorted((head, *tail)) == sorted(
                 (sum(e), e, c) for e, c in p.terms.items())
@@ -579,3 +634,123 @@ def test_mismatched_nvars_are_refused():
         strong_gb([P({(1, 0): 1}), IntPoly(1, {(1,): 1})])
     with pytest.raises(ValueError, match="variables"):
         strong_gb([IntPoly(1), P({(1, 0): 1})])
+
+
+def test_basis_elements_have_positive_leading_coefficients():
+    """Every basis element leads with a positive coefficient, a generator
+    that survives unchanged too: (-2x, -3y) has the basis 3y, 2x, xy."""
+    gb = strong_gb([P({(1, 0): -2}), P({(0, 1): -3})])
+    assert [str(p) for p in gb.polys] == ["3*x1", "2*x0", "x0*x1"]
+    ideals = [[-g for g in gens] for gens in groebner_corpus()]
+    for gens in ideals + _pinned_ideals():
+        gb = strong_gb(gens)
+        for p, (head, _) in zip(gb.polys, gb.table):
+            assert _leading(p)[1] > 0 and head[2] > 0, (gens, p)
+
+
+def _draw_ideal(rng, nvars, count, degree, terms, coeffs):
+    """``count`` generators, each of 1 .. ``terms`` terms of total degree
+    <= ``degree`` with coefficients drawn from ``coeffs``."""
+    monomials = _exponents_up_to(nvars, degree)
+    return [IntPoly(nvars, {e: rng.choice(coeffs)
+                            for e in rng.sample(monomials,
+                                                rng.randint(1, terms))})
+            for _ in range(count)]
+
+
+def _pinned_ideals():
+    """The corpus and 400 seeded ideals: 60 each of one or two
+    generators in one, two and three variables; 100 pairs in two
+    variables of degree <= 4 with |c| <= 30; 60 triples in two variables
+    and 60 pairs in three."""
+    rng = random.Random(29)
+    small = (-6, -3, -2, -1, 1, 2, 3, 6)
+    wide = tuple(c for c in range(-30, 31) if c)
+    ideals = [list(gens) for gens in groebner_corpus()]
+    for nvars in (1, 2, 3):
+        for _ in range(60):
+            ideals.append(_draw_ideal(rng, nvars, rng.randint(1, 2),
+                                      2 if nvars < 3 else 1, 2, small))
+    for _ in range(100):
+        ideals.append(_draw_ideal(rng, 2, 2, 4, 3, wide))
+    for _ in range(60):
+        ideals.append(_draw_ideal(rng, 2, 3, 2, 3, small))
+    for _ in range(60):
+        ideals.append(_draw_ideal(rng, 3, 2, 2, 2, small))
+    return ideals
+
+
+def _digest(bases) -> str:
+    return hashlib.sha256(json.dumps(bases).encode()).hexdigest()
+
+
+#: sha256 of the rendered bases of ``_pinned_ideals``.
+PINNED_BASES = ("b7e14378d7eeab112ed1516d3c8051a0"
+                "b71f557fdd2f08a800b5a07307b1daf4")
+#: The same bases while a generator that survived unchanged kept its sign:
+#: the elements at these indices of the flattened bases were negated.
+BASES_WITH_GENERATOR_SIGNS = ("aa526543925be33685893ba0496b7cc3"
+                              "886f07325914cf63ef7163c6b59bf0c9")
+GENERATOR_SIGN_FLIPS = frozenset((
+    21, 27, 32, 33, 35, 36, 38, 39, 44, 45, 48, 49, 50, 56, 58, 61, 62, 63, 64,
+    65, 71, 78, 86, 87, 89, 97, 104, 107, 108, 109, 110, 113, 117, 119, 120,
+    124, 125, 128, 131, 136, 140, 141, 142, 144, 147, 148, 153, 155, 159, 164,
+    165, 168, 171, 172, 173, 174, 182, 187, 188, 190, 195, 198, 202, 204, 205,
+    206, 208, 209, 211, 212, 213, 214, 218, 220, 222, 225, 227, 233, 234, 236,
+    238, 239, 240, 242, 246, 249, 250, 254, 256, 257, 260, 261, 262, 265, 266,
+    267, 268, 269, 270, 274, 282, 288, 296, 299, 308, 312, 313, 320, 324, 337,
+    345, 352, 364, 365, 366, 369, 382, 398, 409, 410, 430, 450, 452, 457, 469,
+    479, 487, 496, 497, 502, 505, 506, 521, 524, 536, 564, 576, 581, 588, 595,
+    601, 603, 606, 607, 610, 611, 618, 622, 632, 640, 644, 648, 653, 666, 670,
+    682, 684, 691, 695, 696, 708, 710, 711, 715, 716, 717, 718, 721, 723, 727,
+    746, 747, 748, 756, 760, 763, 765, 778, 784, 790, 798, 801, 824, 830, 838,
+    839, 848, 853, 857, 869, 870, 875, 883, 884, 888, 891, 893, 895, 897, 899,
+    901, 904, 906, 907, 908, 912, 918, 921, 922, 924, 925, 928, 929, 933, 934,
+    936, 946, 947, 954, 960, 961, 966, 967, 972, 979, 980, 983, 984, 990, 992,
+    993, 997, 998, 1007, 1008, 1009, 1011,
+))
+
+
+def test_rendered_bases_are_pinned():
+    """A change to any basis of the pinned ideals is a change to the
+    report and must be announced; before every element took a positive
+    leading coefficient the bases differed only by the listed negations."""
+    bases = [strong_gb(gens).polys for gens in _pinned_ideals()]
+    assert _digest([[str(p) for p in polys] for polys in bases]) \
+        == PINNED_BASES
+    index = itertools.count()
+    assert _digest([[str(-p) if next(index) in GENERATOR_SIGN_FLIPS
+                     else str(p) for p in polys] for polys in bases]) \
+        == BASES_WITH_GENERATOR_SIGNS
+    assert next(index) == 1012 and len(GENERATOR_SIGN_FLIPS) == 237
+
+
+def test_interreduction_reduces_each_row_once(monkeypatch):
+    """Interreduction calls ``_strong_reduce`` at most once per row it
+    visits, on the corpus and the pinned ideals, where rows are dropped
+    and rows change; a scan that restarts after each change makes more
+    calls."""
+    calls = []
+    reduce, interreduce = groebner._strong_reduce, groebner._interreduce
+
+    def counting(work, table):
+        calls.append(1)
+        return reduce(work, table)
+
+    seen = []
+
+    def counted(table):
+        before = len(calls)
+        rows = interreduce(table)
+        seen.append((len(table), len(calls) - before, len(rows),
+                     sum(row not in table for row in rows)))
+        return rows
+
+    monkeypatch.setattr(groebner, "_strong_reduce", counting)
+    monkeypatch.setattr(groebner, "_interreduce", counted)
+    for gens in _pinned_ideals():  # the corpus comes first
+        strong_gb(gens)
+    corpus = len(groebner_corpus())
+    assert all(reductions <= visited for visited, reductions, _, _ in seen)
+    assert any(kept < visited for visited, _, kept, _ in seen[:corpus])
+    assert sum(changed > 0 for *_, changed in seen) > 10

@@ -166,7 +166,7 @@ def _oracle_form(A, degree, rng):
     t t^-1 cancellations and curve y^2 reductions occur."""
     monos = A.monomials_up_to(3)
     if not A.unital:
-        monos = [None] + monos
+        monos = (None,) + monos
     nonunit = [m for m in monos if not A.is_unit_monomial(m)]
     out = {}
     for _ in range(rng.randint(1, 3)):
@@ -235,7 +235,7 @@ def test_product_table_remembers_mul_monomials(name):
     A = ORACLE_PRESENTATIONS[name]
     monos = A.monomials_up_to(3)
     if not A.unital:
-        monos = [None] + monos
+        monos = (None,) + monos
     for a, b in itertools.product(monos, monos):
         entry = A.product_table[a, b]
         assert [(m, c) for m, c, _ in entry] \
@@ -247,7 +247,7 @@ def test_product_table_remembers_mul_monomials(name):
     assert twin.product_table is not A.product_table
     assert not twin.product_table
     twin.product_table[monos[-1], monos[-1]]
-    twin.window(3)
+    twin.monomials_up_to(3)
     gone = weakref.ref(twin)
     del twin  # no cycle: reference counting frees it, no collector runs
     assert gone() is None
@@ -496,12 +496,36 @@ def test_kernel_basis_keeps_prefixes():
                 vs.append({c: a.get(c, 0) + 2 * b.get(c, 0)
                            for c in {**a, **b}})
             else:
-                vs.append({rng.randrange(6): rng.choice(
-                    [1, -2, 3, Fraction(1, 2), Fraction(-3, 4)])
-                    for _ in range(rng.randint(1, 3))})
+                vs.append({rng.randrange(6): rng.choice([1, -2, 3, 4, -6])
+                           for _ in range(rng.randint(1, 3))})
         full = kernel_basis(vs)
         for n in range(len(vs) + 1):
             assert kernel_basis(vs[:n]) == [c for c in full if max(c) < n]
+
+
+def test_kernel_basis_returns_kernel_vectors_and_refuses_fractions():
+    """Each vector kernel_basis returns maps to 0; it takes int vectors,
+    and a Fraction raises TypeError rather than a wrong kernel (clearing
+    one vector's denominators would rescale its column and not its
+    identity entry: {0: 1/2}, {0: 1} gave e_0 - e_1, which maps to -1/2)."""
+    rng = random.Random(4)
+    found = 0
+    for _ in range(60):
+        vs = [{rng.randrange(5): rng.choice([1, -2, 3, 4, -6])
+               for _ in range(rng.randint(0, 3))}
+              for _ in range(rng.randint(1, 8))]
+        for combo in kernel_basis(vs):
+            image = {}
+            for i, c in combo.items():
+                for col, v in vs[i].items():
+                    image[col] = image.get(col, 0) + c * v
+            assert not any(image.values()), (vs, combo)
+            found += 1
+    assert found > 50
+    for vs in ([{0: Fraction(1, 2)}, {0: 1}], [{0: 2}, {0: Fraction(1, 2)}],
+               [{1: 1}, {0: Fraction(3, 4), 1: 2}]):
+        with pytest.raises(TypeError):
+            kernel_basis(vs)
 
 
 @pytest.mark.parametrize("A", [POLY, LAURENT, CURVE],
