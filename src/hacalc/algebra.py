@@ -70,6 +70,32 @@ def exponent_vectors(nvars: int, degree: int) -> list:
             for rest in exponent_vectors(nvars - 1, degree - e)]
 
 
+def chooser(rng):
+    """``choice(seq)``: a uniform entry of a nonempty sequence, drawn from
+    ``rng.getrandbits`` alone.
+
+    It draws r = getrandbits(k), k = len(seq).bit_length(), until
+    r < len(seq), and returns seq[r]: the rule of ``Random.choice`` and
+    its ``_randbelow``, so it draws what ``Random.choice`` draws and leaves
+    ``rng`` in the same state, without their two calls per draw.  An
+    empty sequence raises IndexError (getrandbits(0) is always 0, so the
+    loop would never end).
+    """
+    getrandbits = rng.getrandbits
+
+    def choice(seq):
+        n = len(seq)
+        if not n:
+            raise IndexError("cannot choose from an empty sequence")
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return seq[r]
+
+    return choice
+
+
 #: The unit adjoined to a non-unital presentation.  Every other basis
 #: monomial is a tuple: a word of generator indices (free), an exponent
 #: vector (polynomial, laurent) or a pair (i, j) for x^i y^j (plane_curve).
@@ -254,7 +280,7 @@ class AlgebraPresentation:
 
         The window is enumerated once per bound and cached; every call
         returns that same tuple, without a copy, so the seeded generators
-        of :mod:`hacalc.checks` draw from it with ``rng.choice``.
+        of :mod:`hacalc.checks` draw from it with a ``chooser``.
         """
         try:
             return self._monomials[bound]

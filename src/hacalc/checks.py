@@ -3,13 +3,16 @@
 Each suite returns a :class:`CheckResult`; randomness always flows from an
 explicit seed so failures replay exactly.
 
-Every draw of the random generators below is ``rng.choice`` over a cached
-immutable sequence: a window of ``AlgebraPresentation.monomials_up_to``, a
-pool built once per suite plan, or a module constant.  ``choice(seq)`` is
-``seq[_randbelow(len(seq))]``, the one call ``randrange`` and ``randint``
-make, so the generators draw what plain ``randrange``/``randint`` code
-draws and leave the ``Random`` in the same state.  A change to a
-generator must keep that stream: tests/test_draw_streams.py pins it.
+Every draw of the random generators below is ``choice(seq)``, with
+``choice = chooser(rng)``, over a cached immutable sequence: a window of
+``AlgebraPresentation.monomials_up_to``, a pool built once per suite plan,
+or a module constant.  ``choice(seq)`` draws getrandbits(k), k =
+len(seq).bit_length(), until the draw is below len(seq) and returns that
+entry: the rule of ``Random.choice`` and of the one ``_randbelow`` call that
+``randrange`` and ``randint`` make.  So the generators draw what plain
+``randrange``/``randint`` code draws and leave the ``Random`` in the same
+state.  A change to a generator must keep that stream:
+tests/test_draw_streams.py pins it.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (AlgebraPresentation, GrowthProfile,
+from .algebra import (AlgebraPresentation, GrowthProfile, chooser,
                       profile_check_diam_laws, profile_power_sum)
 from .groebner import IntPoly, membership_oracle, strong_divide, strong_gb
 from .ncforms import (Form, MixedForm, differential, fedosov,
@@ -63,7 +66,7 @@ _EVEN_SHIFTS = (0, 1, 2)
 
 def random_monomial(A: AlgebraPresentation, max_deg: int,
                     rng: random.Random) -> tuple:
-    return rng.choice(A.monomials_up_to(max_deg))
+    return chooser(rng)(A.monomials_up_to(max_deg))
 
 
 def random_form(A, degree: int, max_deg: int, rng,
@@ -72,7 +75,7 @@ def random_form(A, degree: int, max_deg: int, rng,
     from -2, -1, 1, 2, 1/2, 3; a slot that draws the unit is redrawn."""
     window = A.monomials_up_to(max_deg)
     unit = A.is_unit_monomial
-    choice = rng.choice
+    choice = chooser(rng)
     num = {}
     for _ in range(terms):
         key = [choice(window)]
@@ -91,7 +94,7 @@ def random_monomial_form(A, pool: tuple, nonunit: tuple, degree: int,
     """A single-tuple form with its head from ``pool`` and its slots from
     ``nonunit``, the non-unit monomials of the pool: supported in
     Omega^degree(M) when the pool spans M."""
-    choice = rng.choice
+    choice = chooser(rng)
     key = (choice(pool),) + tuple(choice(nonunit) for _ in range(degree))
     return Form._trusted(A, degree, {key: 1})
 
@@ -100,7 +103,7 @@ def random_even_form(A, max_level: int, max_deg: int, rng,
                      cfg: PrimeConfig) -> EvenForm:
     parts = {}
     for n in rng.sample(range(max_level + 1), k=min(2, max_level + 1)):
-        scale = cfg.p ** rng.choice(_EVEN_SHIFTS)
+        scale = cfg.p ** chooser(rng)(_EVEN_SHIFTS)
         f = random_form(A, 2 * n, max_deg, rng)
         if not f.is_zero():
             parts[2 * n] = Form._trusted(A, 2 * n, f.num, f.den * scale)

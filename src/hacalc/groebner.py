@@ -27,11 +27,11 @@ Types are checked at the boundary only.  The constructor
 and any exponent vector that is not ``nvars`` non-negative ``int``s, and
 ``term_mul`` checks its own coefficient and shift once.  Arithmetic
 between valid polynomials (``+``, ``-``, negation, ``*`` by an ``int`` or
-a polynomial), the division kernel's outputs, the basis and the witness
-samples are built trusted by ``IntPoly._trusted``, which takes a fresh
-dict as it is, zero entries dropped; the membership oracle's shifted
-generators m * gen go to its lattice as plain dicts.  Their exponents are
-sums of valid exponents.
+a polynomial), the division kernel's outputs and the basis are built
+trusted by ``IntPoly._trusted``, which takes a fresh dict as it is, zero
+entries dropped; the witness samples go to the division kernel, and the
+membership oracle's shifted generators m * gen to its lattice, as plain
+dicts.  Their exponents are sums of valid exponents.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import math
 from dataclasses import dataclass, field
 from operator import add, le, sub
 
-from .algebra import exponent_vectors
+from .algebra import chooser, exponent_vectors
 from .errors import DomainError
 # Not called here: perfbench/layers.py traces this binding as oracle_snf.
 from .linalg import ZLattice, bezout, smith_normal_form  # noqa: F401
@@ -213,9 +213,16 @@ class DivisionCertificate:
         nonzero form, and the degrees add.  A basis element's degree is
         its head's: the deglex-leading term has the top total degree.
         """
-        table = basis.table
-        return max((q.total_degree() + table[i][0][0]
-                    for i, q in self.multipliers.items()), default=0)
+        return _product_degree(
+            {i: q.terms for i, q in self.multipliers.items()}, basis.table)
+
+
+def _product_degree(mult: dict, table) -> int:
+    """The largest total degree of a product mult[i] * row i, for
+    multipliers {row index: {e: c}} by a division table; 0 without
+    multipliers.  See ``DivisionCertificate.max_product_degree``."""
+    return max((max(map(sum, q), default=0) + table[i][0][0]
+                for i, q in mult.items()), default=0)
 
 
 def _division_row(terms: dict) -> tuple:
@@ -409,37 +416,44 @@ def filtered_noetherian_witness(gens, sample_count: int, max_deg: int,
     <= max_deg; the observed shift max(0, deg(q_j f_j) - deg(g)) is 0 for
     deglex division by a strong basis.  Without a nonzero generator of
     total degree <= max_deg every sample is 0, so that is refused.
+
+    A sample is built as a working dict {(deg, e): c} and divided by the
+    basis's table; a nonzero remainder is a failure, and the shift is read
+    off the multipliers, with no polynomial or certificate per sample.
     """
     if not any(not g.is_zero() and g.total_degree() <= max_deg
                for g in gens):
         raise DomainError(f"no nonzero generator has total degree <= "
                           f"{max_deg}, so every witness sample is 0")
     gb = strong_gb(gens)
-    nvars = gens[0].nvars
+    table = gb.table
+    choice = chooser(rng)
     # a generator above max_deg gets no multiplier, and draws nothing;
     # one of degree d draws its multiplier's degree from 0 .. max_deg - d
     drawn = [(tuple(range(max_deg - base.total_degree() + 1)),
-              base.terms.items())
+              [(sum(e), e, c) for e, c in base.terms.items()])
              for base in gens if base.total_degree() <= max_deg]
-    slots = tuple(range(nvars))
+    slots = tuple(range(gens[0].nvars))
     max_shift = failures = done = 0
     while done < sample_count:
-        sample = {}
+        work = {}
         for steps, terms in drawn:
-            for e1, c1 in _random_poly(steps, slots, rng).terms.items():
-                for e2, c2 in terms:
-                    e = tuple(map(add, e1, e2))
-                    sample[e] = sample.get(e, 0) + c1 * c2
-        g = IntPoly._trusted(nvars, sample)
-        if g.is_zero():
+            for e1, c1 in _random_poly(steps, slots, choice).items():
+                d1 = sum(e1)
+                for d2, e2, c2 in terms:
+                    k = (d1 + d2, tuple(map(add, e1, e2)))
+                    work[k] = work.get(k, 0) + c1 * c2
+        if 0 in work.values():
+            work = {k: c for k, c in work.items() if c}
+        if not work:
             continue
         done += 1
-        cert = strong_divide(g, gb)
-        if not cert.remainder.is_zero():
+        degree = max(work)[0]
+        remainder, mult = _strong_reduce(work, table)
+        if remainder:
             failures += 1
             continue
-        shift = max(0, cert.max_product_degree(gb) - g.total_degree())
-        max_shift = max(max_shift, shift)
+        max_shift = max(max_shift, _product_degree(mult, table) - degree)
     return WitnessReport(done, max_shift, failures, gb)
 
 
@@ -448,12 +462,12 @@ _TERM_COUNTS = (1, 2, 3)
 _COEFFS = (-3, -2, -1, 0, 1, 2, 3)
 
 
-def _random_poly(steps: tuple, slots: tuple, rng) -> IntPoly:
-    """A random polynomial in len(slots) variables, each term of
-    ``choice(steps)`` steps along ``choice(slots)``.  ``choice`` over the
-    tuple range(a, b + 1) draws what ``randint(a, b)`` draws, and
+def _random_poly(steps: tuple, slots: tuple, choice) -> dict:
+    """A random polynomial in len(slots) variables as a zero-free dict
+    {e: c}, each term of ``choice(steps)`` steps along ``choice(slots)``,
+    where ``choice`` is a ``chooser``.  ``choice`` over the tuple
+    range(a, b + 1) draws what ``randint(a, b)`` draws, and
     tests/test_draw_streams.py pins that stream."""
-    choice = rng.choice
     nvars = len(slots)
     terms = {}
     for _ in range(choice(_TERM_COUNTS)):
@@ -463,7 +477,8 @@ def _random_poly(steps: tuple, slots: tuple, rng) -> IntPoly:
                 e[choice(slots)] += 1
         e = tuple(e)
         terms[e] = terms.get(e, 0) + choice(_COEFFS)
-    return IntPoly._trusted(nvars, terms)
+    return ({e: c for e, c in terms.items() if c}
+            if 0 in terms.values() else terms)
 
 
 # ---------------------------------------------------------------------------

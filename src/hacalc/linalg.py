@@ -4,13 +4,14 @@ Vectors are dicts mapping integer column ids to nonzero coefficients;
 the column order (smaller id eliminated first) is fixed by the caller.
 ``IntEchelon`` is the one elimination over Q: every rank
 (``int_matrix_rank``), kernel (``kernel_basis``) and residual over Q
-comes from it.  It is fraction-free and takes int vectors (a Fraction
-raises TypeError in ``math.gcd`` rather than being truncated); a caller
-with rational vectors clears their denominators first.  ``ZLattice``
-decides exact membership over Z: an echelon basis of the Z-span, kept
-with extended-gcd pivoting.  It takes no key function: its columns may
-be any comparable ids, and a row's pivot is its largest column (the
-Groebner oracle keys its columns by deglex keys (deg, e)).
+comes from it.  It is fraction-free and trusted: it takes int vectors and
+checks no entry, so a caller with rational vectors clears their
+denominators first.  The entry points check instead: ``int_matrix_rank``
+raises ValueError and ``kernel_basis`` TypeError on a non-int entry.
+``ZLattice`` decides exact membership over Z: an echelon basis of the
+Z-span, kept with extended-gcd pivoting.  It takes no key function: its
+columns may be any comparable ids, and a row's pivot is its largest
+column (the Groebner oracle keys its columns by deglex keys (deg, e)).
 ``SparseEchelon`` keeps a reduced row echelon form over Q with canonical
 coset representatives; it is the only one that divides, the library no
 longer eliminates with it, and the tests use it as the rational
@@ -216,7 +217,9 @@ class ZLattice:
         self.rows = {}  # pivot column -> row dict
 
     def add(self, vec: dict):
-        vec = {c: v for c, v in vec.items() if v}  # a copy: rows change
+        """Add ``vec``, a zero-free dict that the lattice takes over: the
+        caller hands it a fresh dict and does not use it again, since it
+        may become a row and rows change in place."""
         while vec:
             p = max(vec)
             row = self.rows.get(p)
@@ -292,7 +295,8 @@ def smith_normal_form(M) -> tuple:
 def kernel_basis(vectors: list[dict]):
     """Kernel of the linear map e_i -> vectors[i].
 
-    Takes int vectors, as ``IntEchelon`` does; returns coefficient dicts
+    Takes int vectors, as ``IntEchelon`` does, and raises TypeError on any
+    other entry (a bool, Fraction or float); returns coefficient dicts
     {i: int}, content-normalized, deterministic for a fixed input order.
     The vector found at step i has its largest index at i, so
     ``kernel_basis(vectors[:n])`` is the result's vectors whose indices
@@ -302,6 +306,9 @@ def kernel_basis(vectors: list[dict]):
     ech = IntEchelon()
     kernel = []
     for i, vec in enumerate(vectors):
+        for v in vec.values():
+            if type(v) is not int:
+                raise TypeError(f"kernel_basis takes int entries, got {v!r}")
         row = dict(vec)
         row[AUG + i] = 1
         res = ech.reduce(row)

@@ -3,10 +3,14 @@
 The references below are the generators as first written, with
 ``randrange``/``randint``, a list copy of each window and a ``Fraction``
 per coefficient.  The generators of ``hacalc.checks`` and
-``hacalc.groebner`` draw with ``rng.choice`` from cached sequences; they
-must give equal forms (``num`` and ``den``, tuples in the same order) or
-equal ``terms``, and leave the ``Random`` in an equal state, so every
-``ha check`` report stays what the references made it.
+``hacalc.groebner`` draw from cached sequences with ``chooser(rng)``,
+which calls only ``rng.getrandbits``: it draws getrandbits(k), k =
+len(seq).bit_length(), until the draw is below len(seq), the rule of
+``Random.choice`` and ``randrange``.  The generators must give equal forms
+(``num`` and ``den``, tuples in the same order) or equal terms, and leave
+the ``Random`` in an equal state, so every ``ha check`` report stays what
+the references made it; the chooser itself is checked against
+``Random.choice``.
 """
 
 import random
@@ -15,7 +19,7 @@ from fractions import Fraction
 import pytest
 
 from hacalc import checks
-from hacalc.algebra import GrowthProfile
+from hacalc.algebra import GrowthProfile, chooser
 from hacalc.checks import (presentations, random_even_form, random_form,
                            random_monomial, random_monomial_form)
 from hacalc.groebner import IntPoly, _random_poly
@@ -187,8 +191,46 @@ def test_random_poly_draws_the_reference_stream(nvars):
         for max_deg in range(4):
             steps = tuple(range(max_deg + 1))
             for _ in range(3):
-                got = _random_poly(steps, slots, rng)
+                got = _random_poly(steps, slots, chooser(rng))
                 want = ref_random_poly(nvars, max_deg, ref)
-                assert list(got.terms.items()) == list(want.terms.items())
+                assert list(got.items()) == list(want.terms.items())
         assert rng.getstate() == ref.getstate()
 
+
+# -- the chooser --------------------------------------------------------------
+
+
+def test_chooser_draws_what_random_choice_draws():
+    """Every length from 1 to 70 (each bit length up to 7, the powers of
+    two and their neighbours among them), tuples and ranges alike."""
+    for seed in SEEDS:
+        rng, ref = _pair(seed)
+        choice = chooser(rng)
+        for n in range(1, 71):
+            for seq in (tuple(range(100, 100 + n)), range(-n, 2 * n, 3)):
+                for _ in range(20):
+                    assert choice(seq) == ref.choice(seq)
+            assert rng.getstate() == ref.getstate()
+
+
+class _BoundedBits(random.Random):
+    """A ``Random`` whose ``getrandbits`` fails after 1,000 calls, so a
+    chooser that loops on an empty sequence fails instead of hanging."""
+
+    calls = 0
+
+    def getrandbits(self, k):
+        self.calls += 1
+        if self.calls > 1000:
+            raise RuntimeError("getrandbits called 1,000 times")
+        return super().getrandbits(k)
+
+
+def test_chooser_refuses_an_empty_sequence():
+    rng = _BoundedBits(0)
+    choice = chooser(rng)
+    for empty in ((), [], range(0), range(5, 5)):
+        with pytest.raises(IndexError):
+            choice(empty)
+    assert rng.calls == 0
+    assert choice((7,)) == 7 and rng.calls >= 1

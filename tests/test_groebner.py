@@ -10,11 +10,12 @@ from fractions import Fraction
 import pytest
 
 from hacalc import groebner
-from hacalc.algebra import exponent_vectors
+from hacalc.algebra import chooser, exponent_vectors
 from hacalc.checks import groebner_corpus
 from hacalc.groebner import (ORACLE_HEADROOM, DivisionCertificate, IntPoly,
-                             WitnessReport, _critical_pair, _deglex_key,
-                             _division_row, _random_poly, _strong_reduce,
+                             StrongGB, WitnessReport, _critical_pair,
+                             _deglex_key, _division_row, _random_poly,
+                             _strong_reduce,
                              filtered_noetherian_witness, membership_oracle,
                              strong_divide, strong_gb)
 from hacalc.linalg import SparseEchelon, ZLattice, bezout
@@ -38,6 +39,12 @@ def _keyed(p):
 
 #: ``_random_poly`` draws a term's degree from STEPS[b] = (0, ..., b).
 STEPS = [tuple(range(b + 1)) for b in range(8)]
+
+
+def _sample(steps, nvars, rng):
+    """A ``_random_poly`` draw from ``rng`` as an ``IntPoly``."""
+    return IntPoly(nvars, _random_poly(steps, tuple(range(nvars)),
+                                       chooser(rng)))
 
 
 def _exponents_up_to(nvars, bound):
@@ -148,10 +155,9 @@ def test_strong_reduce_leaves_no_strongly_divisible_term():
             table = _table(basis)
             dividends = [p for f, g in itertools.combinations(table, 2)
                          for p in _critical_pair(f, g)]
-            slots = tuple(range(nvars))
-            dividends += [_keyed(_random_poly(STEPS[3], slots, rng)
+            dividends += [_keyed(_sample(STEPS[3], nvars, rng)
                                  * rng.choice(basis)
-                                 + _random_poly(STEPS[4], slots, rng))
+                                 + _sample(STEPS[4], nvars, rng))
                           for _ in range(5)]
             for p in dividends:
                 rem, _ = _strong_reduce(dict(p), table)
@@ -395,7 +401,8 @@ def test_zlattice_agrees_with_snf_solvability():
         lattice, over_q = ZLattice(), SparseEchelon()
         index = {k: i for i, k in enumerate(keys)}
         for col in cols:
-            lattice.add({_deglex_key(k): v for k, v in col.items()})
+            # the lattice takes over a fresh zero-free dict
+            lattice.add({_deglex_key(k): v for k, v in col.items() if v})
             over_q.add({index[k]: v for k, v in col.items()})
         for _ in range(3):
             target = _random_target(rng, keys, cols)
@@ -504,8 +511,7 @@ def _reference_witness(gens, sample_count, max_deg, rng):
             budget = max_deg - base.total_degree()
             if budget < 0:
                 continue
-            r = _random_poly(STEPS[budget], tuple(range(base.nvars)), rng)
-            g = g + r * base
+            g = g + _sample(STEPS[budget], base.nvars, rng) * base
         if g.is_zero():
             continue
         done += 1
@@ -523,8 +529,17 @@ def test_witness_draws_the_reference_samples():
         [IntPoly.constant(0, 6), IntPoly.constant(0, 10)],  # no variables
         [P({(4, 3): 1}), P({(1, 0): 2}), P({(0, 1): 3})],  # deg 7: no draw
         [P({(1, 0): 2}), P({}), P({(1, 1): 1, (0, 0): -2})],  # a zero gen
+        [IntPoly(1, {(2,): 6}), IntPoly(1, {(3,): 10, (0,): 4})],
+        [IntPoly(1, {(1,): 4, (0,): -6})],
+        [IntPoly(3, {(1, 1, 0): 2, (0, 0, 1): 3}),
+         IntPoly(3, {(0, 2, 0): 1, (1, 0, 0): -1})],
+        [IntPoly(3, {(1, 0, 0): 2}), IntPoly(3, {(0, 1, 0): 3}),
+         IntPoly(3, {(0, 0, 1): 1, (0, 0, 0): -5})],
     ]
-    for salt in range(4):
+    rng = random.Random(30)
+    ideals += [_seeded_ideal(rng, nvars, k == 0) for nvars in (1, 3)
+               for k in range(4)]
+    for salt in range(10):
         for gens in ideals:
             rng, ref_rng = random.Random(salt), random.Random(salt)
             rep = filtered_noetherian_witness(gens, 25, 6, rng)
@@ -533,6 +548,36 @@ def test_witness_draws_the_reference_samples():
                 (ref.samples, ref.max_shift, ref.failures) == (25, 0, 0)
             assert rep.basis == ref.basis
             assert rng.getstate() == ref_rng.getstate()
+
+
+def test_product_degree_matches_the_multiplied_out_products():
+    """``_product_degree`` on the raw multipliers of divisions by the raw
+    generators, an incomplete basis: many leave a remainder, and many
+    multipliers have positive degree, so a rule that reads only the heads
+    would differ from the multiplied-out products."""
+    rng = random.Random(31)
+    ideals = [list(gens) for gens in groebner_corpus()] + [
+        _seeded_ideal(rng, nvars, False) for nvars in (1, 3)
+        for _ in range(6)]
+    seen = {"remainder": 0, "above_heads": 0}
+    for gens in ideals:
+        nvars = gens[0].nvars
+        table = tuple(_division_row(g.terms) for g in gens)
+        raw = StrongGB(tuple(gens), table)
+        for _ in range(20):
+            g = _sample(STEPS[3], nvars, rng) * rng.choice(gens) \
+                + _sample(STEPS[2], nvars, rng)
+            if g.is_zero():
+                continue
+            remainder, mult = _strong_reduce(_keyed(g), table)
+            cert = strong_divide(g, raw)
+            want = _product_degree(cert, raw)
+            assert groebner._product_degree(mult, table) == want
+            assert cert.max_product_degree(raw) == want
+            seen["remainder"] += bool(remainder)
+            heads = max((table[i][0][0] for i in mult), default=0)
+            seen["above_heads"] += want > heads
+    assert min(seen.values()) > 40, seen
 
 
 @pytest.mark.parametrize("terms", [

@@ -505,9 +505,10 @@ def test_kernel_basis_keeps_prefixes():
 
 def test_kernel_basis_returns_kernel_vectors_and_refuses_fractions():
     """Each vector kernel_basis returns maps to 0; it takes int vectors,
-    and a Fraction raises TypeError rather than a wrong kernel (clearing
-    one vector's denominators would rescale its column and not its
-    identity entry: {0: 1/2}, {0: 1} gave e_0 - e_1, which maps to -1/2)."""
+    and a Fraction, float or bool raises TypeError rather than a wrong
+    kernel (clearing one vector's denominators would rescale its column
+    and not its identity entry: {0: 1/2}, {0: 1} gave e_0 - e_1, which
+    maps to -1/2)."""
     rng = random.Random(4)
     found = 0
     for _ in range(60):
@@ -522,8 +523,14 @@ def test_kernel_basis_returns_kernel_vectors_and_refuses_fractions():
             assert not any(image.values()), (vs, combo)
             found += 1
     assert found > 50
+    # every entry is checked, one after an entry of gcd 1 too: the
+    # echelon's gcd scan stops there, so {0: 1, 1: 1/2} gave an empty
+    # kernel and kept a row holding the Fraction
     for vs in ([{0: Fraction(1, 2)}, {0: 1}], [{0: 2}, {0: Fraction(1, 2)}],
-               [{1: 1}, {0: Fraction(3, 4), 1: 2}]):
+               [{1: 1}, {0: Fraction(3, 4), 1: 2}],
+               [{0: 1, 1: Fraction(1, 2)}], [{0: 1}, {0: 3, 1: Fraction(2)}],
+               [{0: 2, 1: 1, 2: 2.0}], [{0: 1, 1: True}],
+               [{0: 1}, {}, {3: 0.5}]):
         with pytest.raises(TypeError):
             kernel_basis(vs)
 
