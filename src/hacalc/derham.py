@@ -6,14 +6,14 @@ squarefree mod p, p >= 5.  All three are read on the padded Kahler window
 of :mod:`hacalc.ncforms`, a fraction-free elimination, and certified by
 recomputation on a larger window.  The valuation loss logs the divisions a
 rational reduction makes: the divisors n of d(t^n) on the polynomial and
-Laurent rings; on curves it is 0, the Bezout denominators of the classes
-x^j dx/y being prime to p once f is squarefree mod p.
+Laurent rings; on curves it is 0: the classes are read as the integer forms
+r x^j dx/y, where u f + v f' = r in Z[x], and r is prime to p once f is
+squarefree mod p.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import AlgebraPresentation
 from .errors import BadReduction, DomainError, Mismatch
@@ -41,12 +41,15 @@ class CohomologyReport:
 
 
 def _curve_reps(A: AlgebraPresentation, u, v, reduce, h1: int):
-    """The classes x^j dx/y = x^j (u y dx + 2 v dy), 0 <= j < deg f - 1.
+    """The classes x^j dx/y, 0 <= j < deg f - 1, as the integer forms
+    r x^j dx/y = x^j (u y dx + 2 v dy).
 
-    u, v solve u f + v f' = 1 (:func:`_poly_bezout`); each rep is
-    verified nonzero and jointly independent modulo the boundaries of the
-    Kahler window, whose ``reduce`` takes the residual, and their number
-    must be the window's h1.
+    u, v, r are ints with u f + v f' = r != 0 (:func:`_poly_bezout`); the
+    nonzero scalar r changes neither whether a residual is zero nor
+    whether residuals are independent.  Each rep is verified nonzero and
+    jointly independent modulo the boundaries of the Kahler window, whose
+    ``reduce`` takes the residual, and their number must be the window's
+    h1.
     """
     x, y = A.generator_monomial("x"), A.generator_monomial("y")
     reps = []
@@ -67,22 +70,23 @@ def _curve_reps(A: AlgebraPresentation, u, v, reduce, h1: int):
 
 
 def _poly_bezout(f, g):
-    """u, v with u f + v g = 1 in Q[x] (coefficient lists, ascending).
+    """u, v, r with u f + v g = r != 0 in Z[x] (coefficient lists,
+    ascending), of content 1 over all the entries.
 
     One solve of the Sylvester system: a kernel vector of the columns
     x^i f (i < deg g), x^i g (i < deg f) and -1 with a nonzero last entry
-    gives the unique u, v below those degrees; there is none when f and
-    g share a root.
+    r; u/r, v/r is the unique rational Bezout pair below those degrees.
+    There is none when f and g share a root.
     """
     m, n = len(g) - 1, len(f) - 1
     cols = ([{i + k: c for k, c in enumerate(f) if c} for i in range(m)]
             + [{i + k: c for k, c in enumerate(g) if c} for i in range(n)]
             + [{0: -1}])
     for combo in kernel_basis(cols):
-        last = combo.get(m + n)
-        if last:
-            uv = [Fraction(combo.get(i, 0), last) for i in range(m + n)]
-            return uv[:m], uv[m:]
+        r = combo.get(m + n)
+        if r:
+            uv = [combo.get(i, 0) for i in range(m + n)]
+            return uv[:m], uv[m:], r
     raise BadReduction("f and f' share a root: curve not smooth")
 
 
@@ -98,20 +102,20 @@ def h_dr(A: AlgebraPresentation, cfg: PrimeConfig,
     domain 1 <= n <= D + PAD.
 
     A plane curve y^2 = f(x) needs p >= 5 and f squarefree mod p, else
-    :class:`BadReduction`.  The latter is decided on the Bezout pair
-    u f + v f' = 1: f has leading coefficient +-1, so u and v are
-    p-integral exactly when their reductions are a Bezout identity over
-    F_p, that is when p does not divide disc(f).  The classes are
-    x^j dx/y, 0 <= j < deg f - 1, and their valuation loss is 0: their
-    only divisions are by the Bezout denominators, which the gate has
-    made prime to p, and the window's elimination is fraction-free.
+    :class:`BadReduction`.  The latter is p | r for the integer solution
+    u f + v f' = r of content 1, that is p divides a denominator of the
+    Bezout pair u/r, v/r; f has leading coefficient +-1, so this happens
+    exactly when p divides disc(f).  The classes are x^j dx/y,
+    0 <= j < deg f - 1, read as the integer forms r x^j dx/y; their
+    valuation loss is 0, as r is prime to p past the gate and the
+    window's elimination is fraction-free.
     """
     if A.kind == "plane_curve":
         if cfg.p < 5:
             raise BadReduction("p >= 5 required")
         f = list(A.f_coeffs)
-        u, v = _poly_bezout(f, [k * c for k, c in enumerate(f)][1:])
-        if any(c.denominator % cfg.p == 0 for c in u + v):
+        u, v, r = _poly_bezout(f, [k * c for k, c in enumerate(f)][1:])
+        if r % cfg.p == 0:
             raise BadReduction(f"f is not squarefree mod p = {cfg.p}")
     elif A.kind not in ("polynomial", "laurent"):
         raise DomainError("unsupported presentation for de Rham reduction")

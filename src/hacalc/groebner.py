@@ -410,11 +410,13 @@ class WitnessReport:
 
 def filtered_noetherian_witness(gens, sample_count: int, max_deg: int,
                                 rng) -> WitnessReport:
-    """Sample random ideal members and measure the filtration shift.
+    """Sample random ideal members and divide each by the strong basis.
 
     Each sample is sum r_i gen_i with random r_i keeping the total degree
-    <= max_deg; the observed shift max(0, deg(q_j f_j) - deg(g)) is 0 for
-    deglex division by a strong basis.  Without a nonzero generator of
+    <= max_deg.  The reported shift max(0, deg(q_j f_j) - deg(g)) is 0 by
+    construction: strong division cancels at strictly decreasing deglex
+    keys, so each product q_j f_j has at most the degree of g; only
+    ``failures`` carries information.  Without a nonzero generator of
     total degree <= max_deg every sample is 0, so that is refused.
 
     A sample is built as a working dict {(deg, e): c} and divided by the

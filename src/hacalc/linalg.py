@@ -5,8 +5,7 @@ the column order (smaller id eliminated first) is fixed by the caller.
 ``IntEchelon`` is the one elimination over Q: every rank
 (``int_matrix_rank``), kernel (``kernel_basis``) and residual over Q
 comes from it.  It is fraction-free and trusted: it takes int vectors and
-checks no entry, so a caller with rational vectors clears their
-denominators first.  The entry points check instead: ``int_matrix_rank``
+checks no entry.  The entry points check instead: ``int_matrix_rank``
 raises ValueError and ``kernel_basis`` TypeError on a non-int entry.
 ``ZLattice`` decides exact membership over Z: an echelon basis of the
 Z-span, kept with extended-gcd pivoting.  It takes no key function: its
@@ -39,12 +38,6 @@ class SparseEchelon:
 
     def __init__(self):
         self.rows = {}  # pivot column -> row dict (monic at pivot)
-
-    def rank(self) -> int:
-        return len(self.rows)
-
-    def pivots(self):
-        return self.rows.keys()
 
     def add(self, vec: dict):
         """Insert a vector; returns its new pivot column or None."""
@@ -317,13 +310,6 @@ def kernel_basis(vectors: list[dict]):
         else:
             ech.rows[min(res)] = res
     return kernel
-
-
-def _clear_denominators(vec: dict) -> dict:
-    """``vec`` times the lcm of its denominators: an int vector."""
-    lcm = math.lcm(*(v.denominator for v in vec.values()))
-    return {c: v.numerator * (lcm // v.denominator)
-            for c, v in vec.items() if v}
 
 
 def int_matrix_rank(rows: list[list[int]]) -> int:

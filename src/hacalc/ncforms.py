@@ -39,7 +39,7 @@ from math import gcd, lcm
 
 from .algebra import ADJOINED_UNIT, AlgebraPresentation
 from .errors import DomainError, NotCommutative, Unstable, WrongDegree
-from .linalg import IntEchelon, _clear_denominators, kernel_basis
+from .linalg import IntEchelon, kernel_basis
 
 
 class Form:
@@ -555,7 +555,7 @@ def kahler_window(A: AlgebraPresentation, reads: list) -> dict:
     all others, so it never becomes a read pivot.  Each read bound R maps
     to (h0, h1, reps0, reps1, reduce): the kernel of d on S_{<=R} and its
     basis, the cokernel dimension and its non-pivot columns, and the
-    residual of a {(head, letter): c} vector modulo all rows.
+    residual of a {(head, letter): c} int vector modulo all rows.
 
     One kernel pass serves every read bound: S_{<=R} is a prefix of the
     window's monomials (sorted by ``sort_key``), and ``kernel_basis``
@@ -599,7 +599,7 @@ def kahler_window(A: AlgebraPresentation, reads: list) -> dict:
         ech_c.add(d)
 
     def reduce(terms):
-        return ech_c.reduce(_clear_denominators(vec(terms)))
+        return ech_c.reduce(vec(terms))
 
     pivots = ech_c.pivots()
     results = {}

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import hacalc
-from hacalc.cli import run
+from hacalc.cli import SUITES, run
 from hacalc.groebner import strong_gb
 
 
@@ -766,3 +766,31 @@ def test_check_all_composition(capsys):
         "scalars", "floors", "diam", "forms", "xcomplex-boundary",
         "tube-closure", "fedosov-growth", "groebner"}
     assert all(r["passed"] for r in out["results"].values())
+
+
+SUITE_NAMES = {"scalars": "scalars", "floors": "floors", "diam": "diam",
+               "forms": "forms", "xcomplex": "xcomplex-boundary",
+               "tube": "tube-closure", "fedosov": "fedosov-growth",
+               "groebner": "groebner"}
+
+
+@pytest.mark.parametrize("suite", list(SUITE_NAMES))
+def test_every_check_suite_through_the_cli(suite, capsys):
+    # "all" runs in test_check_all_composition
+    assert set(SUITES) == set(SUITE_NAMES) | {"all"}
+    code = run(["--prime", "5", "check", "--suite", suite,
+                "--samples", "8"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0 and out["passed"]
+    assert list(out["results"]) == [SUITE_NAMES[suite]]
+    assert out["results"][SUITE_NAMES[suite]]["passed"]
+
+
+@pytest.mark.parametrize("check, name", [("closure", "tube-closure"),
+                                         ("floors", "floors"),
+                                         ("growth", "fedosov-growth")])
+def test_every_tube_check_through_the_cli(check, name, capsys):
+    code = run(["--prime", "5", "tube", "--check", check, "--samples", "8"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0 and out["passed"]
+    assert out["results"]["name"] == name and out["results"]["passed"]

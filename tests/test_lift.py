@@ -333,6 +333,26 @@ def test_invalid_connection_plane_curve():
         phi_psi_recursion(Connection(C), 1, 4)
 
 
+class DefectAtT3(Connection):
+    """The connection on t with dt dt planted in nabla(d t^3): it agrees
+    with the Leibniz extension below degree 3 only."""
+
+    def nabla_d(self, m):
+        out = super().nabla_d(m)
+        return out + DTDT if m == (3,) else out
+
+
+def test_invalid_connection_within_the_cap():
+    """The generator pairs pass; the letter pairs find the defect at
+    (t^2, t) once the cap reaches degree 3."""
+    nabla = DefectAtT3(POLY)
+    tower = phi_psi_recursion(nabla, 1, 2)
+    assert tower.phi(1, (3,)) != LiftingTower(Connection(POLY)).phi(1, (3,))
+    for cap in (3, 4):
+        with pytest.raises(InvalidConnection, match="within the cap"):
+            phi_psi_recursion(nabla, 1, cap)
+
+
 def _newton_fixed_point(e, p, N):
     q = p ** N
     n = len(e)
