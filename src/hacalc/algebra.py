@@ -7,6 +7,10 @@ Four presentation kinds are supported:
 * ``laurent``     one generator t with a formal inverse; basis = t^n, n in Z,
 * ``plane_curve`` V[x,y]/(y^2 - f(x)); basis = x^i y^j with j <= 1.
 
+Every basis monomial is a tuple: a word of generator indices (free), an
+exponent vector (polynomial, laurent) or the pair (i, j) of x^i y^j; the
+unit is () or the zero vector (a non-unital free algebra adjoins ()).
+
 Every basis monomial carries a filtration degree: the least n such that the
 monomial lies in F_n, the span of all products of at most n generators
 (laurent counts t and t^-1 both as generators, so deg t^-n = n; on a plane
@@ -96,12 +100,6 @@ def chooser(rng):
     return choice
 
 
-#: The unit adjoined to a non-unital presentation.  Every other basis
-#: monomial is a tuple: a word of generator indices (free), an exponent
-#: vector (polynomial, laurent) or a pair (i, j) for x^i y^j (plane_curve).
-ADJOINED_UNIT = None
-
-
 class ProductTable(dict):
     """``mul_monomials(a, b)`` at the key (a, b) as a tuple of
     (m, c, is_unit_monomial(m)), remembered per presentation.  It holds
@@ -119,7 +117,9 @@ class ProductTable(dict):
 
 
 class AlgebraPresentation:
-    """A presented algebra with monomial basis and length filtration."""
+    """A presented algebra with monomial basis and length filtration;
+    ``letters``, the alphabet of ``word_of``, is the generator monomials
+    in order, then t^-1 = (-1,) on laurent."""
 
     def __init__(self, kind, generators, f_coeffs=None, unital=None):
         if kind not in KINDS:
@@ -149,12 +149,16 @@ class AlgebraPresentation:
         self.generators = generators
         self.f_coeffs = f_coeffs
         self.unital = unital
-        if not unital:
-            self._one = ADJOINED_UNIT
-        elif kind == "free":
+        n = len(generators)
+        if kind == "free":
             self._one = ()
+            self.letters = tuple((i,) for i in range(n))
         else:
-            self._one = (0,) * len(generators)
+            self._one = (0,) * n
+            self.letters = tuple(tuple(int(i == k) for i in range(n))
+                                 for k in range(n))
+            if kind == "laurent":
+                self.letters += ((-1,),)
         self._monomials = {}  # bound -> window(bound)
         self.product_table = ProductTable(self)
 
@@ -207,25 +211,19 @@ class AlgebraPresentation:
     def is_commutative(self) -> bool:
         return self.kind != "free"
 
-    def one(self) -> tuple | None:
-        """The unit monomial (internal for unital kinds, adjoined else)."""
+    def one(self) -> tuple:
+        """The unit monomial: the empty word on a free algebra, unital or
+        not, and the zero exponent vector on the commutative kinds."""
         return self._one
 
-    def is_unit_monomial(self, m: tuple | None) -> bool:
-        return m is None or m == self._one
+    def is_unit_monomial(self, m: tuple) -> bool:
+        return m == self._one
 
     def generator_monomial(self, name: str) -> tuple:
-        i = self.generators.index(name)
-        if self.kind == "free":
-            return (i,)
-        e = [0] * len(self.generators)
-        e[i] = 1
-        return tuple(e)
+        return self.letters[self.generators.index(name)]
 
     def degree(self, m: tuple) -> int:
         """Filtration degree: least n with m in F_n."""
-        if m is None:
-            return 0
         if self.kind == "free":
             return len(m)
         if self.kind == "laurent":
@@ -242,8 +240,6 @@ class AlgebraPresentation:
         return j + 2 * (i // d) + min(i % d, 2)
 
     def sort_key(self, m: tuple):
-        if m is None:
-            return (-1,)
         return (self.degree(m), m)
 
     def monomial_str(self, m: tuple) -> str:
@@ -260,10 +256,6 @@ class AlgebraPresentation:
 
     def mul_monomials(self, a: tuple, b: tuple) -> dict:
         """Normal form of a*b as a sparse monomial combination."""
-        if a is None:
-            return {b: 1}
-        if b is None:
-            return {a: 1}
         if self.kind == "free":
             return {a + b: 1}
         if self.kind in ("polynomial", "laurent"):
@@ -287,12 +279,10 @@ class AlgebraPresentation:
         except KeyError:
             pass
         out = []
-        if self.kind == "free":
-            n = len(self.generators)
-            lo = 1 if not self.unital else 0
-            for length in range(lo, bound + 1):
-                for word in itertools.product(range(n), repeat=length):
-                    out.append(word)
+        if self.kind == "free":  # the empty word only if unital
+            out = [w for k in range(0 if self.unital else 1, bound + 1)
+                   for w in itertools.product(range(len(self.generators)),
+                                              repeat=k)]
         elif self.kind == "laurent":
             out = [(k,) for k in range(-bound, bound + 1)]
         elif self.kind == "polynomial":
@@ -309,25 +299,18 @@ class AlgebraPresentation:
         return window
 
     def word_of(self, m: tuple) -> list:
-        """A canonical factorization of m into alphabet monomials.
+        """A canonical factorization of m into the monomials of
+        ``letters``.
 
-        The alphabet is the generators plus, for laurent, the formal
-        inverse.  The unit monomial factors as the empty word.
+        A free word is its letters; an exponent vector repeats the i-th
+        letter e_i times, and a negative laurent exponent repeats the
+        formal inverse.  The unit monomial factors as the empty word.
         """
-        if self.is_unit_monomial(m):
-            return []
+        letters = self.letters
         if self.kind == "free":
-            return [(i,) for i in m]
-        if self.kind == "laurent":
-            k = m[0]
-            step = (1,) if k > 0 else (-1,)
-            return [step] * abs(k)
-        letters = []
-        for pos, e in enumerate(m):
-            g = [0] * len(self.generators)
-            g[pos] = 1
-            letters.extend([tuple(g)] * e)
-        return letters
+            return [letters[i] for i in m]
+        return [letters[i if e > 0 else -1]
+                for i, e in enumerate(m) for _ in range(abs(e))]
 
     def cofactor(self, m: tuple, w: tuple) -> tuple:
         """The basis monomial m / w for a letter w of ``word_of(m)``.

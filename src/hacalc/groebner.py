@@ -4,9 +4,10 @@ order.
 A basis is *strong* when every nonzero ideal member g has some basis
 element b whose leading monomial divides lm(g) and whose leading
 coefficient divides lc(g); greedy division by such a basis therefore
-decides membership, and with deglex every multiplier satisfies
-deg(multiplier * basis element) <= deg(g), which witnesses the shift
-constant l = 0 of the total-degree filtration.
+decides membership.  Over the completed basis every multiplier has
+deg(multiplier * basis element) <= deg(g) by construction (division cancels
+at strictly decreasing deglex keys): the witness's shift is 0, and only its
+failures carry information.  Over the generators x^2 + 5, xy the shift is 2.
 
 The kernels key every term by its deglex key (deg, e) = (sum(e), e), so
 comparing two keys compares the monomials and the leading term is a plain

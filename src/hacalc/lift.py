@@ -54,10 +54,9 @@ class Connection:
 
     def __init__(self, A: AlgebraPresentation):
         self.presentation = A
-        vals = {A.generator_monomial(name): Form(A, 2)
-                for name in A.generators}
+        vals = {w: Form(A, 2) for w in A.letters}
         if A.kind == "laurent":
-            t, tinv = A.generator_monomial(A.generators[0]), (-1,)
+            t, tinv = A.letters
             ft, finv = _mono_form(A, t), _mono_form(A, tinv)
             vals[tinv] = form_multiply(finv, d_product(ft, finv)).scale(-1)
         self.values = vals
@@ -147,17 +146,16 @@ def _check_phi(tower: LiftingTower, k: int, pairs) -> bool:
                for x, y in pairs)
 
 
-def _letter_pairs(nabla: Connection, cap: int) -> list:
-    """The pairs (x, v) with deg x + deg v <= cap, v a letter (a key of
-    nabla.values: a generator, or t^-1).  They decide every pair in the
+def _letter_pairs(A: AlgebraPresentation, cap: int) -> list:
+    """The pairs (x, v) with deg x + deg v <= cap, v in ``A.letters`` (a
+    generator, or t^-1).  They decide every pair in the
     cap: (.) is associative, so the curvature K(x, y) = sigma(xy) -
     sigma(x) (.) sigma(y) has K(x, yv) = K(xy, v) + K(x, y) (.) sigma(v)
     - sigma(x) (.) K(y, v), and induction on the word length of y
     carries K = 0 in degrees <= 2n from the letter pairs to all pairs
     (word degree is additive, product degree subadditive, K(x, 1) = 0).
     """
-    A = nabla.presentation
-    return [(x, v) for x in A.monomials_up_to(cap) for v in nabla.values
+    return [(x, v) for x in A.monomials_up_to(cap) for v in A.letters
             if A.degree(x) + A.degree(v) <= cap]
 
 
@@ -178,11 +176,12 @@ def phi_psi_recursion(nabla: Connection, n_max: int,
     if n_max < 0 or cap < 0:
         raise ValueError(f"order and cap must be >= 0, got {n_max}, {cap}")
     tower = LiftingTower(nabla)
-    gen_pairs = [(a, b) for a in nabla.values for b in nabla.values]
+    A = nabla.presentation
+    gen_pairs = [(a, b) for a in A.letters for b in A.letters]
     if not _check_phi(tower, 1, gen_pairs):
         raise InvalidConnection("delta(phi_2) != d u d on generator pairs "
                                 "for either sign")
-    if not _check_phi(tower, 1, _letter_pairs(nabla, cap)):
+    if not _check_phi(tower, 1, _letter_pairs(A, cap)):
         raise InvalidConnection("delta(phi_2) != d u d within the cap")
     return tower
 
@@ -223,7 +222,7 @@ def section_curvature_check(tower: LiftingTower, n: int,
     phi_{2k}(F_i) <= F_{i+(2k-1)a} of the even forms.
     """
     A = tower.presentation
-    pairs = _letter_pairs(tower.nabla, cap)
+    pairs = _letter_pairs(A, cap)
     bad = next((2 * k for k in range(n, 0, -1)
                 if not _check_phi(tower, k, pairs)), None)
     a = 0

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .algebra import ADJOINED_UNIT, AlgebraPresentation
+from .algebra import AlgebraPresentation
 from .errors import DomainError, NotCommutative, Unstable, WrongDegree
 from .linalg import IntEchelon, kernel_basis
 
@@ -384,10 +384,8 @@ def hochschild_b1(omega: Form) -> Form:
 
 
 def _heads(A: AlgebraPresentation, bound: int):
-    heads = A.monomials_up_to(bound)
-    if not A.unital:
-        heads = (ADJOINED_UNIT,) + heads
-    return heads
+    window = A.monomials_up_to(bound)
+    return window if A.unital else (A.one(),) + window
 
 
 def one_form_tuples(A: AlgebraPresentation, bound: int):
@@ -546,10 +544,10 @@ def _leibniz_defects(A: AlgebraPresentation, letters) -> list:
 def kahler_window(A: AlgebraPresentation, reads: list) -> dict:
     """Homology of d: S -> Omega^1_S (Kahler) read on several degree slices.
 
-    The columns are the 1-forms h dw, w a letter of ``word_of``'s
-    alphabet, of total degree <= max(reads) + PAD, in descending total
-    degree, then by letter and head (``sort_key``), so the degree-<=R
-    columns form a suffix for each read bound R.
+    The columns are the 1-forms h dw, w in ``A.letters``, of total degree
+    <= max(reads) + PAD, in descending total degree, then by letter and
+    head (``sort_key``), so the degree-<=R columns form a suffix for each
+    read bound R.
     The rows are h rho(a, b) and d(s) for every monomial h, s of the
     window; a column a row reaches beyond the window is placed ahead of
     all others, so it never becomes a read pivot.  Each read bound R maps
@@ -564,8 +562,7 @@ def kahler_window(A: AlgebraPresentation, reads: list) -> dict:
     """
     big = max(reads) + PAD
     monos = A.monomials_up_to(big)
-    letters = sorted({w for s in A.monomials_up_to(1) for w in A.word_of(s)},
-                     key=A.sort_key)
+    letters = sorted(A.letters, key=A.sort_key)
     by_deg = [[] for _ in range(big + 1)]
     for h in monos:  # sorted by sort_key, so each bucket is too
         by_deg[A.degree(h)].append(h)

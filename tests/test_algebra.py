@@ -126,6 +126,47 @@ def test_filtration_span_equality(A):
             assert product == fnm
 
 
+FREE_UNITAL = AlgebraPresentation.free(["a", "b"], unital=True)
+ALPHABETS = {
+    "free": FREE, "free-unital": FREE_UNITAL, "polynomial-t": POLY,
+    "polynomial-xy": AlgebraPresentation.polynomial(("x", "y")),
+    "laurent": LAURENT, "curve": CURVE}
+
+
+@pytest.mark.parametrize("name", list(ALPHABETS))
+def test_letters_factor_every_monomial(name):
+    """``letters`` is the alphabet ``word_of`` uses on the degree-1
+    window, a generator's monomial is its letter, and every monomial of
+    degree <= 6 is the product of its word, multiplied back from the
+    unit."""
+    A = ALPHABETS[name]
+    assert len(set(A.letters)) == len(A.letters)
+    assert set(A.letters) == {w for s in A.monomials_up_to(1)
+                              for w in A.word_of(s)}
+    for i, g in enumerate(A.generators):
+        assert A.generator_monomial(g) == A.letters[i]
+    for m in A.monomials_up_to(6):
+        word = A.word_of(m)
+        assert all(w in A.letters for w in word), m
+        acc = {A.one(): 1}
+        for w in word:
+            nxt = {}
+            for a, c in acc.items():
+                for b, cb in A.mul_monomials(a, w).items():
+                    nxt[b] = nxt.get(b, 0) + c * cb
+            acc = nxt
+        assert acc == {m: 1}, m
+
+
+def test_free_unit_is_the_empty_word_unital_or_not():
+    # unital decides only whether the empty word is in the windows
+    assert FREE.one() == FREE_UNITAL.one() == ()
+    assert FREE.is_unit_monomial(()) and FREE.degree(()) == 0
+    for n in range(5):
+        assert (FREE_UNITAL.monomials_up_to(n)
+                == ((),) + FREE.monomials_up_to(n))
+
+
 # ---------------------------------------------------------------------------
 # growth profiles
 # ---------------------------------------------------------------------------

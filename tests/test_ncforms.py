@@ -96,8 +96,7 @@ def test_commutator_quotient_free_consistency():
     quo = CommutatorQuotient(FREE)
     a, b = FREE.generator_monomial("a"), FREE.generator_monomial("b")
     adb = Form(FREE, 1, {(a, b): 1})
-    from hacalc.algebra import ADJOINED_UNIT
-    db = Form(FREE, 1, {(ADJOINED_UNIT, b): 1})
+    db = Form(FREE, 1, {(FREE.one(), b): 1})
     dba = form_multiply(db, f0(FREE, a))
     assert quo.rep(adb) == quo.rep(dba)  # [a, db] = 0 in the quotient
 
@@ -107,7 +106,7 @@ def test_commutator_quotient_free_rep_string():
     quo = CommutatorQuotient(FREE)
     ab, b = (0, 1), (1,)
     one = FREE.one()
-    assert one is None
+    assert one == ()
     rep = quo.rep(Form(FREE, 1, {(one, ab): 1, (one, b): -2}))
     assert str(rep) == "-2 d(b) + a d(b) + b d(a)"
     assert (one, b) in rep.terms
@@ -122,7 +121,7 @@ def test_unit_in_a_d_slot_is_zero():
         assert form_multiply(x, zero).is_zero()
     mixed = Form(POLY, 2, {(T, T, ONE): 1, (ONE, T, T): 2})
     assert mixed.terms == {(ONE, T, T): 2}
-    assert Form(FREE, 1, {(None, None): 1}).is_zero()
+    assert Form(FREE, 1, {((), ()): 1}).is_zero()
     assert Form.d_of_monomial(POLY, ONE).is_zero()
 
 
@@ -166,7 +165,7 @@ def _oracle_form(A, degree, rng):
     t t^-1 cancellations and curve y^2 reductions occur."""
     monos = A.monomials_up_to(3)
     if not A.unital:
-        monos = (None,) + monos
+        monos = (A.one(),) + monos
     nonunit = [m for m in monos if not A.is_unit_monomial(m)]
     out = {}
     for _ in range(rng.randint(1, 3)):
@@ -207,7 +206,7 @@ def _assert_same_form(got: Form, want: Form):
 def test_d_product_against_generic_product(name):
     """d_product(x, y) is form_multiply(d x, d y), and fedosov is its
     definition written with the generic product; the draws have unit
-    and (non-unital free) None heads, and 1/2 2 coefficients that
+    and (non-unital free) empty-word heads, and 1/2 2 coefficients that
     lower the den."""
     A = ORACLE_PRESENTATIONS[name]
     rng = random.Random(31)
@@ -235,7 +234,7 @@ def test_product_table_remembers_mul_monomials(name):
     A = ORACLE_PRESENTATIONS[name]
     monos = A.monomials_up_to(3)
     if not A.unital:
-        monos = (None,) + monos
+        monos = (A.one(),) + monos
     for a, b in itertools.product(monos, monos):
         entry = A.product_table[a, b]
         assert [(m, c) for m, c, _ in entry] \
@@ -386,7 +385,7 @@ def test_form_multiply_reference_cases():
         (Form(CURVE, 1, {(x, y): Fraction(1, 2)}),
          Form(CURVE, 1, {(y, x): 2})),
         # the adjoined unit as y0: a da times d(a)
-        (Form(FREE, 1, {(a, a): 1}), Form(FREE, 1, {(None, a): -1})),
+        (Form(FREE, 1, {(a, a): 1}), Form(FREE, 1, {((), a): -1})),
     ]
     for omega, eta in cases:
         _assert_same_product(omega, eta)
@@ -722,7 +721,7 @@ def test_commutator_quotient_long_free_word():
     rng = random.Random(4)
     word = tuple(rng.randrange(2) for _ in range(24))
     quo = CommutatorQuotient(FREE)
-    rep = quo.rep(Form(FREE, 1, {(None, word): 1}))
+    rep = quo.rep(Form(FREE, 1, {((), word): 1}))
     assert all(len(s) == 1 and len(h) == 23 for h, s in rep.terms)
     assert sum(rep.terms.values()) == 24
     assert quo.rep(rep) == rep
