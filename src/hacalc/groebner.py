@@ -7,7 +7,10 @@ coefficient divides lc(g); greedy division by such a basis therefore
 decides membership.  Over the completed basis every multiplier has
 deg(multiplier * basis element) <= deg(g) by construction (division cancels
 at strictly decreasing deglex keys): the witness's shift is 0, and only its
-failures carry information.  Over the generators x^2 + 5, xy the shift is 2.
+failures carry information.  Over the generators the shift l can be
+positive (2 over x^2 + 5, xy): ``filtration_shift`` computes it exactly
+from the completion, and the membership oracle's lattice climb stops at
+deg(g) + l.
 
 The kernels key every term by its deglex key (deg, e) = (sum(e), e), so
 comparing two keys compares the monomials and the leading term is a plain
@@ -38,6 +41,7 @@ dicts.  Their exponents are sums of valid exponents.
 from __future__ import annotations
 
 import heapq
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -489,38 +493,96 @@ def _random_poly(steps: tuple, slots: tuple, choice) -> dict:
 # ---------------------------------------------------------------------------
 
 
-#: Degrees the membership oracle searches beyond deg(g).
-ORACLE_HEADROOM = 8
+#: Degrees above deg(b) by which the shift climb must reach a basis element
+#: b before it gives up with DomainError.
+MAX_SHIFT = 32
+
+
+def _climb(gens, nvars):
+    """One Z-lattice of the products m * gen of the generators ``gens``,
+    climbed one degree bound at a time: yields (bound, lattice) for
+    bound = 0, 1, ..., the lattice then spanned by the products of degree
+    <= bound.  The columns at a bound are among those at the next,
+    so each product is added once, at its own degree.  Columns are keyed
+    (deg, e), so the lattice's pivot is a plain ``max``."""
+    lattice = ZLattice()
+    shifted = [(gen.total_degree(),
+                [(sum(e), e, c) for e, c in gen.terms.items()])
+               for gen in gens if gen.terms]
+    for bound in itertools.count():
+        for degree, terms in shifted:
+            k = bound - degree
+            for m in exponent_vectors(nvars, k):
+                lattice.add({(d + k, tuple(map(add, e, m))): c
+                             for d, e, c in terms})
+        yield bound, lattice
+
+
+def filtration_shift(gens) -> tuple:
+    """(l, shifts): the ideal's filtration shift over its generators.
+
+    ``shifts`` maps each element b of the strong basis, in basis order, to
+    s(b) = (the least bound at which b lies in the Z-span of the products
+    m * gen of degree <= bound) - deg(b), and l = max s(b); l = 0 and
+    ``shifts`` is empty for the zero ideal, which never reaches
+    ``strong_gb``.  One lattice climbs from bound 0 and tests, at each
+    bound, the basis elements of degree <= bound that have not entered.
+
+    Every member g has a standard representation g = sum q_b * b with
+    deg(q_b * b) <= deg(g) over a strong basis (Adams and Loustaunau, *An
+    Introduction to Groebner Bases*, AMS GSM 3, ch. 4), and each monomial
+    multiple m * b lies in the span at bound deg(m * b) + s(b).  So g lies
+    in the span at bound deg(g) + l.  The climb ends because every b is a
+    member; a basis element that has not entered MAX_SHIFT degrees above
+    its own raises DomainError.  Generators in different numbers of
+    variables raise ValueError before any work is done.
+    """
+    gens = list(gens)
+    if gens:
+        _check_nvars(gens, gens[0].nvars, "a generator")
+    if all(gen.is_zero() for gen in gens):
+        return 0, {}
+    basis = strong_gb(gens)
+    waiting = {i: (head[0], {(d, e): c for d, e, c in (head, *tail)})
+               for i, (head, tail) in enumerate(basis.table)}
+    shifts = {}
+    for bound, lattice in _climb(gens, gens[0].nvars):
+        for i, (degree, target) in list(waiting.items()):
+            if degree <= bound and lattice.contains(target):
+                shifts[i] = bound - degree
+                del waiting[i]
+        if not waiting:
+            break
+        if bound >= min(d for d, _ in waiting.values()) + MAX_SHIFT:
+            raise DomainError(f"a basis element is not in the ideal "
+                              f"{MAX_SHIFT} degrees above its own")
+    return max(shifts.values()), {b: shifts[i]
+                                  for i, b in enumerate(basis.polys)}
 
 
 def membership_oracle(g: IntPoly, gens) -> bool:
     """Decide membership by integer linear algebra on one Z-lattice.
 
     At degree bound b, g is a member iff it lies in the Z-span of the
-    products m * gen_i of degree <= b.  The bound runs from deg(g) to
-    deg(g) + ``ORACLE_HEADROOM``: a member can need products of the raw
-    generators above its own degree, e.g. 5y = y(x^2+5) - x(xy) (strong
-    division controls degrees for the completed basis only).  The columns
-    at b are among those at b + 1, so one lattice climbs from bound 0 and
-    adds each product once, at its own degree.  Columns and g are keyed
-    (deg, e), so the lattice's pivot is a plain ``max``.  A generator in
-    another number of variables than g raises ValueError.
+    products m * gen_i of degree <= b.  A member can need products of the
+    raw generators above its own degree, e.g. 5y = y(x^2+5) - x(xy).  One
+    lattice climbs from bound 0; g is tested from bound deg(g), and a miss
+    there asks ``filtration_shift`` for l and goes on up to deg(g) + l,
+    past which no member can first enter (see ``filtration_shift``).  The
+    bound rests on the completion, but every verdict is read from the
+    lattice: True is a combination found, False a miss at the exact
+    bound.  A member usually enters at deg(g), so the shift is computed
+    only for a miss.  A generator in another number of variables than g
+    raises ValueError.
     """
     _check_nvars(gens, g.nvars, "a generator")
     if g.is_zero():
         return True
-    lattice = ZLattice()
     target = {(sum(e), e): c for e, c in g.terms.items()}
-    base = g.total_degree()
-    shifted = [(gen.total_degree(),
-                [(sum(e), e, c) for e, c in gen.terms.items()])
-               for gen in gens]
-    for bound in range(base + ORACLE_HEADROOM + 1):
-        for degree, terms in shifted:
-            k = bound - degree
-            for m in exponent_vectors(g.nvars, k):
-                lattice.add({(d + k, tuple(map(add, e, m))): c
-                             for d, e, c in terms})
-        if bound >= base and lattice.contains(target):
-            return True
-    return False
+    climb = _climb(gens, g.nvars)
+    _, lattice = next(itertools.islice(climb, g.total_degree(), None))
+    if lattice.contains(target):
+        return True
+    shift, _ = filtration_shift(gens)
+    return any(lattice.contains(target)
+               for _, lattice in itertools.islice(climb, shift))

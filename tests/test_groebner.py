@@ -12,12 +12,12 @@ import pytest
 from hacalc import groebner
 from hacalc.algebra import chooser, exponent_vectors
 from hacalc.checks import groebner_corpus
-from hacalc.groebner import (ORACLE_HEADROOM, DivisionCertificate, IntPoly,
-                             StrongGB, WitnessReport, _critical_pair,
-                             _deglex_key, _division_row, _random_poly,
-                             _strong_reduce,
-                             filtered_noetherian_witness, membership_oracle,
-                             strong_divide, strong_gb)
+from hacalc.errors import DomainError
+from hacalc.groebner import (DivisionCertificate, IntPoly, StrongGB,
+                             WitnessReport, _critical_pair, _deglex_key,
+                             _division_row, _random_poly, _strong_reduce,
+                             filtered_noetherian_witness, filtration_shift,
+                             membership_oracle, strong_divide, strong_gb)
 from hacalc.linalg import SparseEchelon, ZLattice, bezout
 from test_graphs import smith_with_transforms
 
@@ -349,12 +349,19 @@ def snf_member_at_bound(g, gens, bound) -> bool:
     return snf_solvable(cols, g.terms)
 
 
+#: Degrees the dense oracle searches beyond deg(g).
+SNF_HEADROOM = 8
+
+
 def snf_membership_oracle(g, gens) -> bool:
-    """The dense oracle: one Smith normal form per degree bound."""
+    """The dense oracle: one Smith normal form per degree bound, from
+    deg(g) to deg(g) + SNF_HEADROOM.  It is complete only on ideals whose
+    filtration shift is at most SNF_HEADROOM, which it asserts."""
+    assert filtration_shift(gens)[0] <= SNF_HEADROOM, gens
     base = g.total_degree()
     return g.is_zero() or any(
         snf_member_at_bound(g, gens, base + extra)
-        for extra in range(ORACLE_HEADROOM + 1))
+        for extra in range(SNF_HEADROOM + 1))
 
 
 def _random_system(rng):
@@ -446,6 +453,104 @@ def test_membership_oracle_agrees_with_snf_oracle():
     g = P({(2, 2): 1, (0, 0): 1})
     assert not membership_oracle(g, gens)
     assert not snf_membership_oracle(g, gens)
+
+
+def _x_power_plus_five(k):
+    """(x^k + 5, xy): 5y = y(x^k + 5) - x^(k-1)(xy) needs products of
+    degree k + 1 over the generators, so the shift is k."""
+    return [P({(k, 0): 1, (0, 0): 5}), P({(1, 1): 1})]
+
+
+@pytest.mark.parametrize("k", [2, 9, 10])
+def test_oracle_climbs_to_the_shift_of_x_power_plus_five(k):
+    gens = _x_power_plus_five(k)
+    l, shifts = filtration_shift(gens)
+    assert l == k and shifts[P({(0, 1): 5})] == k
+    assert membership_oracle(P({(0, 1): 5}), gens)
+    assert not membership_oracle(P({(0, 1): 1}), gens)
+    gb = strong_gb(gens)
+    seen = {True: 0, False: 0}
+    for c in (1, 2, 5, 10):
+        for e in _exponents_up_to(2, 3):
+            for g in (P({e: c}), P({e: c, (0, 1): 5}),
+                      P({e: c}) + gens[0], P({e: c, (1, 0): 1})):
+                member = membership_oracle(g, gens)
+                assert member == strong_divide(g, gb).remainder.is_zero(), g
+                seen[member] += 1
+    assert min(seen.values()) > 30, seen
+
+
+def test_corpus_filtration_shifts():
+    corpus = groebner_corpus()
+    assert [filtration_shift(gens)[0] for gens in corpus] == \
+        [0, 0, 0, 0, 2, 2, 0, 0, 0, 0]
+    _, shifts = filtration_shift(corpus[5])
+    assert list(shifts) == list(strong_gb(list(corpus[5])).polys)
+    assert shifts[P({(0, 1): 5})] == 2
+
+
+def test_shifts_are_least_by_the_dense_oracle():
+    """Each basis element b lies in the span at bound deg(b) + s(b) and
+    not one below, by the dense Smith-form test."""
+    checked = 0
+    for gens in groebner_corpus() + [_x_power_plus_five(3)]:
+        for b, s in filtration_shift(gens)[1].items():
+            top = b.total_degree() + s
+            assert snf_member_at_bound(b, list(gens), top), (gens, b)
+            assert s == 0 or not snf_member_at_bound(b, list(gens), top - 1)
+            checked += s > 0
+    assert checked == 4
+
+
+def _refuse(*args):
+    raise AssertionError("work began")
+
+
+def test_zero_ideal_never_reaches_completion(monkeypatch):
+    monkeypatch.setattr(groebner, "strong_gb", _refuse)
+    for gens in ([], [IntPoly(2)], [IntPoly(2), IntPoly(2)]):
+        assert filtration_shift(gens) == (0, {})
+        assert membership_oracle(IntPoly(2), gens)
+        for g in (P({(0, 0): 1}), P({(1, 1): 3, (0, 0): -2})):
+            assert not membership_oracle(g, gens)
+
+
+def test_mismatched_nvars_are_refused_before_any_work(monkeypatch):
+    monkeypatch.setattr(groebner, "strong_gb", _refuse)
+    monkeypatch.setattr(groebner, "_climb", _refuse)
+    x = P({(1, 0): 1})
+    for gens in ([x, IntPoly(1, {(1,): 1})], [IntPoly(1), x],
+                 [IntPoly(2), IntPoly(3)]):
+        with pytest.raises(ValueError, match="variables"):
+            filtration_shift(gens)
+    for g, gens in ((IntPoly(3, {(0, 0, 1): 1}), [x]), (x, [IntPoly(1)]),
+                    (IntPoly(3), [IntPoly(2)])):
+        with pytest.raises(ValueError, match="variables"):
+            membership_oracle(g, gens)
+
+
+def test_shift_climb_raises_on_a_basis_outside_the_ideal(monkeypatch):
+    """A completion that puts x into (2x) stops the climb with
+    DomainError; the oracle raises on a miss instead of denying, and
+    still finds a member on its own lattice."""
+    gens, real = [P({(1, 0): 2})], strong_gb
+    monkeypatch.setattr(groebner, "strong_gb",
+                        lambda _: real([P({(1, 0): 1})]))
+    with pytest.raises(DomainError, match=f"{groebner.MAX_SHIFT} degrees"):
+        filtration_shift(gens)
+    with pytest.raises(DomainError):
+        membership_oracle(P({(0, 1): 1}), gens)
+    assert membership_oracle(P({(1, 1): 2}), gens)
+
+
+def test_shift_guard_never_decides_a_verdict(monkeypatch):
+    """Below the ideal's shift the guard raises: no False comes from it."""
+    monkeypatch.setattr(groebner, "MAX_SHIFT", 1)
+    gens = _x_power_plus_five(2)
+    for g in (P({(0, 1): 5}), P({(0, 1): 1})):
+        with pytest.raises(DomainError):
+            membership_oracle(g, gens)
+    assert membership_oracle(P({(1, 1): 5}), gens)
 
 
 def _seeded_ideal(rng, nvars, with_zero):
