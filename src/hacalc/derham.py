@@ -130,23 +130,15 @@ def h_dr(A: AlgebraPresentation, cfg: PrimeConfig,
     return CohomologyReport(h0, h1, ("1",), reps1, D, True, loss)
 
 
-@dataclass(frozen=True)
-class CrosscheckReport:
-    dims_graph: tuple
-    dims_derham: tuple
-    ok: bool
-
-
-def crosscheck_loop_graph(dr: CohomologyReport) -> CrosscheckReport:
+def crosscheck_loop_graph(dr: CohomologyReport) -> None:
     """Two independent computations of the loop-graph invariants.
 
-    The one-vertex one-loop graph on the path-algebra side (Smith normal
-    form) and ``dr``, the Laurent ring's :func:`h_dr` report (elimination
-    on the Kahler window), must both give (1, 1).
+    The one-loop graph's path algebra (Smith normal form) and ``dr``, the
+    Laurent ring's :func:`h_dr` report (Kahler window elimination), must
+    both give (1, 1).  A return is the pass; else :class:`Mismatch`.
     """
     res = ha_leavitt(DirectedGraph.loop())
     dims_g = (res.dim_ha0, res.dim_ha1)
     dims_d = (dr.h0, dr.h1)
     if dims_g != dims_d or dims_g != (1, 1):
         raise Mismatch(f"graph {dims_g} vs de Rham {dims_d}")
-    return CrosscheckReport(dims_g, dims_d, True)

@@ -72,7 +72,7 @@ class IntPoly:
 
     @classmethod
     def _trusted(cls, nvars, terms: dict) -> "IntPoly":
-        """A polynomial built from valid polynomials, nothing checked:
+        """A polynomial from valid polynomials or checked terms, unchecked:
         ``terms``, a fresh dict that the caller does not reuse, becomes its
         own, copied only to drop zero entries."""
         poly = cls.__new__(cls)
@@ -107,7 +107,7 @@ class IntPoly:
                     f"term {json.dumps(t)} needs {nvars} exponents >= 0")
             e = tuple(e)
             terms[e] = terms.get(e, 0) + c
-        return cls(nvars, terms)
+        return cls._trusted(nvars, terms)
 
     @classmethod
     def constant(cls, nvars, c) -> "IntPoly":

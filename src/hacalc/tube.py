@@ -18,25 +18,14 @@ from .scalars import INF, PrimeConfig, _int_val
 
 
 class EvenForm(MixedForm):
-    """A mixed form supported in even degrees; component n sits in
-    degree 2n."""
+    """A mixed form supported in even degrees: the part of degree 2n is
+    the level-n component, read from ``parts`` directly."""
 
     def __init__(self, presentation, parts=()):
         super().__init__(presentation, parts)
         for n in self.parts:
             if n % 2:
                 raise ValueError("even forms only")
-
-    @classmethod
-    def from_mixed(cls, m: MixedForm) -> "EvenForm":
-        return cls(m.presentation, m.parts)
-
-    def level_component(self, n: int) -> Form:
-        """The form of degree 2n."""
-        return self.component(2 * n)
-
-    def levels(self):
-        return [d // 2 for d in self.degrees()]
 
 
 @dataclass(frozen=True)
@@ -66,8 +55,7 @@ class TubeParams:
 
 def jdegree(x: EvenForm):
     """Least n with a nonzero component in degree 2n; INF for zero."""
-    levels = x.levels()
-    return levels[0] if levels else INF
+    return min(x.parts) // 2 if x.parts else INF
 
 
 def _min_component_val(form: Form, cfg: PrimeConfig):
@@ -83,8 +71,8 @@ def _min_component_val(form: Form, cfg: PrimeConfig):
 def tube_member(x: EvenForm, m: int, cfg: PrimeConfig) -> bool:
     """Membership in the level-m tube: val(coeffs of the 2n-part)
     >= -floor(n/m)."""
-    for n in x.levels():
-        if _min_component_val(x.level_component(n), cfg) < -(n // m):
+    for d, form in x.parts.items():
+        if _min_component_val(form, cfg) < -(d // 2 // m):
             return False
     return True
 
@@ -123,23 +111,24 @@ def dm_member(x: EvenForm, P: TubeParams, cfg: PrimeConfig) -> bool:
     exponent is min(floor(n/m), floor(alpha n) + f), in integers.
     """
     a = P.alpha
-    for n in x.levels():
+    for d, form in x.parts.items():
+        n = d // 2
         bound = min(n // P.m, a.numerator * n // a.denominator + P.f)
-        if not form_in_module(x.level_component(n), P.M_profile, cfg,
-                              shift=bound):
+        if not form_in_module(form, P.M_profile, cfg, shift=bound):
             return False
     return True
 
 
 def fedosov_even(x: EvenForm, y: EvenForm) -> EvenForm:
     """Fedosov product of even forms; j-degrees add (or better)."""
-    return EvenForm.from_mixed(fedosov_mixed(x, y))
+    return EvenForm(x.presentation, fedosov_mixed(x, y).parts)
 
 
 @dataclass(frozen=True)
 class FloorReport:
+    """A :func:`floor_estimates` verdict; a failure carries its triple."""
+
     ok: bool
-    bound: int
     counterexample: tuple | None = None
 
 
@@ -200,11 +189,10 @@ def floor_estimates(N: int) -> FloorReport:
         for n in range(1, N + 1):
             low, j = _split_minimum(m, n)
             if low < n // (2 * m):
-                return FloorReport(False, N, (m, n, j))
+                return FloorReport(False, (m, n, j))
         for a in range(N // 2 + 1):
             low, b = _shift_minimum(m, a, N)
             need = a // m
             if low < need:
-                return FloorReport(False, N,
-                                   (m, a, b if need == low + 1 else a))
-    return FloorReport(True, N)
+                return FloorReport(False, (m, a, b if need == low + 1 else a))
+    return FloorReport(True)

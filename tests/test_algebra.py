@@ -5,7 +5,7 @@ import pytest
 
 from hacalc.algebra import (INF, AlgebraPresentation, GrowthProfile,
                             profile_check_diam_laws, profile_diamond,
-                            profile_product)
+                            profile_product, profile_sum)
 from hacalc.ncforms import Form, form_multiply
 
 POLY = AlgebraPresentation.polynomial()
@@ -324,3 +324,26 @@ def test_profile_product_commutes():
                 rng.choice([0, 1, 3, INF, INF]) for _ in range(cap + 1)))
                 for _ in range(2))
             assert profile_product(u, v) == profile_product(v, u)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: AlgebraPresentation("ring", ("t",)),
+     "unknown presentation kind 'ring'"),
+    (lambda: AlgebraPresentation("plane_curve", ("u", "v"),
+                                 f_coeffs=[0, -1, 0, 1]),
+     r"plane_curve requires generators \(x, y\)"),
+    (lambda: AlgebraPresentation("polynomial", ("t",), f_coeffs=[0, 1]),
+     "f_coeffs only applies to plane_curve"),
+    (lambda: AlgebraPresentation("polynomial", ("t",), unital=False),
+     "polynomial presentations are unital"),
+    (lambda: profile_sum(GrowthProfile.filtration(1, 4),
+                         GrowthProfile.filtration(1, 6)),
+     "profiles must share a cap"),
+    (lambda: profile_product(GrowthProfile.filtration(1, 6),
+                             GrowthProfile.filtration(1, 4)),
+     "profiles must share a cap"),
+], ids=["unknown-kind", "curve-generators", "poly-f-coeffs",
+        "poly-non-unital", "sum-caps", "product-caps"])
+def test_presentation_and_profile_refusals(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()

@@ -181,8 +181,8 @@ def test_h_dr_curve_matches_dense_oracle():
 @pytest.mark.parametrize("p", [5, 7, 11])
 def test_crosscheck_loop_graph(p):
     cfg = PrimeConfig(p)
-    rep = crosscheck_loop_graph(h_dr(AlgebraPresentation.laurent(), cfg, 20))
-    assert rep.ok and rep.dims_graph == (1, 1)
+    assert crosscheck_loop_graph(
+        h_dr(AlgebraPresentation.laurent(), cfg, 20)) is None
     with pytest.raises(Mismatch, match=r"graph \(1, 1\) vs de Rham \(1, 0\)"):
         crosscheck_loop_graph(h_dr(AlgebraPresentation.polynomial(), cfg, 20))
 

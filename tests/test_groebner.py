@@ -904,3 +904,15 @@ def test_interreduction_reduces_each_row_once(monkeypatch):
     assert all(reductions <= visited for visited, reductions, _, _ in seen)
     assert any(kept < visited for visited, _, kept, _ in seen[:corpus])
     assert sum(changed > 0 for *_, changed in seen) > 10
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: strong_gb([IntPoly(2), IntPoly(2)]),
+     "need at least one nonzero generator"),
+    (lambda: IntPoly.from_json(2, {"e": [1, 0], "c": 1}),
+     "must be a list of terms"),
+    (lambda: IntPoly.from_json(2, 7), "must be a list of terms"),
+], ids=["zero-generators", "term-not-in-list", "number"])
+def test_groebner_refusals(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()

@@ -810,3 +810,14 @@ def test_elimination_keeps_int_and_refuses_stray_fractions():
         ech.reduce({1: Fraction(1, 2)})
     with pytest.raises(TypeError):
         ech.reduce({0: Fraction(1, 2), 1: 1})
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Form(POLY, 1, {(ONE,): 1}),
+    lambda: Form(POLY, 1, {(T, T): 1}) + Form(POLY, 2, {(T, T, T): 1}),
+    lambda: CommutatorQuotient(FREE).rep(
+        Form(FREE, 2, {(FREE.generator_monomial("a"),) * 3: 1})),
+], ids=["short-tuple", "combine-degrees", "quotient-on-2-form"])
+def test_wrong_degree_refusals(make):
+    with pytest.raises(WrongDegree):
+        make()

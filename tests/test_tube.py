@@ -145,11 +145,11 @@ def test_tube_valuations_against_per_coefficient_val(p):
 def test_fedosov_even_examples():
     x = _even({0: Form(POLY, 0, {(T,): 1})})
     prod = fedosov_even(x, x)
-    assert str(prod.level_component(0)) == "t^2"
-    assert str(prod.level_component(1)) == "-d(t) d(t)"
+    assert str(prod.component(0)) == "t^2"
+    assert str(prod.component(2)) == "-d(t) d(t)"
     omega2 = _even({2: Form(POLY, 2, {(T, T, T): 1})})
     prod2 = fedosov_even(omega2, omega2)
-    assert set(prod2.levels()) <= {2, 3}
+    assert set(prod2.degrees()) <= {4, 6}
     one = _even({0: Form(POLY, 0, {(ONE,): 1})})
     assert fedosov_even(one, omega2) == omega2
 
@@ -230,3 +230,12 @@ def test_tube_params_validation():
     for f in (1.5, 1.0, Fraction(1), True):
         with pytest.raises(ValueError, match="natural number"):
             TubeParams(2, Fraction(1, 3), f, prof)
+
+
+@pytest.mark.parametrize("parts", [
+    {1: Form(POLY, 1, {(T, T): 1})},
+    {0: Form(POLY, 0, {(T,): 1}), 3: Form(POLY, 3, {(T, T, T, T): 1})},
+], ids=["odd-only", "even-and-odd"])
+def test_even_form_refuses_odd_parts(parts):
+    with pytest.raises(ValueError, match="even forms only"):
+        EvenForm(POLY, parts)
