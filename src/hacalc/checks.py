@@ -23,7 +23,8 @@ from fractions import Fraction
 
 from .algebra import (AlgebraPresentation, GrowthProfile, chooser,
                       profile_check_diam_laws, profile_power_sum)
-from .groebner import IntPoly, membership_oracle, strong_divide, strong_gb
+from .groebner import (IntPoly, filtration_shift, membership_oracle,
+                       strong_divide, strong_gb)
 from .ncforms import (Form, MixedForm, differential, fedosov,
                       fedosov_mixed, form_multiply,
                       xcomplex_boundary_checks)
@@ -325,6 +326,7 @@ def suite_groebner(samples_per_ideal: int, seed: int) -> CheckResult:
     total = 0
     for gens in corpus:
         gb = strong_gb(gens)
+        shift, _ = filtration_shift(gens)
         # random members and perturbations against the integer oracle
         for _ in range(samples_per_ideal):
             g = IntPoly(2)
@@ -343,7 +345,7 @@ def suite_groebner(samples_per_ideal: int, seed: int) -> CheckResult:
             total += 1
             cert = strong_divide(g, gb)
             member_gb = cert.remainder.is_zero()
-            if member_gb != membership_oracle(g, list(gens)):
+            if member_gb != membership_oracle(g, list(gens), shift):
                 return CheckResult("groebner", False, total,
                                    f"oracle disagrees on {g}")
             if cert.reconstruct(gb) != g:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .algebra import AlgebraPresentation
 from .errors import BadReduction, DomainError, Mismatch
 from .graphs import DirectedGraph, ha_leavitt
-from .linalg import IntEchelon, kernel_basis
+from .linalg import kernel_basis
 from .ncforms import PAD, stable_read
 from .scalars import PrimeConfig, _int_val
 
@@ -46,27 +46,22 @@ def _curve_reps(A: AlgebraPresentation, u, v, reduce, h1: int):
 
     u, v, r are ints with u f + v f' = r != 0 (:func:`_poly_bezout`); the
     nonzero scalar r changes neither whether a residual is zero nor
-    whether residuals are independent.  Each rep is verified nonzero and
-    jointly independent modulo the boundaries of the Kahler window, whose
-    ``reduce`` takes the residual, and their number must be the window's
-    h1.
+    whether residuals are independent.  The Kahler window's ``reduce``
+    takes each rep modulo the boundaries and the reps before it, so the
+    reps are independent modulo the boundaries iff no residual is zero;
+    their number must be the window's h1.
     """
     x, y = A.generator_monomial("x"), A.generator_monomial("y")
-    reps = []
-    check = IntEchelon()
-    for j in range(len(A.f_coeffs) - 2):
-        form = {((j + k, 1), x): c for k, c in enumerate(u) if c}
-        form.update({((j + k, 0), y): 2 * c for k, c in enumerate(v) if c})
-        residual = reduce(form)
-        if not residual:
-            raise Mismatch("expected curve class is a boundary")
-        if check.add(residual) is None:
-            raise Mismatch("curve classes are not independent")
-        reps.append("dx/y" if j == 0 else "x dx/y" if j == 1
-                    else f"x^{j} dx/y")
-    if len(reps) != h1:
-        raise Mismatch(f"{len(reps)} curve classes vs h1 = {h1}")
-    return tuple(reps)
+    forms = [{**{((j + k, 1), x): c for k, c in enumerate(u) if c},
+              **{((j + k, 0), y): 2 * c for k, c in enumerate(v) if c}}
+             for j in range(len(A.f_coeffs) - 2)]
+    if not all(reduce(forms)):
+        raise Mismatch("curve classes are not independent modulo the "
+                       "boundaries")
+    if len(forms) != h1:
+        raise Mismatch(f"{len(forms)} curve classes vs h1 = {h1}")
+    return tuple("dx/y" if j == 0 else "x dx/y" if j == 1 else f"x^{j} dx/y"
+                 for j in range(len(forms)))
 
 
 def _poly_bezout(f, g):

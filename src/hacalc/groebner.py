@@ -560,7 +560,7 @@ def filtration_shift(gens) -> tuple:
                                   for i, b in enumerate(basis.polys)}
 
 
-def membership_oracle(g: IntPoly, gens) -> bool:
+def membership_oracle(g: IntPoly, gens, shift: int | None = None) -> bool:
     """Decide membership by integer linear algebra on one Z-lattice.
 
     At degree bound b, g is a member iff it lies in the Z-span of the
@@ -571,9 +571,9 @@ def membership_oracle(g: IntPoly, gens) -> bool:
     past which no member can first enter (see ``filtration_shift``).  The
     bound rests on the completion, but every verdict is read from the
     lattice: True is a combination found, False a miss at the exact
-    bound.  A member usually enters at deg(g), so the shift is computed
-    only for a miss.  A generator in another number of variables than g
-    raises ValueError.
+    bound.  A member usually enters at deg(g), so l is computed only for
+    a miss, and only when no ``shift`` = l is passed (once per ideal).  A
+    generator in another number of variables than g raises ValueError.
     """
     _check_nvars(gens, g.nvars, "a generator")
     if g.is_zero():
@@ -583,6 +583,6 @@ def membership_oracle(g: IntPoly, gens) -> bool:
     _, lattice = next(itertools.islice(climb, g.total_degree(), None))
     if lattice.contains(target):
         return True
-    shift, _ = filtration_shift(gens)
+    shift = filtration_shift(gens)[0] if shift is None else shift
     return any(lattice.contains(target)
                for _, lattice in itertools.islice(climb, shift))

@@ -7,6 +7,8 @@ the column order (smaller id eliminated first) is fixed by the caller.
 comes from it.  It is fraction-free and trusted: it takes int vectors and
 checks no entry.  The entry points check instead: ``int_matrix_rank``
 raises ValueError and ``kernel_basis`` TypeError on a non-int entry.
+``kernel_basis`` reduces each vector once, carrying an identity column, in
+an echelon the caller may seed with rows: the kernel is taken modulo them.
 ``ZLattice`` decides exact membership over Z: an echelon basis of the
 Z-span, kept with extended-gcd pivoting.  It takes no key function: its
 columns may be any comparable ids, and a row's pivot is its largest
@@ -26,6 +28,8 @@ import math
 from fractions import Fraction
 
 from .algebra import int_entries
+
+AUG = 1 << 40  # kernel_basis's identity columns start here
 
 
 class SparseEchelon:
@@ -95,23 +99,13 @@ class IntEchelon:
     """
 
     def __init__(self):
-        self.rows = {}
-
-    def rank(self) -> int:
-        return len(self.rows)
-
-    def pivots(self):
-        return self.rows.keys()
+        self.rows = {}  # pivot column -> row dict
 
     @staticmethod
     def _normalize(vec: dict) -> dict:
         if not vec:
             return vec
-        g = 0
-        for v in vec.values():
-            g = math.gcd(g, v)
-            if g == 1:
-                break
+        g = math.gcd(*vec.values())
         if g > 1:
             vec = {c: v // g for c, v in vec.items()}
         if vec[min(vec)] < 0:
@@ -131,12 +125,8 @@ class IntEchelon:
                 return self._normalize(vec)
             a, b = row[p], vec[p]
             g = gcd(a, b)
-            a //= g
-            b //= g
-            if a == 1:
-                out = vec
-            else:
-                out = {c: a * v for c, v in vec.items()}
+            a, b = a // g, b // g
+            out = vec if a == 1 else {c: a * v for c, v in vec.items()}
             get = out.get
             for c, v in row.items():
                 w = get(c, 0) - b * v
@@ -158,6 +148,17 @@ class IntEchelon:
         p = min(vec)
         self.rows[p] = vec
         return p
+
+    def residuals(self, vectors) -> list:
+        """Each vector's residual modulo the rows and the vectors before
+        it, columns >= AUG dropped; the rows are left as they are."""
+        ech = IntEchelon()
+        ech.rows = dict(self.rows)
+        out = []
+        for vec in vectors:
+            out.append({c: v for c, v in ech.reduce(vec).items() if c < AUG})
+            ech.add(out[-1])
+        return out
 
 
 def bezout(a: int, b: int) -> tuple:
@@ -285,9 +286,13 @@ def smith_normal_form(M) -> tuple:
     return tuple(pivots) + (0,) * (size - len(pivots))
 
 
-def kernel_basis(vectors: list[dict]):
-    """Kernel of the linear map e_i -> vectors[i].
+def kernel_basis(vectors: list[dict], ech: IntEchelon | None = None):
+    """Kernel of the linear map e_i -> vectors[i] modulo the rows of ``ech``.
 
+    Vector i gets the identity column AUG + i (every other column lies
+    below AUG) and is reduced once in ``ech``, fresh by default: a residual
+    with identity columns alone is a kernel vector, any other becomes a
+    row, so ``ech`` then spans the seeded rows and the vectors.
     Takes int vectors, as ``IntEchelon`` does, and raises TypeError on any
     other entry (a bool, Fraction or float); returns coefficient dicts
     {i: int}, content-normalized, deterministic for a fixed input order.
@@ -295,17 +300,14 @@ def kernel_basis(vectors: list[dict]):
     ``kernel_basis(vectors[:n])`` is the result's vectors whose indices
     are all below n.
     """
-    AUG = 1 << 40  # augmented columns sort after all real columns
-    ech = IntEchelon()
+    ech = IntEchelon() if ech is None else ech
     kernel = []
     for i, vec in enumerate(vectors):
         for v in vec.values():
             if type(v) is not int:
                 raise TypeError(f"kernel_basis takes int entries, got {v!r}")
-        row = dict(vec)
-        row[AUG + i] = 1
-        res = ech.reduce(row)
-        if not res or min(res) >= AUG:
+        res = ech.reduce({**vec, AUG + i: 1})
+        if min(res) >= AUG:
             kernel.append({c - AUG: v for c, v in res.items()})
         else:
             ech.rows[min(res)] = res
@@ -318,4 +320,4 @@ def int_matrix_rank(rows: list[list[int]]) -> int:
     ech = IntEchelon()
     for row in rows:
         ech.add(dict(enumerate(int_entries(row, "matrix entries"))))
-    return ech.rank()
+    return len(ech.rows)

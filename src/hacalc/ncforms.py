@@ -524,9 +524,8 @@ def _kahler_d(A: AlgebraPresentation, s: tuple) -> dict:
     return {(A.cofactor(s, w), w): word.count(w) for w in dict.fromkeys(word)}
 
 
-def _leibniz_defects(A: AlgebraPresentation, letters) -> list:
+def _leibniz_defects(A: AlgebraPresentation, letters):
     """The nonzero rho(a, b) = d(ab) - a db - b da over letter pairs."""
-    out = []
     for i, a in enumerate(letters):
         for b in letters[i:]:
             rho = {}
@@ -537,8 +536,7 @@ def _leibniz_defects(A: AlgebraPresentation, letters) -> list:
                 rho[key] = rho.get(key, 0) - 1
             rho = {k: v for k, v in rho.items() if v}
             if rho:
-                out.append(rho)
-    return out
+                yield rho
 
 
 def kahler_window(A: AlgebraPresentation, reads: list) -> dict:
@@ -552,13 +550,18 @@ def kahler_window(A: AlgebraPresentation, reads: list) -> dict:
     window; a column a row reaches beyond the window is placed ahead of
     all others, so it never becomes a read pivot.  Each read bound R maps
     to (h0, h1, reps0, reps1, reduce): the kernel of d on S_{<=R} and its
-    basis, the cokernel dimension and its non-pivot columns, and the
-    residual of a {(head, letter): c} int vector modulo all rows.
+    basis, the cokernel dimension and its non-pivot columns, and
+    ``reduce``, which takes a list of {(head, letter): c} int vectors to
+    their residuals modulo all rows and the vectors before each
+    (``IntEchelon.residuals``).
 
-    One kernel pass serves every read bound: S_{<=R} is a prefix of the
-    window's monomials (sorted by ``sort_key``), and ``kernel_basis``
-    finds a kernel vector at the last index it uses, so the kernel on
-    S_{<=R} is the vectors whose indices all lie in that prefix.
+    One elimination serves every read bound: the defect rows seed an
+    ``IntEchelon``, and ``kernel_basis`` reduces each d(s) in it once,
+    which stores d(s) as a row or finds a kernel vector of d modulo the
+    defects.  S_{<=R} is a prefix of the window's monomials (sorted by
+    ``sort_key``), and ``kernel_basis`` finds a kernel vector at the last
+    index it uses, so the kernel on S_{<=R} is the vectors whose indices
+    all lie in that prefix.
     """
     big = max(reads) + PAD
     monos = A.monomials_up_to(big)
@@ -566,11 +569,10 @@ def kahler_window(A: AlgebraPresentation, reads: list) -> dict:
     by_deg = [[] for _ in range(big + 1)]
     for h in monos:  # sorted by sort_key, so each bucket is too
         by_deg[A.degree(h)].append(h)
-    tuples, totdeg = [], []
+    tuples = []
     for d in range(big - 1, -1, -1):  # letters have degree 1
         for w in letters:
             tuples += [(h, w) for h in by_deg[d]]
-            totdeg += [d + 1] * len(by_deg[d])
     col_of = {t: i for i, t in enumerate(tuples)}
 
     def vec(terms):
@@ -582,28 +584,26 @@ def kahler_window(A: AlgebraPresentation, reads: list) -> dict:
             out[col] = out.get(col, 0) + c
         return out
 
-    ech_c = IntEchelon()
+    ech = IntEchelon()
     for rho in _leibniz_defects(A, letters):
         for h in monos:
             row = {}
             for (m, w), c in rho.items():
                 for hm, hc in A.mul_monomials(h, m).items():
                     row[(hm, w)] = row.get((hm, w), 0) + c * hc
-            ech_c.add(vec(row))
-    d_of = [vec(_kahler_d(A, s)) for s in monos]
-    kernel = kernel_basis([ech_c.reduce(d) for d in d_of])
-    for d in d_of:
-        ech_c.add(d)
+            ech.add(vec(row))
+    kernel = kernel_basis([vec(_kahler_d(A, s)) for s in monos], ech)
 
-    def reduce(terms):
-        return ech_c.reduce(vec(terms))
+    def reduce(forms):
+        return ech.residuals(vec(terms) for terms in forms)
 
-    pivots = ech_c.pivots()
     results = {}
     for R in reads:
-        reps1 = tuple(tuples[c] for c, d in enumerate(totdeg)
-                      if d <= R and c not in pivots)
-        n = len(A.monomials_up_to(R))
+        n = sum(map(len, by_deg[:R + 1]))
+        # the columns of total degree <= R: the last ones, h of degree < R
+        first = len(tuples) - len(letters) * (n - len(by_deg[R]))
+        reps1 = tuple(tuples[c] for c in range(first, len(tuples))
+                      if c not in ech.rows)
         reps0 = tuple(
             Form._trusted(A, 0, {(monos[i],): c for i, c in combo.items()})
             for combo in kernel if max(combo) < n)

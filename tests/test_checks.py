@@ -27,8 +27,8 @@ def _non_member_product(x, y):
     return EvenForm(A, {0: Form(A, 0, {(A.one(),): Fraction(1, CFG.p)})})
 
 
-def _negated_oracle(g, gens, real=checks.membership_oracle):
-    return not real(g, gens)
+def _negated_oracle(g, gens, shift=None, real=checks.membership_oracle):
+    return not real(g, gens, shift)
 
 
 CASES = {
@@ -56,3 +56,20 @@ def test_suite_reports_a_broken_law(name, monkeypatch):
     assert res.name == name
     assert res.passed is False and res.checks >= 1
     assert detail in res.detail, res.detail
+
+
+def test_suite_groebner_computes_each_filtration_shift_once(monkeypatch):
+    """suite_groebner passes each corpus ideal's shift l to the oracle,
+    which then computes none itself: at most one filtration_shift call
+    per ideal, wherever it is looked up."""
+    from hacalc import groebner
+    calls = []
+
+    def counted(gens, real=groebner.filtration_shift):
+        calls.append(gens)
+        return real(gens)
+
+    monkeypatch.setattr(groebner, "filtration_shift", counted)
+    monkeypatch.setattr(checks, "filtration_shift", counted)
+    assert checks.suite_groebner(40, 0).passed
+    assert 0 < len(calls) <= len(checks.groebner_corpus())

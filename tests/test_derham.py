@@ -114,6 +114,22 @@ def test_curve_class_count_must_be_h1():
         _curve_reps(CURVE, u, v, reduce, 3)
 
 
+def test_curve_reps_refuses_classes_dependent_modulo_the_boundaries():
+    """The window's reduce takes each form modulo the boundaries and the
+    forms before it: a class read twice leaves nothing the second time,
+    and _curve_reps refuses it."""
+    from hacalc.derham import _curve_reps, _poly_bezout
+    u, v, _ = _poly_bezout([0, -1, 0, 1], [-1, 0, 3])
+    reduce = stable_read(CURVE, 20)[4]
+    x, y = CURVE.generator_monomial("x"), CURVE.generator_monomial("y")
+    form = {**{((k, 1), x): c for k, c in enumerate(u) if c},
+            **{((k, 0), y): 2 * c for k, c in enumerate(v) if c}}
+    first, again = reduce([form, form])
+    assert first and not again
+    with pytest.raises(Mismatch, match="not independent modulo"):
+        _curve_reps(CURVE, u, v, lambda forms: reduce(forms[:1] * 2), 2)
+
+
 def _dense_curve_cokernel(f_coeffs, N):
     """Oracle: assemble d on x^i y^j (j <= 1), row-reduce, read cokernel.
 

@@ -12,7 +12,7 @@ from hacalc import checks, ncforms
 from hacalc.checks import (presentations, random_form, random_monomial,
                            suite_forms)
 from hacalc.errors import DomainError, NotCommutative, WrongDegree
-from hacalc.linalg import SparseEchelon, kernel_basis
+from hacalc.linalg import IntEchelon, SparseEchelon, kernel_basis
 from hacalc.ncforms import (PAD, CommutatorQuotient, Form, MixedForm,
                             commutator_vectors, d_product, differential,
                             fedosov, form_multiply, hochschild_b1,
@@ -20,6 +20,7 @@ from hacalc.ncforms import (PAD, CommutatorQuotient, Form, MixedForm,
                             one_form_tuples, xcomplex_boundary_checks,
                             xcomplex_homology)
 from hacalc.scalars import PrimeConfig
+from test_window_goldens import WINDOWS
 
 POLY = AlgebraPresentation.polynomial()
 LAURENT = AlgebraPresentation.laurent()
@@ -479,27 +480,101 @@ def test_xcomplex_against_dense_oracle(A, D, expected):
     assert dims == expected
 
 
+def _random_vectors(rng, count):
+    """Small int vectors over columns 0..5, with repeats, empties and
+    combinations of earlier ones, so kernels are common."""
+    vs = []
+    for _ in range(count):
+        roll = rng.random()
+        if roll < 0.15:
+            vs.append({})
+        elif roll < 0.3 and vs:
+            vs.append(dict(rng.choice(vs)))
+        elif roll < 0.45 and len(vs) > 1:
+            a, b = rng.sample(vs, 2)
+            vs.append({c: a.get(c, 0) + 2 * b.get(c, 0)
+                       for c in {**a, **b}})
+        else:
+            vs.append({rng.randrange(6): rng.choice([1, -2, 3, 4, -6])
+                       for _ in range(rng.randint(1, 3))})
+    return vs
+
+
+def _seeded(rows):
+    ech = IntEchelon()
+    for row in rows:
+        ech.add(row)
+    return ech
+
+
 def test_kernel_basis_keeps_prefixes():
-    # kahler_window reads the kernel at every bound off one pass
+    # kahler_window reads the kernel at every bound off one pass, in an
+    # echelon seeded with the Leibniz defects
     rng = random.Random(3)
-    for _ in range(60):
-        vs = []
-        for _ in range(rng.randint(0, 12)):
-            roll = rng.random()
-            if roll < 0.15:
-                vs.append({})
-            elif roll < 0.3 and vs:
-                vs.append(dict(rng.choice(vs)))
-            elif roll < 0.45 and len(vs) > 1:
-                a, b = rng.sample(vs, 2)
-                vs.append({c: a.get(c, 0) + 2 * b.get(c, 0)
-                           for c in {**a, **b}})
-            else:
-                vs.append({rng.randrange(6): rng.choice([1, -2, 3, 4, -6])
-                           for _ in range(rng.randint(1, 3))})
-        full = kernel_basis(vs)
+    for trial in range(120):
+        vs = _random_vectors(rng, rng.randint(0, 12))
+        rows = _random_vectors(rng, rng.randint(1, 3)) if trial % 2 else []
+        full = kernel_basis(vs, _seeded(rows))
         for n in range(len(vs) + 1):
-            assert kernel_basis(vs[:n]) == [c for c in full if max(c) < n]
+            assert kernel_basis(vs[:n], _seeded(rows)) == \
+                [c for c in full if max(c) < n]
+
+
+def test_kernel_basis_is_the_kernel_modulo_the_seeded_rows():
+    """Against brute force: each returned combination maps into the span
+    of the seeded rows (a rational SparseEchelon), their number is
+    n - (rank(rows + vectors) - rank(rows)) by dense elimination, and the
+    echelon then spans the rows and the vectors."""
+    rng = random.Random(5)
+    for _ in range(80):
+        vs = _random_vectors(rng, rng.randint(1, 9))
+        rows = _random_vectors(rng, rng.randint(1, 4))
+        ech = _seeded(rows)
+        kernel = kernel_basis(vs, ech)
+        span = SparseEchelon()
+        for row in rows:
+            span.add(row)
+        for combo in kernel:
+            image = {}
+            for i, c in combo.items():
+                for col, v in vs[i].items():
+                    image[col] = image.get(col, 0) + c * v
+            assert span.contains(image), (rows, vs, combo)
+        rank = len(_dense_rref_basis(rows, 6)[1])
+        rank_all = len(_dense_rref_basis(rows + vs, 6)[1])
+        assert len(kernel) == len(vs) - (rank_all - rank)
+        assert not any(ech.residuals(rows + vs))
+    # with row {2: 1, 3: 1}, d0 - d1 is that row: a kernel vector that a
+    # kernel of the residuals {1: 1, 2: 1, 3: 1} and {1: 1}, reduced only
+    # up to their first column without a pivot, does not see
+    ech = _seeded([{2: 1, 3: 1}])
+    d = [{1: 1, 2: 1, 3: 1}, {1: 1}]
+    assert kernel_basis([ech.reduce(v) for v in d]) == []
+    assert kernel_basis(d, ech) == [{0: 1, 1: -1}]
+
+
+def test_residuals_are_exact_modulo_the_rows_and_the_earlier_vectors():
+    """v1 = {1: 1, 2: 1, 3: 1} and v2 = {1: 1} differ by the row
+    {2: 1, 3: 1}.  Their residuals stop at column 1, the first without a
+    pivot, so a fresh echelon of the residuals keeps both (pivots 1 and
+    2); reduced into a copy of the rows, v2 leaves nothing."""
+    ech = _seeded([{2: 1, 3: 1}])
+    v1, v2 = {1: 1, 2: 1, 3: 1}, {1: 1}
+    fresh = IntEchelon()
+    assert [fresh.add(ech.reduce(v)) for v in (v1, v2)] == [1, 2]
+    assert ech.residuals([v1, v2]) == [{1: 1, 2: 1, 3: 1}, {}]
+    assert list(ech.rows) == [2]
+    # against the rational reference, on random rows and vectors
+    rng = random.Random(6)
+    for _ in range(80):
+        rows = _random_vectors(rng, rng.randint(0, 4))
+        vs = _random_vectors(rng, rng.randint(1, 6))
+        span = SparseEchelon()
+        for row in rows:
+            span.add(row)
+        for v, res in zip(vs, _seeded(rows).residuals(vs)):
+            assert bool(res) == (not span.contains(v)), (rows, vs)
+            span.add(v)
 
 
 def test_kernel_basis_returns_kernel_vectors_and_refuses_fractions():
@@ -544,6 +619,28 @@ def test_kahler_window_reads_each_bound_as_alone(A):
         assert [str(e) for e in both[R][2]] == [str(e) for e in reps0]
 
 
+@pytest.mark.parametrize("name", list(WINDOWS))
+def test_window_kernel_lies_in_the_defect_span(name):
+    """d of each reps0 vector, the 1-form sum c (1; m), lies in the raw
+    commutator span, which on a commutative presentation is the span of
+    the Leibniz defects h rho(a, b); at R + PAD + 2 it holds every row
+    h rho(a, b) of the window."""
+    A, D = WINDOWS[name]
+    for R in range(D + 1):
+        reps0 = kahler_window(A, [R])[R][2]
+        bound = R + PAD + 2
+        col = {t: i for i, t in enumerate(one_form_tuples(A, bound))}
+        span = SparseEchelon()
+        for v in commutator_vectors(A, bound):
+            span.add({col[k]: c for k, c in v.items()})
+        one = A.one()
+        for x in reps0:
+            assert not x.is_zero()
+            image = {col[(one, m)]: c for (m,), c in x.num.items()
+                     if not A.is_unit_monomial(m)}
+            assert span.contains(image), (name, R, str(x))
+
+
 def test_xcomplex_polynomial():
     rep = xcomplex_homology(POLY, CFG, 10)
     assert (rep.h0, rep.h1) == (1, 0)
@@ -583,7 +680,6 @@ def test_xcomplex_curve_expected_classes():
     """r dx/y = u y dx + 2 v dy with u f + v f' = r and its x-multiple
     are independent nonzero classes in the computed quotient."""
     from hacalc.derham import _poly_bezout
-    from hacalc.linalg import IntEchelon
     A, D = CURVE, 12
     big = D + 2
     tuples = sorted(one_form_tuples(A, big),
@@ -598,7 +694,7 @@ def test_xcomplex_curve_expected_classes():
             ech.add({col[(one, s)]: 1})
     u, v, _ = _poly_bezout([0, -1, 0, 1], [-1, 0, 3])
     x_, y_ = A.generator_monomial("x"), A.generator_monomial("y")
-    check = IntEchelon()
+    vecs = []
     for j in (0, 1):
         vec = {}
         for k, c in enumerate(u):
@@ -609,9 +705,9 @@ def test_xcomplex_curve_expected_classes():
             if c:
                 head = (j + k, 0)
                 vec[col[(head, y_)]] = vec.get(col[(head, y_)], 0) + 2 * c
-        residual = ech.reduce(vec)
-        assert residual, "dx/y class must not be a boundary"
-        assert check.add(residual) is not None
+        vecs.append(vec)
+    # each residual is taken modulo the boundaries and the class before it
+    assert all(ech.residuals(vecs)), "dependent modulo the boundaries"
 
 
 def test_xcomplex_rejects_noncommutative():
