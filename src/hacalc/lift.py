@@ -1,14 +1,17 @@
-"""Connections, a pointwise Hochschild calculus, and multiplicative liftings.
-
-A cochain is a plain callable from monomials to homogeneous forms; the
-coboundary evaluates it at one point.
+"""Connections, multiplicative liftings, and their curvature test.
 
 The connection vanishes on the generator differentials and is extended
 by nabla(d(uv)) = nabla(du) v + du dv + u nabla(dv).  From it the
 recursion builds 1-cochains phi_0, phi_2 = -nabla d, phi_4, ... with
 delta(phi_{2k}) = psi_{2k}, so that their partial sums are linear
 sections of the projection from even forms back to the algebra with
-curvature vanishing below form degree 2(n+1).
+curvature vanishing below form degree 2(n+1).  Here delta is the
+Hochschild coboundary (delta f)(x, y) = x f(y) - f(xy) + f(x) y.
+
+Each value (nabla d, phi_{2k}, psi_{2k}) and each test of
+delta(phi_{2k}) = psi_{2k} at a pair is summed in one
+:class:`~hacalc.ncforms.FormSum`: the products are added straight into
+one dict of numerators, with no form per summand.
 
 Idempotent lifting over Z/p^N uses the series sum binom(2n-1, n) x^n with
 x = e - e^2.
@@ -18,26 +21,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cache
 
 from .algebra import AlgebraPresentation, int_entries
 from .errors import InvalidConnection, NotApproxIdempotent
-from .ncforms import Form, combine, d_product, form_multiply
+from .ncforms import Form, FormSum, d_product, form_multiply
 from .scalars import PrimeConfig
 
 
 def _mono_form(A, m: tuple) -> Form:
     return Form._trusted(A, 0, {(m,): 1})
-
-
-def hochschild_delta(A: AlgebraPresentation, f, x: tuple, y: tuple) -> Form:
-    """The Hochschild coboundary of the 1-cochain f at (x, y):
-    x f(y) - f(xy) + f(x) y."""
-    fy = f(y)
-    return combine(A, fy.degree, [
-        (1, form_multiply(_mono_form(A, x), fy)),
-        (1, form_multiply(f(x), _mono_form(A, y))),
-        *((-c, f(m)) for m, c in A.mul_monomials(x, y).items())])
 
 
 # ---------------------------------------------------------------------------
@@ -49,7 +42,9 @@ class Connection:
     """The connection with nabla(d a) = 0 for every generator a.
 
     On laurent presentations d(1) = 0 forces the value on the formal
-    inverse:  nabla(d t^-1) = -t^-1 dt dt^-1.
+    inverse:  nabla(d t^-1) = -t^-1 dt dt^-1.  ``values`` holds the value
+    on each letter; :meth:`nabla_d` remembers what it built from them,
+    so they are not to change after the first call.
     """
 
     def __init__(self, A: AlgebraPresentation):
@@ -60,23 +55,33 @@ class Connection:
             ft, finv = _mono_form(A, t), _mono_form(A, tinv)
             vals[tinv] = form_multiply(finv, d_product(ft, finv)).scale(-1)
         self.values = vals
+        self._nabla_d = {}
 
     def nabla_d(self, m: tuple) -> Form:
-        """nabla(dm) via the canonical word of m."""
+        """nabla(dm), memoized: m = u v with v the last letter of the
+        canonical word of m, whose other letters are the word of u, and
+        nabla(d(u v)) = nabla(du) v + du dv + u nabla(dv)."""
+        try:
+            return self._nabla_d[m]
+        except KeyError:
+            pass
         A = self.presentation
         word = A.word_of(m)
         if not word:
-            result = Form(A, 2)  # d(unit) = 0
+            out = Form(A, 2)  # d(unit) = 0
+        elif len(word) == 1:
+            out = self.values[m]
         else:
-            result = self.values[word[0]]
-            acc = word[0]
-            for letter in word[1:]:
-                # nabla(d(u v)) = nabla(du) v + du dv + u nabla(dv)
-                u, v = _mono_form(A, acc), _mono_form(A, letter)
-                result = (form_multiply(result, v) + d_product(u, v)
-                          + form_multiply(u, self.values[letter]))
-                (acc,) = A.mul_monomials(acc, letter)
-        return result
+            v = word[-1]
+            u = m[:-1] if A.kind == "free" else A.cofactor(m, v)
+            fu, fv = _mono_form(A, u), _mono_form(A, v)
+            acc = FormSum()
+            acc.add_product(1, self.nabla_d(u), fv)
+            acc.add_d_product(1, fu, fv)
+            acc.add_product(1, fu, self.values[v])
+            out = acc.form(A, 2)
+        self._nabla_d[m] = out
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +99,10 @@ class LiftingTower:
                    - sum_{0<j<k} phi_{2j} u phi_{2(k-j)},
         phi_{2k}(x) = sum x0 psi_{2k}(x1, x2)   (k >= 2)
                       over the tuples of phi_2(x).
+
+    Every value is summed in one dict and remembered per argument, and
+    so is the verdict of :meth:`closes`, which the recursion and the
+    curvature check share.
     """
 
     def __init__(self, nabla: Connection):
@@ -101,23 +110,24 @@ class LiftingTower:
         self.nabla = nabla
         self._phi = {}
         self._psi = {}
+        self._closes = {}
 
     def phi(self, k: int, m: tuple) -> Form:
-        A = self.presentation
         key = (k, m)
         try:
             return self._phi[key]
         except KeyError:
             pass
         if k == 0:
-            out = _mono_form(A, m)
+            out = _mono_form(self.presentation, m)
         elif k == 1:
             out = self.nabla.nabla_d(m).scale(-1)
         else:
             phi2 = self.phi(1, m)
-            out = combine(A, 2 * k, (
-                (c, form_multiply(_mono_form(A, x0), self.psi(k, x1, x2)))
-                for (x0, x1, x2), c in phi2.num.items()), phi2.den)
+            acc = FormSum()
+            for (x0, x1, x2), c in phi2.num.items():
+                acc.add_product(c, self.phi(0, x0), self.psi(k, x1, x2))
+            out = acc.form(self.presentation, 2 * k, phi2.den)
         self._phi[key] = out
         return out
 
@@ -129,21 +139,37 @@ class LiftingTower:
         except KeyError:
             pass
         phi = self.phi
-        out = combine(self.presentation, 2 * k, [
-            *((1, d_product(phi(j, x), phi(k - 1 - j, y)))
-              for j in range(k)),
-            *((-1, form_multiply(phi(j, x), phi(k - j, y)))
-              for j in range(1, k))])
-        self._psi[key] = out
+        acc = FormSum()
+        for j in range(k):
+            acc.add_d_product(1, phi(j, x), phi(k - 1 - j, y))
+        for j in range(1, k):
+            acc.add_product(-1, phi(j, x), phi(k - j, y))
+        out = self._psi[key] = acc.form(self.presentation, 2 * k)
+        return out
+
+    def closes(self, k: int, x: tuple, y: tuple) -> bool:
+        """Whether delta(phi_{2k}) = psi_{2k} at (x, y), memoized: the
+        one sum x phi_{2k}(y) + phi_{2k}(x) y - sum c phi_{2k}(m) -
+        psi_{2k}(x, y), over the terms c m of xy, is tested for zero."""
+        key = (k, x, y)
+        try:
+            return self._closes[key]
+        except KeyError:
+            pass
+        phi = self.phi
+        acc = FormSum()
+        acc.add_product(1, phi(0, x), phi(k, y))
+        acc.add_product(1, phi(k, x), phi(0, y))
+        for m, c in self.presentation.mul_monomials(x, y).items():
+            acc.add(-c, phi(k, m))
+        acc.add(-1, self.psi(k, x, y))
+        out = self._closes[key] = acc.is_zero()
         return out
 
 
 def _check_phi(tower: LiftingTower, k: int, pairs) -> bool:
     """delta(phi_{2k}) = psi_{2k} at every pair."""
-    A = tower.presentation
-    phi = partial(tower.phi, k)
-    return all(hochschild_delta(A, phi, x, y) == tower.psi(k, x, y)
-               for x, y in pairs)
+    return all(tower.closes(k, x, y) for x, y in pairs)
 
 
 def _letter_pairs(A: AlgebraPresentation, cap: int) -> list:
@@ -157,6 +183,11 @@ def _letter_pairs(A: AlgebraPresentation, cap: int) -> list:
     """
     return [(x, v) for x in A.monomials_up_to(cap) for v in A.letters
             if A.degree(x) + A.degree(v) <= cap]
+
+
+def _check_order(n: int, cap: int) -> None:
+    if n < 0 or cap < 0:
+        raise ValueError(f"order and cap must be >= 0, got {n}, {cap}")
 
 
 def phi_psi_recursion(nabla: Connection, n_max: int,
@@ -173,8 +204,7 @@ def phi_psi_recursion(nabla: Connection, n_max: int,
     first generator x, since nabla d(x^2) = dx dx.  So a failure on
     generator pairs is a failure for either sign.
     """
-    if n_max < 0 or cap < 0:
-        raise ValueError(f"order and cap must be >= 0, got {n_max}, {cap}")
+    _check_order(n_max, cap)
     tower = LiftingTower(nabla)
     A = nabla.presentation
     gen_pairs = [(a, b) for a in A.letters for b in A.letters]
@@ -191,9 +221,10 @@ def phi_psi_recursion(nabla: Connection, n_max: int,
 # ---------------------------------------------------------------------------
 
 
-def _form_weight(A, form: Form):
-    return max((sum(A.degree(m) for m in key) for key in form.num),
-               default=0)
+def _form_weight(degree, form: Form):
+    """The largest total degree of a tuple of the form, for ``degree`` a
+    map from monomials to their degrees."""
+    return max((sum(map(degree, key)) for key in form.num), default=0)
 
 
 @dataclass(frozen=True)
@@ -218,20 +249,26 @@ def section_curvature_check(tower: LiftingTower, n: int,
     compare with the all-pairs check; ``pairs_checked`` counts the
     letter pairs.
 
+    Each test is the tower's memoized verdict (:meth:`LiftingTower.closes`),
+    so the k = 1 pass that :func:`phi_psi_recursion` made is not redone.
+    A negative order or cap raises ``ValueError``.
+
     Also measures the filtration constant a with
     phi_{2k}(F_i) <= F_{i+(2k-1)a} of the even forms.
     """
+    _check_order(n, cap)
     A = tower.presentation
     pairs = _letter_pairs(A, cap)
     bad = next((2 * k for k in range(n, 0, -1)
                 if not _check_phi(tower, k, pairs)), None)
+    degree = cache(A.degree)
     a = 0
     for k in range(1, n + 1):
         for m in A.monomials_up_to(cap):
-            i = A.degree(m)
+            i = degree(m)
             if i == 0:
                 continue
-            w = _form_weight(A, tower.phi(k, m))
+            w = _form_weight(degree, tower.phi(k, m))
             if w > i:
                 a = max(a, -((i - w) // (2 * k - 1)))
     return CurvatureReport(n, bad is None, bad, a, len(pairs))

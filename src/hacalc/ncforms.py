@@ -21,6 +21,9 @@ Two kernels make every product of forms: :func:`form_multiply`, the
 Leibniz rule, reading monomial products from the presentation's
 ``product_table``, and :func:`d_product`, the concatenation
 d(x0 dx1 ... dxn) d(y0 dy1 ... dym) = 1 dx0 ... dxn dy0 ... dym.
+Each is a thin wrapper over a core that adds s times the product into a
+dict of numerators; :class:`FormSum` sums many products and forms that
+way, over the lcm of their denominators, with no form per summand.
 
 For commutative S the commutator quotient Omega^1 S/[S, Omega^1 S] is
 the module of Kahler differentials, because [x, y dz] expands to the
@@ -182,29 +185,72 @@ def _check_exact(c) -> None:
 
 
 def combine(A: AlgebraPresentation, n: int, scaled, den: int = 1) -> Form:
-    """The n-form (sum of c f over the (c, f) pairs, c an int) / den.
-
-    The numerators meet in one dict over the lcm of the denominators,
-    which is reduced once, in the result.
-    """
-    out = {}
-    get = out.get
-    common = 1
+    """The n-form (sum of c f over the (c, f) pairs, c an int) / den,
+    summed in one :class:`FormSum`."""
+    acc = FormSum()
     for c, f in scaled:
         if f.degree != n:
             raise WrongDegree("cannot add forms of different degree")
-        d = f.den
-        if d != common:
-            big = lcm(common, d)
-            if big != common:
-                up = big // common
-                for k in out:
-                    out[k] *= up
-                common = big
-            c *= common // d
+        acc.add(c, f)
+    return acc.form(A, n, den)
+
+
+class FormSum:
+    """A running sum of forms of one degree: integer numerators in one
+    dict over one denominator.
+
+    Each summand joins at the lcm of the denominators so far, so the sum
+    is reduced once, in :meth:`form`.  The products are added by the
+    cores of :func:`form_multiply` and :func:`d_product` straight into
+    the dict, with no intermediate form.  Summands are trusted to have
+    the sum's degree.
+    """
+
+    __slots__ = ("num", "den")
+
+    def __init__(self):
+        self.num = {}
+        self.den = 1
+
+    def _lift(self, c: int, d: int) -> int:
+        """c rescaled for a summand over d, once the numerators so far
+        sit over lcm(den, d)."""
+        common = self.den
+        if d == common:
+            return c
+        big = lcm(common, d)
+        if big != common:
+            up = big // common
+            num = self.num
+            for k in num:
+                num[k] *= up
+            self.den = big
+        return c * (big // d)
+
+    def add(self, c: int, f: Form) -> None:
+        """sum += c f."""
+        c = self._lift(c, f.den)
+        out = self.num
+        get = out.get
         for k, v in f.num.items():
             out[k] = get(k, 0) + c * v
-    return Form._trusted(A, n, out, common * den)
+
+    def add_product(self, c: int, omega: Form, eta: Form) -> None:
+        """sum += c omega eta."""
+        _multiply_into(self.num, self._lift(c, omega.den * eta.den),
+                       omega, eta)
+
+    def add_d_product(self, c: int, omega: Form, eta: Form) -> None:
+        """sum += c d(omega) d(eta)."""
+        _d_product_into(self.num, self._lift(c, omega.den * eta.den),
+                        omega, eta)
+
+    def is_zero(self) -> bool:
+        return not any(self.num.values())
+
+    def form(self, A: AlgebraPresentation, n: int, den: int = 1) -> Form:
+        """The n-form sum / den."""
+        return Form._trusted(A, n, self.num, self.den * den)
 
 
 def differential(omega: Form) -> Form:
@@ -224,22 +270,34 @@ def form_multiply(omega: Form, eta: Form) -> Form:
     (x0 dx1...dxn)(y0 dy1...dym) expands as the sum over j of
     (-1)^(n-j) x0 dx1 ... d(xj x_{j+1}) ... dxn dy1 ... dym with
     x_{n+1} = y0 (for j = 0 the product x0 x1 is the head); d-slots that
-    receive the unit monomial vanish.  For j < n the merged product
-    does not involve eta, so each key prefix is built once per tuple of
-    omega, and y0 sits in a d-slot, so a unit y0 leaves only j = n.
-    The numerators multiply as ints over den1 den2.
+    receive the unit monomial vanish.  The numerators multiply as ints
+    over den1 den2, in :func:`_multiply_into`.
     """
+    out = {}
+    _multiply_into(out, 1, omega, eta)
+    return Form._trusted(omega.presentation, omega.degree + eta.degree,
+                         out, omega.den * eta.den)
+
+
+def _multiply_into(out: dict, s: int, omega: Form, eta: Form) -> None:
+    """out += s num(omega) num(eta), the core of :func:`form_multiply`.
+
+    For j < n the merged product does not involve eta, so each key
+    prefix is built once per tuple of omega, and y0 sits in a d-slot, so
+    a unit y0 leaves only j = n.  New keys join ``out`` in the order of
+    the loops: tuples of omega, then of eta, then the summands j.
+    """
+    if not (omega.num and eta.num):
+        return
     A = omega.presentation
     n = omega.degree
-    if not (omega.num and eta.num):
-        return Form._trusted(A, n + eta.degree, {})
     table, unit = A.product_table, A.is_unit_monomial
     etas = [(ys, ys[0], ys[1:], c2, unit(ys[0]))
             for ys, c2 in eta.num.items()]
     any_inner = n and not all(y0_unit for *_, y0_unit in etas)
-    out = {}
     get = out.get
     for xs, c1 in omega.num.items():
+        c1 *= s
         # the j < n summands as (key prefix, signed coefficient)
         inner = [(xs[:j] + (mm,) + xs[j + 2:], -mc if (n - j) % 2 else mc)
                  for j in range(n if any_inner else 0)
@@ -257,7 +315,6 @@ def form_multiply(omega: Form, eta: Form) -> Form:
                     continue
                 key = pre + (mm,) + tail
                 out[key] = get(key, 0) + (c if mc == 1 else c * mc)
-    return Form._trusted(A, n + eta.degree, out, omega.den * eta.den)
 
 
 def d_product(omega: Form, eta: Form) -> Form:
@@ -265,13 +322,26 @@ def d_product(omega: Form, eta: Form) -> Form:
     per pair of tuples with non-unit heads: distinct pairs give distinct
     keys, in the order of form_multiply(differential(omega),
     differential(eta))."""
+    out = {}
+    _d_product_into(out, 1, omega, eta)
+    return Form._trusted(omega.presentation, omega.degree + eta.degree + 2,
+                         out, omega.den * eta.den)
+
+
+def _d_product_into(out: dict, s: int, omega: Form, eta: Form) -> None:
+    """out += s num(d omega) num(d eta), the core of :func:`d_product`."""
     A = omega.presentation
     unit, one = A.is_unit_monomial, (A.one(),)
     etas = [(ys, c2) for ys, c2 in eta.num.items() if not unit(ys[0])]
-    return Form._trusted(A, omega.degree + eta.degree + 2, {
-        one + xs + ys: c1 * c2
-        for xs, c1 in omega.num.items() if not unit(xs[0])
-        for ys, c2 in etas}, omega.den * eta.den)
+    get = out.get
+    for xs, c1 in omega.num.items():
+        if unit(xs[0]):
+            continue
+        c1 *= s
+        head = one + xs
+        for ys, c2 in etas:
+            key = head + ys
+            out[key] = get(key, 0) + c1 * c2
 
 
 class MixedForm:

@@ -16,8 +16,8 @@ from hacalc.derham import h_dr
 from hacalc.graphs import DirectedGraph, ha_cohn, ha_leavitt
 from hacalc.groebner import (filtered_noetherian_witness, membership_oracle,
                              strong_divide, strong_gb)
-from hacalc.lift import (Connection, hochschild_delta, lift_idempotent,
-                         phi_psi_recursion, section_curvature_check)
+from hacalc.lift import (Connection, lift_idempotent, phi_psi_recursion,
+                         section_curvature_check)
 from hacalc.scalars import PrimeConfig
 
 
@@ -101,7 +101,8 @@ def test_criterion_05_elliptic_curve():
 
 
 def test_criterion_06_lifting_recursion():
-    from test_lift import _dcupd, _pairs, hochschild_delta2, triples
+    from test_lift import (_dcupd, _pairs, hochschild_delta,
+                           hochschild_delta2, triples)
     t0 = time.time()
     for A in (AlgebraPresentation.polynomial(),
               AlgebraPresentation.laurent()):

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 
 import pytest
 
@@ -8,10 +8,10 @@ from hacalc import checks
 from hacalc.algebra import AlgebraPresentation
 from hacalc.errors import InvalidConnection, NotApproxIdempotent
 from hacalc.lift import (Connection, LiftingTower, _check_phi,
-                         hochschild_delta, lift_idempotent,
-                         phi_psi_recursion, section_curvature_check)
-from hacalc.ncforms import (Form, MixedForm, differential, fedosov_mixed,
-                            form_multiply)
+                         _letter_pairs, lift_idempotent, phi_psi_recursion,
+                         section_curvature_check)
+from hacalc.ncforms import (Form, MixedForm, d_product, differential,
+                            fedosov_mixed, form_multiply)
 from hacalc.scalars import PrimeConfig
 
 POLY = AlgebraPresentation.polynomial()
@@ -24,6 +24,47 @@ DTDT = Form(POLY, 2, {(ONE, T, T): 1})
 def mono(A, m) -> Form:
     """The monomial m as a 0-form."""
     return Form(A, 0, {(m,): 1})
+
+
+def fraction_sum(A, n, scaled, den=1) -> Form:
+    """The n-form (sum of c f over the (c, f) pairs) / den, added up in
+    Fractions: a reference for the sums of ``ncforms.FormSum`` that
+    shares none of its merge code."""
+    out = {}
+    for c, f in scaled:
+        for k, v in f.terms.items():
+            out[k] = out.get(k, 0) + Fraction(c * v, den)
+    return Form(A, n, out)
+
+
+def hochschild_delta(A, f, x, y) -> Form:
+    """The Hochschild coboundary of the 1-cochain f at (x, y):
+    x f(y) - f(xy) + f(x) y, a list of forms added up by
+    ``fraction_sum``: the oracle of ``LiftingTower.closes``."""
+    fy = f(y)
+    return fraction_sum(A, fy.degree, [
+        (1, form_multiply(mono(A, x), fy)),
+        (1, form_multiply(f(x), mono(A, y))),
+        *((-c, f(m)) for m, c in A.mul_monomials(x, y).items())])
+
+
+def word_walk_nabla_d(nabla: Connection, m) -> Form:
+    """nabla(dm) by a walk along the canonical word of m, one Leibniz step
+    nabla(d(u v)) = nabla(du) v + du dv + u nabla(dv) per letter: the
+    oracle of the memoized ``Connection.nabla_d``."""
+    A = nabla.presentation
+    word = A.word_of(m)
+    if not word:
+        return Form(A, 2)
+    result = nabla.values[word[0]]
+    acc = word[0]
+    for letter in word[1:]:
+        u, v = mono(A, acc), mono(A, letter)
+        result = fraction_sum(A, 2, [
+            (1, form_multiply(result, v)), (1, d_product(u, v)),
+            (1, form_multiply(u, nabla.values[letter]))])
+        (acc,) = A.mul_monomials(acc, letter)
+    return result
 
 
 def hochschild_delta2(A, f, x, y, z) -> Form:
@@ -455,7 +496,7 @@ def test_degree_constant_uniform_across_orders():
                 i = A.degree(m)
                 if i == 0:
                     continue
-                w = _form_weight(A, tower.phi(k, m))
+                w = _form_weight(A.degree, tower.phi(k, m))
                 if w > i:
                     a = max(a, -((i - w) // (2 * k - 1)))
             per_k.append(a)
@@ -468,3 +509,119 @@ def test_degree_constant_uniform_across_orders():
 def test_lift_idempotent_refuses_non_integer_entries(bad):
     with pytest.raises(ValueError, match="matrix entries must be integers"):
         lift_idempotent([[bad, 1], [0, 5]], PrimeConfig(5, 4))
+
+
+class SumTower(LiftingTower):
+    """The tower with phi_2 from the word walk, and each phi_{2k} (k >= 2)
+    and psi_{2k} a list of forms added up by ``fraction_sum``: the oracle
+    of the values the tower sums in one dict."""
+
+    @cache
+    def phi(self, k, m):
+        A = self.presentation
+        if k == 0:
+            return mono(A, m)
+        if k == 1:
+            return word_walk_nabla_d(self.nabla, m).scale(-1)
+        phi2 = self.phi(1, m)
+        return fraction_sum(A, 2 * k, [
+            (c, form_multiply(mono(A, x0), self.psi(k, x1, x2)))
+            for (x0, x1, x2), c in phi2.num.items()], phi2.den)
+
+    @cache
+    def psi(self, k, x, y):
+        phi = self.phi
+        return fraction_sum(self.presentation, 2 * k, [
+            *((1, d_product(phi(j, x), phi(k - 1 - j, y)))
+              for j in range(k)),
+            *((-1, form_multiply(phi(j, x), phi(k - j, y)))
+              for j in range(1, k))])
+
+
+class HalfInverseConnection(Connection):
+    """The laurent connection with its t^-1 value scaled by 1/2: its
+    values carry the denominator 2, and it breaks t t^-1 = 1, so
+    delta(phi_{2k}) != psi_{2k} at some pairs."""
+
+    def __init__(self, A):
+        super().__init__(A)
+        tinv = A.letters[-1]
+        self.values[tinv] = self.values[tinv].scale(Fraction(1, 2))
+
+
+@pytest.mark.parametrize("tower_cls", list(TOWERS.values()), ids=list(TOWERS))
+@pytest.mark.parametrize("A", list(ORACLE_CASES.values()),
+                         ids=list(ORACLE_CASES))
+def test_closes_is_the_coboundary_oracle(A, tower_cls):
+    """The memoized one-dict verdict is delta(phi_{2k}) == psi_{2k}, with
+    delta the coboundary summed in Fractions, at every pair inside the
+    cap."""
+    tower = tower_cls(Connection(A))
+    seen = set()
+    for k in (1, 2, 3):
+        phi = partial(tower.phi, k)
+        for x, y in _pairs(A, 6):
+            want = hochschild_delta(A, phi, x, y) == tower.psi(k, x, y)
+            assert tower.closes(k, x, y) == want, (k, x, y)
+            seen.add(want)
+    assert seen == ({True} if tower_cls is LiftingTower else {True, False})
+
+
+NABLA_CASES = {**PAIRS_CASES, "laurent-half": LAURENT}
+
+
+@pytest.mark.parametrize("name", list(NABLA_CASES))
+def test_nabla_d_is_the_word_walk(name):
+    """The memoized nabla d, built from the value at m / (its last
+    letter), is the word walk at every monomial up to degree 8, and
+    the verdicts on the pairs the recursion reads, in its order, are the
+    oracle's: an InvalidConnection comes from the same pair."""
+    A = NABLA_CASES[name]
+    nabla = (HalfInverseConnection if name == "laurent-half"
+             else Connection)(A)
+    for m in A.monomials_up_to(8):
+        assert nabla.nabla_d(m) == word_walk_nabla_d(nabla, m), m
+    tower = LiftingTower(nabla)
+    pairs = [(a, b) for a in A.letters for b in A.letters] \
+        + _letter_pairs(A, 4)
+    got = [tower.closes(1, x, y) for x, y in pairs]
+    want = [hochschild_delta(A, partial(SumTower(nabla).phi, 1), x, y)
+            == _dcupd(A, x, y) for x, y in pairs]
+    assert got == want
+    if name in ("plane_curve", "laurent-half"):
+        assert not all(want)
+    if all(want):
+        phi_psi_recursion(nabla, 1, 4)
+    else:
+        with pytest.raises(InvalidConnection):
+            phi_psi_recursion(nabla, 1, 4)
+
+
+def test_one_dict_values_with_denominators():
+    """Values over the denominator 2 are summed over the lcm of the
+    denominators and equal the oracle's Fraction sums, and the verdicts
+    match the oracle's at pairs where the defect is nonzero too."""
+    A = LAURENT
+    nabla = HalfInverseConnection(A)
+    tower, oracle = LiftingTower(nabla), SumTower(nabla)
+    assert tower.phi(1, (-1,)).den == 2
+    dens, verdicts = set(), set()
+    for k in (1, 2, 3):
+        for m in A.monomials_up_to(6):
+            assert tower.phi(k, m) == oracle.phi(k, m), (k, m)
+            dens.add(tower.phi(k, m).den)
+        phi = partial(oracle.phi, k)
+        for x, y in _pairs(A, 6):
+            assert tower.psi(k, x, y) == oracle.psi(k, x, y), (k, x, y)
+            want = hochschild_delta(A, phi, x, y) == oracle.psi(k, x, y)
+            assert tower.closes(k, x, y) == want, (k, x, y)
+            verdicts.add(want)
+    assert verdicts == {True, False}
+    assert max(dens) > 2
+
+
+@pytest.mark.parametrize("n, cap", [(-2, 6), (3, -1), (-1, -1)])
+def test_section_curvature_check_refuses_a_negative_order_or_cap(n, cap):
+    tower = phi_psi_recursion(Connection(LAURENT), 3, 6)
+    with pytest.raises(ValueError, match="order and cap must be >= 0"):
+        section_curvature_check(tower, n, cap)
