@@ -7,24 +7,45 @@ coefficient divides lc(g); greedy division by such a basis therefore
 decides membership.  Over the completed basis every multiplier has
 deg(multiplier * basis element) <= deg(g) by construction (division cancels
 at strictly decreasing deglex keys): the witness's shift is 0, and only its
-failures carry information.  Over the generators the shift l can be
-positive (2 over x^2 + 5, xy): ``filtration_shift`` computes it exactly
-from the completion, and the membership oracle's lattice climb stops at
-deg(g) + l.
+failures carry information.
+
+One lattice climb completes the basis (Lazard, "Groebner bases, Gaussian
+elimination and resolution of systems of algebraic equations", EUROCAL
+'83, LNCS 162, read over Z).  ``_climb`` adds to one ``ZLattice`` the
+products m * gen of degree <= B for B = 0, 1, ...; the lattice's rows
+are an echelon basis with positive pivots, so the row with pivot u leads
+with the generator of the leading coefficients of the members of degree
+<= B led by u.  The rows whose head (u, c) no other head strongly
+divides are the candidate; once B is large enough they are a strong
+basis, and ``strong_gb`` certifies that by the criterion of Kandri-Rody
+and Kapur (J. Symb. Comp. 6, 1988): every generator and every G- and
+S-polynomial of two candidate rows strongly reduces to 0 by them.
+
+The same climb gives the filtration shift l over the generators, the
+least l with every member g in the span of the products of degree <=
+deg(g) + l (2 over x^2 + 5, xy).  It is the largest (the first bound at
+which (u, c) is a pivot) - deg(u) over the basis heads (u, c).  Every g
+lies in the span at deg(g) + l, by induction on its leading term: its
+head is strongly divided by some (u, c), a member m * h with head m * u
+and h led by (u, c) lies in the span at deg(u) + l + deg(m) <= deg(g) +
+l, and subtracting its multiple leaves a member with a lower leading
+term and no larger degree.  One bound lower no member has the head that
+attains l, so l is least.  The membership oracle climbs a lattice of the
+same products and stops at deg(g) + l.
 
 The kernels key every term by its deglex key (deg, e) = (sum(e), e), so
 comparing two keys compares the monomials and the leading term is a plain
 ``max`` (Monagan and Pearce, "Sparse polynomial division using a heap",
 J. Symb. Comp. 46, 2011, keep monomials in such a directly comparable
-form).  ``IntPoly.terms`` stays keyed by exponent tuples.  A division row
-is a polynomial's head (deg, e, c), its deglex-leading term, and its other
-terms keyed the same way.  ``strong_gb`` completes and interreduces one
-list of rows, the ``StrongGB``'s division table, and builds each basis
-polynomial once from its final row; every basis element has a positive
-leading coefficient.  ``strong_divide`` reduces by the table, certificate
-degrees read the heads, and the membership oracle hands its lattice
-deglex-keyed columns.  Every entry point refuses polynomials in different
-numbers of variables.
+form); the lattice's columns are keyed the same way, so its pivot is the
+leading monomial.  ``IntPoly.terms`` stays keyed by exponent tuples.  A
+division row is a polynomial's head (deg, e, c), its deglex-leading term,
+and its other terms keyed the same way.  The ``StrongGB``'s division
+table is the certified rows sorted by head, and each basis polynomial is
+built once from its row; the rows are not interreduced, and every basis
+element has a positive leading coefficient.  ``strong_divide`` reduces
+by the table and certificate degrees read the heads.  Every entry point
+refuses polynomials in different numbers of variables.
 
 Types are checked at the boundary only.  The constructor
 ``IntPoly(nvars, terms)`` refuses any coefficient that is not an ``int``
@@ -34,13 +55,12 @@ between valid polynomials (``+``, ``-``, negation, ``*`` by an ``int`` or
 a polynomial), the division kernel's outputs and the basis are built
 trusted by ``IntPoly._trusted``, which takes a fresh dict as it is, zero
 entries dropped; the witness samples go to the division kernel, and the
-membership oracle's shifted generators m * gen to its lattice, as plain
-dicts.  Their exponents are sums of valid exponents.
+climb's shifted generators m * gen to its lattice, as plain dicts.  Their
+exponents are sums of valid exponents.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import json
 import math
@@ -239,21 +259,16 @@ def _division_row(terms: dict) -> tuple:
     return head, tuple(terms)
 
 
-def _positive(row) -> tuple:
-    """A division row times the sign of its leading coefficient."""
-    (d, e, c), tail = row
-    return row if c > 0 else (
-        (d, e, -c), tuple((td, te, -tc) for td, te, tc in tail))
-
-
 @dataclass(frozen=True)
 class StrongGB:
-    """A strong basis and its division table: ``table[i]`` is the division
-    row of ``polys[i]``.  The table holds only ints and tuples, so it
-    refers to nothing that could refer back."""
+    """A strong basis, its division table and the ideal's filtration
+    shift l over its generators: ``table[i]`` is the division row of
+    ``polys[i]``.  The table holds only ints and tuples, so it refers to
+    nothing that could refer back."""
 
     polys: tuple
     table: tuple = field(repr=False, compare=False)
+    shift: int = field(compare=False)
 
 
 def _strong_reduce(work: dict, table) -> tuple:
@@ -313,10 +328,6 @@ def _critical_pair(f, g) -> tuple:
     return tuple({k: c for k, c in X.items() if c} for X in (G, S))
 
 
-#: Pairs the completion may pop before it gives up with DomainError.
-MAX_PAIRS = 20000
-
-
 def _check_nvars(polys, nvars, what):
     """Refuse a polynomial whose variable count is not ``nvars``: the
     kernels zip exponent vectors, which would silently truncate."""
@@ -326,72 +337,93 @@ def _check_nvars(polys, nvars, what):
                              f"expected {nvars}")
 
 
-def strong_gb(gens) -> StrongGB:
-    """Buchberger completion over Z on one list of division rows.
+def _climb(gens, nvars):
+    """One Z-lattice of the products m * gen of the generators ``gens``,
+    climbed one degree bound at a time: yields (bound, lattice) for
+    bound = 0, 1, ..., the lattice then spanned by the products of degree
+    <= bound.  The columns at a bound are among those at the next,
+    so each product is added once, at its own degree.  Columns are keyed
+    (deg, e), so the lattice's pivot is a plain ``max``; each generator
+    is taken with a positive leading coefficient, as its products then
+    reach the lattice's positive pivots without a sign flip."""
+    lattice = ZLattice()
+    shifted = [(head[0], [(d, e, c if head[2] > 0 else -c)
+                          for d, e, c in (head, *tail)])
+               for head, tail in (_division_row(gen.terms)
+                                  for gen in gens if gen.terms)]
+    for bound in itertools.count():
+        for degree, terms in shifted:
+            k = bound - degree
+            for m in exponent_vectors(nvars, k):
+                lattice.add({(d + k, tuple(map(add, e, m))): c
+                             for d, e, c in terms})
+        yield bound, lattice
 
-    G-polynomials (Bezout combinations of leading coefficients) are
-    processed before S-polynomials of the same pair, in the normal
-    pair-selection strategy (smallest deglex lcm first).  A new row gets a
-    positive leading coefficient; the generators keep their signs, on
-    which the Bezout coefficients depend.  The rows are then interreduced,
-    given positive leading coefficients and sorted by head, and each basis
-    polynomial is built once, from its row.  Generators in different
-    numbers of variables raise ValueError; completion that pops more than
-    ``MAX_PAIRS`` pairs raises :class:`DomainError`.
+
+#: Degrees above its top generator the climb may go before DomainError.
+MAX_CLIMB = 32
+
+
+def strong_gb(gens) -> StrongGB:
+    """The strong basis and the filtration shift of the ideal of ``gens``,
+    read off one lattice climb (see the module docstring).
+
+    From the top generator degree on, each bound's candidate is the rows
+    whose head no other row's head strongly divides; it is certified when
+    the generators and the G- and S-polynomials of its pairs all strongly
+    reduce to 0 by it, else the climb goes on.  A candidate whose heads
+    failed at the last attempt is not tried again: the heads alone decide.
+    The basis is the certified rows, positive-headed and sorted by head.
+    Generators in different numbers of variables or none nonzero raise
+    ValueError; a climb ``MAX_CLIMB`` degrees above the top generator
+    without a certified candidate raises :class:`DomainError`.
     """
     gens = list(gens)
     if gens:
         _check_nvars(gens, gens[0].nvars, "a generator")
-    table = [_division_row(g.terms) for g in gens if g.terms]
-    if not table:
+    if all(gen.is_zero() for gen in gens):
         raise ValueError("need at least one nonzero generator")
-    # (deglex key of lcm(lm_i, lm_j), i, j): popped smallest lcm first
-    pairs = []
+    nvars, top = gens[0].nvars, max(gen.total_degree() for gen in gens)
+    first, failed = {}, None  # pivot -> (entry, first bound); failed heads
+    for bound, lattice in _climb(gens, nvars):
+        for u, row in lattice.rows.items():
+            if first.get(u, (None,))[0] != row[u]:
+                first[u] = (row[u], bound)
+        if bound < top:
+            continue
+        heads = []  # (d, e, c), ascending: a strong divisor comes first
+        for d, e in sorted(lattice.rows):
+            c = lattice.rows[(d, e)][(d, e)]
+            if not any(c % hc == 0 and all(map(le, he, e))
+                       for _, he, hc in heads):
+                heads.append((d, e, c))
+        if heads != failed:
+            table = [_division_row({e: c for (_, e), c in
+                                    lattice.rows[h[:2]].items()})
+                     for h in heads]
+            if _certified(gens, table):
+                break
+            failed = heads
+        if bound >= top + MAX_CLIMB:
+            raise DomainError(f"completion did not certify within "
+                              f"{MAX_CLIMB} degrees above the generators")
+    polys = (IntPoly._trusted(nvars, {e: c for _, e, c in (h, *t)})
+             for h, t in table)
+    shift = max(first[(d, e)][1] - d for d, e, _ in heads)
+    return StrongGB(tuple(polys), tuple(table), shift)
 
-    def push_pairs(k):
-        lm = table[k][0][1]
-        for t in range(k):
-            lcm = tuple(map(max, lm, table[t][0][1]))
-            heapq.heappush(pairs, ((sum(lcm), lcm), k, t))
 
-    for k in range(len(table)):
-        push_pairs(k)
-    popped = 0
-    while pairs:
-        popped += 1
-        if popped > MAX_PAIRS:
-            raise DomainError(f"completion did not terminate within "
-                              f"{MAX_PAIRS} pairs")
-        _, i, j = heapq.heappop(pairs)
-        for candidate in _critical_pair(table[i], table[j]):
-            nf, _ = _strong_reduce(candidate, table)
-            if nf:  # no row nor its negative: each divides its own head
-                table.append(_positive(_division_row(nf)))
-                push_pairs(len(table) - 1)
-    rows = sorted(map(_positive, _interreduce(table)), key=lambda r: r[0])
-    polys = (IntPoly._trusted(gens[0].nvars, {e: c for _, e, c in (h, *t)})
-             for h, t in rows)
-    return StrongGB(tuple(polys), tuple(rows))
-
-
-def _interreduce(table) -> list:
-    """The rows of a strong basis, each reduced once by the others.
-
-    A row either reduces to 0 by the others, which still form a strong
-    basis, or keeps its head, and no head moves when a tail does.  So one
-    pass suffices: an unchanged row keeps its place, a changed one goes
-    behind all rows and a zero one is dropped, and each row is reduced by
-    the others in the order a scan restarting after every change uses.
-    """
-    kept, moved = [], []
-    for k, (head, tail) in enumerate(table):
-        work = {(d, e): c for d, e, c in (head, *tail)}
-        nf, mult = _strong_reduce(work, kept + table[k + 1:] + moved)
-        if not mult:
-            kept.append(table[k])
-        elif nf:
-            moved.append(_division_row(nf))
-    return kept + moved
+def _certified(gens, table) -> bool:
+    """Whether every generator and every G- and S-polynomial of two rows
+    of ``table``, a division table of ideal members, strongly reduces to 0
+    by it: then it is a strong basis of the ideal (Kandri-Rody and Kapur,
+    J. Symb. Comp. 6, 1988)."""
+    return (all(not _strong_reduce({(sum(e), e): c
+                                    for e, c in gen.terms.items()}, table)[0]
+                for gen in gens)
+            and all(not _strong_reduce(p, table)[0]
+                    for f, g in itertools.combinations(table, 2)
+                    for p in _critical_pair(f, g)))
 
 
 def strong_divide(g: IntPoly, B: StrongGB) -> DivisionCertificate:
@@ -488,78 +520,6 @@ def _random_poly(steps: tuple, slots: tuple, choice) -> dict:
             if 0 in terms.values() else terms)
 
 
-# ---------------------------------------------------------------------------
-# Independent membership oracle via integer linear algebra
-# ---------------------------------------------------------------------------
-
-
-#: Degrees above deg(b) by which the shift climb must reach a basis element
-#: b before it gives up with DomainError.
-MAX_SHIFT = 32
-
-
-def _climb(gens, nvars):
-    """One Z-lattice of the products m * gen of the generators ``gens``,
-    climbed one degree bound at a time: yields (bound, lattice) for
-    bound = 0, 1, ..., the lattice then spanned by the products of degree
-    <= bound.  The columns at a bound are among those at the next,
-    so each product is added once, at its own degree.  Columns are keyed
-    (deg, e), so the lattice's pivot is a plain ``max``."""
-    lattice = ZLattice()
-    shifted = [(gen.total_degree(),
-                [(sum(e), e, c) for e, c in gen.terms.items()])
-               for gen in gens if gen.terms]
-    for bound in itertools.count():
-        for degree, terms in shifted:
-            k = bound - degree
-            for m in exponent_vectors(nvars, k):
-                lattice.add({(d + k, tuple(map(add, e, m))): c
-                             for d, e, c in terms})
-        yield bound, lattice
-
-
-def filtration_shift(gens) -> tuple:
-    """(l, shifts): the ideal's filtration shift over its generators.
-
-    ``shifts`` maps each element b of the strong basis, in basis order, to
-    s(b) = (the least bound at which b lies in the Z-span of the products
-    m * gen of degree <= bound) - deg(b), and l = max s(b); l = 0 and
-    ``shifts`` is empty for the zero ideal, which never reaches
-    ``strong_gb``.  One lattice climbs from bound 0 and tests, at each
-    bound, the basis elements of degree <= bound that have not entered.
-
-    Every member g has a standard representation g = sum q_b * b with
-    deg(q_b * b) <= deg(g) over a strong basis (Adams and Loustaunau, *An
-    Introduction to Groebner Bases*, AMS GSM 3, ch. 4), and each monomial
-    multiple m * b lies in the span at bound deg(m * b) + s(b).  So g lies
-    in the span at bound deg(g) + l.  The climb ends because every b is a
-    member; a basis element that has not entered MAX_SHIFT degrees above
-    its own raises DomainError.  Generators in different numbers of
-    variables raise ValueError before any work is done.
-    """
-    gens = list(gens)
-    if gens:
-        _check_nvars(gens, gens[0].nvars, "a generator")
-    if all(gen.is_zero() for gen in gens):
-        return 0, {}
-    basis = strong_gb(gens)
-    waiting = {i: (head[0], {(d, e): c for d, e, c in (head, *tail)})
-               for i, (head, tail) in enumerate(basis.table)}
-    shifts = {}
-    for bound, lattice in _climb(gens, gens[0].nvars):
-        for i, (degree, target) in list(waiting.items()):
-            if degree <= bound and lattice.contains(target):
-                shifts[i] = bound - degree
-                del waiting[i]
-        if not waiting:
-            break
-        if bound >= min(d for d, _ in waiting.values()) + MAX_SHIFT:
-            raise DomainError(f"a basis element is not in the ideal "
-                              f"{MAX_SHIFT} degrees above its own")
-    return max(shifts.values()), {b: shifts[i]
-                                  for i, b in enumerate(basis.polys)}
-
-
 def membership_oracle(g: IntPoly, gens, shift: int | None = None) -> bool:
     """Decide membership by integer linear algebra on one Z-lattice.
 
@@ -567,13 +527,13 @@ def membership_oracle(g: IntPoly, gens, shift: int | None = None) -> bool:
     products m * gen_i of degree <= b.  A member can need products of the
     raw generators above its own degree, e.g. 5y = y(x^2+5) - x(xy).  One
     lattice climbs from bound 0; g is tested from bound deg(g), and a miss
-    there asks ``filtration_shift`` for l and goes on up to deg(g) + l,
-    past which no member can first enter (see ``filtration_shift``).  The
-    bound rests on the completion, but every verdict is read from the
-    lattice: True is a combination found, False a miss at the exact
-    bound.  A member usually enters at deg(g), so l is computed only for
-    a miss, and only when no ``shift`` = l is passed (once per ideal).  A
-    generator in another number of variables than g raises ValueError.
+    there goes on up to deg(g) + l, past which no member can first enter
+    (see the module docstring).  Every verdict is read from the lattice:
+    True is a combination found, False a miss at the exact bound.  A
+    member usually enters at deg(g), so l is read from ``strong_gb`` only
+    on a miss, and only when no ``shift`` = l is passed (once per ideal);
+    the zero ideal has l = 0.  A generator in another number of variables
+    than g raises ValueError.
     """
     _check_nvars(gens, g.nvars, "a generator")
     if g.is_zero():
@@ -583,6 +543,8 @@ def membership_oracle(g: IntPoly, gens, shift: int | None = None) -> bool:
     _, lattice = next(itertools.islice(climb, g.total_degree(), None))
     if lattice.contains(target):
         return True
-    shift = filtration_shift(gens)[0] if shift is None else shift
+    if shift is None:
+        shift = (strong_gb(gens).shift
+                 if any(gen.terms for gen in gens) else 0)
     return any(lattice.contains(target)
                for _, lattice in itertools.islice(climb, shift))

@@ -10,9 +10,11 @@ raises ValueError and ``kernel_basis`` TypeError on a non-int entry.
 ``kernel_basis`` reduces each vector once, carrying an identity column, in
 an echelon the caller may seed with rows: the kernel is taken modulo them.
 ``ZLattice`` decides exact membership over Z: an echelon basis of the
-Z-span, kept with extended-gcd pivoting.  It takes no key function: its
-columns may be any comparable ids, and a row's pivot is its largest
-column (the Groebner oracle keys its columns by deglex keys (deg, e)).
+Z-span, kept with extended-gcd pivoting, positive pivot entries and each
+stored row Hermite-reduced at the pivot columns below its own.  It takes
+no key function: its columns may be any comparable ids, and a row's pivot
+is its largest column (the Groebner climb keys its columns by deglex keys
+(deg, e), so each row leads with the head of an ideal member).
 ``SparseEchelon`` keeps a reduced row echelon form over Q with canonical
 coset representatives; it is the only one that divides, the library no
 longer eliminates with it, and the tests use it as the rational
@@ -23,6 +25,7 @@ of a dense integer matrix, with no transforms.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 from fractions import Fraction
@@ -200,34 +203,57 @@ class ZLattice:
     """Incremental echelon basis of a Z-lattice: exact membership over Z.
 
     Vectors are sparse int dicts over comparable columns; a row's pivot
-    is its largest column, and each pivot has one row.  When an incoming
-    entry is not a multiple of the pivot entry, the row becomes the
-    Bezout combination (pivot entry gcd) and the unimodular complement,
-    zero at that pivot, carries on; the rows therefore always span exactly the
-    lattice of the added vectors.
+    is its largest column, each pivot has one row, and every pivot entry
+    is positive.  When an incoming entry is not a multiple of the pivot
+    entry, the row becomes the Bezout combination (pivot entry gcd) and
+    the unimodular complement, zero at that pivot, carries on; the rows
+    therefore always span exactly the lattice of the added vectors, and
+    the pivot entry at p generates the leading coefficients of the
+    lattice's members led by column p.
+
+    A row is stored reduced in the manner of the Hermite normal form
+    (Cohen, GTM 138, section 2.4.2): from its top column down, its entry
+    at each other pivot column c is brought into [0, pivot entry at c) by
+    subtracting a multiple of that row.  Only the stored row is reduced,
+    never the rows above it; that keeps a Groebner climb's entries to a
+    few hundred bits, where unreduced rows grew past 10^5 bits.
     """
 
     def __init__(self):
         self.rows = {}  # pivot column -> row dict
+        self._pivots = []  # the pivot columns, ascending
 
     def add(self, vec: dict):
         """Add ``vec``, a zero-free dict that the lattice takes over: the
         caller hands it a fresh dict and does not use it again, since it
-        may become a row and rows change in place."""
+        may become a row."""
+        rows, pivots = self.rows, self._pivots
         while vec:
             p = max(vec)
-            row = self.rows.get(p)
+            row = rows.get(p)
             if row is None:
-                self.rows[p] = vec
-                return
-            a, b = row[p], vec[p]
-            if b % a == 0:
-                _subtract(vec, b // a, row)
-                continue
-            s, t = bezout(a, b)
-            g = s * a + t * b
-            self.rows[p] = _combine(s, row, t, vec)
-            vec = _combine(a // g, vec, -(b // g), row)
+                if vec[p] < 0:
+                    vec = {c: -x for c, x in vec.items()}
+                bisect.insort(pivots, p)
+                row, vec = vec, None
+            else:
+                a, b = row[p], vec[p]
+                if b % a == 0:
+                    _subtract(vec, b // a, row)
+                    continue
+                s, t = bezout(a, b)
+                g = s * a + t * b
+                row, vec = (_combine(s, row, t, vec),
+                            _combine(a // g, vec, -(b // g), row))
+            # subtracting the row at c changes only the columns below c
+            if len(row) > 1:
+                for c in reversed(pivots[:bisect.bisect_left(pivots, p)]):
+                    x = row.get(c)
+                    if x is not None:
+                        q = x // rows[c][c]
+                        if q:
+                            _subtract(row, q, rows[c])
+            rows[p] = row
 
     def contains(self, vec: dict) -> bool:
         """True iff vec is an integer combination of the added vectors."""

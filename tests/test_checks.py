@@ -59,17 +59,18 @@ def test_suite_reports_a_broken_law(name, monkeypatch):
 
 
 def test_suite_groebner_computes_each_filtration_shift_once(monkeypatch):
-    """suite_groebner passes each corpus ideal's shift l to the oracle,
-    which then computes none itself: at most one filtration_shift call
-    per ideal, wherever it is looked up."""
+    """suite_groebner reads each corpus ideal's shift l off its one
+    completion and passes it to the oracle, which then completes none
+    itself: at most one strong_gb call per ideal, wherever it is looked
+    up."""
     from hacalc import groebner
     calls = []
 
-    def counted(gens, real=groebner.filtration_shift):
+    def counted(gens, real=groebner.strong_gb):
         calls.append(gens)
         return real(gens)
 
-    monkeypatch.setattr(groebner, "filtration_shift", counted)
-    monkeypatch.setattr(checks, "filtration_shift", counted)
+    monkeypatch.setattr(groebner, "strong_gb", counted)
+    monkeypatch.setattr(checks, "strong_gb", counted)
     assert checks.suite_groebner(40, 0).passed
     assert 0 < len(calls) <= len(checks.groebner_corpus())

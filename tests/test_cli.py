@@ -600,8 +600,9 @@ def test_groebner_witness_refuses_an_ideal_it_cannot_sample(tmp_path,
 
 def test_groebner_completion_limit_is_an_input_error(tmp_path, monkeypatch,
                                                     capsys):
-    """A completion that pops more than MAX_PAIRS pairs ends in one
-    DomainError document with exit 2, not a traceback."""
+    """The hard ideal completes at bound 11, five degrees above its
+    generators; a climb capped below that ends in one DomainError
+    document with exit 2, not a traceback."""
     path = tmp_path / "hard.json"
     path.write_text(json.dumps({"vars": ["x", "y"], "gens": [
         [{"e": [0, 0], "c": 11}, {"e": [4, 0], "c": 30},
@@ -610,14 +611,17 @@ def test_groebner_completion_limit_is_an_input_error(tmp_path, monkeypatch,
          {"e": [1, 2], "c": -16}],
         [{"e": [1, 3], "c": 30}, {"e": [2, 0], "c": -4},
          {"e": [4, 0], "c": -19}]]}))
-    monkeypatch.setattr("hacalc.groebner.MAX_PAIRS", 50)
+    assert run(["--prime", "5", "groebner", str(path)]) == 0
+    assert len(json.loads(capsys.readouterr().out)["results"]["basis"]) == 10
+    monkeypatch.setattr("hacalc.groebner.MAX_CLIMB", 4)
     code = run(["--prime", "5", "groebner", str(path)])
     out, err = capsys.readouterr()
     assert code == 2
     assert out.count("\n") == 1 and "Traceback" not in out + err
     assert json.loads(out) == {
         "schema": "ha/1", "kind": "DomainError",
-        "error": "completion did not terminate within 50 pairs"}
+        "error": "completion did not certify within 4 degrees above the "
+                 "generators"}
 
 
 def test_groebner_witness_on_zero_variables(tmp_path, capsys):

@@ -1,9 +1,12 @@
 import gc
 import hashlib
+import heapq
 import itertools
 import json
 import math
 import random
+import sys
+import time
 import weakref
 from fractions import Fraction
 
@@ -16,8 +19,8 @@ from hacalc.errors import DomainError
 from hacalc.groebner import (DivisionCertificate, IntPoly, StrongGB,
                              WitnessReport, _critical_pair, _deglex_key,
                              _division_row, _random_poly, _strong_reduce,
-                             filtered_noetherian_witness, filtration_shift,
-                             membership_oracle, strong_divide, strong_gb)
+                             filtered_noetherian_witness, membership_oracle,
+                             strong_divide, strong_gb)
 from hacalc.linalg import SparseEchelon, ZLattice, bezout
 from test_graphs import smith_with_transforms
 
@@ -141,8 +144,8 @@ def test_strong_reduce_matches_reference():
 def test_strong_reduce_leaves_no_strongly_divisible_term():
     """No remainder term c x^e has a divisor b with lm(b) | e and
     lc(b) | c.  Each divisor strongly divides its own leading term, so a
-    nonzero remainder is never a divisor or its negative: strong_gb need
-    not test a new element against its basis."""
+    nonzero remainder is never a divisor or its negative: the Buchberger
+    oracle need not test a new element against its basis."""
     rng = random.Random(24)
     ideals = [list(gens) for gens in groebner_corpus()] + [
         _seeded_ideal(rng, nvars, False) for nvars in (1, 3)
@@ -357,7 +360,7 @@ def snf_membership_oracle(g, gens) -> bool:
     """The dense oracle: one Smith normal form per degree bound, from
     deg(g) to deg(g) + SNF_HEADROOM.  It is complete only on ideals whose
     filtration shift is at most SNF_HEADROOM, which it asserts."""
-    assert filtration_shift(gens)[0] <= SNF_HEADROOM, gens
+    assert strong_gb(gens).shift <= SNF_HEADROOM, gens
     base = g.total_degree()
     return g.is_zero() or any(
         snf_member_at_bound(g, gens, base + extra)
@@ -419,9 +422,10 @@ def test_zlattice_agrees_with_snf_solvability():
             in_q = over_q.contains({index[k]: v for k, v in target.items()})
             seen["member" if expected else
                  "q_span_only" if in_q else "off_q_span"] += 1
-        # the rows are an echelon basis: one pivot each, at their maximum
+        # the rows are an echelon basis: one positive pivot each, at their
+        # maximum
         for p, row in lattice.rows.items():
-            assert max(row) == p
+            assert max(row) == p and row[p] > 0
     assert min(seen.values()) > 50, seen
 
 
@@ -464,11 +468,10 @@ def _x_power_plus_five(k):
 @pytest.mark.parametrize("k", [2, 9, 10])
 def test_oracle_climbs_to_the_shift_of_x_power_plus_five(k):
     gens = _x_power_plus_five(k)
-    l, shifts = filtration_shift(gens)
-    assert l == k and shifts[P({(0, 1): 5})] == k
+    gb = strong_gb(gens)
+    assert gb.shift == k and P({(0, 1): 5}) in gb.polys
     assert membership_oracle(P({(0, 1): 5}), gens)
     assert not membership_oracle(P({(0, 1): 1}), gens)
-    gb = strong_gb(gens)
     seen = {True: 0, False: 0}
     for c in (1, 2, 5, 10):
         for e in _exponents_up_to(2, 3):
@@ -482,24 +485,26 @@ def test_oracle_climbs_to_the_shift_of_x_power_plus_five(k):
 
 def test_corpus_filtration_shifts():
     corpus = groebner_corpus()
-    assert [filtration_shift(gens)[0] for gens in corpus] == \
+    assert [strong_gb(list(gens)).shift for gens in corpus] == \
         [0, 0, 0, 0, 2, 2, 0, 0, 0, 0]
-    _, shifts = filtration_shift(corpus[5])
-    assert list(shifts) == list(strong_gb(list(corpus[5])).polys)
-    assert shifts[P({(0, 1): 5})] == 2
+    assert P({(0, 1): 5}) in strong_gb(list(corpus[5])).polys
 
 
 def test_shifts_are_least_by_the_dense_oracle():
-    """Each basis element b lies in the span at bound deg(b) + s(b) and
-    not one below, by the dense Smith-form test."""
+    """Every basis element b lies in the span at bound deg(b) + l, and for
+    l > 0 some b does not lie in it one bound lower, by the dense
+    Smith-form test: l is reached and least."""
     checked = 0
     for gens in groebner_corpus() + [_x_power_plus_five(3)]:
-        for b, s in filtration_shift(gens)[1].items():
-            top = b.total_degree() + s
-            assert snf_member_at_bound(b, list(gens), top), (gens, b)
-            assert s == 0 or not snf_member_at_bound(b, list(gens), top - 1)
-            checked += s > 0
-    assert checked == 4
+        gb = strong_gb(list(gens))
+        tops = [b.total_degree() + gb.shift for b in gb.polys]
+        assert all(snf_member_at_bound(b, list(gens), top)
+                   for b, top in zip(gb.polys, tops)), gens
+        assert gb.shift == 0 or not all(
+            snf_member_at_bound(b, list(gens), top - 1)
+            for b, top in zip(gb.polys, tops)), gens
+        checked += gb.shift > 0
+    assert checked == 3
 
 
 def _refuse(*args):
@@ -509,43 +514,42 @@ def _refuse(*args):
 def test_zero_ideal_never_reaches_completion(monkeypatch):
     monkeypatch.setattr(groebner, "strong_gb", _refuse)
     for gens in ([], [IntPoly(2)], [IntPoly(2), IntPoly(2)]):
-        assert filtration_shift(gens) == (0, {})
         assert membership_oracle(IntPoly(2), gens)
         for g in (P({(0, 0): 1}), P({(1, 1): 3, (0, 0): -2})):
             assert not membership_oracle(g, gens)
 
 
 def test_mismatched_nvars_are_refused_before_any_work(monkeypatch):
-    monkeypatch.setattr(groebner, "strong_gb", _refuse)
     monkeypatch.setattr(groebner, "_climb", _refuse)
     x = P({(1, 0): 1})
     for gens in ([x, IntPoly(1, {(1,): 1})], [IntPoly(1), x],
                  [IntPoly(2), IntPoly(3)]):
         with pytest.raises(ValueError, match="variables"):
-            filtration_shift(gens)
+            strong_gb(gens)
     for g, gens in ((IntPoly(3, {(0, 0, 1): 1}), [x]), (x, [IntPoly(1)]),
                     (IntPoly(3), [IntPoly(2)])):
         with pytest.raises(ValueError, match="variables"):
             membership_oracle(g, gens)
 
 
-def test_shift_climb_raises_on_a_basis_outside_the_ideal(monkeypatch):
-    """A completion that puts x into (2x) stops the climb with
-    DomainError; the oracle raises on a miss instead of denying, and
-    still finds a member on its own lattice."""
-    gens, real = [P({(1, 0): 2})], strong_gb
-    monkeypatch.setattr(groebner, "strong_gb",
-                        lambda _: real([P({(1, 0): 1})]))
-    with pytest.raises(DomainError, match=f"{groebner.MAX_SHIFT} degrees"):
-        filtration_shift(gens)
+def test_climb_raises_when_no_candidate_certifies(monkeypatch):
+    """A criterion that never holds stops the climb MAX_CLIMB degrees
+    above the generators with DomainError; the oracle raises on a miss
+    instead of denying, and still finds a member on its own lattice."""
+    gens = [P({(1, 0): 2})]
+    monkeypatch.setattr(groebner, "_certified", lambda *args: False)
+    with pytest.raises(DomainError, match=f"{groebner.MAX_CLIMB} degrees"):
+        strong_gb(gens)
     with pytest.raises(DomainError):
         membership_oracle(P({(0, 1): 1}), gens)
     assert membership_oracle(P({(1, 1): 2}), gens)
 
 
 def test_shift_guard_never_decides_a_verdict(monkeypatch):
-    """Below the ideal's shift the guard raises: no False comes from it."""
-    monkeypatch.setattr(groebner, "MAX_SHIFT", 1)
+    """Below the bound that certifies the basis the guard raises: no False
+    comes from it.  (x^2 + 5, xy) certifies at bound 3, one above its
+    generators."""
+    monkeypatch.setattr(groebner, "MAX_CLIMB", 0)
     gens = _x_power_plus_five(2)
     for g in (P({(0, 1): 5}), P({(0, 1): 1})):
         with pytest.raises(DomainError):
@@ -668,7 +672,7 @@ def test_product_degree_matches_the_multiplied_out_products():
     for gens in ideals:
         nvars = gens[0].nvars
         table = tuple(_division_row(g.terms) for g in gens)
-        raw = StrongGB(tuple(gens), table)
+        raw = StrongGB(tuple(gens), table, 0)
         for _ in range(20):
             g = _sample(STEPS[3], nvars, rng) * rng.choice(gens) \
                 + _sample(STEPS[2], nvars, rng)
@@ -834,13 +838,20 @@ def _digest(bases) -> str:
     return hashlib.sha256(json.dumps(bases).encode()).hexdigest()
 
 
+def _rendered(table, nvars) -> list:
+    """The basis elements of a division table, rendered by ``str``."""
+    return [str(IntPoly._trusted(nvars, {e: c for _, e, c in (h, *t)}))
+            for h, t in table]
+
+
 #: sha256 of the rendered bases of ``_pinned_ideals``.
-PINNED_BASES = ("b7e14378d7eeab112ed1516d3c8051a0"
-                "b71f557fdd2f08a800b5a07307b1daf4")
-#: The same bases while a generator that survived unchanged kept its sign:
-#: the elements at these indices of the flattened bases were negated.
-BASES_WITH_GENERATOR_SIGNS = ("aa526543925be33685893ba0496b7cc3"
-                              "886f07325914cf63ef7163c6b59bf0c9")
+PINNED_BASES = ("81fff023b52c641df1f8db155202eb1d"
+                "fcdcf9f1d25df9bbeeedc85bc94e4f2a")
+#: The same bases with the elements at these indices of the flattened
+#: bases negated: those elements kept a generator's negative sign before
+#: every element took a positive leading coefficient.
+BASES_WITH_GENERATOR_SIGNS = ("0bf522c30ab066420315ab0bf845839e"
+                              "38d50a653fb4f5de344264b7d4db918d")
 GENERATOR_SIGN_FLIPS = frozenset((
     21, 27, 32, 33, 35, 36, 38, 39, 44, 45, 48, 49, 50, 56, 58, 61, 62, 63, 64,
     65, 71, 78, 86, 87, 89, 97, 104, 107, 108, 109, 110, 113, 117, 119, 120,
@@ -863,8 +874,7 @@ GENERATOR_SIGN_FLIPS = frozenset((
 
 def test_rendered_bases_are_pinned():
     """A change to any basis of the pinned ideals is a change to the
-    report and must be announced; before every element took a positive
-    leading coefficient the bases differed only by the listed negations."""
+    report and must be announced."""
     bases = [strong_gb(gens).polys for gens in _pinned_ideals()]
     assert _digest([[str(p) for p in polys] for polys in bases]) \
         == PINNED_BASES
@@ -875,13 +885,108 @@ def test_rendered_bases_are_pinned():
     assert next(index) == 1012 and len(GENERATOR_SIGN_FLIPS) == 237
 
 
+# ---------------------------------------------------------------------------
+# The heads oracle: Buchberger's completion with interreduction
+# ---------------------------------------------------------------------------
+
+
+#: Pairs the Buchberger oracle may pop before it gives up.
+ORACLE_PAIRS = 20000
+
+
+def _positive(row) -> tuple:
+    """A division row times the sign of its leading coefficient."""
+    (d, e, c), tail = row
+    return row if c > 0 else (
+        (d, e, -c), tuple((td, te, -tc) for td, te, tc in tail))
+
+
+def buchberger_gb(gens) -> list:
+    """Buchberger completion over Z on one list of division rows: the
+    division table of a strong basis, the oracle for the heads of
+    ``strong_gb``.
+
+    G-polynomials (Bezout combinations of leading coefficients) are
+    processed before S-polynomials of the same pair, in the normal
+    pair-selection strategy (smallest deglex lcm first).  A new row gets a
+    positive leading coefficient; the generators keep their signs, on
+    which the Bezout coefficients depend.  The rows are then interreduced,
+    given positive leading coefficients and sorted by head.  Popping more
+    than ``ORACLE_PAIRS`` pairs fails the calling test.
+    """
+    table = [_division_row(g.terms) for g in gens if g.terms]
+    # (deglex key of lcm(lm_i, lm_j), i, j): popped smallest lcm first
+    pairs = []
+
+    def push_pairs(k):
+        lm = table[k][0][1]
+        for t in range(k):
+            lcm = tuple(map(max, lm, table[t][0][1]))
+            heapq.heappush(pairs, ((sum(lcm), lcm), k, t))
+
+    for k in range(len(table)):
+        push_pairs(k)
+    popped = 0
+    while pairs:
+        popped += 1
+        assert popped <= ORACLE_PAIRS, "the oracle did not finish"
+        _, i, j = heapq.heappop(pairs)
+        for candidate in _critical_pair(table[i], table[j]):
+            nf, _ = groebner._strong_reduce(candidate, table)
+            if nf:  # no row nor its negative: each divides its own head
+                table.append(_positive(_division_row(nf)))
+                push_pairs(len(table) - 1)
+    return sorted(map(_positive, _interreduce(table)), key=lambda r: r[0])
+
+
+def _interreduce(table) -> list:
+    """The rows of a strong basis, each reduced once by the others.
+
+    A row either reduces to 0 by the others, which still form a strong
+    basis, or keeps its head, and no head moves when a tail does.  So one
+    pass suffices: an unchanged row keeps its place, a changed one goes
+    behind all rows and a zero one is dropped, and each row is reduced by
+    the others in the order a scan restarting after every change uses.
+    """
+    kept, moved = [], []
+    for k, (head, tail) in enumerate(table):
+        work = {(d, e): c for d, e, c in (head, *tail)}
+        nf, mult = groebner._strong_reduce(work, kept + table[k + 1:] + moved)
+        if not mult:
+            kept.append(table[k])
+        elif nf:
+            moved.append(_division_row(nf))
+    return kept + moved
+
+
+#: sha256 of the oracle's rendered bases of ``_pinned_ideals``: the bases
+#: ``strong_gb`` reported while it was this completion.
+BUCHBERGER_BASES = ("b7e14378d7eeab112ed1516d3c8051a0"
+                    "b71f557fdd2f08a800b5a07307b1daf4")
+
+
+def test_heads_equal_the_buchberger_oracle_on_the_pinned_ideals():
+    """The climb's basis has the oracle's heads on all 410 pinned ideals;
+    only the tails differ, and the oracle still renders the bases it
+    rendered as the library's completion."""
+    rendered, differ = [], 0
+    for gens in _pinned_ideals():
+        rows = buchberger_gb(gens)
+        gb = strong_gb(gens)
+        assert [h for h, _ in gb.table] == [h for h, _ in rows], gens
+        rendered.append(_rendered(rows, gens[0].nvars))
+        differ += [str(p) for p in gb.polys] != rendered[-1]
+    assert _digest(rendered) == BUCHBERGER_BASES
+    assert differ > 0
+
+
 def test_interreduction_reduces_each_row_once(monkeypatch):
-    """Interreduction calls ``_strong_reduce`` at most once per row it
-    visits, on the corpus and the pinned ideals, where rows are dropped
-    and rows change; a scan that restarts after each change makes more
-    calls."""
+    """The oracle's interreduction calls ``_strong_reduce`` at most once
+    per row it visits, on the corpus and the pinned ideals, where rows
+    are dropped and rows change; a scan that restarts after each change
+    makes more calls."""
     calls = []
-    reduce, interreduce = groebner._strong_reduce, groebner._interreduce
+    reduce, interreduce = groebner._strong_reduce, _interreduce
 
     def counting(work, table):
         calls.append(1)
@@ -897,13 +1002,66 @@ def test_interreduction_reduces_each_row_once(monkeypatch):
         return rows
 
     monkeypatch.setattr(groebner, "_strong_reduce", counting)
-    monkeypatch.setattr(groebner, "_interreduce", counted)
+    monkeypatch.setattr(sys.modules[__name__], "_interreduce", counted)
     for gens in _pinned_ideals():  # the corpus comes first
-        strong_gb(gens)
+        buchberger_gb(gens)
     corpus = len(groebner_corpus())
     assert all(reductions <= visited for visited, reductions, _, _ in seen)
     assert any(kept < visited for visited, _, kept, _ in seen[:corpus])
     assert sum(changed > 0 for *_, changed in seen) > 10
+
+
+#: (30x^4 - 3x^3y + 11, 5x^3y^3 - 16y^4 - 16xy^2, 30xy^3 - 4x^2 - 19x^4):
+#: Buchberger's completion does not finish it within minutes.
+HARD_IDEAL = [
+    [{"e": [0, 0], "c": 11}, {"e": [4, 0], "c": 30}, {"e": [3, 1], "c": -3}],
+    [{"e": [0, 4], "c": -16}, {"e": [3, 3], "c": 5},
+     {"e": [1, 2], "c": -16}],
+    [{"e": [1, 3], "c": 30}, {"e": [2, 0], "c": -4}, {"e": [4, 0], "c": -19}],
+]
+
+
+def test_hard_ideal_completes_within_a_second():
+    """Ten elements with heads of degree <= 4, among them the ideal's
+    integer N of 156 bits, which first enters the lattice at bound 11."""
+    gens = [IntPoly.from_json(2, g) for g in HARD_IDEAL]
+    start = time.perf_counter()
+    gb = strong_gb(gens)
+    assert time.perf_counter() - start < 1.0
+    assert len(gb.polys) == 10 and max(h[0] for h, _ in gb.table) <= 4
+    (head, tail), = [row for row in gb.table if row[0][0] == 0]
+    assert head[2].bit_length() == 156 and not tail
+    assert gb.shift == 11
+    assert all(strong_divide(g, gb).remainder.is_zero() for g in gens)
+
+
+def _three_generator_ideals():
+    """24 ideals in two variables from ``random.Random(7)``, each of three
+    generators of three terms, of total degree <= 2 .. 6 drawn per
+    generator, with coefficients 0 < |c| <= 30."""
+    rng = random.Random(7)
+    wide = [c for c in range(-30, 31) if c]
+    return [[IntPoly(2, {e: rng.choice(wide) for e in rng.sample(
+        _exponents_up_to(2, rng.randint(2, 6)), 3)}) for _ in range(3)]
+        for _ in range(24)]
+
+
+#: The ideals of ``_three_generator_ideals`` that the oracle completes
+#: within five seconds: index 1 in about five (11,175 pairs), the others
+#: in under half a second.  On the rest it takes longer than five seconds
+#: (index 10 about six, the others more than eight).
+ORACLE_FINISHES = (1, 2, 4, 7, 8, 9, 12, 20, 21, 22)
+
+
+def test_three_generator_ideals_complete_within_a_second():
+    for k, gens in enumerate(_three_generator_ideals()):
+        start = time.perf_counter()
+        gb = strong_gb(gens)
+        assert time.perf_counter() - start < 1.0, k
+        assert all(strong_divide(g, gb).remainder.is_zero() for g in gens)
+        if k in ORACLE_FINISHES:
+            assert [h for h, _ in gb.table] == \
+                [h for h, _ in buchberger_gb(gens)], k
 
 
 @pytest.mark.parametrize("make, message", [
