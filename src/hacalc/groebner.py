@@ -360,8 +360,9 @@ def _climb(gens, nvars):
         yield bound, lattice
 
 
-#: Degrees above its top generator the climb may go before DomainError.
-MAX_CLIMB = 32
+#: Lattice rows the climb may hold without a certified basis before
+#: DomainError: its work grows with the rows, bound^nvars at worst.
+MAX_ROWS = 20000
 
 
 def strong_gb(gens) -> StrongGB:
@@ -375,8 +376,8 @@ def strong_gb(gens) -> StrongGB:
     failed at the last attempt is not tried again: the heads alone decide.
     The basis is the certified rows, positive-headed and sorted by head.
     Generators in different numbers of variables or none nonzero raise
-    ValueError; a climb ``MAX_CLIMB`` degrees above the top generator
-    without a certified candidate raises :class:`DomainError`.
+    ValueError; a lattice of more than ``MAX_ROWS`` rows without a
+    certified candidate raises :class:`DomainError`.
     """
     gens = list(gens)
     if gens:
@@ -389,24 +390,23 @@ def strong_gb(gens) -> StrongGB:
         for u, row in lattice.rows.items():
             if first.get(u, (None,))[0] != row[u]:
                 first[u] = (row[u], bound)
-        if bound < top:
-            continue
-        heads = []  # (d, e, c), ascending: a strong divisor comes first
-        for d, e in sorted(lattice.rows):
-            c = lattice.rows[(d, e)][(d, e)]
-            if not any(c % hc == 0 and all(map(le, he, e))
-                       for _, he, hc in heads):
-                heads.append((d, e, c))
-        if heads != failed:
-            table = [_division_row({e: c for (_, e), c in
-                                    lattice.rows[h[:2]].items()})
-                     for h in heads]
-            if _certified(gens, table):
-                break
-            failed = heads
-        if bound >= top + MAX_CLIMB:
+        if bound >= top:
+            heads = []  # (d, e, c), ascending: a strong divisor comes first
+            for d, e in sorted(lattice.rows):
+                c = lattice.rows[(d, e)][(d, e)]
+                if not any(c % hc == 0 and all(map(le, he, e))
+                           for _, he, hc in heads):
+                    heads.append((d, e, c))
+            if heads != failed:
+                table = [_division_row({e: c for (_, e), c in
+                                        lattice.rows[h[:2]].items()})
+                         for h in heads]
+                if _certified(gens, table):
+                    break
+                failed = heads
+        if len(lattice.rows) > MAX_ROWS:
             raise DomainError(f"completion did not certify within "
-                              f"{MAX_CLIMB} degrees above the generators")
+                              f"{MAX_ROWS} lattice rows")
     polys = (IntPoly._trusted(nvars, {e: c for _, e, c in (h, *t)})
              for h, t in table)
     shift = max(first[(d, e)][1] - d for d, e, _ in heads)

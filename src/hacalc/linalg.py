@@ -25,7 +25,6 @@ of a dense integer matrix, with no transforms.
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import math
 from fractions import Fraction
@@ -221,20 +220,18 @@ class ZLattice:
 
     def __init__(self):
         self.rows = {}  # pivot column -> row dict
-        self._pivots = []  # the pivot columns, ascending
 
     def add(self, vec: dict):
         """Add ``vec``, a zero-free dict that the lattice takes over: the
         caller hands it a fresh dict and does not use it again, since it
         may become a row."""
-        rows, pivots = self.rows, self._pivots
+        rows = self.rows
         while vec:
             p = max(vec)
             row = rows.get(p)
             if row is None:
                 if vec[p] < 0:
                     vec = {c: -x for c, x in vec.items()}
-                bisect.insort(pivots, p)
                 row, vec = vec, None
             else:
                 a, b = row[p], vec[p]
@@ -246,13 +243,15 @@ class ZLattice:
                 row, vec = (_combine(s, row, t, vec),
                             _combine(a // g, vec, -(b // g), row))
             # subtracting the row at c changes only the columns below c
-            if len(row) > 1:
-                for c in reversed(pivots[:bisect.bisect_left(pivots, p)]):
-                    x = row.get(c)
-                    if x is not None:
-                        q = x // rows[c][c]
-                        if q:
-                            _subtract(row, q, rows[c])
+            c = p
+            while len(row) > 1:
+                c = max((k for k in row if k < c and k in rows),
+                        default=None)
+                if c is None:
+                    break
+                q = row[c] // rows[c][c]
+                if q:
+                    _subtract(row, q, rows[c])
             rows[p] = row
 
     def contains(self, vec: dict) -> bool:

@@ -600,9 +600,9 @@ def test_groebner_witness_refuses_an_ideal_it_cannot_sample(tmp_path,
 
 def test_groebner_completion_limit_is_an_input_error(tmp_path, monkeypatch,
                                                     capsys):
-    """The hard ideal completes at bound 11, five degrees above its
-    generators; a climb capped below that ends in one DomainError
-    document with exit 2, not a traceback."""
+    """The hard ideal completes at bound 11, where its lattice holds 76
+    rows (63 at bound 10); a climb capped below that ends in one
+    DomainError document with exit 2, not a traceback."""
     path = tmp_path / "hard.json"
     path.write_text(json.dumps({"vars": ["x", "y"], "gens": [
         [{"e": [0, 0], "c": 11}, {"e": [4, 0], "c": 30},
@@ -613,15 +613,14 @@ def test_groebner_completion_limit_is_an_input_error(tmp_path, monkeypatch,
          {"e": [4, 0], "c": -19}]]}))
     assert run(["--prime", "5", "groebner", str(path)]) == 0
     assert len(json.loads(capsys.readouterr().out)["results"]["basis"]) == 10
-    monkeypatch.setattr("hacalc.groebner.MAX_CLIMB", 4)
+    monkeypatch.setattr("hacalc.groebner.MAX_ROWS", 60)
     code = run(["--prime", "5", "groebner", str(path)])
     out, err = capsys.readouterr()
     assert code == 2
     assert out.count("\n") == 1 and "Traceback" not in out + err
     assert json.loads(out) == {
         "schema": "ha/1", "kind": "DomainError",
-        "error": "completion did not certify within 4 degrees above the "
-                 "generators"}
+        "error": "completion did not certify within 60 lattice rows"}
 
 
 def test_groebner_witness_on_zero_variables(tmp_path, capsys):

@@ -533,12 +533,13 @@ def test_mismatched_nvars_are_refused_before_any_work(monkeypatch):
 
 
 def test_climb_raises_when_no_candidate_certifies(monkeypatch):
-    """A criterion that never holds stops the climb MAX_CLIMB degrees
-    above the generators with DomainError; the oracle raises on a miss
+    """A criterion that never holds stops the climb once its lattice holds
+    more than MAX_ROWS rows, with DomainError; the oracle raises on a miss
     instead of denying, and still finds a member on its own lattice."""
     gens = [P({(1, 0): 2})]
     monkeypatch.setattr(groebner, "_certified", lambda *args: False)
-    with pytest.raises(DomainError, match=f"{groebner.MAX_CLIMB} degrees"):
+    monkeypatch.setattr(groebner, "MAX_ROWS", 50)
+    with pytest.raises(DomainError, match="within 50 lattice rows"):
         strong_gb(gens)
     with pytest.raises(DomainError):
         membership_oracle(P({(0, 1): 1}), gens)
@@ -548,8 +549,8 @@ def test_climb_raises_when_no_candidate_certifies(monkeypatch):
 def test_shift_guard_never_decides_a_verdict(monkeypatch):
     """Below the bound that certifies the basis the guard raises: no False
     comes from it.  (x^2 + 5, xy) certifies at bound 3, one above its
-    generators."""
-    monkeypatch.setattr(groebner, "MAX_CLIMB", 0)
+    generators, where its lattice holds 6 rows (2 at bound 2)."""
+    monkeypatch.setattr(groebner, "MAX_ROWS", 1)
     gens = _x_power_plus_five(2)
     for g in (P({(0, 1): 5}), P({(0, 1): 1})):
         with pytest.raises(DomainError):
@@ -838,51 +839,22 @@ def _digest(bases) -> str:
     return hashlib.sha256(json.dumps(bases).encode()).hexdigest()
 
 
-def _rendered(table, nvars) -> list:
-    """The basis elements of a division table, rendered by ``str``."""
-    return [str(IntPoly._trusted(nvars, {e: c for _, e, c in (h, *t)}))
+def _polys(table, nvars) -> list:
+    """The basis elements of a division table."""
+    return [IntPoly._trusted(nvars, {e: c for _, e, c in (h, *t)})
             for h, t in table]
 
 
 #: sha256 of the rendered bases of ``_pinned_ideals``.
 PINNED_BASES = ("81fff023b52c641df1f8db155202eb1d"
                 "fcdcf9f1d25df9bbeeedc85bc94e4f2a")
-#: The same bases with the elements at these indices of the flattened
-#: bases negated: those elements kept a generator's negative sign before
-#: every element took a positive leading coefficient.
-BASES_WITH_GENERATOR_SIGNS = ("0bf522c30ab066420315ab0bf845839e"
-                              "38d50a653fb4f5de344264b7d4db918d")
-GENERATOR_SIGN_FLIPS = frozenset((
-    21, 27, 32, 33, 35, 36, 38, 39, 44, 45, 48, 49, 50, 56, 58, 61, 62, 63, 64,
-    65, 71, 78, 86, 87, 89, 97, 104, 107, 108, 109, 110, 113, 117, 119, 120,
-    124, 125, 128, 131, 136, 140, 141, 142, 144, 147, 148, 153, 155, 159, 164,
-    165, 168, 171, 172, 173, 174, 182, 187, 188, 190, 195, 198, 202, 204, 205,
-    206, 208, 209, 211, 212, 213, 214, 218, 220, 222, 225, 227, 233, 234, 236,
-    238, 239, 240, 242, 246, 249, 250, 254, 256, 257, 260, 261, 262, 265, 266,
-    267, 268, 269, 270, 274, 282, 288, 296, 299, 308, 312, 313, 320, 324, 337,
-    345, 352, 364, 365, 366, 369, 382, 398, 409, 410, 430, 450, 452, 457, 469,
-    479, 487, 496, 497, 502, 505, 506, 521, 524, 536, 564, 576, 581, 588, 595,
-    601, 603, 606, 607, 610, 611, 618, 622, 632, 640, 644, 648, 653, 666, 670,
-    682, 684, 691, 695, 696, 708, 710, 711, 715, 716, 717, 718, 721, 723, 727,
-    746, 747, 748, 756, 760, 763, 765, 778, 784, 790, 798, 801, 824, 830, 838,
-    839, 848, 853, 857, 869, 870, 875, 883, 884, 888, 891, 893, 895, 897, 899,
-    901, 904, 906, 907, 908, 912, 918, 921, 922, 924, 925, 928, 929, 933, 934,
-    936, 946, 947, 954, 960, 961, 966, 967, 972, 979, 980, 983, 984, 990, 992,
-    993, 997, 998, 1007, 1008, 1009, 1011,
-))
 
 
 def test_rendered_bases_are_pinned():
     """A change to any basis of the pinned ideals is a change to the
     report and must be announced."""
-    bases = [strong_gb(gens).polys for gens in _pinned_ideals()]
-    assert _digest([[str(p) for p in polys] for polys in bases]) \
-        == PINNED_BASES
-    index = itertools.count()
-    assert _digest([[str(-p) if next(index) in GENERATOR_SIGN_FLIPS
-                     else str(p) for p in polys] for polys in bases]) \
-        == BASES_WITH_GENERATOR_SIGNS
-    assert next(index) == 1012 and len(GENERATOR_SIGN_FLIPS) == 237
+    assert _digest([[str(p) for p in strong_gb(gens).polys]
+                    for gens in _pinned_ideals()]) == PINNED_BASES
 
 
 # ---------------------------------------------------------------------------
@@ -963,21 +935,50 @@ def _interreduce(table) -> list:
 #: ``strong_gb`` reported while it was this completion.
 BUCHBERGER_BASES = ("b7e14378d7eeab112ed1516d3c8051a0"
                     "b71f557fdd2f08a800b5a07307b1daf4")
+#: The same bases with the elements at these indices of the flattened
+#: bases negated: the bases it reported while a generator that survived
+#: unchanged kept its sign.
+BUCHBERGER_BASES_WITH_GENERATOR_SIGNS = ("aa526543925be33685893ba0496b7cc3"
+                                         "886f07325914cf63ef7163c6b59bf0c9")
+GENERATOR_SIGN_FLIPS = frozenset((
+    21, 27, 32, 33, 35, 36, 38, 39, 44, 45, 48, 49, 50, 56, 58, 61, 62, 63, 64,
+    65, 71, 78, 86, 87, 89, 97, 104, 107, 108, 109, 110, 113, 117, 119, 120,
+    124, 125, 128, 131, 136, 140, 141, 142, 144, 147, 148, 153, 155, 159, 164,
+    165, 168, 171, 172, 173, 174, 182, 187, 188, 190, 195, 198, 202, 204, 205,
+    206, 208, 209, 211, 212, 213, 214, 218, 220, 222, 225, 227, 233, 234, 236,
+    238, 239, 240, 242, 246, 249, 250, 254, 256, 257, 260, 261, 262, 265, 266,
+    267, 268, 269, 270, 274, 282, 288, 296, 299, 308, 312, 313, 320, 324, 337,
+    345, 352, 364, 365, 366, 369, 382, 398, 409, 410, 430, 450, 452, 457, 469,
+    479, 487, 496, 497, 502, 505, 506, 521, 524, 536, 564, 576, 581, 588, 595,
+    601, 603, 606, 607, 610, 611, 618, 622, 632, 640, 644, 648, 653, 666, 670,
+    682, 684, 691, 695, 696, 708, 710, 711, 715, 716, 717, 718, 721, 723, 727,
+    746, 747, 748, 756, 760, 763, 765, 778, 784, 790, 798, 801, 824, 830, 838,
+    839, 848, 853, 857, 869, 870, 875, 883, 884, 888, 891, 893, 895, 897, 899,
+    901, 904, 906, 907, 908, 912, 918, 921, 922, 924, 925, 928, 929, 933, 934,
+    936, 946, 947, 954, 960, 961, 966, 967, 972, 979, 980, 983, 984, 990, 992,
+    993, 997, 998, 1007, 1008, 1009, 1011,
+))
 
 
 def test_heads_equal_the_buchberger_oracle_on_the_pinned_ideals():
     """The climb's basis has the oracle's heads on all 410 pinned ideals;
     only the tails differ, and the oracle still renders the bases it
     rendered as the library's completion."""
-    rendered, differ = [], 0
+    bases, differ = [], 0
     for gens in _pinned_ideals():
         rows = buchberger_gb(gens)
         gb = strong_gb(gens)
         assert [h for h, _ in gb.table] == [h for h, _ in rows], gens
-        rendered.append(_rendered(rows, gens[0].nvars))
-        differ += [str(p) for p in gb.polys] != rendered[-1]
-    assert _digest(rendered) == BUCHBERGER_BASES
+        bases.append(_polys(rows, gens[0].nvars))
+        differ += gb.polys != tuple(bases[-1])
+    assert _digest([[str(p) for p in polys] for polys in bases]) \
+        == BUCHBERGER_BASES
     assert differ > 0
+    index = itertools.count()
+    assert _digest([[str(-p) if next(index) in GENERATOR_SIGN_FLIPS
+                     else str(p) for p in polys] for polys in bases]) \
+        == BUCHBERGER_BASES_WITH_GENERATOR_SIGNS
+    assert next(index) == 1012 and len(GENERATOR_SIGN_FLIPS) == 237
 
 
 def test_interreduction_reduces_each_row_once(monkeypatch):
@@ -1033,6 +1034,24 @@ def test_hard_ideal_completes_within_a_second():
     assert head[2].bit_length() == 156 and not tail
     assert gb.shift == 11
     assert all(strong_divide(g, gb).remainder.is_zero() for g in gens)
+
+
+@pytest.mark.parametrize("gens, shift", [
+    ([P({(1, 1): 1, (0, 0): -1}), P({(33, 0): 1})], 66),
+    ([IntPoly(3, {(1, 1, 1): 1, (0, 0, 0): -1}),
+      IntPoly(3, {(10, 0, 0): 1})], 30),
+], ids=["xy-1,x^33", "xyz-1,x^10"])
+def test_unit_ideals_far_above_their_generators_complete(gens, shift):
+    """1 lies in (xy - 1, x^33), but every representation
+    1 = A(xy - 1) + B x^33 keeps x^32 y^32 in A, so 1 first enters the
+    lattice at bound 66, 33 degrees above the generators; in three
+    variables (xyz - 1, x^10) needs bound 30, a lattice of 4,691 rows.
+    The Buchberger oracle takes a few dozen pairs on either."""
+    start = time.perf_counter()
+    gb = strong_gb(gens)
+    assert time.perf_counter() - start < 1.0
+    assert [str(p) for p in gb.polys] == ["1"] and gb.shift == shift
+    assert [h for h, _ in gb.table] == [h for h, _ in buchberger_gb(gens)]
 
 
 def _three_generator_ideals():
