@@ -12,7 +12,8 @@ failures carry information.
 One lattice climb completes the basis (Lazard, "Groebner bases, Gaussian
 elimination and resolution of systems of algebraic equations", EUROCAL
 '83, LNCS 162, read over Z).  ``_climb`` adds to one ``ZLattice`` the
-products m * gen of degree <= B for B = 0, 1, ...; the lattice's rows
+products m * gen of degree <= B for B = d, d + 1, ..., where d is the
+least generator degree (below it the lattice is empty); the lattice's rows
 are an echelon basis with positive pivots, so the row with pivot u leads
 with the generator of the leading coefficients of the members of degree
 <= B led by u.  The rows whose head (u, c) no other head strongly
@@ -31,18 +32,31 @@ and h led by (u, c) lies in the span at deg(u) + l + deg(m) <= deg(g) +
 l, and subtracting its multiple leaves a member with a lower leading
 term and no larger degree.  One bound lower no member has the head that
 attains l, so l is least.  The membership oracle climbs a lattice of the
-same products and stops at deg(g) + l.
+same products and stops at the first bound >= deg(g) + l.
 
-The kernels key every term by its deglex key (deg, e) = (sum(e), e), so
-comparing two keys compares the monomials and the leading term is a plain
-``max`` (Monagan and Pearce, "Sparse polynomial division using a heap",
-J. Symb. Comp. 46, 2011, keep monomials in such a directly comparable
-form); the lattice's columns are keyed the same way, so its pivot is the
-leading monomial.  ``IntPoly.terms`` stays keyed by exponent tuples.  A
-division row is a polynomial's head (deg, e, c), its deglex-leading term,
-and its other terms keyed the same way.  The ``StrongGB``'s division
-table is the certified rows sorted by head, and each basis polynomial is
-built once from its row; the rows are not interreduced, and every basis
+The kernels key every term by one int, its monomial packed in fields of
+``FIELD`` = 64 bits: the total degree in the top field, then e_0, e_1,
+..., e_{n-1}, so e_{n-1} fills the lowest field (Monagan and Pearce,
+"Polynomial division using dynamic arrays, heaps, and packed exponent
+vectors", CASC 2007, LNCS 4770, and "Sparse polynomial division using a
+heap", J. Symb. Comp. 46, 2011).  Comparing two keys compares the
+monomials in deglex order, so the leading term is a plain ``max`` and the
+lattice's pivot is the leading monomial; the key of a product is the sum
+of the keys, and the degree of a key k is k >> (64 n).  With GUARD the
+top bit of every field, the monomial keyed m divides the one keyed k iff
+((k | GUARD) - m) & GUARD == GUARD: a field where k's exponent is below
+m's borrows from its own guard bit, and no borrow crosses into the next
+field.  Keys are made only from exponent vectors of total degree below
+``MAX_DEGREE`` = 2^61, and a larger one raises :class:`DomainError`; then
+every key the kernels form (a product, a shift, an lcm) has fields below
+2^62, clear of the guard bits.  Keys are made once per generator,
+dividend and drawn sample, and read back once per output polynomial:
+``IntPoly.terms``, the bases and the reports keep exponent tuples.
+
+A division row is a polynomial's head (key, c), its deglex-leading term,
+and its other terms as (key, c).  The ``StrongGB``'s division table is
+the certified rows sorted by head, and each basis polynomial is built
+once from its row; the rows are not interreduced, and every basis
 element has a positive leading coefficient.  ``strong_divide`` reduces
 by the table and certificate degrees read the heads.  Every entry point
 refuses polynomials in different numbers of variables.
@@ -55,19 +69,21 @@ between valid polynomials (``+``, ``-``, negation, ``*`` by an ``int`` or
 a polynomial), the division kernel's outputs and the basis are built
 trusted by ``IntPoly._trusted``, which takes a fresh dict as it is, zero
 entries dropped; the witness samples go to the division kernel, and the
-climb's shifted generators m * gen to its lattice, as plain dicts.  Their
-exponents are sums of valid exponents.
+climb's shifted generators m * gen to its lattice, as plain keyed dicts.
+Their exponents are sums of valid exponents.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
+import struct
 from dataclasses import dataclass, field
-from operator import add, le, sub
+from operator import add
 
-from .algebra import chooser, exponent_vectors
+from .algebra import chooser
 from .errors import DomainError
 # Not called here: perfbench/layers.py traces this binding as oracle_snf.
 from .linalg import ZLattice, bezout, smith_normal_form  # noqa: F401
@@ -210,6 +226,72 @@ def _deglex_key(e):
     return (sum(e), e)
 
 
+#: Bits per field of a monomial key; the top bit of each is its guard bit.
+FIELD = 64
+#: Keys are made only from exponent vectors of total degree below this.
+MAX_DEGREE = 1 << 61
+
+
+class _Keys:
+    """The monomial keys in ``nvars`` variables (see the module docstring):
+    ``top`` is the degree field's shift, ``guard`` the guard bits and
+    ``units[i]`` the key of x_i."""
+
+    __slots__ = ("top", "guard", "units", "_struct")
+
+    def __init__(self, nvars):
+        self.top = FIELD * nvars
+        self.guard = sum(1 << FIELD * j + FIELD - 1 for j in range(nvars + 1))
+        self.units = tuple(1 << self.top | 1 << FIELD * (nvars - 1 - i)
+                           for i in range(nvars))
+        self._struct = struct.Struct(f">{nvars + 1}Q")
+
+    def keyed(self, terms: dict) -> dict:
+        """The terms {e: c} as a fresh dict {key: c}; an exponent vector of
+        total degree >= ``MAX_DEGREE`` raises :class:`DomainError`."""
+        pack = self._struct.pack
+        out = {}
+        for e, c in terms.items():
+            d = sum(e)
+            if d >= MAX_DEGREE:
+                raise DomainError(f"a monomial of total degree {d} is at or "
+                                  f"above the limit 2^61")
+            out[int.from_bytes(pack(d, *e), "big")] = c
+        return out
+
+    def terms(self, keyed: dict) -> dict:
+        """The terms {key: c} as a fresh dict {e: c}."""
+        unpack, size = self._struct.unpack, self._struct.size
+        return {unpack(k.to_bytes(size, "big"))[1:]: c
+                for k, c in keyed.items()}
+
+    def monomials(self, degree: int) -> list:
+        """The keys of the monomials of total degree ``degree``, in the lex
+        order of their exponent vectors; none for a negative degree."""
+        nvars = len(self.units)
+        if degree < 0 or not nvars:
+            return [0] if degree == 0 else []
+        keys = [(degree << self.top, degree)]  # (key, degree left)
+        for i in range(nvars - 1):
+            s = FIELD * (nvars - 1 - i)
+            keys = [(k + (x << s), r - x) for k, r in keys
+                    for x in range(r + 1)]
+        return [k + r for k, r in keys]  # the last exponent takes the rest
+
+    def lcm(self, a: int, b: int) -> int:
+        """The key of the lcm of the monomials keyed ``a`` and ``b``."""
+        ge = ((a | self.guard) - b) & self.guard  # fields where a's >= b's
+        mask = ge - (ge >> FIELD - 1)  # those fields' value bits
+        e = ((a & mask) | (b & ~mask)) & ((1 << self.top) - 1)
+        # 2^64 = 1 mod 2^64 - 1, and the exponents sum to less than that
+        return e + (e % ((1 << FIELD) - 1) << self.top)
+
+
+@functools.lru_cache(maxsize=8)
+def _keys(nvars) -> _Keys:
+    return _Keys(nvars)
+
+
 @dataclass
 class DivisionCertificate:
     """Multipliers per basis index and the irreducible remainder.
@@ -238,25 +320,26 @@ class DivisionCertificate:
         nonzero form, and the degrees add.  A basis element's degree is
         its head's: the deglex-leading term has the top total degree.
         """
-        return _product_degree(
-            {i: q.terms for i, q in self.multipliers.items()}, basis.table)
+        top = FIELD * self.remainder.nvars
+        return max((q.total_degree() + (basis.table[i][0][0] >> top)
+                    for i, q in self.multipliers.items()), default=0)
 
 
-def _product_degree(mult: dict, table) -> int:
-    """The largest total degree of a product mult[i] * row i, for
-    multipliers {row index: {e: c}} by a division table; 0 without
-    multipliers.  See ``DivisionCertificate.max_product_degree``."""
-    return max((max(map(sum, q), default=0) + table[i][0][0]
-                for i, q in mult.items()), default=0)
+def _product_degree(mult: dict, table, top: int) -> int:
+    """The largest total degree of a product mult[i] * row i, for keyed
+    multipliers {row index: {key: c}} by a division table whose degree
+    field is at ``top``; 0 without multipliers.  See
+    ``DivisionCertificate.max_product_degree``."""
+    return max(((max(q) + table[i][0][0]) >> top for i, q in mult.items()),
+               default=0)
 
 
 def _division_row(terms: dict) -> tuple:
-    """(head, tail) of a nonzero {e: c} dict: head is its deglex-leading
-    term (deg, e, c), tail its other terms keyed the same way."""
-    terms = [(sum(e), e, c) for e, c in terms.items()]
-    head = max(terms)  # the keys (deg, e) differ, so c is never compared
-    terms.remove(head)
-    return head, tuple(terms)
+    """(head, tail) of a nonzero {key: c} dict, left as it is: head is its
+    deglex-leading term (key, c), tail its other terms (key, c)."""
+    head = max(terms)
+    return (head, terms[head]), tuple(t for t in terms.items()
+                                      if t[0] != head)
 
 
 @dataclass(frozen=True)
@@ -271,92 +354,91 @@ class StrongGB:
     shift: int = field(compare=False)
 
 
-def _strong_reduce(work: dict, table) -> tuple:
+def _strong_reduce(work: dict, table, guard: int) -> tuple:
     """Full strong normal form of ``work``, a fresh zero-free dict
-    {(deg, e): c} that the call consumes, by a division table (a sequence
-    of division rows).  Returns (remainder, multipliers) as plain dicts
-    {e: c} and {row index: {shift: q}}; there are no multipliers iff the
-    remainder is the dividend.
+    {key: c} that the call consumes, by a division table (a sequence of
+    division rows) whose keys have the guard bits ``guard``.  Returns
+    (remainder, multipliers) as keyed dicts {key: c} and
+    {row index: {shift: q}}; there are no multipliers iff the remainder is
+    the dividend.
 
     The leading term is divided by the first row whose head divides it,
     or else moved to the remainder.  Each step cancels into ``work``, so
     the leading term is a plain ``max``; the head cancels exactly, and
-    each tail term shifted by (sd, shift) lands on (d + sd, e + shift).
+    each tail term lands on its key plus the shift.
     """
     remainder, mult = {}, {}
     while work:
-        key = max(work)
-        d, e = key
-        c = work[key]
-        for i, ((bd, be, bc), tail) in enumerate(table):
-            if bd <= d and c % bc == 0 and all(map(le, be, e)):
+        k = max(work)
+        c = work[k]
+        kg = k | guard
+        for i, ((bk, bc), tail) in enumerate(table):
+            if (kg - bk) & guard == guard and c % bc == 0:
                 break
         else:
-            remainder[e] = work.pop(key)
+            remainder[k] = work.pop(k)
             continue
-        del work[key]
-        q, sd, shift = c // bc, d - bd, tuple(map(sub, e, be))
+        del work[k]
+        q, shift = c // bc, k - bk
         # the leading monomials decrease, so each shift is new for i
         mult.setdefault(i, {})[shift] = q
-        for td, te, tc in tail:
-            k = (td + sd, tuple(map(add, te, shift)))
-            v = work.get(k, 0) - q * tc
+        for tk, tc in tail:
+            tk += shift
+            v = work.get(tk, 0) - q * tc
             if v:
-                work[k] = v
+                work[tk] = v
             else:
-                del work[k]
+                del work[tk]
     return remainder, mult
 
 
-def _critical_pair(f, g) -> tuple:
-    """(G, S) of two division rows as working dicts {(deg, e): c}: both
-    shift f and g up to the lcm of their heads' monomials; G combines the
-    leading coefficients by Bezout, S cancels them at their lcm."""
-    (_, fe, fc), (_, ge, gc) = f[0], g[0]
-    lcm_e = tuple(map(max, fe, ge))
-    lcm_d = sum(lcm_e)
+def _critical_pair(f, g, keys: _Keys) -> tuple:
+    """(G, S) of two division rows as keyed working dicts: both shift f
+    and g up to the lcm of their heads' monomials; G combines the leading
+    coefficients by Bezout, S cancels them at their lcm."""
+    (fk, fc), (gk, gc) = f[0], g[0]
+    lcm = keys.lcm(fk, gk)
     a, b = bezout(fc, gc)  # a fc + b gc = gcd(fc, gc) > 0
     lcm_c = abs(fc * gc) // math.gcd(fc, gc)
-    G, S = {(lcm_d, lcm_e): a * fc + b * gc}, {}
-    for ((d, e, _), tail), u, v in ((f, a, lcm_c // fc),
+    G, S = {lcm: a * fc + b * gc}, {}
+    for (((hk, _), tail), u, v) in ((f, a, lcm_c // fc),
                                     (g, b, -(lcm_c // gc))):
-        shift = tuple(map(sub, lcm_e, e))
-        for td, te, tc in tail:
-            k = (td + lcm_d - d, tuple(map(add, te, shift)))
-            G[k] = G.get(k, 0) + u * tc
-            S[k] = S.get(k, 0) + v * tc
+        shift = lcm - hk
+        for tk, tc in tail:
+            tk += shift
+            G[tk] = G.get(tk, 0) + u * tc
+            S[tk] = S.get(tk, 0) + v * tc
     return tuple({k: c for k, c in X.items() if c} for X in (G, S))
 
 
 def _check_nvars(polys, nvars, what):
     """Refuse a polynomial whose variable count is not ``nvars``: the
-    kernels zip exponent vectors, which would silently truncate."""
+    kernels pack exponent vectors of one length."""
     for poly in polys:
         if poly.nvars != nvars:
             raise ValueError(f"{what} has {poly.nvars} variables, "
                              f"expected {nvars}")
 
 
-def _climb(gens, nvars):
+def _climb(gens: list, keys: _Keys):
     """One Z-lattice of the products m * gen of the generators ``gens``,
-    climbed one degree bound at a time: yields (bound, lattice) for
-    bound = 0, 1, ..., the lattice then spanned by the products of degree
-    <= bound.  The columns at a bound are among those at the next,
-    so each product is added once, at its own degree.  Columns are keyed
-    (deg, e), so the lattice's pivot is a plain ``max``; each generator
-    is taken with a positive leading coefficient, as its products then
-    reach the lattice's positive pivots without a sign flip."""
+    keyed dicts, climbed one degree bound at a time: yields
+    (bound, lattice) for bound = d, d + 1, ..., with d the least degree of
+    a nonzero generator (0 without one), the lattice then spanned by the
+    products of degree <= bound.  The columns at a bound are among those
+    at the next, so each product is added once, at its own degree, as the
+    keys of m, enumerated in lex order, added to the generator's.  Each
+    generator is taken with a positive leading coefficient, as its
+    products then reach the lattice's positive pivots without a sign
+    flip."""
     lattice = ZLattice()
-    shifted = [(head[0], [(d, e, c if head[2] > 0 else -c)
-                          for d, e, c in (head, *tail)])
-               for head, tail in (_division_row(gen.terms)
-                                  for gen in gens if gen.terms)]
-    for bound in itertools.count():
+    shifted = [(head[0] >> keys.top,
+                [(k, c if head[1] > 0 else -c) for k, c in (head, *tail)])
+               for head, tail in map(_division_row, filter(None, gens))]
+    for bound in itertools.count(min((d for d, _ in shifted), default=0)):
         for degree, terms in shifted:
-            k = bound - degree
-            for m in exponent_vectors(nvars, k):
-                lattice.add({(d + k, tuple(map(add, e, m))): c
-                             for d, e, c in terms})
+            for m in keys.monomials(bound - degree):
+                lattice.add({k + m: c for k, c in terms})
         yield bound, lattice
 
 
@@ -376,65 +458,70 @@ def strong_gb(gens) -> StrongGB:
     failed at the last attempt is not tried again: the heads alone decide.
     The basis is the certified rows, positive-headed and sorted by head.
     Generators in different numbers of variables or none nonzero raise
-    ValueError; a lattice of more than ``MAX_ROWS`` rows without a
-    certified candidate raises :class:`DomainError`.
+    ValueError; a monomial of degree >= ``MAX_DEGREE``, or a lattice of
+    more than ``MAX_ROWS`` rows without a certified candidate, raises
+    :class:`DomainError`.
     """
     gens = list(gens)
     if gens:
         _check_nvars(gens, gens[0].nvars, "a generator")
     if all(gen.is_zero() for gen in gens):
         raise ValueError("need at least one nonzero generator")
-    nvars, top = gens[0].nvars, max(gen.total_degree() for gen in gens)
+    nvars, highest = gens[0].nvars, max(gen.total_degree() for gen in gens)
+    keys = _keys(nvars)
+    guard = keys.guard
+    keyed = [keys.keyed(gen.terms) for gen in gens]
     first, failed = {}, None  # pivot -> (entry, first bound); failed heads
-    for bound, lattice in _climb(gens, nvars):
-        for u, row in lattice.rows.items():
+    for bound, lattice in _climb(keyed, keys):
+        rows = lattice.rows
+        for u, row in rows.items():
             if first.get(u, (None,))[0] != row[u]:
                 first[u] = (row[u], bound)
-        if bound >= top:
-            heads = []  # (d, e, c), ascending: a strong divisor comes first
-            for d, e in sorted(lattice.rows):
-                c = lattice.rows[(d, e)][(d, e)]
-                if not any(c % hc == 0 and all(map(le, he, e))
-                           for _, he, hc in heads):
-                    heads.append((d, e, c))
+        if bound >= highest:
+            heads = []  # (key, c), ascending: a strong divisor comes first
+            for u in sorted(rows):
+                c, ug = rows[u][u], u | guard
+                if not any(c % hc == 0 and (ug - hk) & guard == guard
+                           for hk, hc in heads):
+                    heads.append((u, c))
             if heads != failed:
-                table = [_division_row({e: c for (_, e), c in
-                                        lattice.rows[h[:2]].items()})
-                         for h in heads]
-                if _certified(gens, table):
+                table = [_division_row(rows[u]) for u, _ in heads]
+                if _certified(keyed, table, keys):
                     break
                 failed = heads
-        if len(lattice.rows) > MAX_ROWS:
+        if len(rows) > MAX_ROWS:
             raise DomainError(f"completion did not certify within "
                               f"{MAX_ROWS} lattice rows")
-    polys = (IntPoly._trusted(nvars, {e: c for _, e, c in (h, *t)})
+    polys = (IntPoly._trusted(nvars, keys.terms(dict((h, *t))))
              for h, t in table)
-    shift = max(first[(d, e)][1] - d for d, e, _ in heads)
+    shift = max(first[u][1] - (u >> keys.top) for u, _ in heads)
     return StrongGB(tuple(polys), tuple(table), shift)
 
 
-def _certified(gens, table) -> bool:
-    """Whether every generator and every G- and S-polynomial of two rows
-    of ``table``, a division table of ideal members, strongly reduces to 0
-    by it: then it is a strong basis of the ideal (Kandri-Rody and Kapur,
-    J. Symb. Comp. 6, 1988)."""
-    return (all(not _strong_reduce({(sum(e), e): c
-                                    for e, c in gen.terms.items()}, table)[0]
-                for gen in gens)
-            and all(not _strong_reduce(p, table)[0]
+def _certified(keyed, table, keys: _Keys) -> bool:
+    """Whether every generator (keyed dicts) and every G- and
+    S-polynomial of two rows of ``table``, a division table of ideal
+    members, strongly reduces to 0 by it: then it is a strong basis of
+    the ideal (Kandri-Rody and Kapur, J. Symb. Comp. 6, 1988)."""
+    guard = keys.guard
+    return (all(not _strong_reduce(dict(gen), table, guard)[0]
+                for gen in keyed)
+            and all(not _strong_reduce(p, table, guard)[0]
                     for f, g in itertools.combinations(table, 2)
-                    for p in _critical_pair(f, g)))
+                    for p in _critical_pair(f, g, keys)))
 
 
 def strong_divide(g: IntPoly, B: StrongGB) -> DivisionCertificate:
     """Greedy strong division of g by the basis; remainder 0 iff member.
     A dividend in another number of variables raises ValueError."""
     _check_nvars((g,), B.polys[0].nvars, "the dividend")
-    remainder, mult = _strong_reduce(
-        {(sum(e), e): c for e, c in g.terms.items()}, B.table)
+    keys = _keys(g.nvars)
+    remainder, mult = _strong_reduce(keys.keyed(g.terms), B.table,
+                                     keys.guard)
     return DivisionCertificate(
-        {i: IntPoly._trusted(g.nvars, q) for i, q in mult.items()},
-        IntPoly._trusted(g.nvars, remainder))
+        {i: IntPoly._trusted(g.nvars, keys.terms(q))
+         for i, q in mult.items()},
+        IntPoly._trusted(g.nvars, keys.terms(remainder)))
 
 
 @dataclass(frozen=True)
@@ -456,9 +543,9 @@ def filtered_noetherian_witness(gens, sample_count: int, max_deg: int,
     ``failures`` carries information.  Without a nonzero generator of
     total degree <= max_deg every sample is 0, so that is refused.
 
-    A sample is built as a working dict {(deg, e): c} and divided by the
-    basis's table; a nonzero remainder is a failure, and the shift is read
-    off the multipliers, with no polynomial or certificate per sample.
+    A sample is drawn as a keyed working dict and divided by the basis's
+    table; a nonzero remainder is a failure, and the shift is read off
+    the multipliers, with no polynomial or certificate per sample.
     """
     if not any(not g.is_zero() and g.total_degree() <= max_deg
                for g in gens):
@@ -466,33 +553,34 @@ def filtered_noetherian_witness(gens, sample_count: int, max_deg: int,
                           f"{max_deg}, so every witness sample is 0")
     gb = strong_gb(gens)
     table = gb.table
+    keys = _keys(gens[0].nvars)
+    top, guard, units = keys.top, keys.guard, keys.units
     choice = chooser(rng)
     # a generator above max_deg gets no multiplier, and draws nothing;
     # one of degree d draws its multiplier's degree from 0 .. max_deg - d
     drawn = [(tuple(range(max_deg - base.total_degree() + 1)),
-              [(sum(e), e, c) for e, c in base.terms.items()])
+              tuple(keys.keyed(base.terms).items()))
              for base in gens if base.total_degree() <= max_deg]
-    slots = tuple(range(gens[0].nvars))
     max_shift = failures = done = 0
     while done < sample_count:
         work = {}
         for steps, terms in drawn:
-            for e1, c1 in _random_poly(steps, slots, choice).items():
-                d1 = sum(e1)
-                for d2, e2, c2 in terms:
-                    k = (d1 + d2, tuple(map(add, e1, e2)))
+            for k1, c1 in _random_poly(steps, units, choice).items():
+                for k2, c2 in terms:
+                    k = k1 + k2
                     work[k] = work.get(k, 0) + c1 * c2
         if 0 in work.values():
             work = {k: c for k, c in work.items() if c}
         if not work:
             continue
         done += 1
-        degree = max(work)[0]
-        remainder, mult = _strong_reduce(work, table)
+        degree = max(work) >> top
+        remainder, mult = _strong_reduce(work, table, guard)
         if remainder:
             failures += 1
             continue
-        max_shift = max(max_shift, _product_degree(mult, table) - degree)
+        max_shift = max(max_shift,
+                        _product_degree(mult, table, top) - degree)
     return WitnessReport(done, max_shift, failures, gb)
 
 
@@ -501,22 +589,20 @@ _TERM_COUNTS = (1, 2, 3)
 _COEFFS = (-3, -2, -1, 0, 1, 2, 3)
 
 
-def _random_poly(steps: tuple, slots: tuple, choice) -> dict:
-    """A random polynomial in len(slots) variables as a zero-free dict
-    {e: c}, each term of ``choice(steps)`` steps along ``choice(slots)``,
-    where ``choice`` is a ``chooser``.  ``choice`` over the tuple
-    range(a, b + 1) draws what ``randint(a, b)`` draws, and
+def _random_poly(steps: tuple, units: tuple, choice) -> dict:
+    """A random polynomial as a zero-free keyed dict {key: c}, each term
+    of ``choice(steps)`` steps, each step adding ``choice(units)``, the
+    key of one variable; ``choice`` is a ``chooser``.  ``choice`` over
+    the tuple range(a, b + 1) draws what ``randint(a, b)`` draws, and
     tests/test_draw_streams.py pins that stream."""
-    nvars = len(slots)
     terms = {}
     for _ in range(choice(_TERM_COUNTS)):
-        e = [0] * nvars
-        if nvars:  # a constant has no exponents to draw
+        k = 0
+        if units:  # a constant has no exponents to draw
             for _ in range(choice(steps)):
-                e[choice(slots)] += 1
-        e = tuple(e)
-        terms[e] = terms.get(e, 0) + choice(_COEFFS)
-    return ({e: c for e, c in terms.items() if c}
+                k += choice(units)
+        terms[k] = terms.get(k, 0) + choice(_COEFFS)
+    return ({k: c for k, c in terms.items() if c}
             if 0 in terms.values() else terms)
 
 
@@ -526,25 +612,31 @@ def membership_oracle(g: IntPoly, gens, shift: int | None = None) -> bool:
     At degree bound b, g is a member iff it lies in the Z-span of the
     products m * gen_i of degree <= b.  A member can need products of the
     raw generators above its own degree, e.g. 5y = y(x^2+5) - x(xy).  One
-    lattice climbs from bound 0; g is tested from bound deg(g), and a miss
-    there goes on up to deg(g) + l, past which no member can first enter
-    (see the module docstring).  Every verdict is read from the lattice:
-    True is a combination found, False a miss at the exact bound.  A
-    member usually enters at deg(g), so l is read from ``strong_gb`` only
-    on a miss, and only when no ``shift`` = l is passed (once per ideal);
-    the zero ideal has l = 0.  A generator in another number of variables
-    than g raises ValueError.
+    lattice climbs from the least generator degree; g is tested from the
+    first bound >= deg(g), and a miss there goes on up to deg(g) + l, past
+    which no member can first enter (see the module docstring; the spans
+    only grow, so a miss at any bound >= deg(g) + l is final).  Every
+    verdict is read from the lattice: True is a combination found, False
+    a miss at or above the exact bound.  A member usually enters at
+    deg(g), so l is read from ``strong_gb`` only on a miss, and only when
+    no ``shift`` = l is passed (once per ideal); the zero ideal has
+    l = 0.  A generator in another number of variables than g raises
+    ValueError.
     """
     _check_nvars(gens, g.nvars, "a generator")
     if g.is_zero():
         return True
-    target = {(sum(e), e): c for e, c in g.terms.items()}
-    climb = _climb(gens, g.nvars)
-    _, lattice = next(itertools.islice(climb, g.total_degree(), None))
-    if lattice.contains(target):
-        return True
-    if shift is None:
-        shift = (strong_gb(gens).shift
-                 if any(gen.terms for gen in gens) else 0)
-    return any(lattice.contains(target)
-               for _, lattice in itertools.islice(climb, shift))
+    keys = _keys(g.nvars)
+    target = keys.keyed(g.terms)
+    degree = g.total_degree()
+    for bound, lattice in _climb([keys.keyed(gen.terms) for gen in gens],
+                                 keys):
+        if bound < degree:
+            continue
+        if lattice.contains(target):
+            return True
+        if shift is None:
+            shift = (strong_gb(gens).shift
+                     if any(gen.terms for gen in gens) else 0)
+        if bound >= degree + shift:
+            return False

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -621,6 +622,38 @@ def test_groebner_completion_limit_is_an_input_error(tmp_path, monkeypatch,
     assert json.loads(out) == {
         "schema": "ha/1", "kind": "DomainError",
         "error": "completion did not certify within 60 lattice rows"}
+
+
+def test_groebner_lone_high_degree_generator_within_a_second(tmp_path,
+                                                            capsys):
+    """The climb starts at the least generator degree: x^(10^12) is its
+    own basis at once, where a climb from bound 0 never ended."""
+    path = tmp_path / "lone.json"
+    path.write_text(json.dumps({"vars": ["x", "y"], "gens": [
+        [{"e": [1000000000000, 0], "c": 1}]]}))
+    start = time.perf_counter()
+    code = run(["--prime", "5", "groebner", str(path)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["results"] == {"basis": ["x^1000000000000"]}
+
+
+@pytest.mark.parametrize("degree, code", [(2 ** 61 - 1, 0), (2 ** 61, 2)])
+def test_groebner_degree_limit(tmp_path, capsys, degree, code):
+    """Monomials are packed below total degree 2^61: a generator of degree
+    2^61 - 1 completes, one of 2^61 is one DomainError document."""
+    path = tmp_path / "limit.json"
+    path.write_text(json.dumps({"vars": ["x", "y"], "gens": [
+        [{"e": [degree - 5, 5], "c": 2}]]}))
+    assert run(["--prime", "5", "groebner", str(path)]) == code
+    out = json.loads(capsys.readouterr().out)
+    if code:
+        assert out == {"schema": "ha/1", "kind": "DomainError", "error":
+                       f"a monomial of total degree {degree} is at or "
+                       "above the limit 2^61"}
+    else:
+        assert out["results"] == {"basis": [f"2*x^{degree - 5}*y^5"]}
 
 
 def test_groebner_witness_on_zero_variables(tmp_path, capsys):

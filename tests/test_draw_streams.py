@@ -22,7 +22,7 @@ from hacalc import checks
 from hacalc.algebra import GrowthProfile, chooser
 from hacalc.checks import (presentations, random_even_form, random_form,
                            random_monomial, random_monomial_form)
-from hacalc.groebner import IntPoly, _random_poly
+from hacalc.groebner import IntPoly, _keys, _random_poly
 from hacalc.ncforms import Form
 from hacalc.scalars import PrimeConfig
 from hacalc.tube import EvenForm
@@ -185,13 +185,16 @@ def test_fedosov_growth_pools_match_the_reference(monkeypatch):
 
 @pytest.mark.parametrize("nvars", range(4))
 def test_random_poly_draws_the_reference_stream(nvars):
-    slots = tuple(range(nvars))
+    """The drawn keys, read back as exponent vectors, are the reference's
+    terms in the reference's order."""
+    keys = _keys(nvars)
     for seed in range(40):
         rng, ref = _pair(seed)
         for max_deg in range(4):
             steps = tuple(range(max_deg + 1))
             for _ in range(3):
-                got = _random_poly(steps, slots, chooser(rng))
+                got = keys.terms(_random_poly(steps, keys.units,
+                                              chooser(rng)))
                 want = ref_random_poly(nvars, max_deg, ref)
                 assert list(got.items()) == list(want.terms.items())
         assert rng.getstate() == ref.getstate()
