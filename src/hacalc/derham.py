@@ -114,7 +114,7 @@ def h_dr(A: AlgebraPresentation, cfg: PrimeConfig,
             raise BadReduction(f"f is not squarefree mod p = {cfg.p}")
     elif A.kind not in ("polynomial", "laurent"):
         raise DomainError("unsupported presentation for de Rham reduction")
-    h0, h1, _, cols, reduce = stable_read(A, D)
+    h0, h1, cols, reduce = stable_read(A, D)
     if A.kind == "plane_curve":
         reps1, loss = _curve_reps(A, u, v, reduce, h1), 0
     else:

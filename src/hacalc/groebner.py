@@ -620,8 +620,10 @@ def membership_oracle(g: IntPoly, gens, shift: int | None = None) -> bool:
     a miss at or above the exact bound.  A member usually enters at
     deg(g), so l is read from ``strong_gb`` only on a miss, and only when
     no ``shift`` = l is passed (once per ideal); the zero ideal has
-    l = 0.  A generator in another number of variables than g raises
-    ValueError.
+    l = 0.  A lattice of more than ``MAX_ROWS`` rows below deg(g) raises
+    :class:`DomainError`: x^(10^12) over (x) would climb 10^12 bounds to
+    its first test.  A generator in another number of variables than g
+    raises ValueError.
     """
     _check_nvars(gens, g.nvars, "a generator")
     if g.is_zero():
@@ -632,6 +634,9 @@ def membership_oracle(g: IntPoly, gens, shift: int | None = None) -> bool:
     for bound, lattice in _climb([keys.keyed(gen.terms) for gen in gens],
                                  keys):
         if bound < degree:
+            if len(lattice.rows) > MAX_ROWS:
+                raise DomainError(f"the climb to degree {degree} passed "
+                                  f"{MAX_ROWS} lattice rows")
             continue
         if lattice.contains(target):
             return True

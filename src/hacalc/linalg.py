@@ -7,14 +7,12 @@ the column order (smaller id eliminated first) is fixed by the caller.
 comes from it.  It is fraction-free and trusted: it takes int vectors and
 checks no entry.  The entry points check instead: ``int_matrix_rank``
 raises ValueError and ``kernel_basis`` TypeError on a non-int entry.
-``kernel_basis`` reduces each vector once, carrying an identity column, in
-an echelon the caller may seed with rows: the kernel is taken modulo them.
 ``ZLattice`` decides exact membership over Z: an echelon basis of the
 Z-span, kept with extended-gcd pivoting, positive pivot entries and each
 stored row Hermite-reduced at the pivot columns below its own.  It takes
 no key function: its columns may be any comparable ids, and a row's pivot
-is its largest column (the Groebner climb keys its columns by deglex keys
-(deg, e), so each row leads with the head of an ideal member).
+is its largest column (the Groebner climb's columns are deglex-ordered
+packed monomials, so each row leads with the head of an ideal member).
 ``SparseEchelon`` keeps a reduced row echelon form over Q with canonical
 coset representatives; it is the only one that divides, the library no
 longer eliminates with it, and the tests use it as the rational
@@ -153,12 +151,12 @@ class IntEchelon:
 
     def residuals(self, vectors) -> list:
         """Each vector's residual modulo the rows and the vectors before
-        it, columns >= AUG dropped; the rows are left as they are."""
+        it; the rows are left as they are."""
         ech = IntEchelon()
         ech.rows = dict(self.rows)
         out = []
         for vec in vectors:
-            out.append({c: v for c, v in ech.reduce(vec).items() if c < AUG})
+            out.append(ech.reduce(vec))
             ech.add(out[-1])
         return out
 
@@ -311,13 +309,12 @@ def smith_normal_form(M) -> tuple:
     return tuple(pivots) + (0,) * (size - len(pivots))
 
 
-def kernel_basis(vectors: list[dict], ech: IntEchelon | None = None):
-    """Kernel of the linear map e_i -> vectors[i] modulo the rows of ``ech``.
+def kernel_basis(vectors: list[dict]):
+    """Kernel of the linear map e_i -> vectors[i].
 
     Vector i gets the identity column AUG + i (every other column lies
-    below AUG) and is reduced once in ``ech``, fresh by default: a residual
-    with identity columns alone is a kernel vector, any other becomes a
-    row, so ``ech`` then spans the seeded rows and the vectors.
+    below AUG) and is reduced once in a fresh ``IntEchelon``: a residual
+    with identity columns alone is a kernel vector, any other a row.
     Takes int vectors, as ``IntEchelon`` does, and raises TypeError on any
     other entry (a bool, Fraction or float); returns coefficient dicts
     {i: int}, content-normalized, deterministic for a fixed input order.
@@ -325,7 +322,7 @@ def kernel_basis(vectors: list[dict], ech: IntEchelon | None = None):
     ``kernel_basis(vectors[:n])`` is the result's vectors whose indices
     are all below n.
     """
-    ech = IntEchelon() if ech is None else ech
+    ech = IntEchelon()
     kernel = []
     for i, vec in enumerate(vectors):
         for v in vec.values():

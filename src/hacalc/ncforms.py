@@ -42,7 +42,7 @@ from math import gcd, lcm
 
 from .algebra import AlgebraPresentation
 from .errors import DomainError, NotCommutative, Unstable, WrongDegree
-from .linalg import IntEchelon, kernel_basis
+from .linalg import IntEchelon
 
 
 class Form:
@@ -552,7 +552,6 @@ class CommutatorQuotient:
 class XComplexReport:
     h0: int
     h1: int
-    reps0: tuple
     reps1: tuple
     stable: bool
 
@@ -619,19 +618,19 @@ def kahler_window(A: AlgebraPresentation, reads: list) -> dict:
     The rows are h rho(a, b) and d(s) for every monomial h, s of the
     window; a column a row reaches beyond the window is placed ahead of
     all others, so it never becomes a read pivot.  Each read bound R maps
-    to (h0, h1, reps0, reps1, reduce): the kernel of d on S_{<=R} and its
-    basis, the cokernel dimension and its non-pivot columns, and
-    ``reduce``, which takes a list of {(head, letter): c} int vectors to
-    their residuals modulo all rows and the vectors before each
+    to (h0, h1, reps1, reduce): the kernel dimension of d on S_{<=R}, the
+    cokernel dimension and its non-pivot columns, and ``reduce``, which
+    takes a list of {(head, letter): c} int vectors to their residuals
+    modulo all rows and the vectors before each
     (``IntEchelon.residuals``).
 
     One elimination serves every read bound: the defect rows seed an
-    ``IntEchelon``, and ``kernel_basis`` reduces each d(s) in it once,
-    which stores d(s) as a row or finds a kernel vector of d modulo the
-    defects.  S_{<=R} is a prefix of the window's monomials (sorted by
-    ``sort_key``), and ``kernel_basis`` finds a kernel vector at the last
-    index it uses, so the kernel on S_{<=R} is the vectors whose indices
-    all lie in that prefix.
+    ``IntEchelon``, and each d(s) is added to it in ``monos`` order.
+    S_{<=R} is the first n of the window's monomials (sorted by
+    ``sort_key``), and d(s) adds no row exactly when it lies in the span
+    of the defects and the d(s) before it, so h0 at R is the number of
+    the first n d(s) that add no row:
+    dim ker = n - (rank(defects + d-rows) - rank(defects)).
     """
     big = max(reads) + PAD
     monos = A.monomials_up_to(big)
@@ -662,7 +661,7 @@ def kahler_window(A: AlgebraPresentation, reads: list) -> dict:
                 for hm, hc in A.mul_monomials(h, m).items():
                     row[(hm, w)] = row.get((hm, w), 0) + c * hc
             ech.add(vec(row))
-    kernel = kernel_basis([vec(_kahler_d(A, s)) for s in monos], ech)
+    in_kernel = [ech.add(vec(_kahler_d(A, s))) is None for s in monos]
 
     def reduce(forms):
         return ech.residuals(vec(terms) for terms in forms)
@@ -674,10 +673,7 @@ def kahler_window(A: AlgebraPresentation, reads: list) -> dict:
         first = len(tuples) - len(letters) * (n - len(by_deg[R]))
         reps1 = tuple(tuples[c] for c in range(first, len(tuples))
                       if c not in ech.rows)
-        reps0 = tuple(
-            Form._trusted(A, 0, {(monos[i],): c for i, c in combo.items()})
-            for combo in kernel if max(combo) < n)
-        results[R] = (len(reps0), len(reps1), reps0, reps1, reduce)
+        results[R] = (sum(in_kernel[:n]), len(reps1), reps1, reduce)
     return results
 
 
@@ -693,10 +689,9 @@ def xcomplex_homology(A: AlgebraPresentation, cfg, D: int) -> XComplexReport:
     if not A.is_commutative:
         raise NotCommutative("homology is computed for commutative "
                              "presentations only")
-    h0, h1, reps0, reps1, _ = stable_read(A, D)
+    h0, h1, reps1, _ = stable_read(A, D)
     reps1_str = tuple(str(Form(A, 1, {t: 1})) for t in reps1)
-    reps0_str = tuple(str(x) for x in reps0)
-    return XComplexReport(h0, h1, reps0_str, reps1_str, True)
+    return XComplexReport(h0, h1, reps1_str, True)
 
 
 def xcomplex_boundary_checks(A: AlgebraPresentation, monomials,

@@ -108,7 +108,7 @@ def test_h_dr_curve_matches_the_commutator_span(f):
 def test_curve_class_count_must_be_h1():
     from hacalc.derham import _curve_reps, _poly_bezout
     u, v, _ = _poly_bezout([0, -1, 0, 1], [-1, 0, 3])
-    reduce = stable_read(CURVE, 20)[4]
+    reduce = stable_read(CURVE, 20)[3]
     assert _curve_reps(CURVE, u, v, reduce, 2) == ("dx/y", "x dx/y")
     with pytest.raises(Mismatch, match="2 curve classes vs h1 = 3"):
         _curve_reps(CURVE, u, v, reduce, 3)
@@ -120,7 +120,7 @@ def test_curve_reps_refuses_classes_dependent_modulo_the_boundaries():
     and _curve_reps refuses it."""
     from hacalc.derham import _curve_reps, _poly_bezout
     u, v, _ = _poly_bezout([0, -1, 0, 1], [-1, 0, 3])
-    reduce = stable_read(CURVE, 20)[4]
+    reduce = stable_read(CURVE, 20)[3]
     x, y = CURVE.generator_monomial("x"), CURVE.generator_monomial("y")
     form = {**{((k, 1), x): c for k, c in enumerate(u) if c},
             **{((k, 0), y): 2 * c for k, c in enumerate(v) if c}}

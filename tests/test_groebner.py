@@ -691,6 +691,20 @@ def test_shift_guard_never_decides_a_verdict(monkeypatch):
     assert membership_oracle(P({(1, 1): 5}), gens)
 
 
+@pytest.mark.parametrize("nvars", [1, 2])
+def test_oracle_refuses_a_runaway_climb(nvars):
+    """x^(10^12) over (x) is a member, but its first test waits for 10^12
+    bounds: the climb raises once it holds more than MAX_ROWS rows below
+    the target's degree."""
+    e = (1,) + (0,) * (nvars - 1)
+    x = IntPoly(nvars, {e: 1})
+    g = IntPoly(nvars, {tuple(10**12 * v for v in e): 1})
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="passed 20000 lattice rows"):
+        membership_oracle(g, [x])
+    assert time.perf_counter() - start < 1
+
+
 def _seeded_ideal(rng, nvars, with_zero):
     """One or two generators of one or two terms, linear in three
     variables and at most quadratic in one; a zero generator optional."""

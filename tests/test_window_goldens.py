@@ -5,7 +5,7 @@
 * ``h_dr(A, PrimeConfig(p), D).as_dict()`` for the polynomial and the
   Laurent ring at p in {5, 7, 11, 13} and every D <= 40, or the error kind
   and text where the read is refused;
-* the dims and reps of ``kahler_window(A, [R])[R]`` for the presentations
+* the dims and reps1 of ``kahler_window(A, [R])[R]`` for the presentations
   of ``test_xcomplex_against_dense_oracle`` at every R up to its maximum,
   reps1 printed as the 1-forms h dw of the window's non-pivot columns.
 
@@ -46,8 +46,8 @@ def _h_dr_entry(A, p, D):
 
 
 def _window_entry(A, R):
-    h0, h1, reps0, reps1, _ = kahler_window(A, [R])[R]
-    return {"h0": h0, "h1": h1, "reps0": [str(x) for x in reps0],
+    h0, h1, reps1, _ = kahler_window(A, [R])[R]
+    return {"h0": h0, "h1": h1,
             "reps1": [str(Form(A, 1, {t: 1})) for t in reps1]}
 
 
