@@ -323,10 +323,10 @@ def suite_groebner(samples_per_ideal: int, seed: int) -> CheckResult:
     """Strong division against the membership oracle on random members
     and perturbations of the corpus ideals, with each certificate's
     reconstruction and degree bound.  Both sides rest on ``ZLattice``:
-    the basis is read off the lattice climb, and the oracle climbs the
-    same lattice to the shift that one completion per ideal carries.  The
-    independent oracles (Buchberger's completion, the dense Smith form)
-    are in the tests."""
+    the basis is read off one climb per ideal, and the oracle climbs the
+    same products to the shift that basis carries, passed in so that a
+    miss does not certify a candidate again.  The independent oracles
+    (Buchberger's completion, the dense Smith form) are in the tests."""
     corpus = groebner_corpus()
     rng = random.Random(seed)
     total = 0

@@ -16,23 +16,26 @@ products m * gen of degree <= B for B = d, d + 1, ..., where d is the
 least generator degree (below it the lattice is empty); the lattice's rows
 are an echelon basis with positive pivots, so the row with pivot u leads
 with the generator of the leading coefficients of the members of degree
-<= B led by u.  The rows whose head (u, c) no other head strongly
-divides are the candidate; once B is large enough they are a strong
-basis, and ``strong_gb`` certifies that by the criterion of Kandri-Rody
-and Kapur (J. Symb. Comp. 6, 1988): every generator and every G- and
-S-polynomial of two candidate rows strongly reduces to 0 by them.
+<= B led by u.  The candidate rule: from the top generator degree on,
+the rows whose head (u, c) no other head strongly divides, unless those
+heads failed at the last attempt, are tried by the criterion of
+Kandri-Rody and Kapur (J. Symb. Comp. 6, 1988): they are a strong basis
+if every generator and every G- and S-polynomial of two of them strongly
+reduces to 0 by them.  A climb past ``MAX_ROWS`` rows with nothing
+certified raises :class:`DomainError`.
 
 The same climb gives the filtration shift l over the generators, the
 least l with every member g in the span of the products of degree <=
-deg(g) + l (2 over x^2 + 5, xy).  It is the largest (the first bound at
-which (u, c) is a pivot) - deg(u) over the basis heads (u, c).  Every g
-lies in the span at deg(g) + l, by induction on its leading term: its
-head is strongly divided by some (u, c), a member m * h with head m * u
-and h led by (u, c) lies in the span at deg(u) + l + deg(m) <= deg(g) +
-l, and subtracting its multiple leaves a member with a lower leading
-term and no larger degree.  One bound lower no member has the head that
-attains l, so l is least.  The membership oracle climbs a lattice of the
-same products and stops at the first bound >= deg(g) + l.
+deg(g) + l (2 over x^2 + 5, xy).  It is the largest (the bound at which
+the entry at pivot u became c, the lattice's stamp) - deg(u) over the
+basis heads (u, c).  Every g lies in the span at deg(g) + l, by
+induction on its leading term: its head is strongly divided by some
+(u, c), a member m * h with head m * u and h led by (u, c) lies in the
+span at deg(u) + l + deg(m) <= deg(g) + l, and subtracting its multiple
+leaves a member with a lower leading term and no larger degree.  One
+bound lower no member has the head that attains l, so l is least.  The
+membership oracle tests g on its own climb up to the first bound >=
+deg(g) + l, and certifies there when it is not given l.
 
 The kernels key every term by one int, its monomial packed in fields of
 ``FIELD`` = 64 bits: the total degree in the top field, then e_0, e_1,
@@ -420,26 +423,53 @@ def _check_nvars(polys, nvars, what):
                              f"expected {nvars}")
 
 
-def _climb(gens: list, keys: _Keys):
-    """One Z-lattice of the products m * gen of the generators ``gens``,
-    keyed dicts, climbed one degree bound at a time: yields
-    (bound, lattice) for bound = d, d + 1, ..., with d the least degree of
+def _climb(keyed: list, keys: _Keys):
+    """One Z-lattice of the products m * gen of the generators ``keyed``
+    (keyed dicts), climbed one degree bound at a time: yields (bound,
+    lattice, certify) for bound = d, d + 1, ..., with d the least degree of
     a nonzero generator (0 without one), the lattice then spanned by the
-    products of degree <= bound.  The columns at a bound are among those
-    at the next, so each product is added once, at its own degree, as the
-    keys of m, enumerated in lex order, added to the generator's.  Each
-    generator is taken with a positive leading coefficient, as its
-    products then reach the lattice's positive pivots without a sign
-    flip."""
+    products of degree <= bound and stamped with it.  ``certify()``
+    applies the candidate rule (module docstring) at the current bound and
+    returns (table, l) once a candidate has certified, else None; the
+    ``MAX_ROWS`` cap is checked on resuming.  Each product is added once,
+    at its own degree, as the keys of m (in lex order) plus the
+    generator's, the generator taken with a positive leading coefficient,
+    so its products reach the positive pivots without a sign flip."""
     lattice = ZLattice()
     shifted = [(head[0] >> keys.top,
                 [(k, c if head[1] > 0 else -c) for k, c in (head, *tail)])
-               for head, tail in map(_division_row, filter(None, gens))]
-    for bound in itertools.count(min((d for d, _ in shifted), default=0)):
+               for head, tail in map(_division_row, filter(None, keyed))]
+    degrees = [d for d, _ in shifted]
+    done = failed = None  # (table, l) once certified; the failed heads
+
+    def certify():
+        nonlocal done, failed
+        if done or lattice.stamp < max(degrees):
+            return done
+        rows, guard = lattice.rows, keys.guard
+        heads = []  # (key, c), ascending: a strong divisor comes first
+        for u in sorted(rows):
+            c, ug = rows[u][u], u | guard
+            if not any(c % hc == 0 and (ug - hk) & guard == guard
+                       for hk, hc in heads):
+                heads.append((u, c))
+        if heads != failed:
+            table = [_division_row(rows[u]) for u, _ in heads]
+            if _certified(keyed, table, keys):
+                done = table, max(lattice.since[u] - (u >> keys.top)
+                                  for u, _ in heads)
+            failed = heads
+        return done
+
+    for bound in itertools.count(min(degrees, default=0)):
+        lattice.stamp = bound
         for degree, terms in shifted:
             for m in keys.monomials(bound - degree):
                 lattice.add({k + m: c for k, c in terms})
-        yield bound, lattice
+        yield bound, lattice, certify
+        if not done and len(lattice.rows) > MAX_ROWS:
+            raise DomainError(f"completion did not certify within "
+                              f"{MAX_ROWS} lattice rows")
 
 
 #: Lattice rows the climb may hold without a certified basis before
@@ -448,61 +478,29 @@ MAX_ROWS = 20000
 
 
 def strong_gb(gens) -> StrongGB:
-    """The strong basis and the filtration shift of the ideal of ``gens``,
-    read off one lattice climb (see the module docstring).
-
-    From the top generator degree on, each bound's candidate is the rows
-    whose head no other row's head strongly divides; it is certified when
-    the generators and the G- and S-polynomials of its pairs all strongly
-    reduce to 0 by it, else the climb goes on.  A candidate whose heads
-    failed at the last attempt is not tried again: the heads alone decide.
-    The basis is the certified rows, positive-headed and sorted by head.
+    """The strong basis and the filtration shift of the ideal of ``gens``:
+    the first candidate of one lattice climb that certifies (see the
+    module docstring), its rows positive-headed and sorted by head.
     Generators in different numbers of variables or none nonzero raise
-    ValueError; a monomial of degree >= ``MAX_DEGREE``, or a lattice of
-    more than ``MAX_ROWS`` rows without a certified candidate, raises
-    :class:`DomainError`.
-    """
+    ValueError; a monomial of degree >= ``MAX_DEGREE``, or the row cap,
+    raises :class:`DomainError`."""
     gens = list(gens)
     if gens:
         _check_nvars(gens, gens[0].nvars, "a generator")
     if all(gen.is_zero() for gen in gens):
         raise ValueError("need at least one nonzero generator")
-    nvars, highest = gens[0].nvars, max(gen.total_degree() for gen in gens)
+    nvars = gens[0].nvars
     keys = _keys(nvars)
-    guard = keys.guard
-    keyed = [keys.keyed(gen.terms) for gen in gens]
-    first, failed = {}, None  # pivot -> (entry, first bound); failed heads
-    for bound, lattice in _climb(keyed, keys):
-        rows = lattice.rows
-        for u, row in rows.items():
-            if first.get(u, (None,))[0] != row[u]:
-                first[u] = (row[u], bound)
-        if bound >= highest:
-            heads = []  # (key, c), ascending: a strong divisor comes first
-            for u in sorted(rows):
-                c, ug = rows[u][u], u | guard
-                if not any(c % hc == 0 and (ug - hk) & guard == guard
-                           for hk, hc in heads):
-                    heads.append((u, c))
-            if heads != failed:
-                table = [_division_row(rows[u]) for u, _ in heads]
-                if _certified(keyed, table, keys):
-                    break
-                failed = heads
-        if len(rows) > MAX_ROWS:
-            raise DomainError(f"completion did not certify within "
-                              f"{MAX_ROWS} lattice rows")
+    climb = _climb([keys.keyed(gen.terms) for gen in gens], keys)
+    table, shift = next(filter(None, (certify() for *_, certify in climb)))
     polys = (IntPoly._trusted(nvars, keys.terms(dict((h, *t))))
              for h, t in table)
-    shift = max(first[u][1] - (u >> keys.top) for u, _ in heads)
     return StrongGB(tuple(polys), tuple(table), shift)
 
 
 def _certified(keyed, table, keys: _Keys) -> bool:
-    """Whether every generator (keyed dicts) and every G- and
-    S-polynomial of two rows of ``table``, a division table of ideal
-    members, strongly reduces to 0 by it: then it is a strong basis of
-    the ideal (Kandri-Rody and Kapur, J. Symb. Comp. 6, 1988)."""
+    """Whether ``table``, a division table of ideal members, passes the
+    criterion of the module docstring over the generators ``keyed``."""
     guard = keys.guard
     return (all(not _strong_reduce(dict(gen), table, guard)[0]
                 for gen in keyed)
@@ -617,31 +615,25 @@ def membership_oracle(g: IntPoly, gens, shift: int | None = None) -> bool:
     which no member can first enter (see the module docstring; the spans
     only grow, so a miss at any bound >= deg(g) + l is final).  Every
     verdict is read from the lattice: True is a combination found, False
-    a miss at or above the exact bound.  A member usually enters at
-    deg(g), so l is read from ``strong_gb`` only on a miss, and only when
-    no ``shift`` = l is passed (once per ideal); the zero ideal has
-    l = 0.  A lattice of more than ``MAX_ROWS`` rows below deg(g) raises
-    :class:`DomainError`: x^(10^12) over (x) would climb 10^12 bounds to
-    its first test.  A generator in another number of variables than g
-    raises ValueError.
+    a miss at or above the exact bound.  Without ``shift`` = l passed
+    (once per ideal), a miss certifies a candidate on the same lattice to
+    read l.  The zero ideal holds only 0, with no climb.  The climb's row
+    cap raises :class:`DomainError`: x^(10^12) over (x) would climb 10^12
+    bounds to its first test.  A generator in another number of variables
+    than g raises ValueError.
     """
     _check_nvars(gens, g.nvars, "a generator")
-    if g.is_zero():
-        return True
+    if g.is_zero() or all(gen.is_zero() for gen in gens):
+        return g.is_zero()
     keys = _keys(g.nvars)
-    target = keys.keyed(g.terms)
-    degree = g.total_degree()
-    for bound, lattice in _climb([keys.keyed(gen.terms) for gen in gens],
-                                 keys):
+    target, degree = keys.keyed(g.terms), g.total_degree()
+    for bound, lattice, certify in _climb(
+            [keys.keyed(gen.terms) for gen in gens], keys):
         if bound < degree:
-            if len(lattice.rows) > MAX_ROWS:
-                raise DomainError(f"the climb to degree {degree} passed "
-                                  f"{MAX_ROWS} lattice rows")
             continue
         if lattice.contains(target):
             return True
-        if shift is None:
-            shift = (strong_gb(gens).shift
-                     if any(gen.terms for gen in gens) else 0)
-        if bound >= degree + shift:
+        if shift is None and (done := certify()):
+            shift = done[1]
+        if shift is not None and bound >= degree + shift:
             return False

@@ -12,7 +12,8 @@ Z-span, kept with extended-gcd pivoting, positive pivot entries and each
 stored row Hermite-reduced at the pivot columns below its own.  It takes
 no key function: its columns may be any comparable ids, and a row's pivot
 is its largest column (the Groebner climb's columns are deglex-ordered
-packed monomials, so each row leads with the head of an ideal member).
+packed monomials, so each row leads with the head of an ideal member,
+and the climb stamps each pivot with the bound its entry was set at).
 ``SparseEchelon`` keeps a reduced row echelon form over Q with canonical
 coset representatives; it is the only one that divides, the library no
 longer eliminates with it, and the tests use it as the rational
@@ -214,16 +215,21 @@ class ZLattice:
     subtracting a multiple of that row.  Only the stored row is reduced,
     never the rows above it; that keeps a Groebner climb's entries to a
     few hundred bits, where unreduced rows grew past 10^5 bits.
+
+    ``since[p]`` is the caller's ``stamp`` at the last store at p; each
+    store changes the pivot entry (a new pivot, or a Bezout step to a
+    proper divisor), so that is when the entry became what it is.
     """
 
     def __init__(self):
         self.rows = {}  # pivot column -> row dict
+        self.since, self.stamp = {}, 0  # pivot column -> stamp at its store
 
     def add(self, vec: dict):
         """Add ``vec``, a zero-free dict that the lattice takes over: the
         caller hands it a fresh dict and does not use it again, since it
         may become a row."""
-        rows = self.rows
+        rows, since = self.rows, self.since
         while vec:
             p = max(vec)
             row = rows.get(p)
@@ -250,6 +256,7 @@ class ZLattice:
                 q = row[c] // rows[c][c]
                 if q:
                     _subtract(row, q, rows[c])
+            since[p] = self.stamp
             rows[p] = row
 
     def contains(self, vec: dict) -> bool:

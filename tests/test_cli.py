@@ -624,6 +624,25 @@ def test_groebner_completion_limit_is_an_input_error(tmp_path, monkeypatch,
         "error": "completion did not certify within 60 lattice rows"}
 
 
+@pytest.mark.parametrize("nvars", [1, 2])
+def test_groebner_refuses_two_and_x_power_within_a_second(tmp_path, capsys,
+                                                         nvars):
+    """(2, x^(10^12)) fills the lattice with multiples of 2 far below its
+    top generator degree: the climb is refused at its row cap, and the
+    refusal costs no scan of every pivot at every bound."""
+    path = tmp_path / "two.json"
+    zeros = [0] * (nvars - 1)
+    path.write_text(json.dumps({"vars": ["x", "y"][:nvars], "gens": [
+        [{"e": [0] + zeros, "c": 2}],
+        [{"e": [1000000000000] + zeros, "c": 1}]]}))
+    start = time.perf_counter()
+    code = run(["--prime", "5", "groebner", str(path)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert json.loads(capsys.readouterr().out)["error"] == \
+        "completion did not certify within 20000 lattice rows"
+
+
 def test_groebner_lone_high_degree_generator_within_a_second(tmp_path,
                                                             capsys):
     """The climb starts at the least generator degree: x^(10^12) is its

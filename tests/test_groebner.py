@@ -562,6 +562,26 @@ def test_zlattice_agrees_with_snf_solvability():
     assert min(seen.values()) > 50, seen
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_zlattice_stamps_each_pivot_at_its_entrys_last_change(seed):
+    """Seeded batches of vectors, one stamp per batch: since[p] is the
+    last stamp at which the pivot entry rows[p][p] changed, by a scan of
+    every pivot after each batch."""
+    rng = random.Random(seed)
+    lattice, seen = ZLattice(), {}  # pivot -> (entry, stamp of its change)
+    for stamp in range(1, 31):
+        lattice.stamp = stamp
+        for _ in range(rng.randint(0, 4)):
+            vec = {c: rng.choice((-6, -4, -3, -2, 2, 3, 4, 6, 9))
+                   for c in rng.sample(range(12), rng.randint(1, 3))}
+            lattice.add(vec)
+        for p, row in lattice.rows.items():
+            if seen.get(p, (None,))[0] != row[p]:
+                seen[p] = (row[p], stamp)
+    assert lattice.since == {p: s for p, (_, s) in seen.items()}
+    assert len(set(lattice.since.values())) > 5
+
+
 def test_membership_oracle_agrees_with_snf_oracle():
     rng = random.Random(12)
     checked = 0
@@ -645,11 +665,25 @@ def _refuse(*args):
 
 
 def test_zero_ideal_never_reaches_completion(monkeypatch):
+    """The zero ideal holds only 0, answered before any climb: a climb of
+    its empty lattice to x^(10^12) would never end."""
     monkeypatch.setattr(groebner, "strong_gb", _refuse)
+    monkeypatch.setattr(groebner, "_climb", _refuse)
     for gens in ([], [IntPoly(2)], [IntPoly(2), IntPoly(2)]):
         assert membership_oracle(IntPoly(2), gens)
         for g in (P({(0, 0): 1}), P({(1, 1): 3, (0, 0): -2})):
             assert not membership_oracle(g, gens)
+    assert not membership_oracle(IntPoly(1, {(10**12,): 1}), [IntPoly(1)])
+
+
+def test_a_miss_completes_on_the_oracles_own_lattice(monkeypatch):
+    """Without a shift the oracle reads l by certifying on the lattice it
+    climbs, never by a second completion: y misses and 5y is found over
+    (x^2 + 5, xy), whose shift is 2."""
+    monkeypatch.setattr(groebner, "strong_gb", _refuse)
+    gens = _x_power_plus_five(2)
+    assert not membership_oracle(P({(0, 1): 1}), gens)
+    assert membership_oracle(P({(0, 1): 5}), gens)
 
 
 def test_mismatched_nvars_are_refused_before_any_work(monkeypatch):
@@ -694,13 +728,13 @@ def test_shift_guard_never_decides_a_verdict(monkeypatch):
 @pytest.mark.parametrize("nvars", [1, 2])
 def test_oracle_refuses_a_runaway_climb(nvars):
     """x^(10^12) over (x) is a member, but its first test waits for 10^12
-    bounds: the climb raises once it holds more than MAX_ROWS rows below
-    the target's degree."""
+    bounds: the climb raises once it holds more than MAX_ROWS rows with
+    nothing certified, as a completion does."""
     e = (1,) + (0,) * (nvars - 1)
     x = IntPoly(nvars, {e: 1})
     g = IntPoly(nvars, {tuple(10**12 * v for v in e): 1})
     start = time.perf_counter()
-    with pytest.raises(DomainError, match="passed 20000 lattice rows"):
+    with pytest.raises(DomainError, match="within 20000 lattice rows"):
         membership_oracle(g, [x])
     assert time.perf_counter() - start < 1
 
