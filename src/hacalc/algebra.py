@@ -313,7 +313,7 @@ class AlgebraPresentation:
                 for i, e in enumerate(m) for _ in range(abs(e))]
 
     def cofactor(self, m: tuple, w: tuple) -> tuple:
-        """The basis monomial m / w for a letter w of ``word_of(m)``.
+        """The basis monomial m / w for a letter w dividing m.
 
         Commutative monomials are exponent vectors, so the product of
         the other letters is m - w, already in normal form.

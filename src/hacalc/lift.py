@@ -58,22 +58,26 @@ class Connection:
         self._nabla_d = {}
 
     def nabla_d(self, m: tuple) -> Form:
-        """nabla(dm), memoized: m = u v with v the last letter of the
-        canonical word of m, whose other letters are the word of u, and
-        nabla(d(u v)) = nabla(du) v + du dv + u nabla(dv)."""
+        """nabla(dm), memoized: m = u v with v the last letter of m, and
+        nabla(d(u v)) = nabla(du) v + du dv + u nabla(dv).  That letter
+        is the last generator of a free word, else the letter of the
+        last nonzero exponent (the formal inverse if it is negative)."""
         try:
             return self._nabla_d[m]
         except KeyError:
             pass
         A = self.presentation
-        word = A.word_of(m)
-        if not word:
+        if A.is_unit_monomial(m):
             out = Form(A, 2)  # d(unit) = 0
-        elif len(word) == 1:
+        elif m in self.values:
             out = self.values[m]
         else:
-            v = word[-1]
-            u = m[:-1] if A.kind == "free" else A.cofactor(m, v)
+            if A.kind == "free":
+                v, u = A.letters[m[-1]], m[:-1]
+            else:
+                i = max(i for i, e in enumerate(m) if e)
+                v = A.letters[i if m[i] > 0 else -1]
+                u = A.cofactor(m, v)
             fu, fv = _mono_form(A, u), _mono_form(A, v)
             acc = FormSum()
             acc.add_product(1, self.nabla_d(u), fv)

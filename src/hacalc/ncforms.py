@@ -583,14 +583,20 @@ def stable_read(A: AlgebraPresentation, D: int):
 
 
 def _kahler_d(A: AlgebraPresentation, s: tuple) -> dict:
-    """d(s) = sum_i (prod_{j != i} w_j) dw_i over s = w_1 ... w_n.
+    """d(x^e) = sum over e_i != 0 of |e_i| x^(e - w_i) dw_i for s = e.
 
-    ``s`` is factored by ``A.word_of``; the result maps 1-form tuples
-    (head, letter) to coefficients.  A is commutative, so the k equal
-    letters w of a word share one cofactor s / w, taken k times.
+    w_i is the i-th letter, or the formal inverse ``A.letters[-1]`` when
+    e_i < 0 (laurent), and x^(e - w_i) is ``A.cofactor(s, w_i)``; the
+    (head, letter) keys come in the order of the exponents, one step per
+    variable whatever the degree.
     """
-    word = A.word_of(s)
-    return {(A.cofactor(s, w), w): word.count(w) for w in dict.fromkeys(word)}
+    letters = A.letters
+    out = {}
+    for i, e in enumerate(s):
+        if e:
+            w = letters[i] if e > 0 else letters[-1]
+            out[(A.cofactor(s, w), w)] = abs(e)
+    return out
 
 
 def _leibniz_defects(A: AlgebraPresentation, letters):
@@ -617,7 +623,10 @@ def kahler_window(A: AlgebraPresentation, reads: list) -> dict:
     read bound R.
     The rows are h rho(a, b) and d(s) for every monomial h, s of the
     window; a column a row reaches beyond the window is placed ahead of
-    all others, so it never becomes a read pivot.  Each read bound R maps
+    all others, so it never becomes a read pivot: it gets the id
+    len(tuples) - (columns seen so far) - 1 when a row first meets it,
+    and the defect rows, keyed straight to ids, share that table with
+    ``vec`` (the d(s) rows and ``reduce``).  Each read bound R maps
     to (h0, h1, reps1, reduce): the kernel dimension of d on S_{<=R}, the
     cokernel dimension and its non-pivot columns, and ``reduce``, which
     takes a list of {(head, letter): c} int vectors to their residuals
@@ -654,13 +663,18 @@ def kahler_window(A: AlgebraPresentation, reads: list) -> dict:
         return out
 
     ech = IntEchelon()
+    mul, ncols = A.mul_monomials, len(tuples)
     for rho in _leibniz_defects(A, letters):
+        terms = tuple(rho.items())
         for h in monos:
             row = {}
-            for (m, w), c in rho.items():
-                for hm, hc in A.mul_monomials(h, m).items():
-                    row[(hm, w)] = row.get((hm, w), 0) + c * hc
-            ech.add(vec(row))
+            for (m, w), c in terms:
+                for hm, hc in mul(h, m).items():
+                    col = col_of.get((hm, w))
+                    if col is None:  # as in vec
+                        col = col_of[hm, w] = ncols - len(col_of) - 1
+                    row[col] = row.get(col, 0) + c * hc
+            ech.add(row)
     in_kernel = [ech.add(vec(_kahler_d(A, s))) is None for s in monos]
 
     def reduce(forms):

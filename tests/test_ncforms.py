@@ -20,6 +20,7 @@ from hacalc.ncforms import (PAD, CommutatorQuotient, Form, MixedForm,
                             one_form_tuples, xcomplex_boundary_checks,
                             xcomplex_homology)
 from hacalc.scalars import PrimeConfig
+from test_window_goldens import WINDOWS
 
 POLY = AlgebraPresentation.polynomial()
 LAURENT = AlgebraPresentation.laurent()
@@ -600,6 +601,35 @@ def test_kahler_window_reads_each_bound_as_alone(A):
     both = kahler_window(A, [4, 9])
     for R in (4, 9):
         assert both[R][:3] == kahler_window(A, [R])[R][:3]
+
+
+def _word_walk_kahler_d(A, s):
+    """d(s) = sum_i (prod_{j != i} w_j) dw_i over the canonical word
+    s = w_1 ... w_n of ``A.word_of``, the k equal letters w sharing one
+    cofactor s / w, taken k times: the oracle of the closed-form
+    ``ncforms._kahler_d``."""
+    word = A.word_of(s)
+    return {(A.cofactor(s, w), w): word.count(w) for w in dict.fromkeys(word)}
+
+
+@pytest.mark.parametrize("name", WINDOWS)
+def test_kahler_d_is_the_word_walk(name):
+    """The closed form equals the word walk, as a dict and in key order,
+    on every monomial of degree <= 12."""
+    A, _ = WINDOWS[name]
+    for s in A.monomials_up_to(12):
+        got, want = ncforms._kahler_d(A, s), _word_walk_kahler_d(A, s)
+        assert list(got.items()) == list(want.items()), s
+
+
+def test_kahler_d_of_a_huge_exponent_is_its_closed_form():
+    """d(x^e) costs one step per variable, not per letter of a word of
+    10^12 letters."""
+    n = 10**12
+    assert ncforms._kahler_d(POLY, (n,)) == {((n - 1,), T): n}
+    assert ncforms._kahler_d(LAURENT, (-n,)) == {((1 - n,), (-1,)): n}
+    assert ncforms._kahler_d(CURVE, (n, 1)) == {
+        ((n - 1, 1), (1, 0)): n, ((n, 0), (0, 1)): 1}
 
 
 def test_xcomplex_polynomial():
