@@ -118,8 +118,9 @@ class ProductTable(dict):
 
 class AlgebraPresentation:
     """A presented algebra with monomial basis and length filtration;
-    ``letters``, the alphabet of ``word_of``, is the generator monomials
-    in order, then t^-1 = (-1,) on laurent."""
+    ``letters`` is the alphabet of the 1-forms h dw that the commutator
+    quotient and the Kahler window are written in: the generator
+    monomials in order, then t^-1 = (-1,) on laurent."""
 
     def __init__(self, kind, generators, f_coeffs=None, unital=None):
         if kind not in KINDS:
@@ -297,20 +298,6 @@ class AlgebraPresentation:
         out.sort(key=self.sort_key)
         window = self._monomials[bound] = tuple(out)
         return window
-
-    def word_of(self, m: tuple) -> list:
-        """A canonical factorization of m into the monomials of
-        ``letters``.
-
-        A free word is its letters; an exponent vector repeats the i-th
-        letter e_i times, and a negative laurent exponent repeats the
-        formal inverse.  The unit monomial factors as the empty word.
-        """
-        letters = self.letters
-        if self.kind == "free":
-            return [letters[i] for i in m]
-        return [letters[i if e > 0 else -1]
-                for i, e in enumerate(m) for _ in range(abs(e))]
 
     def cofactor(self, m: tuple, w: tuple) -> tuple:
         """The basis monomial m / w for a letter w dividing m.

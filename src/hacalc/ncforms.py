@@ -184,15 +184,15 @@ def _check_exact(c) -> None:
                          f"got {c!r}")
 
 
-def combine(A: AlgebraPresentation, n: int, scaled, den: int = 1) -> Form:
-    """The n-form (sum of c f over the (c, f) pairs, c an int) / den,
-    summed in one :class:`FormSum`."""
+def combine(A: AlgebraPresentation, n: int, scaled) -> Form:
+    """The n-form sum of c f over the (c, f) pairs, c an int, summed in
+    one :class:`FormSum`."""
     acc = FormSum()
     for c, f in scaled:
         if f.degree != n:
             raise WrongDegree("cannot add forms of different degree")
         acc.add(c, f)
-    return acc.form(A, n, den)
+    return acc.form(A, n)
 
 
 class FormSum:
@@ -516,11 +516,12 @@ class CommutatorQuotient:
     """Canonical representatives in Omega^1 modulo the commutator span.
 
     Omega^1 T(V)/[,] is T(V) (x) V (Cuntz-Quillen 1995): modulo
-    commutators x d(v_1 ... v_k) = sum_i (v_{i+1} ... v_k x v_1 ...
-    v_{i-1}) dv_i over the letters of ``A.word_of``, an empty head being
-    the unit.  This holds on free algebras, unital or not, and on
-    polynomial rings, where it is the Kahler expansion.  Laurent and
-    curve presentations are refused: :func:`kahler_window` reads theirs.
+    commutators x d(s) = sum_i (s[i+1:] x s[:i]) d(s[i]) over the letters
+    of a free word s, unital or not, each head one tuple concatenation
+    (the empty word being the unit).  On a polynomial ring the quotient
+    is the Kahler module, so x d(s) = sum e (x h) dw over the items
+    ((h, w), e) of :func:`_kahler_d`.  Laurent and curve presentations
+    are refused: :func:`kahler_window` reads theirs.
     """
 
     def __init__(self, A: AlgebraPresentation):
@@ -535,13 +536,18 @@ class CommutatorQuotient:
             raise WrongDegree("commutator quotient lives on 1-forms")
         A = self.presentation
         out = {}
-        for (x, s), c in omega.num.items():
-            word = A.word_of(s)
-            for i, v in enumerate(word):
-                head = A.one()
-                for m in word[i + 1:] + [x] + word[:i]:
-                    (head,) = A.mul_monomials(head, m)  # one monomial here
-                out[(head, v)] = out.get((head, v), 0) + c
+        get = out.get
+        if A.kind == "free":
+            for (x, s), c in omega.num.items():
+                for i, v in enumerate(s):
+                    key = (s[i + 1:] + x + s[:i], (v,))
+                    out[key] = get(key, 0) + c
+        else:
+            for (x, s), c in omega.num.items():
+                for (h, w), e in _kahler_d(A, s).items():
+                    (xh,) = A.mul_monomials(x, h)  # one monomial here
+                    key = (xh, w)
+                    out[key] = get(key, 0) + c * e
         return Form._trusted(A, 1, out, omega.den)
 
     def contains(self, omega: Form) -> bool:

@@ -7,6 +7,7 @@ from hacalc.algebra import (INF, AlgebraPresentation, GrowthProfile,
                             profile_check_diam_laws, profile_diamond,
                             profile_product, profile_sum)
 from hacalc.ncforms import Form, form_multiply
+from words import word_of
 
 POLY = AlgebraPresentation.polynomial()
 LAURENT = AlgebraPresentation.laurent()
@@ -142,11 +143,11 @@ def test_letters_factor_every_monomial(name):
     A = ALPHABETS[name]
     assert len(set(A.letters)) == len(A.letters)
     assert set(A.letters) == {w for s in A.monomials_up_to(1)
-                              for w in A.word_of(s)}
+                              for w in word_of(A, s)}
     for i, g in enumerate(A.generators):
         assert A.generator_monomial(g) == A.letters[i]
     for m in A.monomials_up_to(6):
-        word = A.word_of(m)
+        word = word_of(A, m)
         assert all(w in A.letters for w in word), m
         acc = {A.one(): 1}
         for w in word:

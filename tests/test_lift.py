@@ -13,6 +13,7 @@ from hacalc.lift import (Connection, LiftingTower, _check_phi,
 from hacalc.ncforms import (Form, MixedForm, d_product, differential,
                             fedosov_mixed, form_multiply)
 from hacalc.scalars import PrimeConfig
+from words import word_of
 
 POLY = AlgebraPresentation.polynomial()
 LAURENT = AlgebraPresentation.laurent()
@@ -53,7 +54,7 @@ def word_walk_nabla_d(nabla: Connection, m) -> Form:
     nabla(d(u v)) = nabla(du) v + du dv + u nabla(dv) per letter: the
     oracle of the memoized ``Connection.nabla_d``."""
     A = nabla.presentation
-    word = A.word_of(m)
+    word = word_of(A, m)
     if not word:
         return Form(A, 2)
     result = nabla.values[word[0]]
@@ -306,7 +307,7 @@ def _word_section(A, n, m) -> MixedForm:
                                      for k in range(n + 1)])
         return MixedForm.of(Form(A, 0, {(v,): 1}))
 
-    word = A.word_of(m)
+    word = word_of(A, m)
     if not word:
         return MixedForm.of(Form(A, 0, {(m,): 1}))
     acc = sigma(word[0])

@@ -2,7 +2,9 @@ import gc
 import itertools
 import math
 import random
+import time
 import weakref
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -21,6 +23,7 @@ from hacalc.ncforms import (PAD, CommutatorQuotient, Form, MixedForm,
                             xcomplex_homology)
 from hacalc.scalars import PrimeConfig
 from test_window_goldens import WINDOWS
+from words import word_of
 
 POLY = AlgebraPresentation.polynomial()
 LAURENT = AlgebraPresentation.laurent()
@@ -605,10 +608,10 @@ def test_kahler_window_reads_each_bound_as_alone(A):
 
 def _word_walk_kahler_d(A, s):
     """d(s) = sum_i (prod_{j != i} w_j) dw_i over the canonical word
-    s = w_1 ... w_n of ``A.word_of``, the k equal letters w sharing one
+    s = w_1 ... w_n of ``word_of``, the k equal letters w sharing one
     cofactor s / w, taken k times: the oracle of the closed-form
     ``ncforms._kahler_d``."""
-    word = A.word_of(s)
+    word = word_of(A, s)
     return {(A.cofactor(s, w), w): word.count(w) for w in dict.fromkeys(word)}
 
 
@@ -811,6 +814,69 @@ def test_commutator_quotient_long_free_word():
     assert all(len(s) == 1 and len(h) == 23 for h, s in rep.terms)
     assert sum(rep.terms.values()) == 24
     assert quo.rep(rep) == rep
+
+
+def _word_walk_rep(A, omega) -> dict:
+    """x d(v_1 ... v_k) = sum_i (v_{i+1} ... v_k x v_1 ... v_{i-1}) dv_i
+    over the canonical word of s, each rotation multiplied back from the
+    unit one ``mul_monomials`` at a time: the oracle of the rotation and
+    the Kahler d of ``CommutatorQuotient.rep``, keys in insertion order."""
+    out = {}
+    for (x, s), c in omega.num.items():
+        word = word_of(A, s)
+        for i, v in enumerate(word):
+            head = A.one()
+            for m in word[i + 1:] + [x] + word[:i]:
+                (head,) = A.mul_monomials(head, m)
+            out[(head, v)] = out.get((head, v), 0) + c
+    return {k: c for k, c in out.items() if c}
+
+
+@pytest.mark.parametrize("A", [
+    FREE, AlgebraPresentation.free(["a", "b"], unital=True), POLY,
+    AlgebraPresentation.polynomial(["x", "y"]),
+], ids=["free", "free-unital", "polynomial", "polynomial2"])
+def test_commutator_quotient_is_the_word_walk(A):
+    """rep equals the word walk, as a dict and in key order, on every
+    1-form (x, s) with deg x + deg s <= 6, and on their seeded sum,
+    where repeated keys across terms add up and may cancel."""
+    quo = CommutatorQuotient(A)
+    tuples = one_form_tuples(A, 6)
+    rng = random.Random(5)
+    forms = [Form(A, 1, {t: 1}) for t in tuples]
+    forms.append(Form(A, 1, {t: rng.choice((1, -1, 2, -3)) for t in tuples}))
+    for omega in forms:
+        got = quo.rep(omega)
+        assert list(got.num.items()) == list(
+            _word_walk_rep(A, omega).items()), str(omega)
+
+
+def test_commutator_quotient_free_word_of_length_2000_within_1s():
+    """d(w) rotates onto one term per letter, each term h dv closing up
+    to the rotation v h of w, within a second: no rotation is multiplied
+    back letter by letter, which costs O(n^3) on a word of n letters."""
+    rng = random.Random(42)
+    w = tuple(rng.randrange(2) for _ in range(2000))
+    start = time.perf_counter()
+    rep = CommutatorQuotient(FREE).rep(Form(FREE, 1, {((), w): 1}))
+    elapsed = time.perf_counter() - start
+    assert all(len(v) == 1 for _, v in rep.num)
+    assert {v + h: c for (h, v), c in rep.num.items()} == Counter(
+        w[i:] + w[:i] for i in range(len(w)))
+    assert elapsed < 1, elapsed
+
+
+def test_commutator_quotient_huge_polynomial_monomial_within_1s():
+    """x d(x^3000 y^3000) = 3000 x^3000 y^3000 dx + 3000 x^3001 y^2999 dy
+    in Z[x, y], within a second: no word of 6,000 letters is built and
+    multiplied back."""
+    A = AlgebraPresentation.polynomial(["x", "y"])
+    start = time.perf_counter()
+    rep = CommutatorQuotient(A).rep(Form(A, 1, {((1, 0), (3000, 3000)): 1}))
+    elapsed = time.perf_counter() - start
+    assert list(rep.num.items()) == [(((3000, 3000), (1, 0)), 3000),
+                                     (((3001, 2999), (0, 1)), 3000)]
+    assert elapsed < 1, elapsed
 
 
 @pytest.mark.parametrize("A", [LAURENT, CURVE], ids=["laurent", "curve"])
