@@ -233,9 +233,12 @@ def suite_tube_closure(cfg: PrimeConfig, samples: int, seed: int,
     kinds = presentations()
     if only is not None:
         kinds = {only.kind: only}
+    cap = 24
+    big = GrowthProfile.filtration(cap, cap)
     for name, A in kinds.items():
         rng = random.Random(seed + _offset(name))
         max_deg = 2 if name == "free" else 3
+        prof = GrowthProfile.filtration(max_deg, cap)
         for _ in range(samples):
             m = rng.randint(1, max_level)
             x = random_even_form(A, 3, max_deg, rng, cfg)
@@ -254,8 +257,6 @@ def suite_tube_closure(cfg: PrimeConfig, samples: int, seed: int,
                 return CheckResult("tube-closure", False, total,
                                    f"monotonicity: {name}, m={m}")
             # D_m membership implies tube membership
-            cap = 24
-            prof = GrowthProfile.filtration(max_deg, cap)
             alpha = Fraction(1, 2 * m)
             P = TubeParams(m, alpha, rng.randint(0, 2), prof)
             if dm_member(x, P, cfg) and not tube_member(x, m, cfg):
@@ -263,7 +264,6 @@ def suite_tube_closure(cfg: PrimeConfig, samples: int, seed: int,
                                    f"dm inclusion: {name}")
             # level m+1 tube sits in D_m(., 1/(m+1), 0)
             if tube_member(x, m + 1, cfg):
-                big = GrowthProfile.filtration(cap, cap)
                 Pm_full = TubeParams(m, Fraction(1, m + 1), 0, big)
                 if not dm_member(x, Pm_full, cfg):
                     return CheckResult("tube-closure", False, total,

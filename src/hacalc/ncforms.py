@@ -24,6 +24,11 @@ d(x0 dx1 ... dxn) d(y0 dy1 ... dym) = 1 dx0 ... dxn dy0 ... dym.
 Each is a thin wrapper over a core that adds s times the product into a
 dict of numerators; :class:`FormSum` sums many products and forms that
 way, over the lcm of their denominators, with no form per summand.
+The Leibniz core merges the contractions d(x_j x_{j+1}), j < n, which
+do not involve the right factor, into one dict of key prefixes per
+product, before any prefix meets a tuple of the right factor.  The
+Fedosov product adds both kernels straight into one :class:`FormSum`
+per output degree.
 
 For commutative S the commutator quotient Omega^1 S/[S, Omega^1 S] is
 the module of Kahler differentials, because [x, y dz] expands to the
@@ -282,34 +287,45 @@ def form_multiply(omega: Form, eta: Form) -> Form:
 def _multiply_into(out: dict, s: int, omega: Form, eta: Form) -> None:
     """out += s num(omega) num(eta), the core of :func:`form_multiply`.
 
-    For j < n the merged product does not involve eta, so each key
-    prefix is built once per tuple of omega, and y0 sits in a d-slot, so
-    a unit y0 leaves only j = n.  New keys join ``out`` in the order of
-    the loops: tuples of omega, then of eta, then the summands j.
+    For j < n the merged product x_j x_{j+1} does not involve eta, so the
+    signed key prefixes x0 dx1 ... d(x_j x_{j+1}) ... dxn are summed once
+    per product, over every tuple of omega, and the prefixes that cancel
+    are dropped.  Each survivor is then joined to each tuple of eta whose
+    head y0 is not the unit (y0 sits in a d-slot there).  The j = n
+    summands, x_n y0, are one loop over pairs of tuples.  New keys join
+    ``out`` in that order: the j < n keys grouped by tuple of eta, then
+    the j = n keys by tuple of omega and then of eta.
     """
     if not (omega.num and eta.num):
         return
     A = omega.presentation
     n = omega.degree
     table, unit = A.product_table, A.is_unit_monomial
-    etas = [(ys, ys[0], ys[1:], c2, unit(ys[0]))
-            for ys, c2 in eta.num.items()]
-    any_inner = n and not all(y0_unit for *_, y0_unit in etas)
     get = out.get
+    etas = [(ys, c2) for ys, c2 in eta.num.items()
+            if not unit(ys[0])] if n else ()
+    if etas:
+        prefixes = {}
+        pget = prefixes.get
+        for xs, c1 in omega.num.items():
+            for j in range(n):
+                c = -c1 if (n - j) % 2 else c1
+                for mm, mc, mm_unit in table[xs[j], xs[j + 1]]:
+                    if j and mm_unit:
+                        continue
+                    key = xs[:j] + (mm,) + xs[j + 2:]
+                    prefixes[key] = pget(key, 0) + c * mc
+        inner = [(prefix, s * c) for prefix, c in prefixes.items() if c]
+        for ys, c2 in etas:
+            for prefix, c in inner:
+                key = prefix + ys
+                out[key] = get(key, 0) + c * c2
+    tails = [(ys[0], ys[1:], c2) for ys, c2 in eta.num.items()]
     for xs, c1 in omega.num.items():
         c1 *= s
-        # the j < n summands as (key prefix, signed coefficient)
-        inner = [(xs[:j] + (mm,) + xs[j + 2:], -mc if (n - j) % 2 else mc)
-                 for j in range(n if any_inner else 0)
-                 for mm, mc, mm_unit in table[xs[j], xs[j + 1]]
-                 if not (j and mm_unit)]
         pre, xn = xs[:n], xs[n]
-        for ys, y0, tail, c2, y0_unit in etas:
+        for y0, tail, c2 in tails:
             c = c1 * c2
-            if inner and not y0_unit:
-                for prefix, mc in inner:
-                    key = prefix + ys
-                    out[key] = get(key, 0) + (c if mc == 1 else c * mc)
             for mm, mc, mm_unit in table[xn, y0]:
                 if n and mm_unit:
                     continue
@@ -409,21 +425,33 @@ def fedosov(omega: Form, eta: Form) -> MixedForm:
     """Fedosov product of homogeneous forms.
 
     xi (.) eta = xi eta - (-1)^{ij} d(xi) d(eta); the two components live
-    in degrees i+j and i+j+2.  The low part is :func:`form_multiply`;
-    the high part is :func:`d_product`, the concatenation
-    1 dx0 ... dxn dy0 ... dym of the two differentials.
+    in degrees i+j and i+j+2.  The low part is the Leibniz product of
+    :func:`form_multiply`; the high part is that of :func:`d_product`,
+    the concatenation 1 dx0 ... dxn dy0 ... dym of the two differentials.
+    Each is added straight into its degree's :class:`FormSum`.
     """
-    i, j = omega.degree, eta.degree
-    high = d_product(omega, eta)
-    return MixedForm(omega.presentation, {
-        i + j: form_multiply(omega, eta),
-        i + j + 2: high if (i * j) % 2 else -high})
+    return _fedosov(omega.presentation, ((omega, eta),))
 
 
 def fedosov_mixed(a: MixedForm, b: MixedForm) -> MixedForm:
-    """The Fedosov product extended to mixed forms."""
-    return MixedForm.sum(a.presentation, (
-        fedosov(fa, fb) for fa in a.parts.values() for fb in b.parts.values()))
+    """The Fedosov product extended to mixed forms: every pair of parts
+    adds its two components into one :class:`FormSum` per degree, and
+    each degree is built into a form once."""
+    return _fedosov(a.presentation, (
+        (fa, fb) for fa in a.parts.values() for fb in b.parts.values()))
+
+
+def _fedosov(A: AlgebraPresentation, pairs) -> MixedForm:
+    """The sum of omega (.) eta over the pairs, the core of
+    :func:`fedosov` and :func:`fedosov_mixed`."""
+    sums = {}
+    for omega, eta in pairs:
+        i, j = omega.degree, eta.degree
+        low = sums.setdefault(i + j, FormSum())
+        high = sums.setdefault(i + j + 2, FormSum())
+        low.add_product(1, omega, eta)
+        high.add_d_product(1 if (i * j) % 2 else -1, omega, eta)
+    return MixedForm(A, {n: acc.form(A, n) for n, acc in sums.items()})
 
 
 def mixed_multiply(a: MixedForm, b: MixedForm) -> MixedForm:

@@ -17,7 +17,8 @@ from hacalc.errors import DomainError, NotCommutative, WrongDegree
 from hacalc.linalg import IntEchelon, SparseEchelon, kernel_basis
 from hacalc.ncforms import (PAD, CommutatorQuotient, Form, MixedForm,
                             commutator_vectors, d_product, differential,
-                            fedosov, form_multiply, hochschild_b1,
+                            fedosov, fedosov_mixed, form_multiply,
+                            hochschild_b1,
                             kahler_window,
                             one_form_tuples, xcomplex_boundary_checks,
                             xcomplex_homology)
@@ -131,7 +132,7 @@ def test_unit_in_a_d_slot_is_zero():
 
 def _reference_multiply(omega: Form, eta: Form) -> Form:
     """The graded product tested slot by slot: the oracle that
-    :func:`form_multiply` must match, term order included."""
+    :func:`form_multiply` must match, key by key."""
     A = omega.presentation
     n, m = omega.degree, eta.degree
     out = {}
@@ -181,9 +182,9 @@ def _oracle_form(A, degree, rng):
 
 def _assert_same_product(x, y):
     got, want = form_multiply(x, y), _reference_multiply(x, y)
-    assert list(got.terms.items()) == list(want.terms.items()), (x, y)
-    assert [type(c) for c in got.terms.values()] \
-        == [type(c) for c in want.terms.values()]
+    assert got.terms == want.terms, (x, y)
+    assert {k: type(c) for k, c in got.terms.items()} \
+        == {k: type(c) for k, c in want.terms.items()}
     assert got.degree == want.degree and str(got) == str(want)
 
 
@@ -395,6 +396,79 @@ def test_form_multiply_reference_cases():
         _assert_same_product(omega, eta)
         _assert_same_product(eta, omega)
         assert not form_multiply(omega, eta).is_zero()
+
+
+def _mixed_head_form(A, degree, rng):
+    """A seeded form with at least one unit head and one non-unit head."""
+    f = _oracle_form(A, degree, rng)
+    slots = [m for m in A.monomials_up_to(2) if not A.is_unit_monomial(m)]
+    extra = {(head,) + tuple(rng.choice(slots) for _ in range(degree)):
+             rng.choice(ORACLE_COEFFS)
+             for head in (A.one(), rng.choice(slots))}
+    return f + Form(A, degree, extra)
+
+
+_P2 = (2,)
+_A, _B, _AB = (0,), (1,), (0, 1)
+#: Two tuples of omega whose j < n prefixes meet: under one relative
+#: sign the shared prefix cancels, under the other it doubles.  t d(t^2)
+#: and t^2 dt both give (t^3,); a db and 1 d(ab) both give (ab,); and
+#: t dt dt (j = 1) and 1 dt d(t^2) (j = 0) both give (t, t^2).
+_MEETING_PREFIXES = [
+    (POLY, 1, (T, _P2), (_P2, T)),
+    (FREE, 1, (_A, _B), ((), _AB)),
+    (ORACLE_PRESENTATIONS["free-unital"], 1, (_A, _B), ((), _AB)),
+    (POLY, 2, (T, T, T), (ONE, T, _P2)),
+]
+
+
+@pytest.mark.parametrize("case", range(len(_MEETING_PREFIXES)))
+@pytest.mark.parametrize("sign", [-1, 1])
+def test_prefixes_that_meet_are_merged_once(case, sign):
+    """Prefixes shared by two tuples of omega are summed before they meet
+    eta: the sum matches the reference, and prefixes that cancel leave no
+    zero numerator behind, even in a :class:`FormSum`'s raw dict."""
+    A, n, first, second = _MEETING_PREFIXES[case]
+    omega = Form(A, n, {first: 1, second: sign})
+    rng = random.Random(41 + case)
+    for _ in range(40):
+        eta = _mixed_head_form(A, rng.randint(0, 2), rng)
+        assert any(A.is_unit_monomial(ys[0]) for ys in eta.num)
+        assert not all(A.is_unit_monomial(ys[0]) for ys in eta.num)
+        _assert_same_product(omega, eta)
+        acc = ncforms.FormSum()
+        acc.add_product(1, omega, eta)
+        assert 0 not in acc.num.values()
+        assert acc.form(A, n + eta.degree) == form_multiply(omega, eta)
+
+
+def _reversed(f: Form) -> Form:
+    """f with its numerators inserted in reverse order."""
+    return Form._trusted(f.presentation, f.degree,
+                         dict(reversed(f.num.items())), f.den)
+
+
+@pytest.mark.parametrize("name", list(ORACLE_PRESENTATIONS))
+def test_key_order_reaches_no_output(name):
+    """A product read back with its keys in reverse order is equal, and
+    prints and sorts the same: the insertion order of a kernel's keys
+    reaches no output."""
+    A = ORACLE_PRESENTATIONS[name]
+    rng = random.Random(43)
+    for _ in range(100):
+        x = _oracle_form(A, rng.randint(0, 2), rng)
+        y = _oracle_form(A, rng.randint(0, 2), rng)
+        z = _oracle_form(A, rng.randint(0, 2), rng)
+        low_high = fedosov(x, y)
+        mixed = fedosov_mixed(low_high, MixedForm.of(z))
+        forms = [form_multiply(x, y), *low_high.parts.values(),
+                 *mixed.parts.values()]
+        for f in forms:
+            g = _reversed(f)
+            assert g == f and str(g) == str(f) and g.items() == f.items()
+        flipped = MixedForm(A, {n: _reversed(mixed.parts[n])
+                                for n in reversed(mixed.parts)})
+        assert flipped == mixed and str(flipped) == str(mixed)
 
 
 def _dense_rref_basis(vectors, ncols):
